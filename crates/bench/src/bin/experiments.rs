@@ -7,7 +7,7 @@
 //! cargo run --release -p pobp-bench --bin experiments -- e5 e8   # subset
 //! ```
 //!
-//! With `--obs` (and a `--features obs` build) the harness additionally
+//! With `--obs` (and a `--features instrument` build) the harness additionally
 //! prints the aggregated counter tables and writes the JSON counter report
 //! to `obs-report.json` (override with `--obs-out FILE`); see
 //! `docs/observability.md`.
@@ -28,13 +28,13 @@
 //! * `bench-compare --baseline A.json --candidate B.json` diffs two
 //!   snapshots cell by cell and exits nonzero when any cell regressed by
 //!   more than `--tolerance PCT` (default 25%) — the CI perf gate;
-//! * `--trace FILE` (needs a `--features trace` build) writes the Chrome
-//!   trace-event JSON of everything the harness ran; see
-//!   `docs/observability.md`.
+//! * `--trace FILE` (needs a `--features instrument` build) arms the full
+//!   trace record and writes the Chrome trace-event JSON of everything the
+//!   harness ran; see `docs/observability.md`.
 
 use std::collections::BTreeMap;
 
-use pobp::cli::{flag_value, has_flag, parse_num};
+use pobp::cli::{flag_value, has_flag, instrument_flags, parse_num};
 use pobp_bench::{geo_mean, lax_workload, log_base_k1, mixed_workload, small_workload};
 use pobp_core::{JobId, JobSet};
 use pobp_engine::{Algo, Engine, EngineConfig, GridSpec, SolveTask, TaskResult};
@@ -67,10 +67,11 @@ fn main() {
         Ok(None) => None,
         Err(e) => die(e),
     };
-    let trace_out: Option<String> = flag_value(&args, "--trace").unwrap_or_else(|e| die(e));
-    if trace_out.is_some() && !pobp_core::trace::enabled() {
-        die("--trace needs a binary built with --features trace");
-    }
+    // A default build refuses `--trace` here, so there the value goes unused.
+    #[cfg_attr(not(feature = "instrument"), allow(unused_variables))]
+    let [trace_out] = instrument_flags(&args, ["--trace"]).unwrap_or_else(|e| die(e));
+    #[cfg(feature = "instrument")]
+    let _armed = trace_out.is_some().then(|| pobp_core::trace::arm(pobp_core::trace::Sink::Record));
     let threads: usize = parse_num(&args, "--threads", 0usize).unwrap_or_else(|e| die(e));
     // The ladder is armed so a misbehaving solver degrades a table row to
     // the polynomial fallback (flagged on stderr) instead of killing the
@@ -142,10 +143,13 @@ fn main() {
             f(&engine);
         }
     }
+    #[cfg(feature = "instrument")]
     if let Some(path) = trace_out {
-        if let Err(e) = emit_trace(&path) {
-            die(e);
+        let events = pobp_core::trace::drain();
+        if let Err(e) = std::fs::write(&path, pobp_core::trace::chrome_json(&events)) {
+            die(format!("writing {path}: {e}"));
         }
+        println!("wrote Chrome trace to {path} ({} events)", events.len());
     }
     if let Some(path) = obs_out {
         let snap = pobp_core::obs::snapshot();
@@ -157,7 +161,7 @@ fn main() {
         }
         println!("\nwrote JSON counter report to {path}");
         if !pobp_core::obs::enabled() {
-            println!("(note: built without --features obs — all counters are empty)");
+            println!("(note: built without --features instrument — all counters are empty)");
         }
     }
 }
@@ -432,24 +436,6 @@ fn bench_compare(baseline: &str, candidate: &str, tolerance: f64) -> Result<bool
     }
     println!("\nbench-compare: no regression beyond {tolerance}% across {compared} cells");
     Ok(true)
-}
-
-/// Writes the Chrome trace-event JSON of everything the harness ran.
-/// Compiled only with the `trace` feature; `main` rejects `--trace` before
-/// reaching this in trace-less builds.
-#[cfg(feature = "trace")]
-fn emit_trace(path: &str) -> Result<(), String> {
-    let events = pobp_core::trace::drain();
-    std::fs::write(path, pobp_core::trace::chrome_json(&events))
-        .map_err(|e| format!("writing {path}: {e}"))?;
-    println!("wrote Chrome trace to {path} ({} events)", events.len());
-    Ok(())
-}
-
-/// Trace-less stub: unreachable because `main` rejects `--trace` first.
-#[cfg(not(feature = "trace"))]
-fn emit_trace(_path: &str) -> Result<(), String> {
-    Err("--trace needs a binary built with --features trace".into())
 }
 
 fn e1_laminar() {

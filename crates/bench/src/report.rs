@@ -114,7 +114,7 @@ impl Table {
 /// Renders an observability [`Snapshot`](pobp_core::obs::Snapshot) as three
 /// aligned-text tables (counters, timers, events), in name order. Empty
 /// sections are omitted; an entirely empty snapshot renders a hint that the
-/// `obs` feature is off.
+/// `instrument` feature is off.
 pub fn obs_tables(snap: &pobp_core::obs::Snapshot) -> String {
     let mut out = String::new();
     if !snap.counters.is_empty() {
@@ -161,7 +161,7 @@ pub fn obs_tables(snap: &pobp_core::obs::Snapshot) -> String {
         out.push_str(if pobp_core::obs::enabled() {
             "(no obs data recorded)\n"
         } else {
-            "(obs feature disabled; rebuild with --features obs)\n"
+            "(obs disabled; rebuild with --features instrument)\n"
         });
     }
     out

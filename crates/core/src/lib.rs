@@ -16,21 +16,22 @@
 //! Everything is exact integer arithmetic; feasibility is a decidable
 //! predicate with no epsilons ([`Schedule::verify`]).
 //!
-//! The crate also exports the workspace's zero-cost instrumentation layers
-//! ([`obs`], with the [`obs_count!`], [`obs_time!`], and [`obs_event!`]
-//! macros, and [`trace`], with [`obs_span!`] and [`trace_event!`]), both
-//! compiled to no-ops unless the matching cargo feature (`obs` / `trace`)
-//! is enabled, plus the live-telemetry layer (`metrics` and `flight`,
-//! gated on the `telemetry` feature) — see `docs/observability.md`.
+//! The crate also exports the workspace's zero-cost instrumentation, all
+//! behind the one `instrument` cargo feature: the [`obs`] aggregate (the
+//! [`obs_count!`], [`obs_time!`], and [`obs_event!`] macros), the [`trace`]
+//! recorder ([`obs_span!`] and [`trace_event!`]) with its runtime-armed full
+//! record and `flight` ring, and the live `metrics` window — see
+//! `docs/observability.md`. Without the feature the macros compile to
+//! no-ops and `flight`/`metrics` do not exist.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 pub mod flight;
 pub mod json;
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 pub mod metrics;
 pub mod obs;
 pub mod trace;

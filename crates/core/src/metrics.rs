@@ -27,7 +27,7 @@
 //!
 //! Everything here is wall-clock telemetry (Timing class): samples never
 //! feed logical traces, job results, or durable bytes, and the module is
-//! compiled out entirely without the `telemetry` feature.
+//! compiled out entirely without the `instrument` feature.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;

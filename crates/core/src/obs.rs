@@ -4,7 +4,7 @@
 //! Every hot path in the workspace is instrumented with the three macros
 //! exported from this crate — [`obs_count!`](crate::obs_count),
 //! [`obs_time!`](crate::obs_time), and [`obs_event!`](crate::obs_event).
-//! When the `obs` cargo feature is **off** (the default) the
+//! When the `instrument` cargo feature is **off** (the default) the
 //! macros expand to nothing: `obs_count!`/`obs_event!` become `()` without
 //! evaluating their arguments, and `obs_time!` becomes its body expression
 //! unchanged. No atomics, no branches, no registry — release code is
@@ -31,7 +31,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Version of the JSON report schema emitted by [`Snapshot::to_json`].
@@ -256,9 +256,10 @@ fn registry() -> &'static Registry {
     &REGISTRY
 }
 
-/// Whether instrumentation is compiled in (the `obs` cargo feature).
+/// Whether instrumentation is compiled in (the `instrument` cargo
+/// feature): the obs macros, the trace recorder, and the live metrics.
 pub const fn enabled() -> bool {
-    cfg!(feature = "obs")
+    cfg!(feature = "instrument")
 }
 
 /// Aggregated state of one timer name in a [`Snapshot`].
@@ -439,18 +440,13 @@ pub fn reset() {
     }
 }
 
-/// Guard holding the exclusive measurement window; see [`exclusive`].
-pub struct WindowGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
 /// Takes the global measurement lock without resetting; pair with manual
 /// [`reset`]/[`snapshot`] calls when [`measure`]'s closure shape is awkward.
-pub fn exclusive() -> WindowGuard {
-    let guard = match registry().window.lock() {
-        Ok(g) => g,
-        // A panicking test inside `measure` must not wedge every later test.
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    WindowGuard(guard)
+/// [`trace::capture`](crate::trace) holds the same lock, so one window
+/// serialises every test that asserts on instrumentation.
+pub fn exclusive() -> MutexGuard<'static, ()> {
+    // A panicking test inside `measure` must not wedge every later test.
+    registry().window.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Runs `f` in an exclusive, freshly-reset measurement window and returns
@@ -473,9 +469,9 @@ pub fn report_json() -> String {
 }
 
 /// Counts occurrences: `obs_count!("name")` adds 1, `obs_count!("name", n)`
-/// adds `n`. With the `obs` feature off this expands to `()` and the
-/// argument expressions are **not evaluated**.
-#[cfg(feature = "obs")]
+/// adds `n`. With the `instrument` feature off this expands to `()` and
+/// the argument expressions are **not evaluated**.
+#[cfg(feature = "instrument")]
 #[macro_export]
 macro_rules! obs_count {
     ($name:literal) => {
@@ -488,9 +484,9 @@ macro_rules! obs_count {
 }
 
 /// Counts occurrences: `obs_count!("name")` adds 1, `obs_count!("name", n)`
-/// adds `n`. With the `obs` feature off this expands to `()` and the
-/// argument expressions are **not evaluated**.
-#[cfg(not(feature = "obs"))]
+/// adds `n`. With the `instrument` feature off this expands to `()` and
+/// the argument expressions are **not evaluated**.
+#[cfg(not(feature = "instrument"))]
 #[macro_export]
 macro_rules! obs_count {
     ($($args:tt)*) => {
@@ -499,11 +495,12 @@ macro_rules! obs_count {
 }
 
 /// Times a span: `obs_time!("name", { body })` evaluates to the body's
-/// value, accumulating its wall-clock time. With the `trace` feature on it
-/// additionally emits a timing-class trace span under the same name (via
-/// [`obs_span!`](crate::obs_span)). With both features off this expands to
-/// the body expression unchanged — the body always runs.
-#[cfg(feature = "obs")]
+/// value, accumulating its wall-clock time whether or not a trace sink is
+/// armed, and additionally records a timing-class trace span under the same
+/// name (via [`obs_span!`](crate::obs_span)) while one is. With the
+/// `instrument` feature off this expands to the body expression unchanged —
+/// the body always runs.
+#[cfg(feature = "instrument")]
 #[macro_export]
 macro_rules! obs_time {
     ($name:literal, $body:expr) => {
@@ -518,22 +515,24 @@ macro_rules! obs_time {
 }
 
 /// Times a span: `obs_time!("name", { body })` evaluates to the body's
-/// value, accumulating its wall-clock time. With the `trace` feature on it
-/// additionally emits a timing-class trace span under the same name (via
-/// [`obs_span!`](crate::obs_span)). With both features off this expands to
-/// the body expression unchanged — the body always runs.
-#[cfg(not(feature = "obs"))]
+/// value, accumulating its wall-clock time whether or not a trace sink is
+/// armed, and additionally records a timing-class trace span under the same
+/// name (via [`obs_span!`](crate::obs_span)) while one is. With the
+/// `instrument` feature off this expands to the body expression unchanged —
+/// the body always runs.
+#[cfg(not(feature = "instrument"))]
 #[macro_export]
 macro_rules! obs_time {
     ($name:literal, $body:expr) => {
-        $crate::obs_span!(timing $name, $body)
+        $body
     };
 }
 
 /// Records one observation of a value into a named distribution
-/// (count/sum/min/max): `obs_event!("name", value)`. With the `obs` feature
-/// off this expands to `()` and the value expression is **not evaluated**.
-#[cfg(feature = "obs")]
+/// (count/sum/min/max): `obs_event!("name", value)`. With the `instrument`
+/// feature off this expands to `()` and the value expression is **not
+/// evaluated**.
+#[cfg(feature = "instrument")]
 #[macro_export]
 macro_rules! obs_event {
     ($name:literal, $value:expr) => {{
@@ -543,9 +542,10 @@ macro_rules! obs_event {
 }
 
 /// Records one observation of a value into a named distribution
-/// (count/sum/min/max): `obs_event!("name", value)`. With the `obs` feature
-/// off this expands to `()` and the value expression is **not evaluated**.
-#[cfg(not(feature = "obs"))]
+/// (count/sum/min/max): `obs_event!("name", value)`. With the `instrument`
+/// feature off this expands to `()` and the value expression is **not
+/// evaluated**.
+#[cfg(not(feature = "instrument"))]
 #[macro_export]
 macro_rules! obs_event {
     ($($args:tt)*) => {
@@ -611,7 +611,9 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "obs")]
+    /// The aggregate records with no trace sink armed, while the trace
+    /// recorder keeps nothing.
+    #[cfg(feature = "instrument")]
     #[test]
     fn macros_record_and_merge() {
         fn workload() {
@@ -631,6 +633,7 @@ mod tests {
         assert_eq!((ev.buckets[0], ev.buckets[1], ev.buckets[2]), (2, 2, 1));
         assert_eq!(ev.quantile(0.5), 3.0);
         assert_eq!(snap.timers["core.test.span"].spans, 1);
+        assert!(crate::trace::drain().is_empty());
         let j = snap.to_json();
         assert!(j.contains("\"core.test.ticks\": 10"));
         assert!(j.contains("\"p50\": 3.0"));
@@ -638,7 +641,7 @@ mod tests {
         assert!(j.contains("\"p99\":"));
     }
 
-    #[cfg(not(feature = "obs"))]
+    #[cfg(not(feature = "instrument"))]
     #[test]
     fn macros_are_inert_when_disabled() {
         // obs_count!/obs_event! must not evaluate their arguments...

@@ -1,51 +1,46 @@
-//! Zero-cost structured tracing: typed lifecycle events with Chrome-trace
-//! and deterministic logical-trace exporters.
+//! Zero-cost structured tracing: typed lifecycle events, one recorder, and
+//! two sinks armed at runtime.
 //!
 //! Where [`obs`](crate::obs) aggregates (counters, span totals,
 //! distributions), `trace` records *individual* events — `(seq, ts, worker,
 //! task, phase, kind, class, payload)` — so a single task's journey through
 //! the engine (enqueue → dequeue → attempt → chaos site → cache probe →
-//! cert → degrade → emit) can be replayed after the fact. Two exporters
-//! consume the recorded stream:
+//! cert → degrade → emit) can be replayed after the fact. [`record`] is the
+//! only recorder. It feeds two sinks, each armed at runtime by [`arm`]:
 //!
-//! * [`chrome_json`] — the Chrome trace-event format (load the file in
-//!   Perfetto / `chrome://tracing`): one track per worker thread, `B`/`E`
-//!   span pairs and `i` instants, microsecond timestamps.
-//! * [`logical_text`] — a timestamp-free rendering of only the
-//!   [`TraceClass::Logical`] events, grouped per task and ordered by the
-//!   global sequence number. For deterministic engine configurations this
-//!   text is byte-identical across thread counts (see
-//!   `docs/observability.md` for the exact contract).
+//! * [`Sink::Record`], the full record: every event, taken with [`drain`].
+//!   `--trace`/`--trace-logical` arm it for a whole command and [`capture`]
+//!   for one test window. Two exporters consume it:
+//!   * [`chrome_json`] — the Chrome trace-event format (load the file in
+//!     Perfetto / `chrome://tracing`): one track per worker thread, `B`/`E`
+//!     span pairs and `i` instants, microsecond timestamps.
+//!   * [`logical_text`] — a timestamp-free rendering of only the
+//!     [`TraceClass::Logical`] events, grouped per task and ordered by the
+//!     global sequence number. For deterministic engine configurations this
+//!     text is byte-identical across thread counts (see
+//!     `docs/observability.md` for the exact contract).
+//! * [`Sink::Ring`], the [`flight`](crate::flight) ring: only the newest
+//!   events, at a fixed memory cost. `pobp serve --flight-dir` arms it for
+//!   the daemon's life.
 //!
-//! Like `obs`, the layer is **zero-cost when off**: the `trace` cargo
+//! With neither sink armed, [`record`] returns after one relaxed load, so a
+//! long-running process that never asked for a trace holds no events.
+//!
+//! Like `obs`, the layer is **zero-cost when off**: the `instrument` cargo
 //! feature (default: off) gates the macro expansions. With the feature off,
 //! [`trace_event!`](crate::trace_event) expands to `()` without evaluating
 //! its arguments, [`obs_span!`](crate::obs_span) expands to its body
-//! unchanged, and the recording functions in this module become empty inline
-//! stubs, so call sites need no `cfg` of their own.
+//! unchanged, and [`task_scope`]/[`task_context`] become empty inline stubs,
+//! so call sites need no `cfg` of their own.
 //!
-//! Events are buffered in per-thread `Vec`s (no locks on the hot path
-//! except a global relaxed fetch-add for the sequence number) and flushed
-//! into a global sink when a buffer fills, when its thread exits, or on
-//! [`drain`]. Tests must serialise their recording windows with
+//! Full-record events are buffered in per-thread `Vec`s (no locks on the
+//! hot path except a global relaxed fetch-add for the sequence number) and
+//! flushed into a global sink when a buffer fills, when its thread exits,
+//! or on [`drain`]. Tests must serialise their recording windows with
 //! [`capture`], which mirrors `obs::measure`.
-
-#[cfg(feature = "trace")]
-use std::cell::RefCell;
-#[cfg(feature = "trace")]
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-#[cfg(feature = "trace")]
-use std::sync::{Mutex, MutexGuard, OnceLock};
-#[cfg(feature = "trace")]
-use std::time::Instant;
 
 /// Task id carried by events recorded outside any task scope.
 pub const NO_TASK: u64 = u64::MAX;
-
-/// Whether tracing is compiled in (the `trace` cargo feature).
-pub const fn enabled() -> bool {
-    cfg!(feature = "trace")
-}
 
 /// Span boundary or point event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,19 +93,58 @@ pub struct TraceEvent {
 // Recording (feature on)
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "trace")]
+#[cfg(feature = "instrument")]
 mod imp {
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+    use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+    use std::time::Instant;
+
     use super::*;
 
     /// Per-thread buffer flushed into the global sink at this size.
     const FLUSH_AT: usize = 4096;
 
+    /// Live [`arm`] guards per sink, packed so that [`record`] reads both
+    /// with one load: full-record arms in the low 16 bits, ring arms above.
+    /// Relaxed throughout: the count only gates recording and publishes no
+    /// other data.
+    static ARMED: AtomicU32 = AtomicU32::new(0);
+    const RECORD_ARMS: u32 = Sink::Ring as u32 - 1;
     static SEQ: AtomicU64 = AtomicU64::new(0);
     static WORKER_IDS: AtomicU32 = AtomicU32::new(0);
     static SINK: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
-    /// Serialises capture windows across test threads; see [`capture`].
-    static WINDOW: Mutex<()> = Mutex::new(());
     static EPOCH: OnceLock<Instant> = OnceLock::new();
+
+    /// A destination of [`record`], armed at runtime by [`arm`]; the value
+    /// is what one arm adds to the packed count.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum Sink {
+        /// Every event, kept until [`drain`] takes it.
+        Record = 1,
+        /// Only the newest events, in the bounded [`flight`](crate::flight)
+        /// ring.
+        Ring = 1 << 16,
+    }
+
+    /// Keeps a sink armed until it drops; see [`arm`].
+    #[must_use = "the sink disarms when the guard drops"]
+    #[derive(Debug)]
+    pub struct Armed(Sink);
+
+    impl Drop for Armed {
+        fn drop(&mut self) {
+            ARMED.fetch_sub(self.0 as u32, Ordering::Relaxed);
+        }
+    }
+
+    /// Arms `sink` until the returned guard drops. Arms nest: a sink stays
+    /// armed while any of its guards lives, so two daemons in one process
+    /// (or a test window inside an armed command) do not disarm each other.
+    pub fn arm(sink: Sink) -> Armed {
+        ARMED.fetch_add(sink as u32, Ordering::Relaxed);
+        Armed(sink)
+    }
 
     struct Local {
         worker: u32,
@@ -139,10 +173,7 @@ mod imp {
     }
 
     fn sink_lock() -> MutexGuard<'static, Vec<TraceEvent>> {
-        match SINK.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        SINK.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn flush(buf: &mut Vec<TraceEvent>) {
@@ -155,8 +186,9 @@ mod imp {
         EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
     }
 
-    /// Records one event on the current thread. Drops the event silently if
-    /// the thread's buffer is already being destroyed (thread teardown).
+    /// Records one event on the current thread into every armed sink, and
+    /// does nothing else when none is armed. Drops the event silently if
+    /// the thread's state is already being destroyed (thread teardown).
     pub fn record(
         phase: &'static str,
         kind: TraceKind,
@@ -164,6 +196,10 @@ mod imp {
         value: u64,
         text: Option<&str>,
     ) {
+        let armed = ARMED.load(Ordering::Relaxed);
+        if armed == 0 {
+            return;
+        }
         let ts_ns = ts_ns();
         let seq = SEQ.fetch_add(1, Ordering::Relaxed);
         let _ = LOCAL.try_with(|cell| {
@@ -179,10 +215,13 @@ mod imp {
                 value,
                 text: text.map(Box::from),
             };
-            // The flight recorder mirrors the full stream, keeping only the
-            // newest events (same seq/worker/task attribution as the trace).
-            #[cfg(feature = "telemetry")]
-            crate::flight::push(ev.clone());
+            if armed & RECORD_ARMS == 0 {
+                crate::flight::push(ev);
+                return;
+            }
+            if armed > RECORD_ARMS {
+                crate::flight::push(ev.clone());
+            }
             l.buf.push(ev);
             if l.buf.len() >= FLUSH_AT {
                 flush(&mut l.buf);
@@ -254,30 +293,24 @@ mod imp {
         SpanGuard { phase, class }
     }
 
-    /// Records a point event. Used by [`trace_event!`](crate::trace_event) —
-    /// prefer the macro.
-    pub fn instant(phase: &'static str, class: TraceClass, value: u64, text: Option<&str>) {
-        record(phase, TraceKind::Instant, class, value, text);
-    }
-
-    /// Flushes the current thread's buffer and takes every event recorded so
-    /// far, in arbitrary cross-thread order (sort by `seq` for a global
-    /// order). Buffers of *live* other threads that have not reached their
-    /// flush threshold are not visible — drain after joining workers.
+    /// Flushes the current thread's buffer and takes every event the full
+    /// record holds, in arbitrary cross-thread order (sort by `seq` for a
+    /// global order). Buffers of *live* other threads that have not reached
+    /// their flush threshold are not visible — drain after joining workers.
     pub fn drain() -> Vec<TraceEvent> {
         let _ = LOCAL.try_with(|cell| flush(&mut cell.borrow_mut().buf));
         std::mem::take(&mut *sink_lock())
     }
 
-    /// Runs `f` in an exclusive, freshly-drained trace window and returns
-    /// its output together with the events it recorded. The only sound way
-    /// to assert on traces from tests (the sink is process-global and the
-    /// test harness is multi-threaded).
+    /// Runs `f` in an exclusive, freshly-drained window with the full
+    /// record armed and returns its output together with the events it
+    /// recorded. The only sound way to assert on traces from tests (the
+    /// sink is process-global and the test harness is multi-threaded). The
+    /// window is [`obs::exclusive`](crate::obs::exclusive)'s, so do not
+    /// nest `capture` and `obs::measure`.
     pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<TraceEvent>) {
-        let _guard = match WINDOW.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let _window = crate::obs::exclusive();
+        let _armed = arm(Sink::Record);
         drop(drain());
         let out = f();
         let events = drain();
@@ -285,15 +318,17 @@ mod imp {
     }
 }
 
-#[cfg(feature = "trace")]
-pub use imp::{capture, drain, instant, record, span, task_context, task_scope, SpanGuard, TaskScope};
+#[cfg(feature = "instrument")]
+pub use imp::{
+    arm, capture, drain, record, span, task_context, task_scope, Armed, Sink, SpanGuard, TaskScope,
+};
 
 // ---------------------------------------------------------------------------
 // Stubs (feature off) — same signatures for the items engine code calls
 // directly, so call sites need no cfg.
 // ---------------------------------------------------------------------------
 
-#[cfg(not(feature = "trace"))]
+#[cfg(not(feature = "instrument"))]
 mod imp {
     /// Inert stand-in for the tracing task guard (feature off).
     #[must_use = "the task context ends when the guard drops"]
@@ -312,28 +347,12 @@ mod imp {
     }
 }
 
-#[cfg(not(feature = "trace"))]
+#[cfg(not(feature = "instrument"))]
 pub use imp::{task_context, task_scope, TaskScope};
 
 // ---------------------------------------------------------------------------
 // Exporters (feature on; exporters are meaningless without recorded events)
 // ---------------------------------------------------------------------------
-
-/// Minimal JSON string escaping for text payloads and labels.
-#[cfg(any(feature = "trace", feature = "telemetry"))]
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
 
 /// Renders events in the Chrome trace-event format (a JSON object with a
 /// `traceEvents` array), loadable in Perfetto / `chrome://tracing`.
@@ -341,12 +360,12 @@ fn escape(s: &str, out: &mut String) {
 /// Tracks: `pid` is always 1, `tid` is the recording worker id. Spans use
 /// `ph: "B"`/`"E"` pairs, instants `ph: "i"` with thread scope. Timestamps
 /// are microseconds (fractional) from the process trace epoch. The task
-/// key, numeric value, and text payload are carried in `args`.
-///
-/// Available under either the `trace` feature (full-run exports) or the
-/// `telemetry` feature (flight-recorder dumps).
-#[cfg(any(feature = "trace", feature = "telemetry"))]
+/// key, numeric value, and text payload are carried in `args`. Renders
+/// full-record exports (`--trace`) and flight-ring dumps alike.
+#[cfg(feature = "instrument")]
 pub fn chrome_json(events: &[TraceEvent]) -> String {
+    use crate::json::Json;
+
     let mut sorted: Vec<&TraceEvent> = events.iter().collect();
     sorted.sort_by_key(|e| (e.worker, e.seq));
     let mut out = String::from("{\"traceEvents\":[");
@@ -363,10 +382,9 @@ pub fn chrome_json(events: &[TraceEvent]) -> String {
             TraceClass::Logical => "logical",
             TraceClass::Timing => "timing",
         };
-        out.push_str("\n{\"name\":\"");
-        escape(e.phase, &mut out);
         out.push_str(&format!(
-            "\",\"cat\":\"{cat}\",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{},\"ts\":{:.3}",
+            "\n{{\"name\":{},\"cat\":\"{cat}\",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{},\"ts\":{:.3}",
+            Json::Str(e.phase.into()),
             e.worker,
             e.ts_ns as f64 / 1000.0
         ));
@@ -391,9 +409,7 @@ pub fn chrome_json(events: &[TraceEvent]) -> String {
                 if !first {
                     out.push(',');
                 }
-                out.push_str("\"text\":\"");
-                escape(t, &mut out);
-                out.push('"');
+                out.push_str(&format!("\"text\":{}", Json::Str(t.to_string())));
             }
             out.push('}');
         }
@@ -414,7 +430,7 @@ pub fn chrome_json(events: &[TraceEvent]) -> String {
 /// pure function of the batch for deterministic configurations, regardless
 /// of thread count. See `docs/observability.md` for the contract and its
 /// exclusions (real deadlines, duplicate-task cache hits).
-#[cfg(feature = "trace")]
+#[cfg(feature = "instrument")]
 pub fn logical_text(events: &[TraceEvent]) -> String {
     let mut logical: Vec<&TraceEvent> = events
         .iter()
@@ -463,25 +479,34 @@ pub fn logical_text(events: &[TraceEvent]) -> String {
 /// `trace_event!("phase", value)`, or `trace_event!("phase", text: expr)`
 /// record a [`TraceClass::Logical`] instant; prefix the phase with `timing`
 /// (e.g. `trace_event!(timing "cache.ref_hit")`) for a
-/// [`TraceClass::Timing`] one. With the `trace` feature off this expands to
-/// `()` and the payload expressions are **not evaluated**.
-#[cfg(feature = "trace")]
+/// [`TraceClass::Timing`] one. With the `instrument` feature off this
+/// expands to `()` and the payload expressions are **not evaluated**.
+#[cfg(feature = "instrument")]
 #[macro_export]
 macro_rules! trace_event {
     (timing $phase:literal) => {
-        $crate::trace::instant($phase, $crate::trace::TraceClass::Timing, 0u64, ::core::option::Option::None)
+        $crate::trace_event!(@ $phase, Timing, 0u64, ::core::option::Option::None)
     };
     (timing $phase:literal, $value:expr) => {
-        $crate::trace::instant($phase, $crate::trace::TraceClass::Timing, ($value) as u64, ::core::option::Option::None)
+        $crate::trace_event!(@ $phase, Timing, $value, ::core::option::Option::None)
     };
     ($phase:literal) => {
-        $crate::trace::instant($phase, $crate::trace::TraceClass::Logical, 0u64, ::core::option::Option::None)
+        $crate::trace_event!(@ $phase, Logical, 0u64, ::core::option::Option::None)
     };
     ($phase:literal, text: $text:expr) => {
-        $crate::trace::instant($phase, $crate::trace::TraceClass::Logical, 0u64, ::core::option::Option::Some(&$text))
+        $crate::trace_event!(@ $phase, Logical, 0u64, ::core::option::Option::Some(&$text))
     };
     ($phase:literal, $value:expr) => {
-        $crate::trace::instant($phase, $crate::trace::TraceClass::Logical, ($value) as u64, ::core::option::Option::None)
+        $crate::trace_event!(@ $phase, Logical, $value, ::core::option::Option::None)
+    };
+    (@ $phase:literal, $class:ident, $value:expr, $text:expr) => {
+        $crate::trace::record(
+            $phase,
+            $crate::trace::TraceKind::Instant,
+            $crate::trace::TraceClass::$class,
+            ($value) as u64,
+            $text,
+        )
     };
 }
 
@@ -489,36 +514,9 @@ macro_rules! trace_event {
 /// `trace_event!("phase", value)`, or `trace_event!("phase", text: expr)`
 /// record a [`TraceClass::Logical`] instant; prefix the phase with `timing`
 /// (e.g. `trace_event!(timing "cache.ref_hit")`) for a
-/// [`TraceClass::Timing`] one. With `trace` off but `telemetry` on, the
-/// event goes only to the bounded flight-recorder ring
-/// ([`flight`](crate::flight)).
-#[cfg(all(not(feature = "trace"), feature = "telemetry"))]
-#[macro_export]
-macro_rules! trace_event {
-    (timing $phase:literal) => {
-        $crate::flight::instant($phase, $crate::trace::TraceClass::Timing, 0u64, ::core::option::Option::None)
-    };
-    (timing $phase:literal, $value:expr) => {
-        $crate::flight::instant($phase, $crate::trace::TraceClass::Timing, ($value) as u64, ::core::option::Option::None)
-    };
-    ($phase:literal) => {
-        $crate::flight::instant($phase, $crate::trace::TraceClass::Logical, 0u64, ::core::option::Option::None)
-    };
-    ($phase:literal, text: $text:expr) => {
-        $crate::flight::instant($phase, $crate::trace::TraceClass::Logical, 0u64, ::core::option::Option::Some(&$text))
-    };
-    ($phase:literal, $value:expr) => {
-        $crate::flight::instant($phase, $crate::trace::TraceClass::Logical, ($value) as u64, ::core::option::Option::None)
-    };
-}
-
-/// Records a point trace event: `trace_event!("phase")`,
-/// `trace_event!("phase", value)`, or `trace_event!("phase", text: expr)`
-/// record a [`TraceClass::Logical`] instant; prefix the phase with `timing`
-/// (e.g. `trace_event!(timing "cache.ref_hit")`) for a
-/// [`TraceClass::Timing`] one. With the `trace` feature off this expands to
-/// `()` and the payload expressions are **not evaluated**.
-#[cfg(all(not(feature = "trace"), not(feature = "telemetry")))]
+/// [`TraceClass::Timing`] one. With the `instrument` feature off this
+/// expands to `()` and the payload expressions are **not evaluated**.
+#[cfg(not(feature = "instrument"))]
 #[macro_export]
 macro_rules! trace_event {
     ($($args:tt)*) => {
@@ -530,9 +528,9 @@ macro_rules! trace_event {
 /// evaluates to the body's value, emitting begin/end events around it (the
 /// end fires even on early return or panic, via a drop guard). The span is
 /// [`TraceClass::Logical`]; use `obs_span!(timing "phase", { body })` for a
-/// [`TraceClass::Timing`] span. With the `trace` feature off this expands
-/// to the body expression unchanged — the body always runs.
-#[cfg(feature = "trace")]
+/// [`TraceClass::Timing`] span. With the `instrument` feature off this
+/// expands to the body expression unchanged — the body always runs.
+#[cfg(feature = "instrument")]
 #[macro_export]
 macro_rules! obs_span {
     (timing $phase:literal, $body:expr) => {{
@@ -547,29 +545,11 @@ macro_rules! obs_span {
 
 /// Wraps an expression in a trace span: `obs_span!("phase", { body })`
 /// evaluates to the body's value, emitting begin/end events around it (the
-/// end fires even on early return or panic, via a drop guard). With `trace`
-/// off but `telemetry` on, the span's begin/end events go only to the
-/// bounded flight-recorder ring ([`flight`](crate::flight)).
-#[cfg(all(not(feature = "trace"), feature = "telemetry"))]
-#[macro_export]
-macro_rules! obs_span {
-    (timing $phase:literal, $body:expr) => {{
-        let __flight_guard = $crate::flight::span($phase, $crate::trace::TraceClass::Timing);
-        $body
-    }};
-    ($phase:literal, $body:expr) => {{
-        let __flight_guard = $crate::flight::span($phase, $crate::trace::TraceClass::Logical);
-        $body
-    }};
-}
-
-/// Wraps an expression in a trace span: `obs_span!("phase", { body })`
-/// evaluates to the body's value, emitting begin/end events around it (the
 /// end fires even on early return or panic, via a drop guard). The span is
 /// [`TraceClass::Logical`]; use `obs_span!(timing "phase", { body })` for a
-/// [`TraceClass::Timing`] span. With the `trace` feature off this expands
-/// to the body expression unchanged — the body always runs.
-#[cfg(all(not(feature = "trace"), not(feature = "telemetry")))]
+/// [`TraceClass::Timing`] span. With the `instrument` feature off this
+/// expands to the body expression unchanged — the body always runs.
+#[cfg(not(feature = "instrument"))]
 #[macro_export]
 macro_rules! obs_span {
     (timing $phase:literal, $body:expr) => {
@@ -581,11 +561,10 @@ macro_rules! obs_span {
 }
 
 #[cfg(test)]
+#[cfg(feature = "instrument")]
 mod tests {
-    #[cfg(feature = "trace")]
     use super::*;
 
-    #[cfg(feature = "trace")]
     #[test]
     fn spans_and_instants_are_recorded_in_order() {
         let ((), events) = capture(|| {
@@ -618,7 +597,6 @@ mod tests {
         assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn span_end_fires_during_unwind() {
         let (result, events) = capture(|| {
@@ -633,7 +611,6 @@ mod tests {
         assert_eq!(kinds, vec![TraceKind::Begin, TraceKind::End]);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn task_context_tags_without_span() {
         let ((), events) = capture(|| {
@@ -647,7 +624,6 @@ mod tests {
         assert_eq!(after[0].task, NO_TASK);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn chrome_json_shape() {
         let ((), events) = capture(|| {
@@ -664,7 +640,6 @@ mod tests {
         assert!(j.trim_end().ends_with("\"displayTimeUnit\":\"ms\"}"));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn logical_text_strips_timing_and_untasked_events() {
         let ((), events) = capture(|| {
@@ -685,7 +660,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn logical_text_groups_by_task_key() {
         let ((), events) = capture(|| {
@@ -702,7 +676,32 @@ mod tests {
         );
     }
 
-    #[cfg(all(not(feature = "trace"), not(feature = "telemetry")))]
+    /// With no sink armed, nothing is kept: events from several threads
+    /// leave both the full record and the flight ring empty (a long-lived
+    /// process that never asked for a trace must not grow).
+    #[test]
+    fn unarmed_recorder_keeps_nothing() {
+        let _window = crate::obs::exclusive();
+        drop(drain());
+        crate::flight::clear();
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                s.spawn(move || {
+                    let _task = task_scope(t, "unarmed");
+                    for i in 0..100u64 {
+                        crate::obs_span!("attempt", crate::trace_event!("core.test.unarmed", i));
+                    }
+                });
+            }
+        });
+        assert!(drain().is_empty());
+        assert!(crate::flight::snapshot().is_empty());
+    }
+}
+
+#[cfg(test)]
+#[cfg(not(feature = "instrument"))]
+mod tests {
     #[test]
     fn macros_are_inert_when_disabled() {
         // trace_event! must not evaluate its arguments...
@@ -717,7 +716,6 @@ mod tests {
         assert_eq!(out, 42);
         let out = crate::obs_span!(timing "core.test.span", { out + 1 });
         assert_eq!(out, 43);
-        assert!(!super::enabled());
         // Stub guards compile and drop without effect.
         let _scope = super::task_scope(0, "x");
         let _ctx = super::task_context(1);

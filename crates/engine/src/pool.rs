@@ -351,11 +351,9 @@ impl Engine {
         // Enqueue marks: recorded by the submitting thread, in input order,
         // before any worker exists — they sort ahead of every per-task
         // event in the logical trace.
-        if trace::enabled() {
-            for i in 0..n {
-                let _ctx = trace::task_context(i as u64);
-                trace_event!("task.enqueue");
-            }
+        for i in 0..n {
+            let _ctx = trace::task_context(i as u64);
+            trace_event!("task.enqueue");
         }
         let progress = self.cfg.progress.then(|| Progress::new(n));
 
@@ -417,7 +415,7 @@ impl Engine {
                                 let report =
                                     self.dispatch(w, unit, &tasks[index], stats, fabric, &mut ws);
                                 if let Some(r) = &report {
-                                    let _ = r; // only the trace feature reads it
+                                    let _ = r; // only the instrument feature reads it
                                     trace_event!("emit", text: r.result.status());
                                 }
                                 report

@@ -1,7 +1,7 @@
 //! The online algorithms inherit the engine's determinism contract: a batch
 //! of online-arrival tasks over the instance zoo produces byte-identical
-//! ordered reports for `threads = 1` and `threads = 4`, and (with
-//! `--features trace`) a byte-identical logical trace.
+//! ordered reports for `threads = 1` and `threads = 4` (the logical-trace
+//! side is in `trace_logical.rs`).
 //!
 //! Caveat baked into these tests: zoo cells are compared with the result
 //! cache **off**. The fig2/fig4 families ignore their seed, so a sweep holds
@@ -79,24 +79,6 @@ fn online_outputs_are_certified() {
         };
         assert!(out.alg_value >= 0.0);
     }
-}
-
-/// The logical projection of an online sweep's trace is byte-identical
-/// across thread counts (`docs/observability.md`): the `online.*` instants
-/// fire inside the task span in decision order, independent of scheduling.
-#[cfg(feature = "trace")]
-#[test]
-fn online_logical_trace_is_thread_count_invariant() {
-    use pobp_core::trace;
-    let tasks = online_zoo_tasks(&[5, 8], &[0, 1], &[3]);
-    let run = |threads: usize| {
-        let (_batch, events) = trace::capture(|| run_batch(&tasks, config(threads)));
-        trace::logical_text(&events)
-    };
-    let seq = run(1);
-    let par = run(4);
-    assert!(seq.contains("online."), "expected online.* instants in the logical trace:\n{seq}");
-    assert_eq!(seq, par);
 }
 
 /// Online families parse through the shared `Algo` registry.

@@ -2,8 +2,8 @@
 //! expensive instances pinning one worker while tiny ones drain), forced
 //! panics, and — with the `chaos` feature — seeded fault injection, the
 //! work-stealing pool still produces **byte-identical reports** at
-//! `threads ∈ {1, 2, 4}`, and (with `--features trace`) byte-identical
-//! logical traces. Steal telemetry is an invariant check only: it lives in
+//! `threads ∈ {1, 2, 4}` (the logical-trace side of the same skew is in
+//! `trace_logical.rs`). Steal telemetry is an invariant check only: it lives in
 //! `EngineStats`, outside the determinism contract, and is never compared
 //! across thread counts.
 
@@ -117,44 +117,6 @@ mod chaos {
             let want = format!("{:#?}", seq.reports);
             prop_assert_eq!(&want, &format!("{:#?}", two.reports));
             prop_assert_eq!(&want, &format!("{:#?}", par.reports));
-        }
-    }
-}
-
-#[cfg(feature = "trace")]
-mod trace_side {
-    use super::*;
-    use pobp_core::trace;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(6))]
-
-        /// The logical trace projection (ordering and phase transitions,
-        /// timestamps stripped) of a steal-heavy schedule is identical at
-        /// every thread count: `(task, seq)` ordering erases which worker
-        /// ran — or stole — each attempt.
-        #[test]
-        fn skewed_logical_traces_are_thread_count_invariant(
-            big in 1usize..3,
-            small_seeds in 4u64..10,
-            panic_at in 0usize..64,
-        ) {
-            let mut tasks = skewed_tasks(big, 44, small_seeds);
-            let at = panic_at % tasks.len();
-            let mut bad = SolveTask::new(tasks[at].instance.clone(), 1, Algo::PanicForTest);
-            bad.label = format!("panic@{at}");
-            tasks.insert(at, bad);
-
-            let logical = |threads: usize| {
-                let cfg = cfg(threads, true);
-                let tasks = &tasks;
-                let (_batch, events) = trace::capture(move || run_batch(tasks, cfg));
-                trace::logical_text(&events)
-            };
-            let seq = logical(1);
-            prop_assert!(!seq.is_empty());
-            prop_assert_eq!(&seq, &logical(2));
-            prop_assert_eq!(&seq, &logical(4));
         }
     }
 }

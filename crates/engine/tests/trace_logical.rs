@@ -4,13 +4,15 @@
 //! the Chrome spans are well-formed (balanced, properly nested) with the
 //! task span dominated by its instrumented children.
 //!
-//! Only compiled with `--features trace`; the chaos variant additionally
-//! needs `--features chaos`.
+//! Only compiled with `--features instrument`; the chaos variant additionally
+//! needs `--features chaos`. Every test here records inside
+//! `trace::capture`, so no batch of another test can land in its window.
 
-#![cfg(feature = "trace")]
+#![cfg(feature = "instrument")]
 
 use pobp_core::trace::{self, TraceEvent, TraceKind};
 use pobp_engine::{run_batch, Algo, EngineConfig, GridSpec, SolveTask};
+use pobp_instances::{zoo_instance, ZOO_FAMILIES};
 use proptest::prelude::*;
 
 /// Runs `tasks` through the pool at the given thread count inside an
@@ -25,6 +27,15 @@ fn logical_of(tasks: &[SolveTask], threads: usize, use_cache: bool) -> String {
     };
     let (_batch, events) = trace::capture(|| run_batch(tasks, cfg));
     trace::logical_text(&events)
+}
+
+/// `v` without repeats. The determinism contract covers batches of
+/// distinct tasks (docs/observability.md): a repeated grid value makes two
+/// entries share a result-cache key, and hit-vs-compute is then a race.
+fn distinct<T: Ord>(mut v: Vec<T>) -> Vec<T> {
+    v.sort();
+    v.dedup();
+    v
 }
 
 proptest! {
@@ -42,7 +53,7 @@ proptest! {
         panic_at in 0usize..64,
         use_cache in AnyBool,
     ) {
-        let grid = GridSpec::new(ns, ks, seeds, Algo::Reduction);
+        let grid = GridSpec::new(distinct(ns), distinct(ks), distinct(seeds), Algo::Reduction);
         let mut tasks = grid.tasks();
         let at = panic_at % tasks.len();
         let mut bad = SolveTask::new(tasks[at].instance.clone(), 1, Algo::PanicForTest);
@@ -54,6 +65,60 @@ proptest! {
         prop_assert!(!seq.is_empty());
         prop_assert_eq!(seq, par);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The logical projection of a steal-heavy schedule — a few large cells
+    /// pinning their workers while a tail of tiny ones drains, plus a forced
+    /// panic — is identical at every thread count: `(task, seq)` ordering
+    /// erases which worker ran, or stole, each attempt.
+    #[test]
+    fn skewed_logical_traces_are_thread_count_invariant(
+        big in 1usize..3,
+        small_seeds in 4u64..10,
+        panic_at in 0usize..64,
+    ) {
+        let mut tasks =
+            GridSpec::new(vec![44], vec![2], (0..big as u64).collect(), Algo::Combined).tasks();
+        let small = (0..small_seeds).collect();
+        let tail = GridSpec::new(vec![4, 5], vec![0, 1], small, Algo::Reduction);
+        tasks.extend(tail.tasks());
+        let at = panic_at % tasks.len();
+        let mut bad = SolveTask::new(tasks[at].instance.clone(), 1, Algo::PanicForTest);
+        bad.label = format!("panic@{at}");
+        tasks.insert(at, bad);
+
+        let seq = logical_of(&tasks, 1, true);
+        prop_assert!(!seq.is_empty());
+        prop_assert_eq!(&seq, &logical_of(&tasks, 2, true));
+        prop_assert_eq!(&seq, &logical_of(&tasks, 4, true));
+    }
+}
+
+/// The logical projection of an online zoo sweep is byte-identical across
+/// thread counts: the `online.*` instants fire inside the task span in
+/// decision order, independent of scheduling. The cache is off because the
+/// fig2/fig4 families ignore their seed, so the zoo repeats task keys.
+#[test]
+fn online_logical_trace_is_thread_count_invariant() {
+    let mut tasks = Vec::new();
+    for family in ZOO_FAMILIES {
+        for n in [5, 8] {
+            for k in [0, 1] {
+                let instance = zoo_instance(family, n, k, 3);
+                for algo in [Algo::OnlineDjn, Algo::OnlineGreedy, Algo::OnlineEdf] {
+                    let mut t = SolveTask::new(instance.clone(), k, algo);
+                    t.label = format!("{family} n={n} k={k} {}", algo.name());
+                    tasks.push(t);
+                }
+            }
+        }
+    }
+    let seq = logical_of(&tasks, 1, false);
+    assert!(seq.contains("online."), "expected online.* instants in the logical trace:\n{seq}");
+    assert_eq!(seq, logical_of(&tasks, 4, false));
 }
 
 /// Every phase the pool emits shows up in the logical trace of a plain run.

@@ -17,7 +17,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use pobp_core::cli::{flag_value, has_flag, parse_num_strict};
+use pobp_core::cli::{flag_value, has_flag, needs_instrument, parse_num_strict};
 use pobp_serve::json::{obj, Json};
 use pobp_serve::soak::{run_soak, SoakConfig};
 use pobp_serve::Client;
@@ -44,8 +44,8 @@ COMMANDS:
     cancel --id N
     stats                        daemon counters and queue depths
     top [--interval-ms MS] [--count N]
-                                 live telemetry view (needs a daemon
-                                 built with --features telemetry)
+                                 live telemetry view (top and dump-flight
+                                 need --features instrument builds)
     dump-flight                  ask the daemon to write a flight dump
     shutdown [--cancel]          stop the daemon (drains by default)
     soak --seconds N --seed S [--journal DIR] [--expect-restart]
@@ -69,6 +69,9 @@ fn run() -> i32 {
         usage();
         return EXIT_USAGE;
     };
+    if matches!(cmd.as_str(), "top" | "dump-flight") && !pobp_core::obs::enabled() {
+        return usage_err(&needs_instrument(&cmd));
+    }
     let addr = match flag_value(&args, "--addr") {
         Ok(v) => v.unwrap_or_else(|| "127.0.0.1:7411".into()),
         Err(e) => return usage_err(&e),
@@ -90,8 +93,10 @@ fn run() -> i32 {
         "list" => cmd_list(&client, &args),
         "cancel" => cmd_simple_id(&client, &args, |c, id| c.cancel(id)),
         "stats" => print_response(client.stats()),
+        #[cfg(feature = "instrument")]
         "top" => cmd_top(&client, &args),
-        "dump-flight" => cmd_dump_flight(&client),
+        #[cfg(feature = "instrument")]
+        "dump-flight" => print_response(client.dump_flight()),
         "shutdown" => print_response(client.shutdown(!has_flag(&args, "--cancel"))),
         "soak" => cmd_soak(&addr, &args),
         other => {
@@ -288,7 +293,7 @@ fn cmd_list(client: &Client, args: &[String]) -> i32 {
 /// On a TTY the view repaints in place (ANSI clear); piped output gets one
 /// plain block per tick so CI can run `top --count 1` and grep the text.
 /// `--count 0` (the default) polls until interrupted.
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 fn cmd_top(client: &Client, args: &[String]) -> i32 {
     use std::io::{IsTerminal, Write as _};
     let interval = match parse_num_strict(args, "--interval-ms", 1000u64) {
@@ -327,23 +332,8 @@ fn cmd_top(client: &Client, args: &[String]) -> i32 {
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-fn cmd_top(_client: &Client, _args: &[String]) -> i32 {
-    usage_err("top requires a pobp-client built with --features telemetry")
-}
-
-#[cfg(feature = "telemetry")]
-fn cmd_dump_flight(client: &Client) -> i32 {
-    print_response(client.dump_flight())
-}
-
-#[cfg(not(feature = "telemetry"))]
-fn cmd_dump_flight(_client: &Client) -> i32 {
-    usage_err("dump-flight requires a pobp-client built with --features telemetry")
-}
-
 /// Formats one `metrics` payload as the `top` text block.
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 fn render_top(m: &Json) -> String {
     let num = |key: &str| m.get(key).and_then(Json::as_f64).unwrap_or(0.0);
     let rate = |key: &str| {

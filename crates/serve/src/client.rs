@@ -75,13 +75,13 @@ impl Client {
 
     /// `metrics` — the live windowed-telemetry payload (rates, gauges,
     /// latency quantiles, per-alg breakdown).
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "instrument")]
     pub fn metrics(&self) -> io::Result<Json> {
         self.request(&obj([("op", Json::Str("metrics".into()))]))
     }
 
     /// `dump-flight` — ask the daemon to write a flight-recorder dump now.
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "instrument")]
     pub fn dump_flight(&self) -> io::Result<Json> {
         self.request(&obj([("op", Json::Str("dump-flight".into()))]))
     }

@@ -22,7 +22,7 @@
 //! * [`server`] / [`client`] — the TCP front end and its client.
 //! * [`soak`] — the randomized invariant-checking harness
 //!   (`pobp-client soak`).
-//! * `telemetry` (feature-gated) — the live-telemetry glue: sampler
+//! * `telemetry` (`instrument` builds) — the live-telemetry glue: sampler
 //!   options, the Prometheus scrape listener, flight dumps
 //!   (docs/observability.md).
 
@@ -35,7 +35,7 @@ pub mod registry;
 pub mod server;
 pub mod service;
 pub mod soak;
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 pub mod telemetry;
 
 pub use client::Client;
@@ -45,5 +45,5 @@ pub use registry::{Event, JobRecord, Registry};
 pub use server::run_server;
 pub use service::{CancelOutcome, Service, ServiceConfig, SubmitOutcome};
 pub use soak::{run_soak, SoakConfig, SoakReport};
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 pub use telemetry::{spawn_metrics_listener, TelemetryOptions};

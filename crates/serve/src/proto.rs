@@ -48,12 +48,12 @@ pub fn handle_line(service: &Service, line: &str) -> (Json, Control) {
         "stats" => {
             (obj([("ok", Json::Bool(true)), ("stats", service.stats_json())]), Control::Continue)
         }
-        #[cfg(feature = "telemetry")]
+        #[cfg(feature = "instrument")]
         "metrics" => (
             obj([("ok", Json::Bool(true)), ("metrics", service.metrics_json())]),
             Control::Continue,
         ),
-        #[cfg(feature = "telemetry")]
+        #[cfg(feature = "instrument")]
         "dump-flight" => (handle_dump_flight(service), Control::Continue),
         "shutdown" => {
             let drain = parsed.get("drain").and_then(Json::as_bool).unwrap_or(true);
@@ -66,7 +66,7 @@ pub fn handle_line(service: &Service, line: &str) -> (Json, Control) {
     }
 }
 
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 fn handle_dump_flight(service: &Service) -> Json {
     match service.dump_flight("manual") {
         Ok(Some(path)) => obj([

@@ -36,7 +36,7 @@ struct StopFlag {
 pub fn run_server(addr: &str, cfg: ServiceConfig) -> io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "instrument")]
     let metrics_addr = cfg.telemetry.metrics_addr.clone();
     let service = Arc::new(Service::start(cfg)?);
     let recovery = service.recovery();
@@ -48,7 +48,7 @@ pub fn run_server(addr: &str, cfg: ServiceConfig) -> io::Result<()> {
     );
     // A third startup line appears only when a scrape listener was asked
     // for, so address-scraping scripts keyed on the first two lines hold.
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "instrument")]
     if let Some(addr) = metrics_addr {
         let bound = crate::telemetry::spawn_metrics_listener(&addr, Arc::clone(&service))?;
         println!("serve: metrics on {bound}");

@@ -37,14 +37,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 use std::collections::BTreeMap;
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 use std::sync::atomic::AtomicU64;
 
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 use pobp_core::metrics::{MetricsWindow, Prom, Sample};
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 use pobp_core::obs::LogHistogram;
 use pobp_core::{obs_count, obs_event, obs_span, trace_event};
 use pobp_engine::{Algo, Engine, EngineConfig, ResultCache, TaskReport, TaskResult};
@@ -53,7 +53,7 @@ use crate::job::{JobSpec, JobStatus};
 use crate::journal::{recovery_json, Journal, RecoveryReport, DEFAULT_COMPACT_EVERY};
 use crate::json::{obj, Json};
 use crate::registry::{Event, JobRecord, Registry};
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 use crate::telemetry::TelemetryOptions;
 
 /// Daemon configuration.
@@ -82,7 +82,7 @@ pub struct ServiceConfig {
     pub chaos: Option<Arc<pobp_engine::FaultPlan>>,
     /// Live-telemetry knobs: sampler period, window size, flight-dump
     /// directory (docs/observability.md).
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "instrument")]
     pub telemetry: TelemetryOptions,
 }
 
@@ -97,7 +97,7 @@ impl Default for ServiceConfig {
             compact_every: DEFAULT_COMPACT_EVERY,
             #[cfg(feature = "chaos")]
             chaos: None,
-            #[cfg(feature = "telemetry")]
+            #[cfg(feature = "instrument")]
             telemetry: TelemetryOptions::default(),
         }
     }
@@ -144,7 +144,7 @@ pub enum CancelOutcome {
 }
 
 /// Always-on service counters (plain fields under the state lock, so CI
-/// can assert on them without an `obs` build; the `serve.*` obs family
+/// can assert on them without an `instrument` build; the `serve.*` obs family
 /// mirrors them when compiled in).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeCounters {
@@ -209,7 +209,7 @@ struct State {
 
 /// Live-telemetry state (outside the state lock: the sampler and scrape
 /// paths take the state lock briefly per tick, never the other way round).
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 struct Telemetry {
     /// Monotone epoch for sample timestamps and uptime.
     started: Instant,
@@ -219,8 +219,11 @@ struct Telemetry {
     latency_ms: LogHistogram,
     /// Jobs finished `Done`/`Degraded` per algorithm name.
     per_alg_done: Mutex<BTreeMap<&'static str, u64>>,
-    /// Flight-dump file counter.
+    /// Number of the next flight dump.
     flight_seq: AtomicU64,
+    /// Keeps the flight ring armed while a daemon with a flight directory
+    /// lives.
+    _ring: Option<pobp_core::trace::Armed>,
 }
 
 struct Inner {
@@ -230,8 +233,21 @@ struct Inner {
     work_ready: Condvar,
     stopping: AtomicBool,
     drain: AtomicBool,
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "instrument")]
     telemetry: Telemetry,
+}
+
+impl Inner {
+    /// Appends `event` to the journal. A failed append poisons the journal,
+    /// so an `instrument` build also dumps the flight ring that led to it.
+    fn append(&self, journal: &mut Journal, event: &Event) -> io::Result<u64> {
+        let appended = journal.append(event);
+        #[cfg(feature = "instrument")]
+        if appended.is_err() {
+            flight_on_failure(self, "journal-poisoned");
+        }
+        appended
+    }
 }
 
 /// The running daemon core. Construct with [`Service::start`]; all methods
@@ -251,10 +267,8 @@ pub struct Service {
 impl Service {
     /// Recovers the registry from `cfg.dir` and starts the worker pool.
     pub fn start(cfg: ServiceConfig) -> io::Result<Service> {
-        #[cfg(feature = "telemetry")]
-        if let Some(dir) = &cfg.telemetry.flight_dir {
-            std::fs::create_dir_all(dir)?;
-        }
+        #[cfg(feature = "instrument")]
+        let flight_seq = cfg.telemetry.flight_dir.as_deref().map(open_flight_dir).transpose()?;
         let (journal, mut registry, recovery) = Journal::open(&cfg.dir, cfg.compact_every)?;
         // Arm IO fault injection after recovery: recovery itself is
         // read-only, and the startup compaction must succeed so the
@@ -308,16 +322,17 @@ impl Service {
             work_ready: Condvar::new(),
             stopping: AtomicBool::new(false),
             drain: AtomicBool::new(true),
-            #[cfg(feature = "telemetry")]
+            #[cfg(feature = "instrument")]
             telemetry: Telemetry {
                 started: Instant::now(),
                 window: Mutex::new(MetricsWindow::new(cfg.telemetry.window.max(2))),
                 latency_ms: LogHistogram::new(),
                 per_alg_done: Mutex::new(BTreeMap::new()),
-                flight_seq: AtomicU64::new(0),
+                flight_seq: AtomicU64::new(flight_seq.unwrap_or(0)),
+                _ring: flight_seq.map(|_| pobp_core::trace::arm(pobp_core::trace::Sink::Ring)),
             },
         });
-        #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
+        #[cfg_attr(not(feature = "instrument"), allow(unused_mut))]
         let mut workers: Vec<JoinHandle<()>> = (0..cfg.workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -327,7 +342,7 @@ impl Service {
                     .expect("spawn worker")
             })
             .collect();
-        #[cfg(feature = "telemetry")]
+        #[cfg(feature = "instrument")]
         if cfg.telemetry.sample_ms > 0 {
             let inner = Arc::clone(&inner);
             workers.push(
@@ -376,16 +391,10 @@ impl Service {
         {
             let id = state.registry.allocate_id();
             let submit = Event::Submit { id, spec };
-            state.journal.append(&submit).inspect_err(|_e| {
-                #[cfg(feature = "telemetry")]
-                flight_on_failure(&self.inner, "journal-poisoned");
-            })?;
+            self.inner.append(&mut state.journal, &submit)?;
             state.registry.apply(&submit);
             let finish = Event::Finish { id, result };
-            state.journal.append(&finish).inspect_err(|_e| {
-                #[cfg(feature = "telemetry")]
-                flight_on_failure(&self.inner, "journal-poisoned");
-            })?;
+            self.inner.append(&mut state.journal, &finish)?;
             state.registry.apply(&finish);
             let status = state.registry.get(id).expect("just finished").status;
             state.counters.accepted += 1;
@@ -404,10 +413,7 @@ impl Service {
         let id = state.registry.allocate_id();
         let priority = spec.priority;
         let submit = Event::Submit { id, spec };
-        state.journal.append(&submit).inspect_err(|_e| {
-            #[cfg(feature = "telemetry")]
-            flight_on_failure(&self.inner, "journal-poisoned");
-        })?;
+        self.inner.append(&mut state.journal, &submit)?;
         state.registry.apply(&submit);
         state.queue.push(QueueEntry { priority, id });
         state.queued += 1;
@@ -436,10 +442,8 @@ impl Service {
             }
             _ => {
                 let cancel = Event::Cancel { id };
-                if let Err(e) = state.journal.append(&cancel) {
+                if let Err(e) = self.inner.append(&mut state.journal, &cancel) {
                     eprintln!("serve: journal append failed on cancel({id}): {e}");
-                    #[cfg(feature = "telemetry")]
-                    flight_on_failure(&self.inner, "journal-poisoned");
                 }
                 state.registry.apply(&cancel);
                 state.queued = state.queued.saturating_sub(1);
@@ -503,7 +507,7 @@ impl Service {
     /// then derives windowed rates, ratios, latency quantiles, and the
     /// per-algorithm breakdown. All values are wall-clock telemetry — see
     /// the determinism contract in `docs/observability.md`.
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "instrument")]
     pub fn metrics_json(&self) -> Json {
         let sample = capture_sample(&self.inner);
         let mut window = self.inner.telemetry.window.lock().unwrap();
@@ -579,7 +583,7 @@ impl Service {
     /// The Prometheus text exposition body (`--metrics-addr` scrapes):
     /// cumulative counters straight from the always-on [`ServeCounters`],
     /// instantaneous gauges, windowed rates/ratios, and latency quantiles.
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "instrument")]
     pub fn prometheus_text(&self) -> String {
         let sample = capture_sample(&self.inner);
         let mut window = self.inner.telemetry.window.lock().unwrap();
@@ -700,7 +704,7 @@ impl Service {
     /// Writes the flight-recorder ring as Chrome-trace JSON into the
     /// configured `--flight-dir` and returns the path, or `Ok(None)` when
     /// no flight directory is configured.
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "instrument")]
     pub fn dump_flight(&self, reason: &str) -> io::Result<Option<PathBuf>> {
         dump_flight_to_dir(&self.inner, reason)
     }
@@ -767,7 +771,7 @@ impl Drop for Service {
 
 /// One timestamped capture of the always-on counters and gauges, for the
 /// sampler thread and on-demand `metrics`/scrape reads.
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 fn capture_sample(inner: &Inner) -> Sample {
     let state = inner.state.lock().unwrap();
     let c = state.counters;
@@ -795,7 +799,7 @@ fn capture_sample(inner: &Inner) -> Sample {
 /// The background sampler: one [`capture_sample`] per `--sample-ms` tick
 /// into the window ring, until the daemon stops. Sleeps in short steps so
 /// `stop` never waits a full period.
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 fn sampler_loop(inner: &Inner) {
     let period = Duration::from_millis(inner.cfg.telemetry.sample_ms.max(10));
     loop {
@@ -816,10 +820,30 @@ fn sampler_loop(inner: &Inner) {
     }
 }
 
+/// Creates the flight directory if missing and returns the number of the
+/// next dump: one past the highest `flight-NNNNN-*` already there, so a
+/// restarted daemon numbers after its predecessors instead of overwriting
+/// their dumps.
+#[cfg(feature = "instrument")]
+fn open_flight_dir(dir: &std::path::Path) -> io::Result<u64> {
+    std::fs::create_dir_all(dir)?;
+    let mut next = 0;
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let taken = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("flight-")?.split('-').next()?.parse::<u64>().ok());
+        if let Some(n) = taken {
+            next = next.max(n.saturating_add(1));
+        }
+    }
+    Ok(next)
+}
+
 /// Writes the flight ring to `--flight-dir` as
 /// `flight-NNNNN-<reason>.json`; `Ok(None)` when no directory is
 /// configured.
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 fn dump_flight_to_dir(inner: &Inner, reason: &str) -> io::Result<Option<PathBuf>> {
     let Some(dir) = &inner.cfg.telemetry.flight_dir else { return Ok(None) };
     std::fs::create_dir_all(dir)?;
@@ -832,7 +856,7 @@ fn dump_flight_to_dir(inner: &Inner, reason: &str) -> io::Result<Option<PathBuf>
 /// Automatic flight dump on a failure trigger (panicked task, failed
 /// certificate, poisoned journal): best-effort, a note on stderr either
 /// way, never an error to the caller.
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 fn flight_on_failure(inner: &Inner, reason: &str) {
     match dump_flight_to_dir(inner, reason) {
         Ok(Some(path)) => eprintln!("serve: flight dump ({reason}) written to {}", path.display()),
@@ -874,10 +898,8 @@ fn worker_loop(inner: &Inner) {
         }
         let spec = state.registry.get(id).expect("claimed job exists").spec.clone();
         let start = Event::Start { id };
-        if let Err(e) = state.journal.append(&start) {
+        if let Err(e) = inner.append(&mut state.journal, &start) {
             eprintln!("serve: journal append failed on start({id}): {e}");
-            #[cfg(feature = "telemetry")]
-            flight_on_failure(inner, "journal-poisoned");
         }
         state.registry.apply(&start);
         state.queued = state.queued.saturating_sub(1);
@@ -906,12 +928,12 @@ fn worker_loop(inner: &Inner) {
         drop(state);
         trace_event!("serve.claim", id);
         let task = spec.task();
-        #[cfg(feature = "telemetry")]
+        #[cfg(feature = "instrument")]
         let job_started = Instant::now();
         let report = obs_span!("serve.job", engine.run_batch(std::slice::from_ref(&task)));
         let engine_stats = report.stats;
         let task_report = report.reports.into_iter().next().expect("batch of one");
-        #[cfg(feature = "telemetry")]
+        #[cfg(feature = "instrument")]
         {
             inner.telemetry.latency_ms.record(job_started.elapsed().as_millis() as u64);
             // Post-mortem triggers: bound the damage story to a file the
@@ -928,10 +950,8 @@ fn worker_loop(inner: &Inner) {
         state.counters.engine_steal_attempts += engine_stats.steal_attempts as u64;
         state.counters.engine_steal_hits += engine_stats.steal_hits as u64;
         let finish = Event::Finish { id, result };
-        if let Err(e) = state.journal.append(&finish) {
+        if let Err(e) = inner.append(&mut state.journal, &finish) {
             eprintln!("serve: journal append failed on finish({id}): {e}");
-            #[cfg(feature = "telemetry")]
-            flight_on_failure(inner, "journal-poisoned");
         }
         state.registry.apply(&finish);
         let status = state.registry.get(id).expect("finished job exists").status;
@@ -953,7 +973,7 @@ fn worker_loop(inner: &Inner) {
                 obs_count!("serve.jobs.failed");
             }
         }
-        #[cfg(feature = "telemetry")]
+        #[cfg(feature = "instrument")]
         if matches!(status, JobStatus::Done | JobStatus::Degraded) {
             *inner.telemetry.per_alg_done.lock().unwrap().entry(spec.alg.name()).or_insert(0) += 1;
         }

@@ -1,7 +1,7 @@
 //! Live telemetry for the daemon: the sampler options, the Prometheus
 //! scrape listener, and the flight-dump plumbing.
 //!
-//! Only compiled under the `telemetry` feature. The windowed sample math
+//! Only compiled under the `instrument` feature. The windowed sample math
 //! and the exposition builder live in [`pobp_core::metrics`]; the bounded
 //! event ring lives in [`pobp_core::flight`]. This module holds the
 //! serve-specific glue:
@@ -11,7 +11,8 @@
 //!   [`ServiceConfig`](crate::service::ServiceConfig);
 //! * [`spawn_metrics_listener`] — a minimal hand-rolled HTTP/1.1 responder
 //!   (request line + headers in, one `text/plain; version=0.0.4` body out)
-//!   serving [`Service::prometheus_text`] on every `GET /metrics`;
+//!   serving [`Service::prometheus_text`] on every `GET /metrics`, and
+//!   `400` to a request head over 8 KiB;
 //! * the flight-dump file naming used by
 //!   [`Service::dump_flight`](crate::service::Service::dump_flight).
 //!
@@ -19,7 +20,7 @@
 //! the registry's durable bytes, job results, or logical traces (see the
 //! determinism contract in `docs/observability.md`).
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -28,6 +29,11 @@ use std::time::Duration;
 use pobp_core::metrics::PROM_CONTENT_TYPE;
 
 use crate::service::Service;
+
+/// Largest scrape request head (request line plus headers) read before
+/// answering `400`: the read timeout restarts with every byte, so without a
+/// cap a client trickling bytes with no newline grows memory without limit.
+const MAX_REQUEST_HEAD: u64 = 8 * 1024;
 
 /// Live-telemetry knobs (all optional; the defaults sample once a second
 /// with no scrape listener and no flight directory).
@@ -80,13 +86,14 @@ pub fn spawn_metrics_listener(addr: &str, service: Arc<Service>) -> io::Result<S
 }
 
 /// Answers one HTTP request on `stream`: `GET /` or `GET /metrics` gets the
-/// exposition body, anything else a 404. Headers are read and discarded;
-/// the response always closes the connection.
+/// exposition body, a head longer than [`MAX_REQUEST_HEAD`] a 400, anything
+/// else a 404. Headers are read and discarded; the response always closes
+/// the connection.
 fn handle_scrape(stream: TcpStream, service: &Service) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream.take(MAX_REQUEST_HEAD));
     let mut request = String::new();
     reader.read_line(&mut request)?;
     // Drain the header block; scrapers send nothing we need.
@@ -97,7 +104,9 @@ fn handle_scrape(stream: TcpStream, service: &Service) -> io::Result<()> {
         }
     }
     let path = request.split_whitespace().nth(1).unwrap_or("/");
-    let (status, body) = if path == "/" || path == "/metrics" {
+    let (status, body) = if reader.get_ref().limit() == 0 {
+        ("400 Bad Request", "request head too long\n".to_string())
+    } else if path == "/" || path == "/metrics" {
         ("200 OK", service.prometheus_text())
     } else {
         ("404 Not Found", "not found\n".to_string())

@@ -30,10 +30,10 @@ fn cfg(dir: &Path, workers: usize, queue_cap: usize) -> ServiceConfig {
         compact_every: 10_000,
         #[cfg(feature = "chaos")]
         chaos: None,
-        // `sample_ms: 0` disables the background sampler so telemetry
+        // `sample_ms: 0` disables the background sampler so instrument
         // builds of these tests stay exactly as deterministic as default
         // builds — the `metrics` op still works via its on-demand sample.
-        #[cfg(feature = "telemetry")]
+        #[cfg(feature = "instrument")]
         telemetry: pobp_serve::TelemetryOptions { sample_ms: 0, ..Default::default() },
     }
 }
@@ -210,7 +210,7 @@ fn stats_json_fields_are_exact_after_scripted_traffic() {
 /// The `metrics` payload over the same scripted worker-less traffic: the
 /// on-demand sample makes gauges and counters exact with `sample_ms: 0`,
 /// and windowed rates/ratios are `null` until a second sample exists.
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 #[test]
 fn metrics_json_fields_are_exact_after_scripted_traffic() {
     let dir = tmpdir("metricsjson");
@@ -256,7 +256,7 @@ fn metrics_json_fields_are_exact_after_scripted_traffic() {
 /// After a worker actually finishes jobs, the `metrics` payload carries
 /// the latency histogram, the per-algorithm breakdown, and a cache-hit
 /// counter consistent with `stats`.
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 #[test]
 fn metrics_json_tracks_finished_jobs_and_cache_hits() {
     let dir = tmpdir("metricsdone");
@@ -281,5 +281,51 @@ fn metrics_json_tracks_finished_jobs_and_cache_hits() {
     assert_eq!(algs[0].0, "reduction");
     assert_eq!(num(&algs[0].1, "done"), 1.0, "the cache hit must not double-count");
     service.stop(true);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A restarted daemon numbers its flight dumps after the ones already in
+/// the directory instead of overwriting them.
+#[cfg(feature = "instrument")]
+#[test]
+fn restarted_daemon_keeps_earlier_flight_dumps() {
+    let dir = tmpdir("flightrestart");
+    let flights = dir.join("flights");
+    for _ in 0..2 {
+        let mut c = cfg(&dir.join("registry"), 0, 4);
+        c.telemetry.flight_dir = Some(flights.clone());
+        let service = Service::start(c).unwrap();
+        service.dump_flight("manual").unwrap().expect("a flight directory is configured");
+        service.stop(false);
+    }
+    assert_eq!(fs::read_dir(&flights).unwrap().count(), 2);
+    assert!(flights.join("flight-00001-manual.json").exists());
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A scrape request head is capped: 64 KiB with no newline is answered (or
+/// closed) at once, well inside the daemon's 5 s read timeout that an
+/// uncapped reader would wait out, and the next scrape is served normally.
+#[cfg(feature = "instrument")]
+#[test]
+fn oversized_scrape_head_is_cut_off_and_scrapes_continue() {
+    use std::io::{ErrorKind, Read, Write};
+    let dir = tmpdir("scrapecap");
+    let service = std::sync::Arc::new(Service::start(cfg(&dir, 0, 4)).unwrap());
+    let addr = pobp_serve::spawn_metrics_listener("127.0.0.1:0", service.clone()).unwrap();
+    let mut flood = std::net::TcpStream::connect(addr).unwrap();
+    flood.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    let _ = flood.write_all(&[b'a'; 64 * 1024]); // the daemon may close mid-write
+    let mut reply = String::new();
+    match flood.read_to_string(&mut reply) {
+        Ok(_) => assert!(reply.is_empty() || reply.starts_with("HTTP/1.1 400"), "{reply}"),
+        Err(e) => assert_eq!(e.kind(), ErrorKind::ConnectionReset, "no answer at the cap: {e}"),
+    }
+    let mut scrape = std::net::TcpStream::connect(addr).unwrap();
+    scrape.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+    let mut body = String::new();
+    scrape.read_to_string(&mut body).unwrap();
+    assert!(body.starts_with("HTTP/1.1 200 OK") && body.contains("\npobp_serve_up 1\n"), "{body}");
+    service.stop(false);
     fs::remove_dir_all(&dir).ok();
 }

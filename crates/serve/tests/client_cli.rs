@@ -41,7 +41,7 @@ impl TestDaemon {
             compact_every: 256,
             #[cfg(feature = "chaos")]
             chaos: None,
-            #[cfg(feature = "telemetry")]
+            #[cfg(feature = "instrument")]
             telemetry: pobp_serve::TelemetryOptions { sample_ms: 0, ..Default::default() },
         };
         let service = Arc::new(Service::start(cfg).unwrap());

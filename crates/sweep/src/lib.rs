@@ -25,9 +25,10 @@
 //! property tests in `tests/` drive kill-at-every-point → resume →
 //! byte-identical-merge, across engine thread counts.
 //!
-//! With the `obs` feature the runner emits the `sweep.*` counters
+//! With the `instrument` feature the runner emits the `sweep.*` counters
 //! (`sweep.rows_written`, `sweep.chunks_completed`) alongside the
-//! `chaos.io.*` injection counters; see `docs/observability.md`.
+//! `chaos.io.*` injection counters, and keeps a `heartbeat.json` progress
+//! file in the output directory; see `docs/observability.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

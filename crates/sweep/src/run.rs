@@ -150,7 +150,7 @@ pub fn run_sweep(dir: &Path, cfg: &SweepConfig) -> Result<SweepOutcome, String> 
 
     let m_guard = manifest_guard(cfg, spec_digest);
     let mut out = SweepOutcome { chunks_total: chunks.len(), ..SweepOutcome::default() };
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "instrument")]
     let run_started = std::time::Instant::now();
 
     for chunk in &chunks {
@@ -223,7 +223,7 @@ pub fn run_sweep(dir: &Path, cfg: &SweepConfig) -> Result<SweepOutcome, String> 
             .map_err(|e| format!("writing manifest: {e}"))?;
         out.chunks_completed += 1;
         pobp_core::obs_count!("sweep.chunks_completed");
-        #[cfg(feature = "telemetry")]
+        #[cfg(feature = "instrument")]
         write_heartbeat(dir, run_started, manifest.done.len(), chunks.len(), &out);
     }
 
@@ -239,7 +239,7 @@ pub fn run_sweep(dir: &Path, cfg: &SweepConfig) -> Result<SweepOutcome, String> 
 /// digest-verified, ignored by resume/merge — crash-safety and the
 /// byte-identity of shards/manifest/`merged.jsonl` do not depend on it,
 /// and write failures are deliberately swallowed.
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "instrument")]
 fn write_heartbeat(
     dir: &Path,
     started: std::time::Instant,

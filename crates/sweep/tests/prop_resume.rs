@@ -208,7 +208,7 @@ mod chaos {
                                 )
                             })
                             // heartbeat.json is wall-clock telemetry
-                            // (telemetry builds), explicitly outside the
+                            // (instrument builds), explicitly outside the
                             // byte-identity contract.
                             .filter(|(name, _)| name != "heartbeat.json")
                             .collect()

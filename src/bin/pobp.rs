@@ -14,7 +14,7 @@
 //! one `release deadline length value` line per job.
 
 use pobp::cli::{
-    flag, flag_value, has_flag, parse_num, parse_num_list_strict,
+    flag, flag_value, has_flag, instrument_flags, parse_num, parse_num_list_strict,
     parse_num_strict,
 };
 use pobp::prelude::*;
@@ -52,9 +52,9 @@ fn main() {
 
 /// Handles the global `--obs` / `--obs-out FILE` flags after a successful
 /// command: dump the JSON counter report (docs/observability.md) to stderr,
-/// or to FILE. With the `obs` feature off the report is emitted all the
-/// same, carrying `"obs_enabled": false` and empty sections. `--obs-out`
-/// without a value is an error, not a silent no-op.
+/// or to FILE. With the `instrument` feature off the report is emitted all
+/// the same, carrying `"obs_enabled": false` and empty sections.
+/// `--obs-out` without a value is an error, not a silent no-op.
 fn emit_obs_report(args: &[String]) -> Result<(), String> {
     if let Some(path) = flag_value(args, "--obs-out")? {
         std::fs::write(&path, pobp::obs::report_json())
@@ -66,43 +66,51 @@ fn emit_obs_report(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Handles `--trace FILE` (Chrome trace-event JSON, Perfetto-loadable) and
-/// `--trace-logical FILE` (deterministic logical trace) for the commands
-/// that run traced work: `sweep` and `solve`. Called at the end of those
-/// commands — not from the global dispatch — because `sim --trace` is an
-/// unrelated boolean flag. Without the `trace` feature the flags are a
-/// build-time error, mirroring the `--chaos` gating.
-#[cfg(feature = "trace")]
-fn emit_trace_reports(args: &[String]) -> Result<(), String> {
-    let chrome = flag_value(args, "--trace")?;
-    let logical = flag_value(args, "--trace-logical")?;
-    if chrome.is_none() && logical.is_none() {
-        return Ok(());
-    }
-    let events = pobp::trace::drain();
-    if let Some(path) = chrome {
-        std::fs::write(&path, pobp::trace::chrome_json(&events))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote Chrome trace to {path} ({} events)", events.len());
-    }
-    if let Some(path) = logical {
-        std::fs::write(&path, pobp::trace::logical_text(&events))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote logical trace to {path}");
-    }
-    Ok(())
+/// `--trace FILE` (Chrome trace-event JSON) and `--trace-logical FILE` of
+/// `solve`, `sweep` and `online`, read before any work (not globally: `sim
+/// --trace` is an unrelated boolean flag). Asking for either arms the full
+/// trace record until the files are written.
+struct TraceFiles {
+    chrome: Option<String>,
+    logical: Option<String>,
+    #[cfg(feature = "instrument")]
+    _armed: Option<pobp::trace::Armed>,
 }
 
-/// Trace-less builds reject the tracing flags loudly instead of silently
-/// writing nothing.
-#[cfg(not(feature = "trace"))]
-fn emit_trace_reports(args: &[String]) -> Result<(), String> {
-    if has_flag(args, "--trace") || has_flag(args, "--trace-logical") {
-        return Err(
-            "--trace/--trace-logical need a binary built with --features trace".into(),
-        );
+impl TraceFiles {
+    fn arm(args: &[String]) -> Result<TraceFiles, String> {
+        let [chrome, logical] = instrument_flags(args, ["--trace", "--trace-logical"])?;
+        Ok(TraceFiles {
+            #[cfg(feature = "instrument")]
+            _armed: (chrome.is_some() || logical.is_some())
+                .then(|| pobp::trace::arm(pobp::trace::Sink::Record)),
+            chrome,
+            logical,
+        })
     }
-    Ok(())
+
+    /// Writes the requested files from everything recorded since
+    /// [`TraceFiles::arm`].
+    fn write(self) -> Result<(), String> {
+        if self.chrome.is_none() && self.logical.is_none() {
+            return Ok(());
+        }
+        #[cfg(feature = "instrument")]
+        {
+            let events = pobp::trace::drain();
+            if let Some(path) = &self.chrome {
+                std::fs::write(path, pobp::trace::chrome_json(&events))
+                    .map_err(|e| format!("writing {path}: {e}"))?;
+                eprintln!("wrote Chrome trace to {path} ({} events)", events.len());
+            }
+            if let Some(path) = &self.logical {
+                std::fs::write(path, pobp::trace::logical_text(&events))
+                    .map_err(|e| format!("writing {path}: {e}"))?;
+                eprintln!("wrote logical trace to {path}");
+            }
+        }
+        Ok(())
+    }
 }
 
 const USAGE: &str = "\
@@ -135,13 +143,13 @@ USAGE:
 
 Any command also accepts --obs (print the JSON counter report to stderr) or
 --obs-out FILE (write it to FILE). Counters require building with
-`--features obs`; see docs/observability.md.
+`--features instrument`; see docs/observability.md.
 
-sweep and solve accept --trace FILE (Chrome trace-event JSON — open in
-Perfetto / chrome://tracing) and sweep also --trace-logical FILE (the
-deterministic logical trace: ordering and phase transitions, timestamps
-stripped, byte-identical across --threads). Both need a binary built with
-`--features trace`. sweep --progress draws a live stderr meter (rows
+solve, sweep and online accept --trace FILE (Chrome trace-event JSON — open
+in Perfetto / chrome://tracing) and --trace-logical FILE (the deterministic
+logical trace: ordering and phase transitions, timestamps stripped,
+byte-identical across --threads). Both need a binary built with
+`--features instrument`. sweep --progress draws a live stderr meter (rows
 done/total, throughput, running p50 task latency, degrade/cert-fail
 counts).
 
@@ -169,7 +177,7 @@ jobs over newline-delimited JSON on TCP, a bounded priority queue with
 structured rejections, per-job cancel, content-keyed result reuse, and a
 durable journal in --dir that survives kill -9 (acknowledged jobs and
 finished results are recovered on restart). Drive it with pobp-client.
-With `--features telemetry` the daemon also serves live telemetry
+With `--features instrument` the daemon also serves live telemetry
 (docs/observability.md): --metrics-addr exposes a Prometheus scrape
 endpoint, --sample-ms sets the windowed sampler period, and --flight-dir
 collects bounded flight-recorder dumps (Chrome trace JSON) on panics,
@@ -248,6 +256,7 @@ fn read_stdin_jobs() -> Result<JobSet, String> {
 }
 
 fn cmd_solve(args: &[String]) -> Result<(), String> {
+    let trace = TraceFiles::arm(args)?;
     let k: u32 = parse_num(args, "--k", 1u32)?;
     let alg = flag(args, "--alg").unwrap_or_else(|| "combined".into());
     let jobs = read_stdin_jobs()?;
@@ -305,8 +314,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote {path}");
     }
-    emit_trace_reports(args)?;
-    Ok(())
+    trace.write()
 }
 
 fn cmd_price(args: &[String]) -> Result<(), String> {
@@ -468,14 +476,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         progress: has_flag(args, "--progress"),
         ..EngineConfig::default()
     };
-    // The tracing flags are consumed after the batch (`emit_trace_reports`);
-    // validate them up front so a bad invocation fails before a long sweep.
-    flag_value(args, "--trace")?;
-    flag_value(args, "--trace-logical")?;
-    #[cfg(not(feature = "trace"))]
-    if has_flag(args, "--trace") || has_flag(args, "--trace-logical") {
-        return Err("--trace/--trace-logical need a binary built with --features trace".into());
-    }
+    let trace = TraceFiles::arm(args)?;
 
     if let Some(dir) = out_dir {
         // Sharded, checkpointed mode: rows go to shard files under DIR,
@@ -522,7 +523,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             Some(path) => eprintln!("sweep: merged output at {}", path.display()),
             None => eprintln!("sweep: incomplete — rerun with --resume to continue"),
         }
-        return emit_trace_reports(args);
+        return trace.write();
     }
 
     let grid = GridSpec { ns: ns.clone(), ks: ks.clone(), seeds, algo, machines, exact_ref };
@@ -567,8 +568,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         s.steal_attempts,
         if threads == 0 { "auto".to_string() } else { threads.to_string() },
     );
-    emit_trace_reports(args)?;
-    Ok(())
+    trace.write()
 }
 
 /// `pobp online`: the competitive-ratio lab. Crosses the instance-zoo
@@ -627,12 +627,7 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
             .map(|spec| FaultPlan::parse(&spec, chaos_seed))
             .transpose()?
     };
-    flag_value(args, "--trace")?;
-    flag_value(args, "--trace-logical")?;
-    #[cfg(not(feature = "trace"))]
-    if has_flag(args, "--trace") || has_flag(args, "--trace-logical") {
-        return Err("--trace/--trace-logical need a binary built with --features trace".into());
-    }
+    let trace = TraceFiles::arm(args)?;
 
     // Row metadata, parallel to the task batch. `alg == None` marks the
     // oracle task that opens each (family, n, seed, k) cell.
@@ -781,8 +776,7 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
         s.cancelled,
         if threads == 0 { "auto".to_string() } else { threads.to_string() },
     );
-    emit_trace_reports(args)?;
-    Ok(())
+    trace.write()
 }
 
 /// `pobp serve`: the persistent scheduling daemon (docs/serve.md). Binds
@@ -804,23 +798,17 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map(|spec| FaultPlan::parse(&spec, chaos_seed))
             .transpose()?
     };
-    // Validate the telemetry flags strictly in every build, so a missing or
-    // trailing value is a loud error before the daemon binds anything; in
-    // non-telemetry builds their mere presence is the error.
-    let metrics_addr = flag_value(args, "--metrics-addr")?;
-    let sample_ms: u64 = parse_num_strict(args, "--sample-ms", 1000u64)?;
-    let flight_dir = flag_value(args, "--flight-dir")?;
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = sample_ms;
-        if metrics_addr.is_some() || flight_dir.is_some() || has_flag(args, "--sample-ms") {
-            return Err(
-                "--metrics-addr/--sample-ms/--flight-dir need a binary built with \
-                 --features telemetry"
-                    .into(),
-            );
-        }
+    // A full trace record would grow for as long as the daemon runs; its
+    // trace surface is the bounded --flight-dir ring.
+    if has_flag(args, "--trace") || has_flag(args, "--trace-logical") {
+        return Err("serve records no --trace/--trace-logical; use --flight-dir".into());
     }
+    // A default build refuses these here, so there their values go unused.
+    #[cfg_attr(not(feature = "instrument"), allow(unused_variables))]
+    let [metrics_addr, _, flight_dir] =
+        instrument_flags(args, ["--metrics-addr", "--sample-ms", "--flight-dir"])?;
+    #[cfg_attr(not(feature = "instrument"), allow(unused_variables))]
+    let sample_ms: u64 = parse_num_strict(args, "--sample-ms", 1000u64)?;
     let cfg = pobp::serve::ServiceConfig {
         dir: dir.into(),
         workers: parse_num_strict(args, "--workers", 2usize)?.max(1),
@@ -830,7 +818,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         compact_every: parse_num_strict(args, "--compact-every", 256u64)?,
         #[cfg(feature = "chaos")]
         chaos: chaos_plan.map(std::sync::Arc::new),
-        #[cfg(feature = "telemetry")]
+        #[cfg(feature = "instrument")]
         telemetry: pobp::serve::TelemetryOptions {
             sample_ms,
             flight_dir: flight_dir.map(std::path::PathBuf::from),
@@ -838,8 +826,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             ..pobp::serve::TelemetryOptions::default()
         },
     };
-    pobp::serve::run_server(&addr, cfg).map_err(|e| format!("serve: {e}"))?;
-    emit_trace_reports(args)
+    pobp::serve::run_server(&addr, cfg).map_err(|e| format!("serve: {e}"))
 }
 
 fn cmd_replay(args: &[String]) -> Result<(), String> {

@@ -31,11 +31,10 @@
 //!   a line-protocol daemon with admission control, per-job cancel, and a
 //!   durable job registry that survives `kill -9` (`docs/serve.md`).
 //!
-//! Building with `--features obs` compiles in the algorithm-level
-//! counter/timer layer ([`obs`]); `--features trace` compiles in the
-//! structured tracing layer ([`trace`]) behind `pobp sweep --trace FILE`.
-//! Without the features every instrumentation macro is a no-op. See
-//! `docs/observability.md`.
+//! Building with `--features instrument` compiles in the algorithm-level
+//! counter/timer layer ([`obs`]) and the structured tracing recorder
+//! ([`trace`]) behind `pobp sweep --trace FILE`. Without the feature every
+//! instrumentation macro is a no-op. See `docs/observability.md`.
 //!
 //! ## Quickstart
 //!

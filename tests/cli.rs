@@ -15,12 +15,9 @@ fn run_with_stdin(args: &[&str], stdin: &str) -> (String, String, bool) {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn pobp");
-    child
-        .stdin
-        .as_mut()
-        .expect("stdin")
-        .write_all(stdin.as_bytes())
-        .expect("write stdin");
+    // A command that rejects its flags exits before reading stdin; the
+    // failed write is then expected, and the exit status tells the story.
+    let _ = child.stdin.as_mut().expect("stdin").write_all(stdin.as_bytes());
     let out = child.wait_with_output().expect("wait");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -59,20 +56,23 @@ fn serve_flag_errors_are_loud_and_never_bind() {
         (&["serve", "--metrics-addr"][..], "--metrics-addr"),
         (&["serve", "--sample-ms", "fast", "--addr", "127.0.0.1:0"][..], "--sample-ms"),
         (&["serve", "--flight-dir"][..], "--flight-dir"),
+        // A full trace record would grow for as long as the daemon runs:
+        // refused in every build.
+        (&["serve", "--trace", "t.json", "--addr", "127.0.0.1:0"][..], "--trace"),
+        (&["serve", "--trace-logical", "t.txt", "--addr", "127.0.0.1:0"][..], "--trace-logical"),
     ] {
-        let (_, err, ok) = run(args);
+        let (out, err, ok) = run(args);
         assert!(!ok, "{args:?} must fail");
         assert!(err.contains(flag), "error must name {flag}: {err}");
+        assert!(!out.contains("serve: listening"), "{args:?} must not bind: {out}");
     }
 }
 
-/// Default (telemetry-less) builds refuse the telemetry flags loudly
-/// instead of silently ignoring them; telemetry builds accept `--sample-ms`
-/// (the daemon-free path still errors on the address, proving the flag
-/// itself parsed).
-#[cfg(not(feature = "telemetry"))]
+/// Default (instrument-less) builds refuse the telemetry flags loudly
+/// instead of silently ignoring them.
+#[cfg(not(feature = "instrument"))]
 #[test]
-fn telemetry_flags_require_the_telemetry_feature() {
+fn telemetry_flags_require_the_instrument_feature() {
     for args in [
         &["serve", "--metrics-addr", "127.0.0.1:0"][..],
         &["serve", "--sample-ms", "500"][..],
@@ -80,7 +80,7 @@ fn telemetry_flags_require_the_telemetry_feature() {
     ] {
         let (_, err, ok) = run(args);
         assert!(!ok, "{args:?} must fail in a default build");
-        assert!(err.contains("--features telemetry"), "error must say how to enable: {err}");
+        assert!(err.contains("--features instrument"), "error must say how to enable: {err}");
     }
 }
 
@@ -270,9 +270,9 @@ fn obs_out_unwritable_path_errors() {
     assert!(err.contains("writing"), "{err}");
 }
 
-/// `sweep --trace` / `--trace-logical`: with a `trace` build the files are
-/// written (Chrome JSON + logical text); without, the flags are a loud
-/// feature-gate error — never a silent no-op.
+/// `sweep --trace` / `--trace-logical`: with an `instrument` build the
+/// files are written (Chrome JSON + logical text); without, the flags are a
+/// loud feature-gate error — never a silent no-op.
 #[test]
 fn sweep_trace_flags_respect_the_feature_gate() {
     let dir = std::env::temp_dir().join(format!("pobp-trace-test-{}", std::process::id()));
@@ -295,7 +295,7 @@ fn sweep_trace_flags_respect_the_feature_gate() {
         logical.to_str().unwrap(),
     ];
     let (_, err, ok) = run(&args);
-    if pobp::trace::enabled() {
+    if pobp::obs::enabled() {
         assert!(ok, "{err}");
         let json = std::fs::read_to_string(&chrome).unwrap();
         assert!(json.starts_with("{\"traceEvents\":["), "{json}");
@@ -304,7 +304,29 @@ fn sweep_trace_flags_respect_the_feature_gate() {
         assert!(text.contains("begin task"), "{text}");
     } else {
         assert!(!ok);
-        assert!(err.contains("--features trace"), "{err}");
+        assert!(err.contains("--features instrument"), "{err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `solve --trace` is checked before any work: a default build refuses it
+/// without writing `--out`; an `instrument` build writes both files.
+#[test]
+fn solve_trace_flag_is_checked_before_any_output() {
+    let dir = std::env::temp_dir().join(format!("pobp-solve-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (chrome, plan) = (dir.join("t.json"), dir.join("s.txt"));
+    let (instance, _, _) = run(&["gen", "--kind", "fig2", "--n", "4"]);
+    let args = ["solve", "--trace", chrome.to_str().unwrap(), "--out", plan.to_str().unwrap()];
+    let (_, err, ok) = run_with_stdin(&args, &instance);
+    if pobp::obs::enabled() {
+        assert!(ok, "{err}");
+        assert!(std::fs::read_to_string(&chrome).unwrap().contains("\"name\":\"task\""));
+        assert!(plan.exists());
+    } else {
+        assert!(!ok);
+        assert!(err.contains("--trace needs a binary built with --features instrument"), "{err}");
+        assert!(!plan.exists(), "a refused solve must not write --out");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -411,13 +433,13 @@ fn online_trace_flags_respect_the_feature_gate() {
         logical.to_str().unwrap(),
     ];
     let (_, err, ok) = run(&args);
-    if pobp::trace::enabled() {
+    if pobp::obs::enabled() {
         assert!(ok, "{err}");
         let text = std::fs::read_to_string(&logical).unwrap();
         assert!(text.contains("online."), "expected online.* instants:\n{text}");
     } else {
         assert!(!ok);
-        assert!(err.contains("--features trace"), "{err}");
+        assert!(err.contains("--features instrument"), "{err}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,16 +2,16 @@
 //!
 //! Each test pins an operation-count claim from `docs/algorithms.md` to the
 //! counters emitted by the instrumented hot paths, across several instance
-//! sizes. They compile (and run) only with `--features obs`:
+//! sizes. They compile (and run) only with `--features instrument`:
 //!
 //! ```text
-//! cargo test --features obs --test complexity_obs
+//! cargo test --features instrument --test complexity_obs
 //! ```
 //!
 //! All counter reads go through [`pobp::obs::measure`], which serialises
 //! access to the global registry — the test binary runs tests on parallel
 //! threads, and counters are process-global.
-#![cfg(feature = "obs")]
+#![cfg(feature = "instrument")]
 
 use pobp::obs;
 use pobp::prelude::*;
@@ -115,12 +115,17 @@ fn edf_heap_ops_are_linear() {
 fn laminarize_runs_one_restricted_edf_per_machine() {
     for &m in &[1usize, 2, 4] {
         let (jobs, ids) = workload(60, 5);
+        // The input's EDF runs stay inside the window too, out of other
+        // tests' measurements.
+        let _window = obs::exclusive();
         let schedule = iterative_multi_machine(&jobs, &ids, m, |jobs, ids| {
             edf_schedule(jobs, ids, None).schedule
         });
         let machines = schedule.machines().len() as u64;
         assert!(machines >= 1);
-        let (lam, snap) = obs::measure(|| laminarize(&jobs, &schedule).unwrap());
+        obs::reset();
+        let lam = laminarize(&jobs, &schedule).unwrap();
+        let snap = obs::snapshot();
         assert_eq!(snap.counter("sched.laminarize.runs"), 1);
         assert_eq!(snap.counter("sched.laminarize.machines"), machines);
         assert_eq!(
@@ -173,8 +178,11 @@ fn report_json_carries_schema_2_quantiles() {
 #[test]
 fn reduction_stages_fire_once_per_run() {
     let (jobs, ids) = workload(40, 9);
+    let _window = obs::exclusive(); // as above, for the base schedule's EDF run
     let base = edf_schedule(&jobs, &ids, None).schedule;
-    let (_red, snap) = obs::measure(|| reduce_to_k_bounded(&jobs, &base, 1).unwrap());
+    obs::reset();
+    reduce_to_k_bounded(&jobs, &base, 1).unwrap();
+    let snap = obs::snapshot();
     assert_eq!(snap.counter("sched.reduction.runs"), 1);
     for stage in [
         "sched.reduction.time.laminarize",
