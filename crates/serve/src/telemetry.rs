@@ -11,8 +11,9 @@
 //!   [`ServiceConfig`](crate::service::ServiceConfig);
 //! * [`spawn_metrics_listener`] — a minimal hand-rolled HTTP/1.1 responder
 //!   (request line + headers in, one `text/plain; version=0.0.4` body out)
-//!   serving [`Service::prometheus_text`] on every `GET /metrics`, and
-//!   `400` to a request head over 8 KiB;
+//!   serving [`Service::prometheus_text`] on every `GET /metrics`, `400` to
+//!   a request head over 8 KiB, and nothing to a head still incomplete
+//!   after 5 s;
 //! * the flight-dump file naming used by
 //!   [`Service::dump_flight`](crate::service::Service::dump_flight).
 //!
@@ -24,16 +25,21 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pobp_core::metrics::PROM_CONTENT_TYPE;
 
 use crate::service::Service;
 
 /// Largest scrape request head (request line plus headers) read before
-/// answering `400`: the read timeout restarts with every byte, so without a
-/// cap a client trickling bytes with no newline grows memory without limit.
+/// answering `400`, so a client sending bytes with no newline cannot grow
+/// memory without limit.
 const MAX_REQUEST_HEAD: u64 = 8 * 1024;
+
+/// Time a scrape client gets to send its whole request head. A socket read
+/// timeout alone restarts with every byte, so a client trickling bytes would
+/// hold the serial listener indefinitely; this bounds the head as a whole.
+const REQUEST_HEAD_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Live-telemetry knobs (all optional; the defaults sample once a second
 /// with no scrape listener and no flight directory).
@@ -88,12 +94,13 @@ pub fn spawn_metrics_listener(addr: &str, service: Arc<Service>) -> io::Result<S
 /// Answers one HTTP request on `stream`: `GET /` or `GET /metrics` gets the
 /// exposition body, a head longer than [`MAX_REQUEST_HEAD`] a 400, anything
 /// else a 404. Headers are read and discarded; the response always closes
-/// the connection.
+/// the connection. A head not complete within [`REQUEST_HEAD_DEADLINE`]
+/// gets no answer.
 fn handle_scrape(stream: TcpStream, service: &Service) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream.take(MAX_REQUEST_HEAD));
+    let head = DeadlineReader { stream, deadline: Instant::now() + REQUEST_HEAD_DEADLINE };
+    let mut reader = BufReader::new(head.take(MAX_REQUEST_HEAD));
     let mut request = String::new();
     reader.read_line(&mut request)?;
     // Drain the header block; scrapers send nothing we need.
@@ -117,4 +124,22 @@ fn handle_scrape(stream: TcpStream, service: &Service) -> io::Result<()> {
         body.len()
     )?;
     writer.flush()
+}
+
+/// A socket reader that fails once `deadline` passes: before each read the
+/// socket's read timeout is set to the time left.
+struct DeadlineReader {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
 }

@@ -329,3 +329,41 @@ fn oversized_scrape_head_is_cut_off_and_scrapes_continue() {
     service.stop(false);
     fs::remove_dir_all(&dir).ok();
 }
+
+/// A scrape request head has one overall deadline: a client trickling a
+/// byte every 100 ms with no newline (never idle long enough for a per-read
+/// timeout) is cut off within the daemon's 5 s head deadline plus slack,
+/// and the serial listener then answers the next scrape.
+#[cfg(feature = "instrument")]
+#[test]
+fn trickling_scrape_head_is_cut_off_at_the_deadline_and_scrapes_continue() {
+    use std::io::{Read, Write};
+    use std::time::Instant;
+    let dir = tmpdir("scrapetrickle");
+    let service = std::sync::Arc::new(Service::start(cfg(&dir, 0, 4)).unwrap());
+    let addr = pobp_serve::spawn_metrics_listener("127.0.0.1:0", service.clone()).unwrap();
+    let began = Instant::now();
+    let mut trickle = std::net::TcpStream::connect(addr).unwrap();
+    let mut writer = trickle.try_clone().unwrap();
+    let feeder = std::thread::spawn(move || {
+        // Stops at the first failed write (the daemon closed) or after 20 s.
+        while began.elapsed() < Duration::from_secs(20) && writer.write_all(b"a").is_ok() {
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    });
+    // Blocks until the daemon closes the connection (EOF or reset).
+    let mut reply = Vec::new();
+    let _ = trickle.read_to_end(&mut reply);
+    let held = began.elapsed();
+    assert!(held < Duration::from_secs(8), "trickling client held the listener for {held:?}");
+    assert!(reply.is_empty(), "a head cut off at the deadline gets no answer");
+    let mut scrape = std::net::TcpStream::connect(addr).unwrap();
+    scrape.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+    let mut body = String::new();
+    scrape.read_to_string(&mut body).unwrap();
+    assert!(body.starts_with("HTTP/1.1 200 OK") && body.contains("\npobp_serve_up 1\n"), "{body}");
+    drop(trickle);
+    feeder.join().unwrap();
+    service.stop(false);
+    fs::remove_dir_all(&dir).ok();
+}

@@ -4,10 +4,16 @@
 //! preemption is not free: every context switch costs machine time. This
 //! crate makes that price measurable:
 //!
-//! * [`execute_online`] — an online single-machine executor where loading a
-//!   job costs [`SimConfig::switch_cost`] ticks, under three policies:
-//!   free-preemption EDF, budgeted EDF ([`Policy::EdfBudget`] — at most `k`
-//!   preemptions per job, enforced online), and non-preemptive EDF;
+//! * [`online`] — the one online single-machine executor, with two entry
+//!   points over a single decision loop:
+//!   * [`execute_online`] — loading a job costs [`SimConfig::switch_cost`]
+//!     ticks, under three policies: free-preemption EDF, budgeted EDF
+//!     ([`Policy::EdfBudget`] — at most `k` preemptions per job, enforced
+//!     online), and non-preemptive EDF;
+//!   * [`run_online`] — the **online arrival mode** at zero switch cost:
+//!     the DJN/greedy/EDF-budget algorithm catalogue measured against the
+//!     offline `OPT_k` oracle (`pobp online`, experiment E13,
+//!     `docs/online.md`);
 //! * [`ExecTrace`] — the resulting event trace (starts, preemptions,
 //!   resumes, aborts, overhead) with wasted-work accounting;
 //! * [`switch_points`] / [`max_robust_delta`] / [`efficiency`] — offline
@@ -17,12 +23,7 @@
 //!   δ-machine and pick the preemption budget that maximizes surviving
 //!   value — the paper's theory as a sizing tool;
 //! * [`execute_partitioned`] — non-migrative multi-machine online execution
-//!   (least-loaded or round-robin partitions);
-//! * [`online`] ([`run_online`]) — the **online arrival mode**: jobs
-//!   revealed at release, irrevocable commitments, a per-job preemption
-//!   budget enforced online, and the DJN/greedy/EDF-budget algorithm
-//!   catalogue measured against the offline `OPT_k` oracle (`pobp online`,
-//!   experiment E13, `docs/online.md`).
+//!   (least-loaded or round-robin partitions).
 //!
 //! The `context_switch_cost` example and experiment E12 use this crate to
 //! show the crossover the paper's introduction predicts: as the switch cost
@@ -31,15 +32,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod machine;
 pub mod online;
 mod overhead;
 mod partitioned;
 mod replay;
 mod trace;
 
-pub use machine::{execute_online, Policy, SimConfig, SimOutcome};
-pub use online::{djn_ratio_bound, run_online, OnlineAlg, OnlineConfig, OnlineOutcome, ONLINE_ALGS};
+pub use online::{
+    djn_ratio_bound, execute_online, run_online, OnlineAlg, OnlineConfig, Policy, SimConfig,
+    SimOutcome, ONLINE_ALGS,
+};
 pub use partitioned::{execute_partitioned, PartitionRule, PartitionedOutcome};
 pub use replay::{choose_k, replay_with_overhead, PlanChoice};
 pub use overhead::{

@@ -1,37 +1,49 @@
-//! **Online arrival mode**: jobs are revealed at their release times, the
-//! scheduler commits irrevocably, and every job carries the per-job
-//! preemption budget `k`.
+//! The single-machine **online executor**: jobs are revealed at their
+//! release times, the scheduler commits irrevocably, every job carries a
+//! per-job preemption budget `k`, and loading a job costs `δ` ticks of
+//! machine time.
 //!
-//! This is the setting of the online relatives of the paper —
-//! Dürr–Jeż–Nguyen's bounded-length throughput scheduling and
-//! Baptiste–Chrobak–Dürr–Jawor–Vakhania's equal-length jobs — restricted to
-//! the paper's `k`-bounded machine model (Definition 2.1 plus a budget):
+//! One decision loop serves two entry points:
+//!
+//! * [`run_online`] — the **online arrival mode** at `δ = 0`, the setting of
+//!   the paper's online relatives (Dürr–Jeż–Nguyen's bounded-length
+//!   throughput scheduling, Baptiste–Chrobak–Dürr–Jawor–Vakhania's
+//!   equal-length jobs) restricted to the paper's `k`-bounded machine model.
+//!   With no switch cost it isolates the *information* price of online
+//!   arrival, so its output is directly comparable to the offline `OPT_k`
+//!   oracle (`pobp online`, experiment E13, `docs/online.md`).
+//! * [`execute_online`] — the paper's *motivation* (§1.2) made executable:
+//!   "preemption comes with a certain price tag (e.g., the sequence of
+//!   operations required for a context switch)". Every change of the job
+//!   on the machine costs [`SimConfig::switch_cost`] ticks under an EDF
+//!   [`Policy`] (`pobp sim`, experiment E12).
+//!
+//! The loop's rules:
 //!
 //! * **Revelation.** A job `⟨r, d, p, v⟩` is unknown before time `r`. At
 //!   every decision point the algorithm sees only released, incomplete,
 //!   non-aborted jobs.
 //! * **Irrevocability.** Machine time is never reclaimed: work performed on
 //!   a job that is later aborted is wasted (value is all-or-nothing at
-//!   completion), and a preemption, once taken, is spent forever.
+//!   completion, the work stays in the [`ExecTrace`]), and a preemption,
+//!   once taken, is spent forever. A switch, once begun, is not revoked by
+//!   a release during its `δ` ticks.
 //! * **Budget.** A job may be preempted at most `k` times — it runs in at
 //!   most `k + 1` segments. The executor *enforces* this online: a running
 //!   job whose budget is exhausted cannot be preempted, whatever the
 //!   algorithm would prefer (counted by `online.budget_blocks` /
 //!   `online.djn.threshold_rejects`).
 //!
-//! Three algorithms are implemented ([`OnlineAlg`]); `docs/online.md` is the
-//! catalogue with their competitive-ratio claims and the `online.*` obs
-//! counters that measure each claim. The executor itself is deterministic —
-//! a pure function of `(jobs, subset, config)` — so engine-driven online
-//! sweeps (`pobp online`, experiment E13) inherit the byte-identical
-//! `--threads` contract of `docs/engine.md`.
-//!
-//! Unlike [`crate::execute_online`] (the δ-overhead *simulator*), this
-//! executor charges no context-switch cost: it isolates the *information*
-//! price of online arrival from the *mechanical* price of switching, so its
-//! output is directly comparable to the offline `OPT_k` oracle.
+//! The running job is always the one loaded on the machine and a waiting
+//! job never is, so a switch is paid exactly when the chosen job is not the
+//! running one, and a waiting job is hopeless once `t + δ + remaining`
+//! passes its deadline. The executor is deterministic — a pure function of
+//! `(jobs, subset, config)` — so engine-driven online sweeps inherit the
+//! byte-identical `--threads` contract of `docs/engine.md`.
 
+use crate::trace::{ExecEvent, ExecTrace};
 use pobp_core::{obs_count, trace_event, Interval, JobId, JobSet, Schedule, SegmentSet, Time};
+use std::cmp::Reverse;
 
 /// The online algorithm an executor run follows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -73,7 +85,7 @@ impl std::fmt::Display for OnlineAlg {
     }
 }
 
-/// Configuration of one online run.
+/// Configuration of one online-arrival run.
 #[derive(Clone, Copy, Debug)]
 pub struct OnlineConfig {
     /// The algorithm.
@@ -82,24 +94,53 @@ pub struct OnlineConfig {
     pub k: u32,
 }
 
-/// What an online run produced.
-#[derive(Clone, Debug)]
-pub struct OnlineOutcome {
-    /// The feasible `k`-bounded schedule of the **completed** jobs (wasted
-    /// work of aborted jobs occupies machine time but is not in here).
-    pub schedule: Schedule,
-    /// Jobs that completed, in completion order.
-    pub completed: Vec<JobId>,
-    /// Jobs that were revealed but never completed (aborted as hopeless or
-    /// starved past their deadlines), sorted by id.
-    pub dropped: Vec<JobId>,
-    /// Preemptions actually taken across all jobs (aborted ones included).
-    pub preemptions: usize,
-    /// Decision points the executor evaluated.
-    pub decisions: usize,
+/// The switch-cost simulator's policy: EDF under a preemption budget.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Policy {
+    /// Preempt whenever a strictly higher-priority job is ready.
+    Edf,
+    /// EDF, but never preempt a job that has exhausted its `k` preemptions.
+    EdfBudget(u32),
+    /// Never preempt (`k = 0` online).
+    NonPreemptive,
 }
 
-impl OnlineOutcome {
+impl Policy {
+    /// The per-job preemption budget the policy enforces.
+    fn budget(self) -> u32 {
+        match self {
+            Policy::Edf => u32::MAX,
+            Policy::EdfBudget(k) => k,
+            Policy::NonPreemptive => 0,
+        }
+    }
+}
+
+/// Configuration of one switch-cost simulation.
+#[derive(Clone, Copy, Debug)]
+pub struct SimConfig {
+    /// The scheduling policy.
+    pub policy: Policy,
+    /// Machine ticks consumed whenever a job is (re)loaded onto the machine
+    /// while a different job (or nothing) was loaded.
+    pub switch_cost: Time,
+}
+
+/// What an execution produced.
+#[derive(Clone, Debug)]
+pub struct SimOutcome {
+    /// The full trace: every start, preemption, resume, completion and
+    /// abort, the work intervals (wasted work of aborted jobs included) and
+    /// the switch overhead.
+    pub trace: ExecTrace,
+    /// The feasible `k`-bounded schedule of the **completed** jobs.
+    pub schedule: Schedule,
+    /// Jobs that were revealed but never completed (aborted as hopeless),
+    /// sorted by id.
+    pub dropped: Vec<JobId>,
+}
+
+impl SimOutcome {
     /// Completed value — the online algorithm's objective.
     pub fn value(&self, jobs: &JobSet) -> f64 {
         self.schedule.value(jobs)
@@ -120,30 +161,8 @@ pub fn djn_ratio_bound(length_ratio: f64) -> f64 {
     s * s
 }
 
-/// Per-job executor state, indexed by subset position (flat arrays, no
-/// hashing — the PR-5 hot-path idiom, and deterministic iteration for free).
-struct JobState {
-    id: JobId,
-    release: Time,
-    deadline: Time,
-    value: f64,
-    remaining: Time,
-    /// Segments begun so far; preempting a running job with
-    /// `segments == k + 1` would need segment `k + 2` and is forbidden.
-    segments: u32,
-    pieces: Vec<Interval>,
-    status: Status,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Pending,
-    Ready,
-    Done,
-    Aborted,
-}
-
-/// Runs one online execution of `subset` on a single machine.
+/// Runs the online-arrival mode on `subset`: `config.alg` under budget
+/// `config.k`, with no switch cost.
 ///
 /// The executor advances decision point by decision point (releases,
 /// completions, aborts); between decision points the chosen job runs
@@ -162,73 +181,120 @@ enum Status {
 /// ].into_iter().collect();
 /// let ids = [JobId(0), JobId(1)];
 /// let out = run_online(&jobs, &ids, OnlineConfig { alg: OnlineAlg::Djn, k: 1 });
-/// assert_eq!(out.completed.len(), 2);
-/// assert_eq!(out.preemptions, 1);
+/// assert_eq!(out.trace.completed().len(), 2);
+/// assert_eq!(out.trace.preemptions(), 1);
 /// out.schedule.verify(&jobs, Some(1)).unwrap();
 /// ```
-pub fn run_online(jobs: &JobSet, subset: &[JobId], config: OnlineConfig) -> OnlineOutcome {
+pub fn run_online(jobs: &JobSet, subset: &[JobId], config: OnlineConfig) -> SimOutcome {
+    run(jobs, subset, config.alg, config.k, 0)
+}
+
+/// Simulates `subset` on one machine under `config.policy`, paying
+/// `config.switch_cost` ticks whenever the machine loads a job other than
+/// the one running (resuming after idle included).
+///
+/// ```
+/// use pobp_core::{Job, JobId, JobSet};
+/// use pobp_sim::{execute_online, Policy, SimConfig};
+///
+/// let jobs: JobSet = vec![
+///     Job::new(0, 40, 10, 1.0),
+///     Job::new(2, 9, 4, 1.0),   // preempts the long job under EDF
+/// ].into_iter().collect();
+/// let ids = [JobId(0), JobId(1)];
+///
+/// // Each of the three loads (long, short, long again) costs 1 tick.
+/// let out = execute_online(&jobs, &ids, SimConfig { policy: Policy::Edf, switch_cost: 1 });
+/// assert_eq!(out.schedule.len(), 2);
+/// assert_eq!(out.trace.switches(), 3);
+/// assert_eq!(out.trace.overhead_time(), 3);
+/// ```
+pub fn execute_online(jobs: &JobSet, subset: &[JobId], config: SimConfig) -> SimOutcome {
+    assert!(config.switch_cost >= 0, "negative switch cost");
+    run(jobs, subset, OnlineAlg::EdfBudget, config.policy.budget(), config.switch_cost)
+}
+
+/// Per-job executor state, indexed by subset position (flat arrays, no
+/// hashing, and deterministic iteration for free). A job is done exactly
+/// when `remaining == 0`.
+struct JobState {
+    id: JobId,
+    deadline: Time,
+    value: f64,
+    remaining: Time,
+    /// Segments begun so far; preempting a running job with
+    /// `segments == k + 1` would need segment `k + 2` and is forbidden.
+    segments: u32,
+    pieces: Vec<Interval>,
+}
+
+/// The decision loop behind both entry points: rule `alg`, per-job budget
+/// `k` (`u32::MAX` for unbounded), switch cost `delta`.
+fn run(jobs: &JobSet, subset: &[JobId], alg: OnlineAlg, k: u32, delta: Time) -> SimOutcome {
     obs_count!("online.runs");
     trace_event!("online.start");
-    let k = config.k;
     let mut states: Vec<JobState> = subset
         .iter()
         .map(|&id| {
             let j = jobs.job(id);
             JobState {
                 id,
-                release: j.release,
                 deadline: j.deadline,
                 value: j.value,
                 remaining: j.length,
                 segments: 0,
                 pieces: Vec::new(),
-                status: Status::Pending,
             }
         })
         .collect();
     // Release order: (time, id) — the adversary reveals ties in id order.
-    let mut order: Vec<usize> = (0..states.len()).collect();
-    order.sort_by_key(|&i| (states[i].release, states[i].id));
+    let mut order: Vec<(Time, JobId, usize)> =
+        subset.iter().enumerate().map(|(i, &id)| (jobs.job(id).release, id, i)).collect();
+    order.sort_unstable();
 
-    let mut outcome = OnlineOutcome {
-        schedule: Schedule::new(),
-        completed: Vec::new(),
-        dropped: Vec::new(),
-        preemptions: 0,
-        decisions: 0,
-    };
-    if states.is_empty() {
-        trace_event!("online.done");
-        return outcome;
-    }
-
+    let mut trace = ExecTrace::default();
+    let mut schedule = Schedule::new();
     let mut next_rel = 0usize; // index into `order`
-    let mut t = states[order[0]].release;
+    let mut t = order.first().map_or(0, |o| o.0);
     let mut running: Option<usize> = None;
+    // Released jobs neither completed nor aborted, in no particular order:
+    // every choice below is by a total order, so scans cost O(|ready|).
+    let mut ready: Vec<usize> = Vec::new();
+    let mut hopeless: Vec<usize> = Vec::new();
+    // Reveals everything released by `t`.
+    let reveal = |ready: &mut Vec<usize>, next_rel: &mut usize, t: Time| {
+        while let Some(&(_, _, i)) = order.get(*next_rel).filter(|o| o.0 <= t) {
+            ready.push(i);
+            obs_count!("online.releases");
+            *next_rel += 1;
+        }
+    };
 
     loop {
-        // Reveal everything released by now.
-        while next_rel < order.len() && states[order[next_rel]].release <= t {
-            states[order[next_rel]].status = Status::Ready;
-            obs_count!("online.releases");
-            next_rel += 1;
-        }
-        // Abort hopeless jobs (they cannot complete even if run alone from
-        // now on). A running job is never hopeless: it was feasible when
-        // chosen and has run uninterrupted since.
-        for (i, s) in states.iter_mut().enumerate() {
-            if s.status == Status::Ready && running != Some(i) && t + s.remaining > s.deadline {
-                s.status = Status::Aborted;
-                obs_count!("online.aborts");
-                trace_event!("online.abort", s.id.0);
+        reveal(&mut ready, &mut next_rel, t);
+        // Abort hopeless waiting jobs, in (deadline, id) order: they cannot
+        // complete even if loaded now and run alone. A running job is never
+        // hopeless: it was feasible when chosen and has run uninterrupted
+        // since.
+        ready.retain(|&i| {
+            let s = &states[i];
+            let doomed = running != Some(i) && t + delta + s.remaining > s.deadline;
+            if doomed {
+                hopeless.push(i);
             }
+            !doomed
+        });
+        hopeless.sort_unstable_by_key(|&i| (states[i].deadline, states[i].id));
+        for i in hopeless.drain(..) {
+            obs_count!("online.aborts");
+            trace_event!("online.abort", states[i].id.0);
+            trace.push(t, ExecEvent::Abort(states[i].id));
         }
-        let any_ready = states.iter().any(|s| s.status == Status::Ready);
-        if !any_ready {
+        if ready.is_empty() {
             match order.get(next_rel) {
-                Some(&i) => {
-                    obs_count!("online.idle_ticks", states[i].release - t);
-                    t = states[i].release;
+                Some(&(r, _, _)) => {
+                    obs_count!("online.idle_ticks", r - t);
+                    t = r;
                     continue;
                 }
                 None => break,
@@ -236,57 +302,60 @@ pub fn run_online(jobs: &JobSet, subset: &[JobId], config: OnlineConfig) -> Onli
         }
 
         obs_count!("online.decisions");
-        outcome.decisions += 1;
-        let chosen = decide(&states, running, config);
-
-        if let Some(prev) = running {
-            if chosen != prev {
+        let chosen = decide(&states, &ready, running, alg, k);
+        if running != Some(chosen) {
+            if let Some(prev) = running {
                 // An irrevocable preemption: `prev`'s budget is spent.
-                outcome.preemptions += 1;
                 obs_count!("online.preemptions");
                 trace_event!("online.preempt", states[prev].id.0);
+                let (out, by) = (states[prev].id, states[chosen].id);
+                trace.push(t, ExecEvent::Preempt { out, by });
             }
+            if delta > 0 {
+                obs_count!("online.overhead_ticks", delta);
+                trace.push(t, ExecEvent::OverheadBegin);
+                trace.overhead.push(Interval::new(t, t + delta));
+                t += delta;
+                trace.push(t, ExecEvent::OverheadEnd);
+                reveal(&mut ready, &mut next_rel, t);
+            }
+            let s = &mut states[chosen];
+            if s.segments == 0 {
+                obs_count!("online.starts");
+                trace.push(t, ExecEvent::Start(s.id));
+            } else {
+                trace.push(t, ExecEvent::Resume(s.id));
+            }
+            s.segments += 1;
+            debug_assert!(s.segments - 1 <= k, "budget violated by the executor");
+            running = Some(chosen);
         }
-        if running != Some(chosen) && states[chosen].remaining == jobs.job(states[chosen].id).length
-        {
-            obs_count!("online.starts");
-        }
-        if running != Some(chosen) {
-            states[chosen].segments += 1;
-            debug_assert!(states[chosen].segments <= k + 1, "budget violated by the executor");
-        }
-        running = Some(chosen);
 
         // Run until completion or the next revelation, whichever is first.
-        let mut until = t + states[chosen].remaining;
-        if let Some(&i) = order.get(next_rel) {
-            if states[i].release > t {
-                until = until.min(states[i].release);
-            }
-        }
+        let next_release = order.get(next_rel).map_or(Time::MAX, |o| o.0);
+        let s = &mut states[chosen];
+        let until = (t + s.remaining).min(next_release);
         debug_assert!(until > t, "no progress at t={t}");
-        push_piece(&mut states[chosen].pieces, Interval::new(t, until));
-        states[chosen].remaining -= until - t;
+        trace.work.push((s.id, Interval::new(t, until)));
+        push_piece(&mut s.pieces, Interval::new(t, until));
+        s.remaining -= until - t;
         t = until;
-        if states[chosen].remaining == 0 {
-            states[chosen].status = Status::Done;
+        if s.remaining == 0 {
+            ready.retain(|&i| i != chosen);
             obs_count!("online.completions");
-            trace_event!("online.complete", states[chosen].id.0);
-            outcome.completed.push(states[chosen].id);
-            let segs = SegmentSet::from_intervals(std::mem::take(&mut states[chosen].pieces));
-            outcome.schedule.assign_single(states[chosen].id, segs);
+            trace_event!("online.complete", s.id.0);
+            trace.push(t, ExecEvent::Complete(s.id));
+            schedule.assign_single(s.id, SegmentSet::from_intervals(std::mem::take(&mut s.pieces)));
             running = None;
         }
     }
 
-    for s in &states {
-        if s.status != Status::Done {
-            outcome.dropped.push(s.id);
-        }
-    }
-    outcome.dropped.sort_unstable();
-    trace_event!("online.done", outcome.completed.len());
-    outcome
+    let mut dropped: Vec<JobId> =
+        states.iter().filter(|s| s.remaining > 0).map(|s| s.id).collect();
+    dropped.sort_unstable();
+    trace_event!("online.done", schedule.len());
+    debug_assert!(trace.check().is_ok());
+    SimOutcome { trace, schedule, dropped }
 }
 
 /// Appends a work interval, merging with the last one when contiguous (the
@@ -301,69 +370,50 @@ fn push_piece(pieces: &mut Vec<Interval>, iv: Interval) {
     pieces.push(iv);
 }
 
-/// The algorithm's choice among ready jobs. Caller guarantees at least one
-/// job is `Ready`. Returns a subset position.
-fn decide(states: &[JobState], running: Option<usize>, config: OnlineConfig) -> usize {
-    let k = config.k;
-    // `running` stays feasible by construction; every other Ready job is
+/// The algorithm's choice among the `ready` state indices (never empty),
+/// with the budget enforced. Returns a state index.
+fn decide(
+    states: &[JobState],
+    ready: &[usize],
+    running: Option<usize>,
+    alg: OnlineAlg,
+    k: u32,
+) -> usize {
+    // Greedy commits and never preempts.
+    if let (OnlineAlg::Greedy, Some(cur)) = (alg, running) {
+        return cur;
+    }
+    // `running` stays feasible by construction; every other ready job is
     // feasible too (hopeless ones were just aborted).
-    let best_by = |better: &dyn Fn(&JobState, &JobState) -> bool| -> usize {
-        let mut best: Option<usize> = None;
-        for (i, s) in states.iter().enumerate() {
-            if s.status != Status::Ready {
-                continue;
-            }
-            best = match best {
+    let ready = ready.iter().map(|&i| (i, &states[i]));
+    let best = match alg {
+        OnlineAlg::EdfBudget => ready.min_by_key(|(_, s)| (s.deadline, s.id)).map(|(i, _)| i),
+        // Most valuable first; earlier deadline, then lower id break ties —
+        // a total deterministic order.
+        OnlineAlg::Greedy | OnlineAlg::Djn => {
+            let key = |s: &JobState| (s.value, Reverse(s.deadline), Reverse(s.id));
+            ready.fold(None, |best, (i, s)| match best {
                 None => Some(i),
-                Some(b) if better(s, &states[b]) => Some(i),
+                Some(b) if key(s) > key(&states[b]) => Some(i),
                 keep => keep,
-            };
-        }
-        best.expect("caller guarantees a ready job")
-    };
-    // Most valuable first; earlier deadline, then lower id break ties — a
-    // total deterministic order.
-    let max_value = &|a: &JobState, b: &JobState| {
-        (a.value, std::cmp::Reverse(a.deadline), std::cmp::Reverse(a.id))
-            > (b.value, std::cmp::Reverse(b.deadline), std::cmp::Reverse(b.id))
-    };
-    let earliest_deadline =
-        &|a: &JobState, b: &JobState| (a.deadline, a.id) < (b.deadline, b.id);
-
-    match (config.alg, running) {
-        // Greedy commits and never preempts.
-        (OnlineAlg::Greedy, Some(cur)) => cur,
-        (OnlineAlg::Greedy, None) => best_by(max_value),
-        (OnlineAlg::EdfBudget, None) => best_by(earliest_deadline),
-        (OnlineAlg::EdfBudget, Some(cur)) => {
-            let best = best_by(earliest_deadline);
-            if best != cur && states[cur].segments > k {
-                // Out of budget: EDF *wants* to preempt but cannot.
-                obs_count!("online.budget_blocks");
-                cur
-            } else {
-                best
-            }
-        }
-        (OnlineAlg::Djn, None) => best_by(max_value),
-        (OnlineAlg::Djn, Some(cur)) => {
-            let best = best_by(max_value);
-            if best == cur {
-                return cur;
-            }
-            if states[cur].segments > k {
-                obs_count!("online.budget_blocks");
-                return cur;
-            }
-            // The doubling threshold: preempt only for ≥ 2× the value.
-            if states[best].value >= 2.0 * states[cur].value {
-                best
-            } else {
-                obs_count!("online.djn.threshold_rejects");
-                cur
-            }
+            })
         }
     }
+    .expect("caller guarantees a ready job");
+    let Some(cur) = running.filter(|&cur| cur != best) else {
+        return best;
+    };
+    if states[cur].segments > k {
+        // Out of budget: the rule *wants* to preempt but cannot.
+        obs_count!("online.budget_blocks");
+        return cur;
+    }
+    // DJN's doubling threshold: preempt only for ≥ 2× the value.
+    if alg == OnlineAlg::Djn && states[best].value < 2.0 * states[cur].value {
+        obs_count!("online.djn.threshold_rejects");
+        return cur;
+    }
+    best
 }
 
 #[cfg(test)]
@@ -379,13 +429,20 @@ mod tests {
         OnlineConfig { alg, k }
     }
 
+    fn sim_cfg(policy: Policy, delta: Time) -> SimConfig {
+        SimConfig { policy, switch_cost: delta }
+    }
+
     #[test]
     fn empty_input() {
         let jobs = JobSet::new();
-        let out = run_online(&jobs, &[], cfg(OnlineAlg::Djn, 1));
-        assert!(out.schedule.is_empty());
-        assert!(out.dropped.is_empty());
-        assert_eq!(out.decisions, 0);
+        let online = run_online(&jobs, &[], cfg(OnlineAlg::Djn, 1));
+        let sim = execute_online(&jobs, &[], sim_cfg(Policy::Edf, 1));
+        for out in [online, sim] {
+            assert!(out.schedule.is_empty());
+            assert!(out.dropped.is_empty());
+            assert!(out.trace.events.is_empty());
+        }
     }
 
     #[test]
@@ -393,7 +450,7 @@ mod tests {
         let jobs: JobSet = vec![Job::new(3, 10, 5, 2.0)].into_iter().collect();
         for alg in ONLINE_ALGS {
             let out = run_online(&jobs, &ids_of(1), cfg(alg, 0));
-            assert_eq!(out.completed, vec![JobId(0)], "{alg}");
+            assert_eq!(out.trace.completed(), vec![JobId(0)], "{alg}");
             assert_eq!(out.value(&jobs), 2.0);
             out.schedule.verify(&jobs, Some(0)).unwrap();
         }
@@ -408,7 +465,7 @@ mod tests {
         .into_iter()
         .collect();
         let out = run_online(&jobs, &ids_of(2), cfg(OnlineAlg::Greedy, 5));
-        assert_eq!(out.preemptions, 0);
+        assert_eq!(out.trace.preemptions(), 0);
         out.schedule.verify(&jobs, Some(0)).unwrap();
     }
 
@@ -419,14 +476,14 @@ mod tests {
         let below: JobSet =
             vec![base, Job::new(2, 12, 4, 7.6)].into_iter().collect();
         let out = run_online(&below, &ids_of(2), cfg(OnlineAlg::Djn, 3));
-        assert_eq!(out.preemptions, 0);
-        assert_eq!(out.completed, vec![JobId(0)], "tempter aborts, base survives");
+        assert_eq!(out.trace.preemptions(), 0);
+        assert_eq!(out.trace.completed(), vec![JobId(0)], "tempter aborts, base survives");
         // 2× the running value: preempt.
         let above: JobSet =
             vec![base, Job::new(2, 12, 4, 8.0)].into_iter().collect();
         let out = run_online(&above, &ids_of(2), cfg(OnlineAlg::Djn, 3));
-        assert_eq!(out.preemptions, 1);
-        assert_eq!(out.completed.len(), 2);
+        assert_eq!(out.trace.preemptions(), 1);
+        assert_eq!(out.trace.completed().len(), 2);
     }
 
     #[test]
@@ -462,16 +519,43 @@ mod tests {
         .collect();
         for k in [0u32, 1, 2] {
             let online = run_online(&jobs, &ids_of(3), cfg(OnlineAlg::EdfBudget, k));
-            let sim = crate::execute_online(
-                &jobs,
-                &ids_of(3),
-                crate::SimConfig { policy: crate::Policy::EdfBudget(k), switch_cost: 0 },
-            );
+            let sim = execute_online(&jobs, &ids_of(3), sim_cfg(Policy::EdfBudget(k), 0));
             let mut a: Vec<JobId> = online.schedule.scheduled_ids().collect();
             let mut b: Vec<JobId> = sim.schedule.scheduled_ids().collect();
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "k={k}");
+        }
+    }
+
+    #[test]
+    fn same_instant_aborts_are_reported_in_deadline_order() {
+        // A long valuable job blocks two waiting ones until t = 15, where
+        // both become hopeless together. Their (deadline, id) order — job 1
+        // (d = 12) before job 0 (d = 20) — is not their id order.
+        let jobs: JobSet = vec![
+            Job::new(1, 20, 8, 1.0),
+            Job::new(1, 12, 6, 1.0),
+            Job::new(0, 100, 15, 10.0),
+        ]
+        .into_iter()
+        .collect();
+        let online = run_online(&jobs, &ids_of(3), cfg(OnlineAlg::Greedy, 0));
+        let sim = execute_online(&jobs, &ids_of(3), sim_cfg(Policy::NonPreemptive, 0));
+        for out in [online, sim] {
+            let aborts: Vec<(Time, ExecEvent)> = out
+                .trace
+                .events
+                .iter()
+                .copied()
+                .filter(|(_, e)| matches!(e, ExecEvent::Abort(_)))
+                .collect();
+            assert_eq!(
+                aborts,
+                vec![(15, ExecEvent::Abort(JobId(1))), (15, ExecEvent::Abort(JobId(0)))]
+            );
+            assert_eq!(out.dropped, vec![JobId(0), JobId(1)]);
+            assert_eq!(out.trace.completed(), vec![JobId(2)]);
         }
     }
 
@@ -486,7 +570,7 @@ mod tests {
         .into_iter()
         .collect();
         let out = run_online(&jobs, &ids_of(2), cfg(OnlineAlg::Djn, 2));
-        assert_eq!(out.completed, vec![JobId(1)]);
+        assert_eq!(out.trace.completed(), vec![JobId(1)]);
         assert_eq!(out.dropped, vec![JobId(0)]);
         assert_eq!(out.value(&jobs), 10.0);
         out.schedule.verify(&jobs, Some(2)).unwrap();
@@ -501,9 +585,8 @@ mod tests {
             let a = run_online(&jobs, &ids_of(12), cfg(alg, 1));
             let b = run_online(&jobs, &ids_of(12), cfg(alg, 1));
             assert_eq!(format!("{:?}", a.schedule), format!("{:?}", b.schedule));
-            assert_eq!(a.completed, b.completed);
+            assert_eq!(a.trace.events, b.trace.events);
             assert_eq!(a.dropped, b.dropped);
-            assert_eq!(a.preemptions, b.preemptions);
         }
     }
 
@@ -513,5 +596,132 @@ mod tests {
         assert!(djn_ratio_bound(4.0) == 9.0);
         assert!(djn_ratio_bound(0.5) == 4.0, "ratios below 1 clamp to the equal-length case");
         assert!(djn_ratio_bound(100.0) > djn_ratio_bound(10.0));
+    }
+
+    #[test]
+    fn zero_cost_edf_matches_offline_edf() {
+        let jobs: JobSet = vec![
+            Job::new(0, 30, 10, 1.0),
+            Job::new(2, 9, 4, 1.0),
+            Job::new(3, 8, 2, 1.0),
+        ]
+        .into_iter()
+        .collect();
+        let out = execute_online(&jobs, &ids_of(3), sim_cfg(Policy::Edf, 0));
+        out.schedule.verify(&jobs, None).unwrap();
+        assert_eq!(out.schedule.len(), 3);
+        assert_eq!(out.value(&jobs), jobs.total_value());
+        assert_eq!(out.trace.overhead_time(), 0);
+    }
+
+    #[test]
+    fn switch_cost_is_paid_per_preemption() {
+        // One long job preempted once by a tight one: 3 loads (long, tight,
+        // long again) at δ = 1 each.
+        let jobs: JobSet = vec![
+            Job::new(0, 40, 10, 1.0),
+            Job::new(5, 12, 4, 1.0),
+        ]
+        .into_iter()
+        .collect();
+        let out = execute_online(&jobs, &ids_of(2), sim_cfg(Policy::Edf, 1));
+        assert_eq!(out.schedule.len(), 2);
+        assert_eq!(out.trace.switches(), 3);
+        assert_eq!(out.trace.overhead_time(), 3);
+        out.trace.check().unwrap();
+        out.schedule.verify(&jobs, None).unwrap();
+    }
+
+    #[test]
+    fn overhead_can_cause_deadline_misses() {
+        // Back-to-back tight jobs: feasible at δ = 0, not at δ = 2.
+        let jobs: JobSet = vec![Job::new(0, 4, 4, 1.0), Job::new(4, 8, 4, 2.0)]
+            .into_iter()
+            .collect();
+        let ok = execute_online(&jobs, &ids_of(2), sim_cfg(Policy::Edf, 0));
+        assert_eq!(ok.schedule.len(), 2);
+        let tight = execute_online(&jobs, &ids_of(2), sim_cfg(Policy::Edf, 2));
+        // First load already costs 2 → job 0 cannot finish by 4; job 1 can
+        // still make it (abort of j0 happens before its switch is paid).
+        assert!(tight.schedule.len() < 2);
+        assert!(!tight.dropped.is_empty());
+        tight.trace.check().unwrap();
+    }
+
+    #[test]
+    fn non_preemptive_never_preempts() {
+        let jobs: JobSet = vec![
+            Job::new(0, 100, 20, 1.0),
+            Job::new(1, 30, 5, 5.0), // would preempt under EDF
+        ]
+        .into_iter()
+        .collect();
+        let out = execute_online(&jobs, &ids_of(2), sim_cfg(Policy::NonPreemptive, 0));
+        out.schedule.verify(&jobs, Some(0)).unwrap();
+        // Job 0 runs [0,20) en bloc; job 1 then completes by 25 ≤ 30.
+        assert_eq!(out.schedule.len(), 2);
+        assert_eq!(out.schedule.preemptions(JobId(0)), 0);
+        assert_eq!(out.trace.preemptions(), 0);
+    }
+
+    #[test]
+    fn budget_policy_enforces_k() {
+        // A long job with many tight arrivals: under EdfBudget(k) it is
+        // preempted at most k times.
+        let jobs: JobSet = vec![
+            Job::new(0, 100, 30, 1.0),
+            Job::new(2, 10, 3, 1.0),
+            Job::new(12, 20, 3, 1.0),
+            Job::new(22, 30, 3, 1.0),
+        ]
+        .into_iter()
+        .collect();
+        for k in 0..3u32 {
+            let out = execute_online(&jobs, &ids_of(4), sim_cfg(Policy::EdfBudget(k), 0));
+            out.schedule.verify(&jobs, Some(k)).unwrap_or_else(|e| {
+                panic!("k={k}: {e}");
+            });
+        }
+        // Unbounded EDF preempts the long job three times here.
+        let edf = execute_online(&jobs, &ids_of(4), sim_cfg(Policy::Edf, 0));
+        assert_eq!(edf.schedule.preemptions(JobId(0)), 3);
+    }
+
+    #[test]
+    fn budget_zero_equals_nonpreemptive_preemption_counts() {
+        let jobs: JobSet = vec![
+            Job::new(0, 60, 20, 1.0),
+            Job::new(3, 30, 5, 1.0),
+        ]
+        .into_iter()
+        .collect();
+        let b = execute_online(&jobs, &ids_of(2), sim_cfg(Policy::EdfBudget(0), 0));
+        b.schedule.verify(&jobs, Some(0)).unwrap();
+    }
+
+    #[test]
+    fn idle_then_same_job_costs_nothing() {
+        // Job released, completed; long idle; then a second job loads.
+        let jobs: JobSet = vec![Job::new(0, 10, 3, 1.0), Job::new(50, 60, 3, 1.0)]
+            .into_iter()
+            .collect();
+        let out = execute_online(&jobs, &ids_of(2), sim_cfg(Policy::Edf, 2));
+        // Two loads total (two different jobs).
+        assert_eq!(out.trace.switches(), 2);
+        assert_eq!(out.schedule.len(), 2);
+    }
+
+    #[test]
+    fn value_decreases_with_switch_cost() {
+        let jobs: JobSet = (0..8)
+            .map(|i| Job::new(3 * i, 3 * i + 5, 3, 1.0))
+            .collect();
+        let mut prev = f64::INFINITY;
+        for delta in [0i64, 1, 2, 4] {
+            let out = execute_online(&jobs, &ids_of(8), sim_cfg(Policy::Edf, delta));
+            let v = out.value(&jobs);
+            assert!(v <= prev + 1e-9, "value should not increase with δ");
+            prev = v;
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! load-balancing heuristic, then each machine runs the overhead-aware
 //! online executor independently.
 
-use crate::machine::{execute_online, SimConfig, SimOutcome};
+use crate::online::{execute_online, SimConfig, SimOutcome};
 use pobp_core::{JobId, JobSet, Schedule, Time};
 
 /// How jobs are split across machines before execution.
@@ -89,7 +89,7 @@ pub fn execute_partitioned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::Policy;
+    use crate::online::Policy;
     use pobp_core::Job;
 
     fn ids_of(n: usize) -> Vec<JobId> {

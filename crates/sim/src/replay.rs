@@ -17,7 +17,7 @@
 //! for each, replays it under `δ`, and returns the best plan. As `δ` grows
 //! the winning `k` falls — experiment E12's crossover, packaged as an API.
 
-use crate::machine::SimOutcome;
+use crate::online::SimOutcome;
 use crate::trace::{ExecEvent, ExecTrace};
 use pobp_core::{Interval, JobId, JobSet, Schedule, SegmentSet, Time};
 

@@ -80,6 +80,12 @@ impl ExecTrace {
             .collect()
     }
 
+    /// Preemptions taken across all jobs, aborted ones included (the
+    /// `Preempt` events).
+    pub fn preemptions(&self) -> usize {
+        self.events.iter().filter(|(_, e)| matches!(e, ExecEvent::Preempt { .. })).count()
+    }
+
     /// Total value completed under `jobs`.
     pub fn value(&self, jobs: &JobSet) -> f64 {
         self.completed().iter().map(|&j| jobs.job(j).value).sum()
@@ -141,6 +147,7 @@ mod tests {
         assert_eq!(tr.work_time(), 6);
         assert_eq!(tr.completed(), vec![JobId(1), JobId(0)]);
         assert!(tr.aborted().is_empty());
+        assert_eq!(tr.preemptions(), 1);
         assert_eq!(tr.value(&jobs), 5.0);
         assert_eq!(tr.preemptions_of(JobId(0)), 1);
         assert_eq!(tr.preemptions_of(JobId(1)), 0);

@@ -56,9 +56,10 @@ proptest! {
         // The online contract: completed work is a real k-bounded schedule.
         out.schedule.verify(&jobs, Some(k)).unwrap();
         // Every job is accounted for exactly once.
-        prop_assert_eq!(out.completed.len() + out.dropped.len(), jobs.len());
+        let completed = out.trace.completed();
+        prop_assert_eq!(completed.len() + out.dropped.len(), jobs.len());
         // The reported value is exactly the completed jobs' value.
-        let direct: f64 = out.completed.iter().map(|&j| jobs.get(j).unwrap().value).sum();
+        let direct: f64 = completed.iter().map(|&j| jobs.get(j).unwrap().value).sum();
         prop_assert!((out.value(&jobs) - direct).abs() < 1e-9);
         prop_assert!((out.schedule.value(&jobs) - direct).abs() < 1e-9);
     }
@@ -95,17 +96,16 @@ proptest! {
         let a = run_online(&jobs, &ids, OnlineConfig { alg, k });
         let b = run_online(&jobs, &ids, OnlineConfig { alg, k });
         prop_assert_eq!(&a.schedule, &b.schedule);
-        prop_assert_eq!(&a.completed, &b.completed);
+        prop_assert_eq!(a.trace.completed(), b.trace.completed());
         prop_assert_eq!(&a.dropped, &b.dropped);
-        prop_assert_eq!(a.preemptions, b.preemptions);
-        prop_assert_eq!(a.decisions, b.decisions);
+        prop_assert_eq!(a.trace.preemptions(), b.trace.preemptions());
     }
 
     #[test]
     fn greedy_never_preempts(jobs in arb_jobs(15), k in 0u32..4) {
         let ids = all_ids(&jobs);
         let out = run_online(&jobs, &ids, OnlineConfig { alg: OnlineAlg::Greedy, k });
-        prop_assert_eq!(out.preemptions, 0);
+        prop_assert_eq!(out.trace.preemptions(), 0);
         for j in out.schedule.scheduled_ids() {
             prop_assert_eq!(out.schedule.preemptions(j), 0);
         }

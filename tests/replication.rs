@@ -148,3 +148,81 @@ fn e1_round_robin_rows() {
         assert_eq!(lam.value(&jobs), rr.value(&jobs));
     }
 }
+
+/// E13: the online-arrival competitive-ratio table, row for row as
+/// `experiments e13` prints it: per (family, algorithm), the geo-mean and
+/// worst `oracle / online` ratio over the zoo grid n ∈ {8, 16},
+/// k ∈ {1, 2}, seeds 0..3. Each cell pairs the online runs with a certified
+/// reduction oracle, upgraded to the exact `OPT_k` where it fits and
+/// dominates, exactly as the harness does.
+#[test]
+fn e13_online_ratio_rows() {
+    // (family, algorithm, geo-mean ratio, worst ratio), as printed.
+    let rows = [
+        ("bursty", "online-djn", "1.000", "1.000"),
+        ("bursty", "online-edf", "1.516", "1.714"),
+        ("bursty", "online-greedy", "1.000", "1.000"),
+        ("fig2", "online-djn", "11.314", "16.000"),
+        ("fig2", "online-edf", "1.000", "1.000"),
+        ("fig2", "online-greedy", "11.314", "16.000"),
+        ("fig4", "online-djn", "1.648", "1.875"),
+        ("fig4", "online-edf", "1.000", "1.000"),
+        ("fig4", "online-greedy", "1.648", "1.875"),
+        ("periodic", "online-djn", "1.050", "1.148"),
+        ("periodic", "online-edf", "0.935", "1.000"),
+        ("periodic", "online-greedy", "1.070", "1.154"),
+        ("random", "online-djn", "1.137", "1.464"),
+        ("random", "online-edf", "0.989", "1.391"),
+        ("random", "online-greedy", "1.132", "1.377"),
+    ];
+    let online_algs = [Algo::OnlineDjn, Algo::OnlineGreedy, Algo::OnlineEdf];
+    let mut tasks = Vec::new();
+    let mut cells = Vec::new(); // per task: (family, exact OPT_k if it fits)
+    for &family in &ZOO_FAMILIES {
+        for n in [8usize, 16] {
+            for seed in 0..3u64 {
+                for k in [1u32, 2] {
+                    let instance = zoo_instance(family, n, k, seed);
+                    let ids: Vec<JobId> = instance.ids().collect();
+                    let exact = opt_k_bounded_fits(&instance, &ids)
+                        .then(|| opt_k_bounded_small(&instance, &ids, k));
+                    for algo in std::iter::once(Algo::Reduction).chain(online_algs) {
+                        tasks.push(SolveTask {
+                            instance: instance.clone(),
+                            k,
+                            machines: 1,
+                            algo,
+                            exact_ref: false,
+                            label: format!("{family} n={n} k={k} seed={seed} {}", algo.name()),
+                        });
+                        cells.push((family, exact));
+                    }
+                }
+            }
+        }
+    }
+    let engine = Engine::new(EngineConfig { threads: 2, degrade: true, ..EngineConfig::default() });
+    let batch = engine.run_batch(&tasks);
+    let mut ratios: std::collections::BTreeMap<(&str, &str), Vec<f64>> = Default::default();
+    let mut oracle = 0.0f64;
+    for ((task, &(family, exact)), report) in tasks.iter().zip(&cells).zip(&batch.reports) {
+        let value = report.result.output().expect("every E13 task completes").alg_value;
+        if task.algo == Algo::Reduction {
+            oracle = exact.filter(|&e| e >= value).unwrap_or(value);
+            continue;
+        }
+        let ratio = oracle / value;
+        let bound = djn_ratio_bound(task.instance.length_ratio().unwrap_or(1.0));
+        assert!(ratio <= bound, "{}: ratio {ratio:.3} escapes {bound:.3}", report.label);
+        ratios.entry((family.name(), task.algo.name())).or_default().push(ratio);
+    }
+    assert_eq!(ratios.len(), rows.len());
+    for &(family, alg, geo, worst) in &rows {
+        let rs = &ratios[&(family, alg)];
+        assert_eq!(rs.len(), 12, "{family}/{alg}");
+        let geo_mean = (rs.iter().map(|r| r.ln()).sum::<f64>() / rs.len() as f64).exp();
+        let max = rs.iter().cloned().fold(0.0f64, f64::max);
+        assert_eq!(format!("{geo_mean:.3}"), geo, "{family}/{alg} geo-mean ratio");
+        assert_eq!(format!("{max:.3}"), worst, "{family}/{alg} worst ratio");
+    }
+}
