@@ -17,24 +17,13 @@
 //! pool size (default: hardware parallelism). Results are deterministic —
 //! identical tables — for every thread count (`docs/engine.md`).
 //!
-//! Three extra modes ride along:
-//!
-//! * `bench-snapshot` (selector, excluded from `all`) re-times the
-//!   benchmark grid (`reduction`, `lsa`, `tm`) single-threaded, plus the
-//!   `dense` small-n rows (thousands of tiny cells through a 4-thread
-//!   engine — the executor-overhead gauge), and writes the
-//!   schema-versioned median-wall-clock snapshot to `BENCH_e6.json`
-//!   (`--bench-out FILE` overrides);
-//! * `bench-compare --baseline A.json --candidate B.json` diffs two
-//!   snapshots cell by cell and exits nonzero when any cell regressed by
-//!   more than `--tolerance PCT` (default 25%) — the CI perf gate;
-//! * `--trace FILE` (needs a `--features instrument` build) arms the full
-//!   trace record and writes the Chrome trace-event JSON of everything the
-//!   harness ran; see `docs/observability.md`.
+//! `--trace FILE` (needs a `--features instrument` build) arms the full
+//! trace record and writes the Chrome trace-event JSON of everything the
+//! harness ran; see `docs/observability.md`.
 
 use std::collections::BTreeMap;
 
-use pobp::cli::{flag_value, has_flag, instrument_flags, parse_num};
+use pobp::cli::{flag_value, has_flag, instrument_flags, parse_num_strict};
 use pobp_bench::{geo_mean, lax_workload, log_base_k1, mixed_workload, small_workload};
 use pobp_core::{JobId, JobSet};
 use pobp_engine::{Algo, Engine, EngineConfig, GridSpec, SolveTask, TaskResult};
@@ -72,7 +61,7 @@ fn main() {
     let [trace_out] = instrument_flags(&args, ["--trace"]).unwrap_or_else(|e| die(e));
     #[cfg(feature = "instrument")]
     let _armed = trace_out.is_some().then(|| pobp_core::trace::arm(pobp_core::trace::Sink::Record));
-    let threads: usize = parse_num(&args, "--threads", 0usize).unwrap_or_else(|e| die(e));
+    let threads: usize = parse_num_strict(&args, "--threads", 0usize).unwrap_or_else(|e| die(e));
     // The ladder is armed so a misbehaving solver degrades a table row to
     // the polynomial fallback (flagged on stderr) instead of killing the
     // whole harness run.
@@ -80,9 +69,7 @@ fn main() {
     let is_flag_or_value = |i: usize| {
         args[i].starts_with("--")
             || (i > 0
-                && ["--obs-out", "--threads", "--trace", "--bench-out", "--baseline",
-                    "--candidate", "--tolerance"]
-                    .contains(&args[i - 1].as_str()))
+                && ["--obs-out", "--threads", "--trace"].contains(&args[i - 1].as_str()))
     };
     let selectors: Vec<&String> =
         (0..args.len()).filter(|&i| !is_flag_or_value(i)).map(|i| &args[i]).collect();
@@ -106,38 +93,7 @@ fn main() {
         ("e12", "Motivation: context-switch cost crossover", |_| e12_switch_cost()),
         ("e13", "Online arrival: empirical competitive ratios vs OPT_k oracle", e13_online),
     ];
-    // `bench-snapshot` is an explicit mode, not part of `all`: it re-times
-    // the E4 grid and snapshots the medians for regression tracking.
-    if selectors.iter().any(|s| *s == "bench-snapshot") {
-        let out = flag_value(&args, "--bench-out")
-            .unwrap_or_else(|e| die(e))
-            .unwrap_or_else(|| "BENCH_e6.json".into());
-        if let Err(e) = bench_snapshot(&out) {
-            die(e);
-        }
-    }
-    // `bench-compare` diffs two snapshots cell by cell and exits nonzero on
-    // a regression beyond tolerance — the CI perf gate.
-    if selectors.iter().any(|s| *s == "bench-compare") {
-        let baseline = flag_value(&args, "--baseline")
-            .unwrap_or_else(|e| die(e))
-            .unwrap_or_else(|| die("bench-compare needs --baseline FILE"));
-        let candidate = flag_value(&args, "--candidate")
-            .unwrap_or_else(|e| die(e))
-            .unwrap_or_else(|| die("bench-compare needs --candidate FILE"));
-        let tolerance: f64 = flag_value(&args, "--tolerance")
-            .unwrap_or_else(|e| die(e))
-            .map(|s| s.parse().unwrap_or_else(|e| die(format!("--tolerance: {e}"))))
-            .unwrap_or(25.0);
-        match bench_compare(&baseline, &candidate, tolerance) {
-            Ok(true) => {}
-            Ok(false) => std::process::exit(1),
-            Err(e) => die(e),
-        }
-    }
     for (name, title, f) in experiments {
-        // A bare `bench-snapshot` invocation leaves `selectors` non-empty,
-        // so no e* experiment matches and only the snapshot runs.
         if run(name) {
             println!("\n################ {name}: {title} ################\n");
             f(&engine);
@@ -164,278 +120,6 @@ fn main() {
             println!("(note: built without --features instrument — all counters are empty)");
         }
     }
-}
-
-
-/// Schema version of the `BENCH_*.json` snapshot — bump on any shape
-/// change so downstream diffing can refuse to compare across versions.
-/// Schema 2 adds the top-level `algs` list and a per-cell `alg` field.
-const BENCH_SCHEMA_VERSION: u32 = 2;
-
-/// Algorithms timed by `bench-snapshot`.
-const BENCH_ALGS: [&str; 3] = ["reduction", "lsa", "tm"];
-
-/// The dense-grid scheduler-overhead rows: per `(n, k)` cell, one engine
-/// batch of this many tiny tasks (distinct seeds) at [`DENSE_THREADS`]
-/// workers, with a contiguous run of [`DENSE_FLAKY`] always-panicking
-/// tasks retried under backoff. The solves are microseconds each, so the
-/// batch wall-clock is dominated by executor behaviour — claim path,
-/// report collection, retry requeueing — which is exactly what these rows
-/// gate.
-const DENSE_NS: [usize; 2] = [4, 6];
-/// Budgets crossed with [`DENSE_NS`] for the dense rows.
-const DENSE_KS: [u32; 2] = [1, 2];
-/// Tasks per dense cell (seeds `0..DENSE_CELL_TASKS`).
-const DENSE_CELL_TASKS: usize = 4000;
-/// Always-panicking tasks sprinkled through each dense cell. Each one is
-/// retried [`DENSE_RETRIES`] times with [`DENSE_BACKOFF_MS`] exponential
-/// backoff — an executor that sleeps the backoff out in the worker loses
-/// the slot for milliseconds per attempt; one that requeues with a
-/// not-before timestamp keeps draining the batch.
-const DENSE_FLAKY: usize = 16;
-/// Retry budget for the dense cells.
-const DENSE_RETRIES: u32 = 2;
-/// Base backoff (doubles per attempt) for the dense cells, in ms.
-const DENSE_BACKOFF_MS: u64 = 2;
-/// Worker threads for the dense rows (the standard rows stay at 1).
-const DENSE_THREADS: usize = 4;
-/// Timed repetitions per dense cell; the median is recorded.
-const DENSE_REPS: usize = 5;
-
-/// `bench-snapshot`: re-times the benchmark grid single-threaded (no cache,
-/// no degradation — pure solver wall-clock) and writes the median per grid
-/// cell to `path` as schema-versioned JSON. `reduction` and `lsa` run full
-/// engine tasks on the E4 mixed workload; `tm` times the bare k-BAS dynamic
-/// program on the schedule forest derived from the same workload (the
-/// forest build is outside the timed region). Medians over 5 seeds keep the
-/// snapshot robust to one-off scheduler noise; the snapshot is a coarse
-/// regression tripwire, not a Criterion replacement (those benches live in
-/// `crates/bench/benches/`).
-///
-/// A fourth `dense` row family times the *executor*, not the solvers: per
-/// `(n, k)` cell with tiny `n`, one [`DENSE_THREADS`]-worker engine batch of
-/// [`DENSE_CELL_TASKS`] microsecond-scale `K0` tasks, cache off, plus a
-/// contiguous run of [`DENSE_FLAKY`] always-panicking tasks retried with
-/// exponential backoff (a failing parameter region of a sweep, where
-/// retries are correlated). Those rows gate scheduler behaviour (claim
-/// path, stealing, report collection, and above all backoff handling: a
-/// pool that sleeps backoffs out in the worker stalls outright on the
-/// flaky region) — a regression there means batch dispatch got slower even
-/// if every solver is unchanged.
-fn bench_snapshot(path: &str) -> Result<(), String> {
-    const NS: [usize; 3] = [20, 40, 80];
-    const KS: [u32; 4] = [0, 1, 2, 4];
-    const SEEDS: u64 = 5;
-    let engine = Engine::new(EngineConfig {
-        threads: 1,
-        use_cache: false,
-        degrade: false,
-        ..EngineConfig::default()
-    });
-    let mut cells = Vec::new();
-    for alg in BENCH_ALGS {
-        for &n in &NS {
-            for &k in &KS {
-                let mut runs_ns: Vec<u128> = (0..SEEDS)
-                    .map(|seed| match alg {
-                        "reduction" | "lsa" => {
-                            let engine_alg =
-                                if alg == "reduction" { Algo::Reduction } else { Algo::LsaCs };
-                            let task = SolveTask::new(mixed_workload(n, seed).0, k, engine_alg);
-                            let t0 = std::time::Instant::now();
-                            let batch = engine.run_batch(std::slice::from_ref(&task));
-                            let dt = t0.elapsed().as_nanos();
-                            assert!(
-                                batch.reports[0].result.output().is_some(),
-                                "bench-snapshot cell alg={alg} n={n} k={k} seed={seed} \
-                                 did not complete"
-                            );
-                            dt
-                        }
-                        "tm" => {
-                            // Forest build (greedy reference → laminarize →
-                            // schedule forest) stays outside the timer.
-                            let (jobs, ids) = mixed_workload(n, seed);
-                            let inf = greedy_unbounded(&jobs, &ids);
-                            let plan = ReductionPlan::new(&jobs, &inf.schedule)
-                                .expect("greedy reference is feasible");
-                            let t0 = std::time::Instant::now();
-                            let res = tm(&plan.forest.forest, k);
-                            let dt = t0.elapsed().as_nanos();
-                            assert!(res.value >= 0.0);
-                            dt
-                        }
-                        _ => unreachable!("unknown bench alg"),
-                    })
-                    .collect();
-                runs_ns.sort_unstable();
-                let median_ns = runs_ns[runs_ns.len() / 2];
-                eprintln!("bench-snapshot: alg={alg} n={n} k={k} median {median_ns} ns");
-                cells.push(format!(
-                    "    {{\"alg\": \"{alg}\", \"n\": {n}, \"k\": {k}, \"median_ns\": {median_ns}}}"
-                ));
-            }
-        }
-    }
-    // Dense scheduler-overhead rows: thousands of tiny tasks per batch at
-    // DENSE_THREADS workers, so per-task executor overhead — not solver
-    // time — dominates the cell.
-    let dense_engine = Engine::new(EngineConfig {
-        threads: DENSE_THREADS,
-        use_cache: false,
-        degrade: false,
-        max_retries: DENSE_RETRIES,
-        backoff: std::time::Duration::from_millis(DENSE_BACKOFF_MS),
-        ..EngineConfig::default()
-    });
-    for &n in &DENSE_NS {
-        for &k in &DENSE_KS {
-            // `K0` is the cheapest certified solver path, so the cell is
-            // executor-bound. The flaky run is *contiguous* — modelling a
-            // failing parameter region of a sweep grid, where retries are
-            // correlated: an executor that sleeps backoffs out in the
-            // worker has every worker asleep at once when it hits the
-            // region, while a not-before requeue keeps draining the batch.
-            let mut tasks: Vec<SolveTask> = (0..DENSE_CELL_TASKS)
-                .map(|seed| SolveTask::new(small_workload(n, seed as u64).0, k, Algo::K0))
-                .collect();
-            for f in 0..DENSE_FLAKY {
-                let at = 64 + f;
-                let mut bad =
-                    SolveTask::new(tasks[at].instance.clone(), k, Algo::PanicForTest);
-                bad.label = format!("flaky@{at}");
-                tasks[at] = bad;
-            }
-            let mut runs_ns: Vec<u128> = (0..DENSE_REPS)
-                .map(|rep| {
-                    let t0 = std::time::Instant::now();
-                    let batch = dense_engine.run_batch(&tasks);
-                    let dt = t0.elapsed().as_nanos();
-                    assert_eq!(
-                        batch.stats.run + batch.stats.panicked,
-                        tasks.len(),
-                        "dense cell n={n} k={k} rep={rep} lost tasks"
-                    );
-                    assert_eq!(batch.stats.panicked, DENSE_FLAKY);
-                    dt
-                })
-                .collect();
-            runs_ns.sort_unstable();
-            let median_ns = runs_ns[runs_ns.len() / 2];
-            eprintln!(
-                "bench-snapshot: alg=dense n={n} k={k} ({DENSE_CELL_TASKS} tasks, \
-                 {DENSE_THREADS} threads) median {median_ns} ns"
-            );
-            cells.push(format!(
-                "    {{\"alg\": \"dense\", \"n\": {n}, \"k\": {k}, \"median_ns\": {median_ns}}}"
-            ));
-        }
-    }
-    let algs_json: Vec<String> =
-        BENCH_ALGS.iter().chain(std::iter::once(&"dense")).map(|a| format!("\"{a}\"")).collect();
-    let json = format!(
-        "{{\n  \"schema\": {BENCH_SCHEMA_VERSION},\n  \"experiment\": \"bench\",\n  \
-         \"algs\": [{}],\n  \"threads\": 1,\n  \"seeds\": {SEEDS},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        algs_json.join(", "),
-        cells.join(",\n")
-    );
-    std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-    println!("wrote bench snapshot to {path}");
-    Ok(())
-}
-
-/// One parsed snapshot cell: `(alg, n, k, median_ns)`.
-type BenchCell = (String, u64, u64, u128);
-
-/// Parses a `BENCH_*.json` snapshot (the exact format `bench_snapshot`
-/// writes — one cell object per line). Accepts schema 1 (no per-cell alg:
-/// inherits the file-level `"alg"`) and schema 2.
-fn parse_bench_snapshot(path: &str) -> Result<Vec<BenchCell>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let field_u = |line: &str, key: &str| -> Option<u128> {
-        let at = line.find(&format!("\"{key}\""))?;
-        let rest = &line[at..];
-        let digits: String =
-            rest.chars().skip_while(|c| !c.is_ascii_digit()).take_while(char::is_ascii_digit).collect();
-        digits.parse().ok()
-    };
-    let field_s = |line: &str, key: &str| -> Option<String> {
-        let at = line.find(&format!("\"{key}\""))?;
-        let rest = &line[at + key.len() + 2..];
-        let open = rest.find('"')?;
-        let rest = &rest[open + 1..];
-        Some(rest[..rest.find('"')?].to_string())
-    };
-    let schema = field_u(&text, "schema").ok_or_else(|| format!("{path}: no \"schema\" field"))?;
-    if schema > BENCH_SCHEMA_VERSION as u128 {
-        return Err(format!(
-            "{path}: snapshot schema {schema} is newer than supported {BENCH_SCHEMA_VERSION}"
-        ));
-    }
-    // Schema 1 stamps one file-level alg; cells inherit it.
-    let file_alg = field_s(text.lines().find(|l| l.contains("\"alg\"")).unwrap_or(""), "alg");
-    let mut cells = Vec::new();
-    for line in text.lines() {
-        if !line.contains("\"median_ns\"") {
-            continue;
-        }
-        let alg = field_s(line, "alg")
-            .or_else(|| file_alg.clone())
-            .ok_or_else(|| format!("{path}: cell without alg: {line}"))?;
-        let n =
-            field_u(line, "n").ok_or_else(|| format!("{path}: cell without n: {line}"))? as u64;
-        let k = field_u(line, "k").ok_or_else(|| format!("{path}: cell without k: {line}"))? as u64;
-        let median = field_u(line, "median_ns")
-            .ok_or_else(|| format!("{path}: cell without median_ns: {line}"))?;
-        cells.push((alg, n, k, median));
-    }
-    if cells.is_empty() {
-        return Err(format!("{path}: no cells found"));
-    }
-    Ok(cells)
-}
-
-/// `bench-compare`: prints per-cell `candidate / baseline` wall-clock
-/// ratios for every `(alg, n, k)` cell present in both snapshots and
-/// returns `Ok(false)` when any cell regressed by more than `tolerance`
-/// percent — the CI perf gate. The tolerance (default 25%) absorbs shared
-/// runner noise; genuine algorithmic regressions blow well past it.
-fn bench_compare(baseline: &str, candidate: &str, tolerance: f64) -> Result<bool, String> {
-    let base = parse_bench_snapshot(baseline)?;
-    let cand = parse_bench_snapshot(candidate)?;
-    println!("bench-compare: {candidate} vs {baseline} (tolerance {tolerance}%)\n");
-    println!("       alg |     n | k |   baseline ns |  candidate ns | ratio | status");
-    println!("-----------+-------+---+---------------+---------------+-------+-------");
-    let mut regressions = 0usize;
-    let mut compared = 0usize;
-    for (alg, n, k, base_ns) in &base {
-        let Some((_, _, _, cand_ns)) =
-            cand.iter().find(|(a, cn, ck, _)| a == alg && cn == n && ck == k)
-        else {
-            println!("{alg:>10} | {n:5} | {k} | {base_ns:13} |       missing |     - | SKIP");
-            continue;
-        };
-        compared += 1;
-        let ratio = *cand_ns as f64 / (*base_ns).max(1) as f64;
-        let status = if ratio > 1.0 + tolerance / 100.0 {
-            regressions += 1;
-            "REGRESSED"
-        } else if ratio < 1.0 - tolerance / 100.0 {
-            "improved"
-        } else {
-            "ok"
-        };
-        println!("{alg:>10} | {n:5} | {k} | {base_ns:13} | {cand_ns:13} | {ratio:5.2} | {status}");
-    }
-    if compared == 0 {
-        return Err("no comparable cells between the two snapshots".into());
-    }
-    if regressions > 0 {
-        println!("\nbench-compare: {regressions} cell(s) regressed beyond {tolerance}%");
-        return Ok(false);
-    }
-    println!("\nbench-compare: no regression beyond {tolerance}% across {compared} cells");
-    Ok(true)
 }
 
 fn e1_laminar() {

@@ -8,6 +8,7 @@ use pobp_engine::{
     instance_hash, run_batch, Algo, CertStage, DegradeCause, Engine, EngineConfig, GridSpec,
     SolveTask, TaskResult,
 };
+use pobp_instances::RandomWorkload;
 
 /// One worker thread and no retry: the fully sequential reference setup.
 fn sequential() -> EngineConfig {
@@ -78,6 +79,45 @@ fn retry_accounting_is_bounded() {
     assert!(matches!(r.result, TaskResult::Panicked { .. }));
     assert_eq!(batch.stats.retried, 2);
     assert_eq!(batch.stats.panicked, 1);
+}
+
+/// A panicking task's backoff is a not-before requeue, not a sleep that
+/// holds the worker: one worker with a contiguous run of flaky tasks keeps
+/// draining the batch while their retries wait, so the 16 backoffs overlap
+/// instead of adding up to 16 × 100 ms.
+#[test]
+fn retry_backoff_requeues_instead_of_holding_the_worker() {
+    const FLAKY: usize = 16;
+    const BACKOFF: Duration = Duration::from_millis(100);
+    let mut tasks: Vec<SolveTask> = (0..64)
+        .map(|seed| SolveTask::new(RandomWorkload::standard(4).generate(seed), 0, Algo::K0))
+        .collect();
+    let flaky: Vec<SolveTask> = (0..FLAKY)
+        .map(|i| SolveTask::new(tasks[i].instance.clone(), 0, Algo::PanicForTest))
+        .collect();
+    tasks.splice(8..8, flaky);
+    let cfg = EngineConfig {
+        threads: 1,
+        max_retries: 1,
+        backoff: BACKOFF,
+        use_cache: false,
+        ..EngineConfig::default()
+    };
+    let t0 = std::time::Instant::now();
+    let batch = run_batch(&tasks, cfg);
+    let elapsed = t0.elapsed();
+    for (i, r) in batch.reports.iter().enumerate() {
+        if (8..8 + FLAKY).contains(&i) {
+            assert!(matches!(r.result, TaskResult::Panicked { .. }), "task {i}: {:?}", r.result);
+            assert_eq!(r.attempts, 2, "task {i}: 1 attempt + 1 retry");
+        } else {
+            assert!(matches!(r.result, TaskResult::Done(_)), "task {i}: {:?}", r.result);
+        }
+    }
+    assert!(
+        elapsed < BACKOFF * FLAKY as u32 / 2,
+        "{FLAKY} backoffs of {BACKOFF:?} took {elapsed:?}: the worker slept them out"
+    );
 }
 
 #[test]

@@ -54,7 +54,7 @@ use crate::journal::{recovery_json, Journal, RecoveryReport, DEFAULT_COMPACT_EVE
 use crate::json::{obj, Json};
 use crate::registry::{Event, JobRecord, Registry};
 #[cfg(feature = "instrument")]
-use crate::telemetry::TelemetryOptions;
+use crate::telemetry::{TelemetryOptions, WINDOW_SAMPLES};
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -68,9 +68,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Admission bound: maximum jobs in [`JobStatus::Queued`] at once.
     pub queue_cap: usize,
-    /// Engine threads per job (`0` = hardware parallelism). Kept at 1 by
-    /// default so `workers` is the daemon's parallelism knob.
-    pub engine_threads: usize,
     /// Arm the engine's graceful-degradation ladder for deadline overruns
     /// (see `docs/robustness.md`).
     pub degrade: bool,
@@ -80,7 +77,7 @@ pub struct ServiceConfig {
     /// docs/sweeps.md) under the journal's appends and compactions.
     #[cfg(feature = "chaos")]
     pub chaos: Option<Arc<pobp_engine::FaultPlan>>,
-    /// Live-telemetry knobs: sampler period, window size, flight-dump
+    /// Live-telemetry knobs: sampler period, scrape address, flight-dump
     /// directory (docs/observability.md).
     #[cfg(feature = "instrument")]
     pub telemetry: TelemetryOptions,
@@ -92,7 +89,6 @@ impl Default for ServiceConfig {
             dir: PathBuf::from("pobp-serve-registry"),
             workers: 2,
             queue_cap: 64,
-            engine_threads: 1,
             degrade: false,
             compact_every: DEFAULT_COMPACT_EVERY,
             #[cfg(feature = "chaos")]
@@ -325,7 +321,7 @@ impl Service {
             #[cfg(feature = "instrument")]
             telemetry: Telemetry {
                 started: Instant::now(),
-                window: Mutex::new(MetricsWindow::new(cfg.telemetry.window.max(2))),
+                window: Mutex::new(MetricsWindow::new(WINDOW_SAMPLES)),
                 latency_ms: LogHistogram::new(),
                 per_alg_done: Mutex::new(BTreeMap::new()),
                 flight_seq: AtomicU64::new(flight_seq.unwrap_or(0)),
@@ -907,7 +903,9 @@ fn worker_loop(inner: &Inner) {
             #[cfg_attr(not(feature = "chaos"), allow(unused_mut))]
             let mut engine = Engine::with_shared_cache(
                 EngineConfig {
-                    threads: inner.cfg.engine_threads,
+                    // A job is a one-task batch: `workers` is the daemon's
+                    // parallelism.
+                    threads: 1,
                     deadline: spec.deadline_ms.map(Duration::from_millis),
                     degrade: inner.cfg.degrade,
                     ..EngineConfig::default()

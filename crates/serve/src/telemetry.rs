@@ -41,6 +41,10 @@ const MAX_REQUEST_HEAD: u64 = 8 * 1024;
 /// hold the serial listener indefinitely; this bounds the head as a whole.
 const REQUEST_HEAD_DEADLINE: Duration = Duration::from_secs(5);
 
+/// Samples retained in the window ring; with the default period the
+/// derived rates are trailing averages over ≈ this many seconds.
+pub(crate) const WINDOW_SAMPLES: usize = 60;
+
 /// Live-telemetry knobs (all optional; the defaults sample once a second
 /// with no scrape listener and no flight directory).
 #[derive(Clone, Debug)]
@@ -49,9 +53,6 @@ pub struct TelemetryOptions {
     /// thread entirely (the `metrics` op then samples on demand — the
     /// deterministic-test mode).
     pub sample_ms: u64,
-    /// Samples retained in the window ring; with the default period the
-    /// derived rates are trailing averages over ≈ this many seconds.
-    pub window: usize,
     /// Directory for flight-recorder dumps (created if missing). `None`
     /// disables automatic dumps and the `dump-flight` op.
     pub flight_dir: Option<PathBuf>,
@@ -64,7 +65,7 @@ pub struct TelemetryOptions {
 
 impl Default for TelemetryOptions {
     fn default() -> Self {
-        TelemetryOptions { sample_ms: 1000, window: 60, flight_dir: None, metrics_addr: None }
+        TelemetryOptions { sample_ms: 1000, flight_dir: None, metrics_addr: None }
     }
 }
 

@@ -25,7 +25,6 @@ fn cfg(dir: &Path, workers: usize, queue_cap: usize) -> ServiceConfig {
         dir: dir.to_path_buf(),
         workers,
         queue_cap,
-        engine_threads: 1,
         degrade: false,
         compact_every: 10_000,
         #[cfg(feature = "chaos")]

@@ -36,7 +36,6 @@ impl TestDaemon {
             dir: dir.clone(),
             workers,
             queue_cap,
-            engine_threads: 1,
             degrade: false,
             compact_every: 256,
             #[cfg(feature = "chaos")]

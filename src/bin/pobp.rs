@@ -13,10 +13,7 @@
 //! The instance format is the one of `pobp::prelude::{write_jobs, parse_jobs}`:
 //! one `release deadline length value` line per job.
 
-use pobp::cli::{
-    flag, flag_value, has_flag, instrument_flags, parse_num, parse_num_list_strict,
-    parse_num_strict,
-};
+use pobp::cli::{flag_value, has_flag, instrument_flags, parse_num_list_strict, parse_num_strict};
 use pobp::prelude::*;
 use pobp::sweep::rows::{format_row, json_escape};
 use std::io::Read;
@@ -137,7 +134,7 @@ USAGE:
               [--trace FILE] [--trace-logical FILE]
                                                  (competitive-ratio lab, JSON lines)
   pobp serve [--addr HOST:PORT] [--dir DIR] [--workers N] [--queue-cap N]
-             [--engine-threads N] [--degrade] [--compact-every N]
+             [--degrade] [--compact-every N]
              [--metrics-addr HOST:PORT] [--sample-ms MS] [--flight-dir DIR]
                                                  (scheduling daemon, docs/serve.md)
 
@@ -209,24 +206,24 @@ fn usage() -> String {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let kind = flag(args, "--kind").ok_or("gen needs --kind")?;
+    let kind = flag_value(args, "--kind")?.ok_or("gen needs --kind")?;
     let jobs = match kind.as_str() {
         "fig2" => {
-            let n: u32 = parse_num(args, "--n", 8u32)?;
+            let n: u32 = parse_num_strict(args, "--n", 8u32)?;
             Fig2Instance::new(n).build()
         }
         "fig4" => {
-            let k: u32 = parse_num(args, "--k", 1u32)?;
-            let depth: u32 = parse_num(args, "--depth", 3u32)?;
+            let k: u32 = parse_num_strict(args, "--k", 1u32)?;
+            let depth: u32 = parse_num_strict(args, "--depth", 3u32)?;
             Fig4Instance::for_k(k.max(1), depth).build().jobs
         }
         "random" => {
-            let n: usize = parse_num(args, "--n", 30usize)?;
-            let seed: u64 = parse_num(args, "--seed", 0u64)?;
+            let n: usize = parse_num_strict(args, "--n", 30usize)?;
+            let seed: u64 = parse_num_strict(args, "--seed", 0u64)?;
             RandomWorkload::standard(n).generate(seed)
         }
         "periodic" => {
-            let seed: u64 = parse_num(args, "--seed", 0u64)?;
+            let seed: u64 = parse_num_strict(args, "--seed", 0u64)?;
             // A few standard tasks, jittered by the seed.
             let s = seed as i64 % 5;
             TaskSet::new(vec![
@@ -257,8 +254,10 @@ fn read_stdin_jobs() -> Result<JobSet, String> {
 
 fn cmd_solve(args: &[String]) -> Result<(), String> {
     let trace = TraceFiles::arm(args)?;
-    let k: u32 = parse_num(args, "--k", 1u32)?;
-    let alg = flag(args, "--alg").unwrap_or_else(|| "combined".into());
+    let k: u32 = parse_num_strict(args, "--k", 1u32)?;
+    let alg = flag_value(args, "--alg")?.unwrap_or_else(|| "combined".into());
+    let svg_out = flag_value(args, "--svg")?;
+    let schedule_out = flag_value(args, "--out")?;
     let jobs = read_stdin_jobs()?;
     let ids: Vec<JobId> = jobs.ids().collect();
 
@@ -304,12 +303,12 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         println!();
         print!("{}", render_gantt(&jobs, &schedule, RenderOptions::default()));
     }
-    if let Some(path) = flag(args, "--svg") {
+    if let Some(path) = svg_out {
         let svg = render_svg(&jobs, &schedule, SvgOptions::default());
         std::fs::write(&path, svg).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote {path}");
     }
-    if let Some(path) = flag(args, "--out") {
+    if let Some(path) = schedule_out {
         std::fs::write(&path, write_schedule(&schedule))
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote {path}");
@@ -318,7 +317,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_price(args: &[String]) -> Result<(), String> {
-    let k: u32 = parse_num(args, "--k", 1u32)?;
+    let k: u32 = parse_num_strict(args, "--k", 1u32)?;
     let jobs = read_stdin_jobs()?;
     if jobs.len() > 20 {
         return Err(format!(
@@ -348,9 +347,9 @@ fn cmd_price(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sim(args: &[String]) -> Result<(), String> {
-    let delta: i64 = parse_num(args, "--delta", 0i64)?;
-    let k: u32 = parse_num(args, "--k", 1u32)?;
-    let policy = match flag(args, "--policy").as_deref().unwrap_or("edf") {
+    let delta: i64 = parse_num_strict(args, "--delta", 0i64)?;
+    let k: u32 = parse_num_strict(args, "--k", 1u32)?;
+    let policy = match flag_value(args, "--policy")?.as_deref().unwrap_or("edf") {
         "edf" => Policy::Edf,
         "budget" => Policy::EdfBudget(k),
         "nonpre" => Policy::NonPreemptive,
@@ -392,8 +391,8 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_choose_k(args: &[String]) -> Result<(), String> {
-    let delta: i64 = parse_num(args, "--delta", 2i64)?;
-    let k_max: u32 = parse_num(args, "--kmax", 4u32)?;
+    let delta: i64 = parse_num_strict(args, "--delta", 2i64)?;
+    let k_max: u32 = parse_num_strict(args, "--kmax", 4u32)?;
     let jobs = read_stdin_jobs()?;
     let ids: Vec<JobId> = jobs.ids().collect();
     let inf = greedy_unbounded(&jobs, &ids);
@@ -444,7 +443,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     if resume && out_dir.is_none() {
         return Err("--resume needs --out DIR (the checkpoint directory)".into());
     }
-    let alg_name = flag(args, "--alg").unwrap_or_else(|| "reduction".into());
+    let alg_name = flag_value(args, "--alg")?.unwrap_or_else(|| "reduction".into());
     let algo = Algo::parse(&alg_name)
         .ok_or_else(|| format!("unknown --alg {alg_name} (try reduction|combined|lsa|k0)"))?;
     let exact_ref = has_flag(args, "--exact-ref");
@@ -452,7 +451,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         return Err("--machines must be at least 1".into());
     }
     #[cfg(not(feature = "chaos"))]
-    if flag(args, "--chaos").is_some() || flag(args, "--chaos-seed").is_some() {
+    if has_flag(args, "--chaos") || has_flag(args, "--chaos-seed") {
         return Err("--chaos/--chaos-seed need a binary built with --features chaos".into());
     }
     #[cfg(feature = "chaos")]
@@ -583,7 +582,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 /// durations, no cache flags — so `--threads 1` and `--threads 4` emit
 /// byte-identical bytes.
 fn cmd_online(args: &[String]) -> Result<(), String> {
-    let families: Vec<ZooFamily> = match flag(args, "--families") {
+    let families: Vec<ZooFamily> = match flag_value(args, "--families")? {
         Some(v) => v
             .split(',')
             .map(|s| {
@@ -602,7 +601,7 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
     let deadline_ms: u64 = parse_num_strict(args, "--deadline-ms", 0u64)?;
     let retries: u32 = parse_num_strict(args, "--retries", 1u32)?;
     let exact_ref = has_flag(args, "--exact-ref");
-    let algs: Vec<Algo> = match flag(args, "--alg").as_deref().unwrap_or("all") {
+    let algs: Vec<Algo> = match flag_value(args, "--alg")?.as_deref().unwrap_or("all") {
         "all" => vec![Algo::OnlineDjn, Algo::OnlineGreedy, Algo::OnlineEdf],
         name => {
             let long = format!("online-{name}");
@@ -617,7 +616,7 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
         return Err("empty grid: every one of --families/--n/--k/--seeds needs a value".into());
     }
     #[cfg(not(feature = "chaos"))]
-    if flag(args, "--chaos").is_some() || flag(args, "--chaos-seed").is_some() {
+    if has_flag(args, "--chaos") || has_flag(args, "--chaos-seed") {
         return Err("--chaos/--chaos-seed need a binary built with --features chaos".into());
     }
     #[cfg(feature = "chaos")]
@@ -788,7 +787,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let addr = flag_value(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7411".into());
     let dir = flag_value(args, "--dir")?.unwrap_or_else(|| "pobp-serve-registry".into());
     #[cfg(not(feature = "chaos"))]
-    if flag(args, "--chaos").is_some() || flag(args, "--chaos-seed").is_some() {
+    if has_flag(args, "--chaos") || has_flag(args, "--chaos-seed") {
         return Err("--chaos/--chaos-seed need a binary built with --features chaos".into());
     }
     #[cfg(feature = "chaos")]
@@ -813,7 +812,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         dir: dir.into(),
         workers: parse_num_strict(args, "--workers", 2usize)?.max(1),
         queue_cap: parse_num_strict(args, "--queue-cap", 64usize)?.max(1),
-        engine_threads: parse_num_strict(args, "--engine-threads", 1usize)?,
         degrade: has_flag(args, "--degrade"),
         compact_every: parse_num_strict(args, "--compact-every", 256u64)?,
         #[cfg(feature = "chaos")]
@@ -823,15 +821,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             sample_ms,
             flight_dir: flight_dir.map(std::path::PathBuf::from),
             metrics_addr,
-            ..pobp::serve::TelemetryOptions::default()
         },
     };
     pobp::serve::run_server(&addr, cfg).map_err(|e| format!("serve: {e}"))
 }
 
 fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let delta: i64 = parse_num(args, "--delta", 0i64)?;
-    let plan_path = flag(args, "--plan").ok_or("replay needs --plan FILE")?;
+    let delta: i64 = parse_num_strict(args, "--delta", 0i64)?;
+    let plan_path = flag_value(args, "--plan")?.ok_or("replay needs --plan FILE")?;
     let jobs = read_stdin_jobs()?;
     let plan_text =
         std::fs::read_to_string(&plan_path).map_err(|e| format!("reading {plan_path}: {e}"))?;

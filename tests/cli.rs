@@ -185,6 +185,16 @@ fn sim_trace_flag_dumps_events() {
     assert!(out.contains("Complete"), "{out}");
 }
 
+/// A trailing `--delta` is a usage error, not a silent run at switch cost 0.
+#[test]
+fn sim_delta_without_a_value_errors() {
+    let (instance, _, _) = run(&["gen", "--kind", "periodic"]);
+    let (out, err, ok) =
+        run_with_stdin(&["sim", "--policy", "budget", "--k", "1", "--delta"], &instance);
+    assert!(!ok, "a trailing --delta was accepted:\n{out}");
+    assert!(err.contains("--delta needs a value"), "{err}");
+}
+
 #[test]
 fn gen_solve_roundtrip_all_kinds() {
     for kind in ["fig2", "fig4", "random", "periodic"] {
@@ -211,6 +221,17 @@ fn solve_svg_writes_file() {
     let svg = std::fs::read_to_string(&path).unwrap();
     assert!(svg.starts_with("<svg"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--svg` followed by another flag is a usage error before any output,
+/// not an SVG written to a file named after that flag.
+#[test]
+fn solve_svg_without_a_value_errors_before_any_output() {
+    let (instance, _, _) = run(&["gen", "--kind", "fig2", "--n", "4"]);
+    let (out, err, ok) = run_with_stdin(&["solve", "--k", "1", "--svg", "--gantt"], &instance);
+    assert!(!ok, "--svg took --gantt as its value:\n{out}");
+    assert!(err.contains("--svg needs a value"), "{err}");
+    assert!(out.is_empty(), "{out}");
 }
 
 #[test]
