@@ -16,27 +16,34 @@ pub fn greedy_unbounded(jobs: &JobSet, ids: &[JobId]) -> EdfOutcome {
     greedy_unbounded_ws(jobs, ids, &mut SolveWorkspace::new())
 }
 
-/// [`greedy_unbounded`] with caller-provided scratch memory: the `n` EDF
-/// feasibility probes all share one [`SolveWorkspace`], which is what makes
-/// this baseline cheap enough to run per task inside the engine.
+/// [`greedy_unbounded`] with caller-provided scratch memory. Each of the
+/// `n` yes/no questions is a feasibility probe that builds no schedule and
+/// simulates only the busy period its candidate lands in; EDF builds one
+/// schedule, of the accepted set, at the end. EDF decides feasibility
+/// exactly, so the accepted set and the schedule are the ones a full EDF
+/// run per candidate would give.
+///
+/// # Panics
+/// When `ids` names one job twice and its first copy was accepted.
 pub fn greedy_unbounded_ws(jobs: &JobSet, ids: &[JobId], ws: &mut SolveWorkspace) -> EdfOutcome {
-    let mut order = ids.to_vec();
-    order.sort_by(|&a, &b| {
+    let probe = &mut ws.probe;
+    probe.begin();
+    probe.order.extend_from_slice(ids);
+    probe.order.sort_by(|&a, &b| {
         jobs.job(b)
             .density()
             .partial_cmp(&jobs.job(a).density())
             .expect("finite densities")
             .then(a.cmp(&b))
     });
-    let mut accepted: Vec<JobId> = Vec::new();
-    for j in order {
-        accepted.push(j);
-        if !edf_core(jobs, &accepted, None, &mut ws.edf).is_feasible() {
-            accepted.pop();
-        }
+    for i in 0..probe.order.len() {
+        let j = probe.order[i];
+        probe.try_add(jobs, j);
     }
-    accepted.sort_unstable();
-    edf_core(jobs, &accepted, None, &mut ws.edf)
+    // `edf_core`'s output does not depend on the subset's order.
+    probe.order.clear();
+    probe.order.extend(probe.by_release.iter().map(|&(_, j)| j));
+    edf_core(jobs, &probe.order, None, &mut ws.edf)
 }
 
 /// Baseline: run unbounded EDF, then simply *drop* every job that ended up

@@ -5,8 +5,12 @@
 //! unbounded preemption iff EDF completes every job by its deadline. We use
 //! it in three roles:
 //!
-//! 1. **Feasibility oracle** — [`edf_feasible`] decides Definition 2.1
-//!    feasibility of a subset, powering the exact `OPT_∞` branch-and-bound;
+//! 1. **Feasibility oracle** — a *probe*: EDF run for its verdict alone,
+//!    building no schedule. [`edf_feasible`] decides Definition 2.1
+//!    feasibility of a whole subset, and so does each node of the exact
+//!    `OPT_∞` branch-and-bound; [`crate::greedy_unbounded`] asks whether
+//!    one more job still fits, simulating only the busy period that job
+//!    lands in (see the busy-window argument on `ProbeScratch::try_add`);
 //! 2. **Witness generator** — [`edf_schedule`] produces the concrete
 //!    `∞`-preemptive schedule that the §4.1 reduction consumes;
 //! 3. **Laminarizer** — with a *machine availability* restriction,
@@ -22,9 +26,10 @@
 //! so it survives the availability-restricted variant. This is exactly the
 //! Figure 1 rearrangement invariant, and `laminar.rs` tests it.
 
-use crate::workspace::{EdfScratch, SolveWorkspace};
+use crate::workspace::{EdfScratch, ProbeScratch, SolveWorkspace};
 use pobp_core::{obs_count, Interval, JobId, JobSet, Schedule, SegmentSet, Time};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 /// Outcome of an EDF run.
@@ -226,14 +231,141 @@ pub(crate) fn edf_core(
 }
 
 /// Whether `subset` is `∞`-preemptively feasible on one machine
-/// (EDF is exact for this question).
+/// (EDF is exact for this question). A probe: it runs EDF for the verdict
+/// alone and builds no schedule. Duplicate ids panic, as in
+/// [`edf_schedule`].
 pub fn edf_feasible(jobs: &JobSet, subset: &[JobId]) -> bool {
-    edf_schedule(jobs, subset, None).is_feasible()
+    edf_feasible_ws(jobs, subset, &mut SolveWorkspace::new())
 }
 
 /// [`edf_feasible`] with caller-provided scratch memory.
 pub fn edf_feasible_ws(jobs: &JobSet, subset: &[JobId], ws: &mut SolveWorkspace) -> bool {
-    edf_core(jobs, subset, None, &mut ws.edf).is_feasible()
+    let ProbeScratch { by_release, pending, .. } = &mut ws.probe;
+    by_release.clear();
+    by_release.extend(subset.iter().map(|&j| (jobs.job(j).release, j)));
+    by_release.sort_unstable();
+    assert!(by_release.windows(2).all(|w| w[0] != w[1]), "duplicate job ids in EDF subset");
+    feasible_by_release(jobs, by_release, pending)
+}
+
+/// Whether the jobs of `by_release`, sorted by `(release, id)`, are
+/// feasible together: one probe over the whole set.
+pub(crate) fn feasible_by_release(
+    jobs: &JobSet,
+    by_release: &[(Time, JobId)],
+    pending: &mut BinaryHeap<Reverse<(Time, Time)>>,
+) -> bool {
+    obs_count!("sched.edf.probes");
+    let Some(&(last, _)) = by_release.last() else { return true };
+    drain_after(jobs, by_release.iter().copied(), by_release[0].0, last, pending).is_some()
+}
+
+/// Where `(release, id)` goes in the release-sorted `by_release`.
+///
+/// # Panics
+/// When that job is already there (two copies of one job).
+pub(crate) fn release_slot(by_release: &[(Time, JobId)], key: (Time, JobId)) -> usize {
+    by_release.binary_search(&key).expect_err("duplicate job ids in EDF subset")
+}
+
+/// The probe's EDF: runs `stream` (jobs in `(release, id)` order, none
+/// released before `from`, nothing pending at `from`) on one machine and
+/// returns the first instant after `past` at which every released job is
+/// done. `None` at the first job that can no longer meet its deadline —
+/// `edf_core`'s abort rule, and a certificate of infeasibility.
+///
+/// A pending job is just `(deadline, remaining)`: ties among equal
+/// deadlines may run in any order without changing the verdict, since every
+/// EDF order is feasibility-optimal. Runs stop at each release, so the
+/// drain this returns comes after every job released up to `past`.
+fn drain_after(
+    jobs: &JobSet,
+    stream: impl Iterator<Item = (Time, JobId)>,
+    from: Time,
+    past: Time,
+    pending: &mut BinaryHeap<Reverse<(Time, Time)>>,
+) -> Option<Time> {
+    pending.clear();
+    let mut stream = stream.peekable();
+    let mut t = from;
+    loop {
+        while let Some((_, j)) = stream.next_if(|&(r, _)| r <= t) {
+            let job = jobs.job(j);
+            pending.push(Reverse((job.deadline, job.length)));
+        }
+        let next_release = stream.peek().map(|&(r, _)| r);
+        let Some(mut top) = pending.peek_mut() else {
+            match next_release {
+                Some(r) => {
+                    t = r;
+                    continue;
+                }
+                None => return Some(t),
+            }
+        };
+        let Reverse((deadline, remaining)) = *top;
+        let done = t + remaining;
+        if done > deadline {
+            return None;
+        }
+        match next_release {
+            Some(r) if r < done => {
+                top.0 .1 = done - r;
+                t = r;
+            }
+            _ => {
+                PeekMut::pop(top);
+                t = done;
+                if pending.is_empty() && t > past {
+                    return Some(t);
+                }
+            }
+        }
+    }
+}
+
+impl ProbeScratch {
+    /// Adds `j` to the accepted set `by_release` iff the set stays
+    /// feasible, deciding it by simulating only the busy period `j` lands
+    /// in. Every accepted set is feasible, and `busy` holds its busy
+    /// periods, which depend on releases and lengths alone.
+    ///
+    /// **Busy window.** Let `b` be the start of the busy period holding
+    /// `r_j`, or `r_j` itself when the machine is idle at `r_j`. Nothing is
+    /// pending at `b`, and EDF before `r_j` never sees `j`, so EDF on the
+    /// set plus `j` is the old, feasible schedule up to `b`. From `b` the
+    /// probe runs EDF until the first instant `e > r_j` at which all
+    /// released work is done. A miss before `e` rejects `j`. Otherwise
+    /// `j` is accepted: adding work only grows the backlog, so the old
+    /// schedule has nothing pending at `e` either, and from `e` on the new
+    /// schedule is the old one. The set's busy periods inside `[b, e)`
+    /// become the one period `[b, e)`.
+    ///
+    /// # Panics
+    /// When `j` is already accepted (two copies of one job).
+    pub(crate) fn try_add(&mut self, jobs: &JobSet, j: JobId) -> bool {
+        obs_count!("sched.edf.probes");
+        let release = jobs.job(j).release;
+        let at = release_slot(&self.by_release, (release, j));
+        let b = match self.busy[..self.busy.partition_point(|p| p.start <= release)].last() {
+            Some(p) if p.end > release => p.start,
+            _ => release,
+        };
+        let from = self.by_release[..at].partition_point(|&(r, _)| r < b);
+        let stream = self.by_release[from..at]
+            .iter()
+            .copied()
+            .chain(std::iter::once((release, j)))
+            .chain(self.by_release[at..].iter().copied());
+        let Some(e) = drain_after(jobs, stream, b, release, &mut self.pending) else {
+            return false;
+        };
+        self.by_release.insert(at, (release, j));
+        let lo = self.busy.partition_point(|p| p.start < b);
+        let hi = self.busy.partition_point(|p| p.start < e);
+        self.busy.splice(lo..hi, [Interval::new(b, e)]);
+        true
+    }
 }
 
 /// The pre-workspace implementation (`HashMap` per-job state, sort-based

@@ -17,9 +17,10 @@
 //! `DESIGN.md` §4 — this is the documented substitution for Lawler's
 //! unpublished implementation).
 
-use crate::edf::edf_schedule;
+use crate::edf::{edf_schedule, feasible_by_release, release_slot};
 use pobp_core::{Interval, JobId, JobSet, Schedule, SegmentSet, Time, Value};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// An exact optimum: value, chosen subset, and a witness schedule.
 #[derive(Clone, Debug)]
@@ -40,7 +41,8 @@ pub const OPT_UNBOUNDED_LIMIT: usize = 24;
 /// Sound and complete because `∞`-preemptive feasibility is downward closed
 /// and exactly decided by EDF. Jobs are branched in descending value order;
 /// a branch is cut when even taking every remaining job cannot beat the
-/// incumbent.
+/// incumbent. Each node's feasibility check is an EDF probe that builds no
+/// schedule; EDF builds the witness once, for the optimal subset.
 ///
 /// ```
 /// use pobp_core::{Job, JobId, JobSet};
@@ -87,8 +89,9 @@ pub fn opt_unbounded(jobs: &JobSet, ids: &[JobId]) -> ExactOpt {
         /// Best subset as a bitmask over `order` indices (n ≤ 24): recording
         /// an improvement is a register copy, not a `Vec` clone.
         best_mask: u32,
-        chosen: Vec<JobId>,
-        ws: crate::workspace::SolveWorkspace,
+        /// The included jobs, sorted by `(release, id)` as the probe wants.
+        chosen: Vec<(Time, JobId)>,
+        pending: BinaryHeap<Reverse<(Time, Time)>>,
     }
     impl Search<'_> {
         fn dfs(&mut self, i: usize, value: Value, mask: u32) {
@@ -101,12 +104,13 @@ pub fn opt_unbounded(jobs: &JobSet, ids: &[JobId]) -> ExactOpt {
             }
             // Include order[i] if still feasible.
             let j = self.order[i];
-            self.chosen.push(j);
-            if crate::edf::edf_core(self.jobs, &self.chosen, None, &mut self.ws.edf).is_feasible()
-            {
+            let key = (self.jobs.job(j).release, j);
+            let at = release_slot(&self.chosen, key);
+            self.chosen.insert(at, key);
+            if feasible_by_release(self.jobs, &self.chosen, &mut self.pending) {
                 self.dfs(i + 1, value + self.jobs.job(j).value, mask | (1 << i));
             }
-            self.chosen.pop();
+            self.chosen.remove(at);
             // Exclude.
             self.dfs(i + 1, value, mask);
         }
@@ -118,7 +122,7 @@ pub fn opt_unbounded(jobs: &JobSet, ids: &[JobId]) -> ExactOpt {
         best_value: 0.0,
         best_mask: 0,
         chosen: Vec::new(),
-        ws: crate::workspace::SolveWorkspace::new(),
+        pending: BinaryHeap::new(),
     };
     search.dfs(0, 0.0, 0);
     let mut subset: Vec<JobId> = order

@@ -1,8 +1,10 @@
 //! Reusable scratch memory for the scheduling hot path.
 //!
 //! A [`SolveWorkspace`] bundles the forest-algorithm scratch
-//! ([`pobp_forest::Workspace`]) with the EDF and schedule-forest scratch
-//! used by [`crate::edf_schedule_ws`], [`crate::laminarize_ws`],
+//! ([`pobp_forest::Workspace`]) with the EDF, feasibility-probe and
+//! schedule-forest scratch used by [`crate::edf_schedule_ws`],
+//! [`crate::edf_feasible_ws`], [`crate::greedy_unbounded_ws`],
+//! [`crate::laminarize_ws`],
 //! [`crate::schedule_forest_ws`], [`crate::reconstruct_ws`] and
 //! [`crate::reduce_to_k_bounded_ws`]. The engine holds one per worker
 //! thread and reuses it across tasks, so the per-task hot path stops paying
@@ -67,6 +69,40 @@ impl EdfScratch {
     }
 }
 
+/// Scratch for the feasibility-only EDF probes ([`crate::edf_feasible_ws`],
+/// [`crate::greedy_unbounded_ws`]): they answer yes or no without building
+/// a schedule, so they keep no per-job state beyond the release list.
+#[derive(Debug, Default)]
+pub(crate) struct ProbeScratch {
+    /// Candidates in the order the caller decides them.
+    pub(crate) order: Vec<JobId>,
+    /// The probed (or accepted-so-far) jobs, sorted by `(release, id)`.
+    pub(crate) by_release: Vec<(Time, JobId)>,
+    /// The accepted set's busy periods: sorted, disjoint `[start, end)`,
+    /// split wherever nothing is pending (so two may touch).
+    pub(crate) busy: Vec<Interval>,
+    /// Pending work ordered by `(deadline, remaining)`.
+    pub(crate) pending: BinaryHeap<Reverse<(Time, Time)>>,
+}
+
+impl ProbeScratch {
+    /// Empties every buffer, keeping capacity.
+    pub(crate) fn begin(&mut self) {
+        self.order.clear();
+        self.by_release.clear();
+        self.busy.clear();
+        self.pending.clear();
+    }
+
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.order.capacity() * size_of::<JobId>()
+            + self.by_release.capacity() * size_of::<(Time, JobId)>()
+            + self.busy.capacity() * size_of::<Interval>()
+            + self.pending.capacity() * size_of::<Reverse<(Time, Time)>>()
+    }
+}
+
 /// Scratch for the schedule⇄forest direction ([`crate::laminarize_ws`],
 /// [`crate::schedule_forest_ws`], [`crate::reconstruct_ws`]).
 #[derive(Debug, Default)]
@@ -126,8 +162,10 @@ impl SfScratch {
 pub struct SolveWorkspace {
     /// Scratch for the §3 forest algorithms (`tm`, contraction, extract).
     pub forest: pobp_forest::Workspace,
-    /// Scratch for EDF (feasibility oracle + witness generator).
+    /// Scratch for EDF (witness generator and laminarizer).
     pub(crate) edf: EdfScratch,
+    /// Scratch for the feasibility-only EDF probes.
+    pub(crate) probe: ProbeScratch,
     /// Scratch for the §4.1 schedule⇄forest constructions.
     pub(crate) sf: SfScratch,
 }
@@ -141,6 +179,6 @@ impl SolveWorkspace {
     /// Total bytes currently reserved by all scratch buffers (capacity,
     /// not length) — reported via the `engine.ws.scratch_bytes` obs event.
     pub fn scratch_bytes(&self) -> usize {
-        self.forest.scratch_bytes() + self.edf.bytes() + self.sf.bytes()
+        self.forest.scratch_bytes() + self.edf.bytes() + self.probe.bytes() + self.sf.bytes()
     }
 }

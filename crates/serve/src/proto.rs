@@ -9,7 +9,7 @@
 
 use crate::job::{key_hex, JobSpec, JobStatus};
 use crate::json::{obj, Json};
-use crate::service::{CancelOutcome, Service, SubmitOutcome};
+use crate::service::{CancelOutcome, Service, SubmitOutcome, Wake};
 
 /// What the connection loop should do after sending the response.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,17 +30,24 @@ pub fn err(msg: &str) -> Json {
 
 /// Handles one request line against the service. Total: malformed input
 /// produces an error response, never a panic or a dropped connection.
-pub fn handle_line(service: &Service, line: &str) -> (Json, Control) {
+///
+/// The [`Wake`] holds back the worker of a job this request queued: drop
+/// it once the response is written, so the job does not start ahead of
+/// its own ack.
+pub fn handle_line<'s>(service: &'s Service, line: &str) -> (Json, Control, Wake<'s>) {
     let parsed = match Json::parse(line) {
         Ok(v) => v,
-        Err(e) => return (err(&format!("bad json: {e}")), Control::Continue),
+        Err(e) => return (err(&format!("bad json: {e}")), Control::Continue, Wake::none()),
     };
     let Some(op) = parsed.get("op").and_then(Json::as_str) else {
-        return (err("missing op"), Control::Continue);
+        return (err("missing op"), Control::Continue, Wake::none());
     };
-    match op {
+    if op == "submit" {
+        let (response, wake) = handle_submit(service, &parsed);
+        return (response, Control::Continue, wake);
+    }
+    let (response, control) = match op {
         "ping" => (obj([("ok", Json::Bool(true)), ("pong", Json::Bool(true))]), Control::Continue),
-        "submit" => (handle_submit(service, &parsed), Control::Continue),
         "status" => (handle_status(service, &parsed), Control::Continue),
         "result" => (handle_result(service, &parsed), Control::Continue),
         "list" => (handle_list(service, &parsed), Control::Continue),
@@ -63,7 +70,8 @@ pub fn handle_line(service: &Service, line: &str) -> (Json, Control) {
             )
         }
         other => (err(&format!("unknown op {other:?}")), Control::Continue),
-    }
+    };
+    (response, control, Wake::none())
 }
 
 #[cfg(feature = "instrument")]
@@ -78,28 +86,34 @@ fn handle_dump_flight(service: &Service) -> Json {
     }
 }
 
-fn handle_submit(service: &Service, req: &Json) -> Json {
-    let Some(spec_json) = req.get("spec") else { return err("submit without a spec") };
+fn handle_submit<'s>(service: &'s Service, req: &Json) -> (Json, Wake<'s>) {
+    let Some(spec_json) = req.get("spec") else {
+        return (err("submit without a spec"), Wake::none());
+    };
     let spec = match JobSpec::from_json(spec_json) {
         Ok(s) => s,
-        Err(e) => return err(&format!("bad spec: {e}")),
+        Err(e) => return (err(&format!("bad spec: {e}")), Wake::none()),
     };
-    match service.submit(spec) {
-        Ok(SubmitOutcome::Accepted { id, status, key, cached }) => obj([
+    let (outcome, wake) = match service.admit(spec) {
+        Ok(admitted) => admitted,
+        Err(e) => return (err(&format!("journal write failed: {e}")), Wake::none()),
+    };
+    let response = match outcome {
+        SubmitOutcome::Accepted { id, status, key, cached } => obj([
             ("ok", Json::Bool(true)),
             ("id", Json::Num(id as f64)),
             ("status", Json::Str(status.name().into())),
             ("key", Json::Str(key_hex(key))),
             ("cached", Json::Bool(cached)),
         ]),
-        Ok(SubmitOutcome::Rejected { reason, queue_depth }) => obj([
+        SubmitOutcome::Rejected { reason, queue_depth } => obj([
             ("ok", Json::Bool(false)),
             ("rejected", Json::Bool(true)),
             ("reason", Json::Str(reason.into())),
             ("queue_depth", Json::Num(queue_depth as f64)),
         ]),
-        Err(e) => err(&format!("journal write failed: {e}")),
-    }
+    };
+    (response, wake)
 }
 
 fn req_id(req: &Json) -> Result<u64, Json> {

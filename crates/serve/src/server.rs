@@ -111,10 +111,13 @@ fn handle_conn(
         if line.trim().is_empty() {
             continue;
         }
-        let (response, control) = handle_line(service, &line);
+        let (response, control, wake) = handle_line(service, &line);
         writer.write_all(response.to_string().as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
+        // A queued job's worker starts only now, after its ack is out (an
+        // early return on a failed write drops the wake too).
+        drop(wake);
         if let Control::Shutdown { drain } = control {
             // Stop the service from this connection thread *before* waking
             // the accept loop: the daemon stays reachable while it drains,

@@ -124,6 +124,28 @@ pub enum SubmitOutcome {
     },
 }
 
+/// Wakes one worker when dropped; empty unless [`Service::admit`] queued a
+/// job. Returned with the admission so the caller picks when the job's
+/// worker starts, and dropped on every path, so a queued job is never left
+/// unannounced.
+#[must_use = "dropping a Wake wakes the job's worker at once"]
+pub struct Wake<'a>(Option<&'a Condvar>);
+
+impl Wake<'_> {
+    /// A wake that wakes no one.
+    pub(crate) fn none() -> Self {
+        Wake(None)
+    }
+}
+
+impl Drop for Wake<'_> {
+    fn drop(&mut self) {
+        if let Some(work_ready) = self.0 {
+            work_ready.notify_one();
+        }
+    }
+}
+
 /// What `cancel` decided.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CancelOutcome {
@@ -358,23 +380,37 @@ impl Service {
 
     /// Admission: journal-then-acknowledge, bounded queue, serve-level
     /// cache. `Err` means the journal could not be written — the submission
-    /// is **not** acknowledged and nothing is enqueued.
+    /// is **not** acknowledged and nothing is enqueued. A queued job's
+    /// worker is woken before this returns.
     pub fn submit(&self, spec: JobSpec) -> io::Result<SubmitOutcome> {
+        let (outcome, wake) = self.admit(spec)?;
+        drop(wake);
+        Ok(outcome)
+    }
+
+    /// [`Service::submit`], except that a queued job's worker is woken only
+    /// when the returned [`Wake`] is dropped. The TCP front end drops it
+    /// after writing the ack, so the job's CPU burst cannot run ahead of
+    /// its own acknowledgement.
+    pub fn admit(&self, spec: JobSpec) -> io::Result<(SubmitOutcome, Wake<'_>)> {
+        // A pure function of the spec that regenerates and hashes the whole
+        // instance: computed before the lock every other request waits on.
+        let key = spec.content_key();
         let mut state = self.inner.state.lock().unwrap();
         if self.inner.stopping.load(Ordering::Acquire) {
             state.counters.rejected += 1;
             obs_count!("serve.submit.rejected");
-            return Ok(SubmitOutcome::Rejected {
-                reason: "shutting_down",
-                queue_depth: state.queued,
-            });
+            let outcome =
+                SubmitOutcome::Rejected { reason: "shutting_down", queue_depth: state.queued };
+            return Ok((outcome, Wake::none()));
         }
         if state.queued >= self.inner.cfg.queue_cap {
             state.counters.rejected += 1;
             obs_count!("serve.submit.rejected");
-            return Ok(SubmitOutcome::Rejected { reason: "queue_full", queue_depth: state.queued });
+            let outcome =
+                SubmitOutcome::Rejected { reason: "queue_full", queue_depth: state.queued };
+            return Ok((outcome, Wake::none()));
         }
-        let key = spec.content_key();
         // Serve-level cache: an equal-keyed certified result short-circuits
         // the queue. Journalled as submit+finish so restarts re-serve it
         // identically.
@@ -404,7 +440,7 @@ impl Service {
             trace_event!("serve.cache_hit");
             let State { registry, journal, .. } = &mut *state;
             let _ = journal.maybe_compact(registry);
-            return Ok(SubmitOutcome::Accepted { id, status, key, cached: true });
+            return Ok((SubmitOutcome::Accepted { id, status, key, cached: true }, Wake::none()));
         }
         let id = state.registry.allocate_id();
         let priority = spec.priority;
@@ -417,9 +453,8 @@ impl Service {
         obs_count!("serve.submit.accepted");
         obs_event!("serve.queue.depth", state.queued as u64);
         trace_event!("serve.submit", id);
-        drop(state);
-        self.inner.work_ready.notify_one();
-        Ok(SubmitOutcome::Accepted { id, status: JobStatus::Queued, key, cached: false })
+        let outcome = SubmitOutcome::Accepted { id, status: JobStatus::Queued, key, cached: false };
+        Ok((outcome, Wake(Some(&self.inner.work_ready))))
     }
 
     /// Cancels a job: queued jobs are journalled cancelled on the spot and
@@ -943,6 +978,7 @@ fn worker_loop(inner: &Inner) {
             }
         }
         let result = task_result_json(&task_report);
+        let key = spec.content_key();
         let mut state = inner.state.lock().unwrap();
         state.running.remove(&id);
         state.counters.engine_steal_attempts += engine_stats.steal_attempts as u64;
@@ -978,7 +1014,7 @@ fn worker_loop(inner: &Inner) {
         if matches!(status, JobStatus::Done | JobStatus::Degraded)
             && spec.alg != Algo::PanicForTest
         {
-            state.key_index.entry(spec.content_key()).or_insert(id);
+            state.key_index.entry(key).or_insert(id);
         }
         trace_event!("serve.finish", id);
         let State { registry, journal, .. } = &mut *state;

@@ -3,7 +3,9 @@
 //! the queue-full boundary, cancel-while-queued, and the recovery requeue
 //! are exact — no timing. A second service over the same directory (with a
 //! worker) then drains the backlog, and the journal's `start` records give
-//! the exact claim order for the priority assertion.
+//! the exact claim order for the priority assertion. Two one-worker tests
+//! check that a queued job's worker is woken on both admission paths: in
+//! process, and over TCP after the ack is written.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -122,6 +124,64 @@ fn saturated_queue_drains_in_priority_order_and_cancelled_jobs_never_run() {
     assert_eq!(job.status, JobStatus::Cancelled);
     assert!(job.result.is_none(), "cancelled-while-queued job must never produce a result");
     service.stop(true);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Waits until job `id` exists and is terminal; its status, or `None` on
+/// timeout.
+fn wait_terminal(service: &Service, id: u64, timeout: Duration) -> Option<JobStatus> {
+    let deadline = std::time::Instant::now() + timeout;
+    while std::time::Instant::now() < deadline {
+        match service.job(id) {
+            Some(job) if job.status.is_terminal() => return Some(job.status),
+            _ => std::thread::sleep(Duration::from_millis(5)),
+        }
+    }
+    None
+}
+
+/// Long enough for a freshly started worker to find the queue empty and
+/// wait on it: after this pause only a wake can start a job. The wake
+/// tests pass without it; it is what makes a lost wake fail them, since a
+/// submit that beats the worker to its first queue check needs no wake.
+const WORKER_IDLE: Duration = Duration::from_millis(200);
+
+/// An in-process `submit` wakes the job's worker before it returns.
+#[test]
+fn in_process_submit_wakes_its_worker() {
+    let dir = tmpdir("wake-inproc");
+    let service = Service::start(cfg(&dir, 1, 8)).unwrap();
+    std::thread::sleep(WORKER_IDLE);
+    let id = accepted_id(service.submit(spec(3, 0)).unwrap());
+    assert!(service.quiesce(Duration::from_secs(20)), "the queued job never ran");
+    assert_eq!(service.job(id).unwrap().status, JobStatus::Done);
+    service.stop(true);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Over TCP the worker is woken once the ack is written, and a client that
+/// hangs up without reading its ack does not strand the job.
+#[test]
+fn tcp_submit_from_a_client_that_hangs_up_still_runs() {
+    use std::io::Write;
+    let dir = tmpdir("wake-tcp");
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let service = std::sync::Arc::new(Service::start(cfg(&dir, 1, 8)).unwrap());
+    let daemon = {
+        let service = std::sync::Arc::clone(&service);
+        std::thread::spawn(move || pobp_serve::server::serve_listener(listener, service))
+    };
+    std::thread::sleep(WORKER_IDLE);
+    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+    let request =
+        pobp_serve::json::obj([("op", Json::Str("submit".into())), ("spec", spec(5, 0).to_json())]);
+    raw.write_all(format!("{request}\n").as_bytes()).unwrap();
+    drop(raw);
+    assert_eq!(wait_terminal(&service, 1, Duration::from_secs(20)), Some(JobStatus::Done));
+    let client = pobp_serve::Client::new(&addr, Duration::from_secs(5));
+    client.shutdown(true).unwrap();
+    daemon.join().unwrap().unwrap();
     fs::remove_dir_all(&dir).ok();
 }
 

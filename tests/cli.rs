@@ -496,6 +496,35 @@ fn sweep_and_online_numeric_flag_errors_are_loud_and_never_run() {
     }
 }
 
+/// A sweep's stdout does not depend on the thread count: on small cells
+/// of every default algorithm, and on n = 250 reduction cells, whose
+/// `OPT_∞` reference is the probe-based greedy.
+#[test]
+fn sweep_output_is_thread_count_invariant() {
+    for grid in [
+        &["--n", "12,16", "--k", "0,1,2", "--seeds", "4"][..],
+        &["--n", "250", "--alg", "reduction", "--k", "1,2", "--seeds", "2"][..],
+    ] {
+        let (par, err, ok) = run(&[&["sweep"], grid, &["--threads", "4"]].concat());
+        assert!(ok, "{err}");
+        let (seq, err, ok) = run(&[&["sweep"], grid, &["--threads", "1"]].concat());
+        assert!(ok, "{err}");
+        assert!(!seq.is_empty(), "sweep {grid:?} printed no rows");
+        assert_eq!(par, seq, "sweep {grid:?}: --threads 4 and --threads 1 differ");
+    }
+}
+
+/// A panicking algorithm fails only its own tasks: the batch completes,
+/// exits 0, and reports one `panicked` row per task.
+#[test]
+fn sweep_isolates_panics_per_task() {
+    let (out, err, ok) =
+        run(&["sweep", "--n", "8", "--k", "1", "--seeds", "3", "--alg", "panic", "--threads", "2"]);
+    assert!(ok, "{err}");
+    let panicked = out.lines().filter(|row| row.contains("\"status\":\"panicked\"")).count();
+    assert_eq!(panicked, 3, "{out}");
+}
+
 #[test]
 fn sweep_resume_requires_an_out_dir() {
     let (_, err, ok) = run(&["sweep", "--resume", "--n", "8", "--k", "0", "--seeds", "1"]);

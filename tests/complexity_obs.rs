@@ -109,6 +109,19 @@ fn edf_heap_ops_are_linear() {
     }
 }
 
+/// `greedy_unbounded` answers each of its `n` yes/no questions with one
+/// feasibility probe and builds exactly one EDF schedule, of the accepted
+/// set.
+#[test]
+fn greedy_unbounded_probes_each_candidate_once_and_runs_edf_once() {
+    for &n in &[50usize, 200, 800] {
+        let (jobs, ids) = workload(n, 3);
+        let (_out, snap) = obs::measure(|| greedy_unbounded(&jobs, &ids));
+        assert_eq!(snap.counter("sched.edf.runs"), 1, "one schedule, of the accepted set");
+        assert_eq!(snap.counter("sched.edf.probes"), n as u64, "one probe per candidate");
+    }
+}
+
 /// Figure 1 / §4.1: `laminarize` re-runs availability-restricted EDF exactly
 /// once per machine of the input schedule — no hidden extra EDF work.
 #[test]
