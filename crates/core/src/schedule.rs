@@ -107,14 +107,17 @@ impl Schedule {
     }
 
     /// Union of the busy time of every job on `machine`.
+    ///
+    /// One sort-and-coalesce over the segments of every job on the machine,
+    /// O(S log S) for S segments. (A fold of pairwise unions would copy the
+    /// growing set once per job.)
     pub fn busy(&self, machine: MachineId) -> SegmentSet {
-        let mut acc = SegmentSet::new();
-        for a in self.by_job.values() {
-            if a.machine == machine {
-                acc = acc.union(&a.segs);
-            }
-        }
-        acc
+        SegmentSet::from_intervals(
+            self.by_job
+                .values()
+                .filter(|a| a.machine == machine)
+                .flat_map(|a| a.segs.iter().copied()),
+        )
     }
 
     /// Restriction of the schedule to the given jobs (drops everything else).

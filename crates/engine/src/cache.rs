@@ -23,6 +23,14 @@
 //! counters, never in per-task output (see the determinism contract in
 //! `docs/engine.md`).
 //!
+//! The reduction's `k`-independent prefix (`ReductionPlan`: laminarize +
+//! schedule forest) is deliberately *not* a layer here. The cache is never
+//! evicted, so a plan stored beside each reference would live as long as
+//! the engine (in `pobp serve`, the process); a prototype that did so grew
+//! serve-mixed peak RSS from 31.6 to about 36 MiB. Instead each worker
+//! keeps the plan of the last reference it reduced (`PlanMemo` in
+//! `solve.rs`): at most one plan per worker, dropped when the batch ends.
+//!
 //! With the `chaos` feature an armed [`FaultPlan`](crate::chaos::FaultPlan)
 //! can corrupt entries **at put time**, decided by the entry key: every
 //! consumer of a poisoned entry (including the worker that computed it,

@@ -43,7 +43,7 @@ use crate::cache::{instance_hash, CachedResult, ResultCache};
 use crate::cancel::{CancelToken, StopReason, TaskCtx};
 use crate::cert;
 use crate::exec::{Fabric, StealRng, Unit};
-use crate::solve::{solve_task, SolveFailure};
+use crate::solve::{solve_task, PlanMemo, SolveFailure};
 use crate::task::{Algo, DegradeCause, SolveTask, TaskReport, TaskResult};
 
 /// Engine configuration. `Default` is the deterministic sweep setup:
@@ -382,6 +382,9 @@ impl Engine {
                         // every task this worker claims: steady-state solves
                         // allocate only their outputs.
                         let mut ws = SolveWorkspace::new();
+                        // The last reduction prefix this worker built, so
+                        // the rest of a k row reuses it (`PlanMemo`).
+                        let mut memo: PlanMemo = None;
                         let mut rng = StealRng::new(w);
                         // Reports stay worker-local until the merge after
                         // the join — no shared report lock on the hot path.
@@ -412,8 +415,15 @@ impl Engine {
                             let report = {
                                 let _task =
                                     trace::task_scope(index as u64, &tasks[index].label);
-                                let report =
-                                    self.dispatch(w, unit, &tasks[index], stats, fabric, &mut ws);
+                                let report = self.dispatch(
+                                    w,
+                                    unit,
+                                    &tasks[index],
+                                    stats,
+                                    fabric,
+                                    &mut memo,
+                                    &mut ws,
+                                );
                                 if let Some(r) = &report {
                                     let _ = r; // only the instrument feature reads it
                                     trace_event!("emit", text: r.result.status());
@@ -463,6 +473,7 @@ impl Engine {
     /// `None` when the attempt panicked with retry budget left — the unit
     /// has then been requeued with a not-before timestamp and some worker
     /// will dispatch it again once the backoff passes.
+    #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &self,
         worker: usize,
@@ -470,13 +481,14 @@ impl Engine {
         task: &SolveTask,
         stats: &StatsCell,
         fabric: &Fabric,
+        memo: &mut PlanMemo,
         ws: &mut SolveWorkspace,
     ) -> Option<TaskReport> {
         let index = unit.index;
-        let cache = self.cfg.use_cache.then_some(&*self.cache);
-        let inst = cache.map(|_| instance_hash(&task.instance));
-        if let Some(c) = cache.filter(|_| unit.attempts == 0) {
-            let inst = inst.expect("hash computed when the cache is on");
+        // The instance is hashed once per dispatch; both cache layers key
+        // on it.
+        let cache = self.cfg.use_cache.then(|| (&*self.cache, instance_hash(&task.instance)));
+        if let Some((c, inst)) = cache.filter(|_| unit.attempts == 0) {
             // Timing-class: whether a result-layer probe hits depends on
             // scheduling order, so none of this appears in the logical trace.
             if let Some(hit) = obs_span!(timing "cache.probe", {
@@ -554,8 +566,9 @@ impl Engine {
         // The attempt span lives inside the catch_unwind so its end
         // event fires during unwinding — panicking attempts still close.
         // The workspace is safe to reuse after an unwind: every `*_ws`
-        // entry point resets its buffers at entry.
-        let attempt = |ws: &mut SolveWorkspace| {
+        // entry point resets its buffers at entry. So is the memo: it is
+        // only ever replaced by a finished plan.
+        let attempt = |memo: &mut PlanMemo, ws: &mut SolveWorkspace| {
             obs_span!("attempt", {
                 #[cfg(feature = "chaos")]
                 if let Some(ch) = &ctx.chaos {
@@ -570,10 +583,10 @@ impl Engine {
                     // The `panic`/`flaky` sites, inside catch_unwind.
                     ch.plan.inject_panic(ch.key, attempts);
                 }
-                solve_task(task, &ctx, cache, ws)
+                solve_task(task, &ctx, cache, memo, ws)
             })
         };
-        let result = match catch_unwind(AssertUnwindSafe(|| attempt(&mut *ws))) {
+        let result = match catch_unwind(AssertUnwindSafe(|| attempt(&mut *memo, &mut *ws))) {
             Ok(Ok(solved)) => {
                 obs_count!("engine.tasks.run");
                 obs_count!("engine.cert.ok");
@@ -581,9 +594,9 @@ impl Engine {
                 if solved.ref_hit {
                     stats.ref_cache_hits.fetch_add(1, Ordering::Relaxed);
                 }
-                if let Some(c) = cache {
+                if let Some((c, inst)) = cache {
                     c.put_result(
-                        inst.expect("hash computed when the cache is on"),
+                        inst,
                         task.k,
                         task.machines,
                         task.algo,
@@ -703,7 +716,9 @@ impl Engine {
         // unrelated duplicate of the fallback task pick up accounting
         // differences, and caching under the original key would be a lie.
         obs_span!("degrade", {
-            match catch_unwind(AssertUnwindSafe(|| solve_task(&fb_task, &ctx, None, ws))) {
+            // No fallback algorithm is a reduction, so the memo goes unused.
+            let solve = || solve_task(&fb_task, &ctx, None, &mut None, ws);
+            match catch_unwind(AssertUnwindSafe(solve)) {
                 Ok(Ok(solved)) => {
                     obs_count!("engine.degrade.rescued");
                     obs_count!("engine.cert.ok");

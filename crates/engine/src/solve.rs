@@ -14,14 +14,15 @@
 
 use std::sync::Arc;
 
-use pobp_core::{obs_count, obs_time, schedule_stats, trace_event, JobId, Schedule};
+use pobp_core::{obs_count, obs_time, schedule_stats, trace_event, JobId, JobSet, Schedule};
 use pobp_sched::{
     combined_from_scratch, greedy_unbounded_ws, iterative_multi_machine, k_preemption_combined,
-    lsa_cs, opt_unbounded, reduce_to_k_bounded_ws, schedule_k0, KbasSolver, SolveWorkspace,
+    lsa_cs, opt_unbounded, reduce_to_k_bounded_ws, schedule_k0, KbasSolver, ReductionPlan,
+    SolveWorkspace,
 };
 use pobp_sim::{run_online, OnlineAlg, OnlineConfig};
 
-use crate::cache::{instance_hash, RefSolution, ResultCache};
+use crate::cache::{RefSolution, ResultCache};
 use crate::cancel::{StopReason, TaskCtx};
 use crate::cert::{self, CertFailure};
 use crate::task::{Algo, SolveOutput, SolveTask};
@@ -52,16 +53,28 @@ pub(crate) struct Solved {
     pub ref_hit: bool,
 }
 
-/// Computes the unbounded reference of `task`, consulting `cache`'s
-/// reference layer. The returned flag is `true` on a cache hit.
+/// A worker's memo of the `k`-independent reduction prefix: the
+/// [`ReductionPlan`] of the last reference the worker reduced, keyed by that
+/// reference's `Arc`.
+///
+/// The cache's reference layer hands every task of one instance the same
+/// `Arc`, and a grid's `k` row is contiguous in the batch, so a worker that
+/// claims the row builds the prefix once. Holding the `Arc` keeps its
+/// allocation alive, so a pointer match can never be a reused address.
+/// Without the cache every task computes its own reference, so the memo
+/// never hits. Why this is not a cache layer: see [`crate::cache`].
+pub(crate) type PlanMemo = Option<(Arc<RefSolution>, ReductionPlan)>;
+
+/// Computes the unbounded reference of `task`, consulting the reference
+/// layer of `cache` (the cache and the task's instance hash). The returned
+/// flag is `true` on a cache hit.
 fn reference(
     task: &SolveTask,
     ids: &[JobId],
-    cache: Option<&ResultCache>,
+    cache: Option<(&ResultCache, u64)>,
     ws: &mut SolveWorkspace,
 ) -> (Arc<RefSolution>, bool) {
-    let inst = instance_hash(&task.instance);
-    if let Some(c) = cache {
+    if let Some((c, inst)) = cache {
         if let Some(hit) = c.get_ref(inst, task.exact_ref) {
             obs_count!("engine.cache.ref_hits");
             // Timing-class: which task wins the race to compute a shared
@@ -83,19 +96,36 @@ fn reference(
     obs_count!("engine.solve.ref_computed");
     trace_event!(timing "cache.ref_computed");
     let sol = match cache {
-        Some(c) => c.put_ref(inst, task.exact_ref, sol),
+        Some((c, inst)) => c.put_ref(inst, task.exact_ref, sol),
         None => Arc::new(sol),
     };
     (sol, false)
 }
 
-/// Runs the bounded stage of `task` against the reference schedule.
-/// Returns the schedule, the effective `k` to verify against, and the
-/// combined algorithm's branch values when available.
+/// The reduction prefix of `reference`: the memo's plan when it was built
+/// from this very reference, else a fresh plan that replaces it.
+fn plan_for<'m>(
+    memo: &'m mut PlanMemo,
+    reference: &Arc<RefSolution>,
+    jobs: &JobSet,
+    ws: &mut SolveWorkspace,
+) -> &'m ReductionPlan {
+    if !matches!(memo, Some((built_from, _)) if Arc::ptr_eq(built_from, reference)) {
+        let plan = ReductionPlan::new_ws(jobs, &reference.schedule, ws)
+            .expect("reference schedule is feasible");
+        *memo = Some((Arc::clone(reference), plan));
+    }
+    &memo.as_ref().expect("memo filled above").1
+}
+
+/// Runs the bounded stage of `task` against the reference. Returns the
+/// schedule, the effective `k` to verify against, and the combined
+/// algorithm's branch values when available.
 fn bounded_stage(
     task: &SolveTask,
     ids: &[JobId],
-    reference: &Schedule,
+    reference: &Arc<RefSolution>,
+    memo: &mut PlanMemo,
     ws: &mut SolveWorkspace,
 ) -> (Schedule, u32, Option<(f64, f64)>) {
     let jobs = &task.instance;
@@ -137,12 +167,11 @@ fn bounded_stage(
     }
     match task.algo {
         Algo::Reduction => {
-            let red = reduce_to_k_bounded_ws(jobs, reference, k, KbasSolver::Tm, ws)
-                .expect("reference schedule is feasible");
-            (red.schedule, k, None)
+            let plan = plan_for(memo, reference, jobs, ws);
+            (plan.solve_ws(jobs, k, KbasSolver::Tm, ws).schedule, k, None)
         }
         Algo::Combined => {
-            let out = k_preemption_combined(jobs, ids, reference, k)
+            let out = k_preemption_combined(jobs, ids, &reference.schedule, k)
                 .expect("reference schedule is feasible");
             let branches = Some((out.strict.value(jobs), out.lax.value(jobs)));
             (out.chosen, k, branches)
@@ -167,13 +196,15 @@ fn online_alg(algo: Algo) -> Option<OnlineAlg> {
     }
 }
 
-/// Runs one task to completion and certifies the result. `Err` carries the
-/// stage-boundary stop reason or the certification failure; panics unwind
-/// to the caller (the pool's `catch_unwind`).
+/// Runs one task to completion and certifies the result. `cache` pairs the
+/// cache with the task's instance hash, computed once by the caller. `Err`
+/// carries the stage-boundary stop reason or the certification failure;
+/// panics unwind to the caller (the pool's `catch_unwind`).
 pub(crate) fn solve_task(
     task: &SolveTask,
     ctx: &TaskCtx,
-    cache: Option<&ResultCache>,
+    cache: Option<(&ResultCache, u64)>,
+    memo: &mut PlanMemo,
     ws: &mut SolveWorkspace,
 ) -> Result<Solved, SolveFailure> {
     if let Some(stop) = ctx.should_stop() {
@@ -194,10 +225,8 @@ pub(crate) fn solve_task(
             return Err(StopReason::DeadlineExceeded.into());
         }
     }
-    let (schedule, eff_k, branch_values) = obs_time!(
-        "engine.solve.time.bounded",
-        bounded_stage(task, &ids, &reference.schedule, ws)
-    );
+    let (schedule, eff_k, branch_values) =
+        obs_time!("engine.solve.time.bounded", bounded_stage(task, &ids, &reference, memo, ws));
     let stats = schedule_stats(&task.instance, &schedule);
     let output = SolveOutput {
         alg_value: stats.value,

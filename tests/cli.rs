@@ -514,6 +514,23 @@ fn sweep_output_is_thread_count_invariant() {
     }
 }
 
+/// The engine reuses a reduction's `k`-independent prefix across a k row
+/// only when the cache hands every task of the row the same reference;
+/// `--no-cache` rebuilds it per task. Either way the rows are the same.
+#[test]
+fn sweep_reduction_rows_do_not_depend_on_the_cache() {
+    let grid = ["sweep", "--n", "250", "--alg", "reduction", "--k", "1,2,4", "--seeds", "2"];
+    for threads in ["1", "4"] {
+        let (cached, err, ok) = run(&[&grid[..], &["--threads", threads]].concat());
+        assert!(ok, "{err}");
+        let ok_rows = cached.lines().filter(|row| row.contains("\"status\":\"ok\"")).count();
+        assert_eq!(ok_rows, 6, "{cached}");
+        let (uncached, err, ok) = run(&[&grid[..], &["--threads", threads, "--no-cache"]].concat());
+        assert!(ok, "{err}");
+        assert_eq!(cached, uncached, "--threads {threads}: --no-cache changed the rows");
+    }
+}
+
 /// A panicking algorithm fails only its own tasks: the batch completes,
 /// exits 0, and reports one `panicked` row per task.
 #[test]
@@ -602,5 +619,66 @@ fn sweep_killed_by_chunk_budget_resumes_to_the_full_merge() {
         std::fs::read(clean_dir.join("merged.jsonl")).unwrap(),
     );
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&clean_dir).ok();
+}
+
+/// `kill -9` mid-sweep, then `--resume`: the merge equals an uninterrupted
+/// run's. The sweep is killed as soon as its manifest records a chunk, so
+/// the kill lands while chunks remain (the test fails if the sweep finishes
+/// first). Each life runs at a different thread count.
+#[test]
+fn sweep_killed_mid_run_resumes_to_the_full_merge() {
+    let tmp = |tag: &str| {
+        std::env::temp_dir().join(format!("pobp-cli-kill-{tag}-{}", std::process::id()))
+    };
+    let grid = [
+        "sweep", "--n", "1000", "--alg", "reduction", "--k", "1,2", "--seeds", "24",
+        "--chunk-cells", "1",
+    ];
+    let clean_dir = tmp("clean");
+    let _ = std::fs::remove_dir_all(&clean_dir);
+    let (_, err, ok) = run(&[&grid[..], &["--out", clean_dir.to_str().unwrap()]].concat());
+    assert!(ok, "{err}");
+    let clean = std::fs::read(clean_dir.join("merged.jsonl")).unwrap();
+
+    for (killed_at, resumed_at) in [("4", "1"), ("1", "4")] {
+        let dir = tmp(killed_at);
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = [&grid[..], &["--out", dir.to_str().unwrap()]].concat();
+        let mut child = pobp()
+            .args(&out)
+            .args(["--threads", killed_at])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn pobp sweep");
+        let manifest = dir.join("manifest.json");
+        let recorded =
+            || std::fs::read_to_string(&manifest).is_ok_and(|m| m.contains("\"done\":[{"));
+        while !recorded() {
+            assert!(
+                child.try_wait().expect("poll the sweep").is_none(),
+                "the sweep exited before its manifest recorded a chunk"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        child.kill().expect("kill -9 the sweep");
+        child.wait().expect("reap the sweep");
+        assert!(
+            !dir.join("merged.jsonl").exists(),
+            "the sweep finished before the kill; the resume path did not run"
+        );
+
+        let (_, err, ok) = run(&[&out[..], &["--threads", resumed_at, "--resume"]].concat());
+        assert!(ok, "{err}");
+        let skipped = err
+            .split_once(" skipped")
+            .and_then(|(head, _)| head.rsplit(' ').next())
+            .and_then(|n| n.parse::<usize>().ok())
+            .unwrap_or_else(|| panic!("no skipped count in: {err}"));
+        assert!(skipped >= 1, "the resume recomputed every chunk: {err}");
+        assert_eq!(std::fs::read(dir.join("merged.jsonl")).unwrap(), clean);
+        std::fs::remove_dir_all(&dir).ok();
+    }
     std::fs::remove_dir_all(&clean_dir).ok();
 }
