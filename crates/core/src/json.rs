@@ -179,19 +179,28 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `s` as a JSON string literal. Every byte that needs escaping is
+/// ASCII, and no byte of a multi-byte UTF-8 sequence is, so the string is
+/// scanned bytewise and each unescaped run goes out with one `write_str`.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        f.write_str(&s[run..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -466,6 +475,49 @@ mod tests {
             Json::parse("\"\\ud83d\\ude00\"").unwrap(),
             Json::Str("😀".to_string())
         );
+    }
+
+    /// The escape as it was first written, one `char` at a time: the
+    /// oracle for the run-based `write_escaped`.
+    fn escape_per_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Strings drawn from a palette of every control character, the
+        /// two escaped printables, DEL, plain ASCII and 2-, 3- and 4-byte
+        /// chars escape exactly as the per-char oracle does, and parse back.
+        #[test]
+        fn run_escape_matches_the_per_char_oracle(
+            picks in proptest::collection::vec(0usize..48, 0..40),
+        ) {
+            const EXTRA: [char; 16] = [
+                '"', '\\', '\u{7f}', ' ', 'a', 'Z', '0', '~', '/', 'é', 'ß', '€', '中',
+                '\u{fffd}', '😀', '\u{10ffff}',
+            ];
+            let s: String = picks
+                .iter()
+                .map(|&p| if p < 32 { char::from(p as u8) } else { EXTRA[p - 32] })
+                .collect();
+            let text = Json::Str(s.clone()).to_string();
+            proptest::prop_assert_eq!(&text, &escape_per_char(&s));
+            proptest::prop_assert_eq!(Json::parse(&text).unwrap(), Json::Str(s));
+        }
     }
 
     #[test]

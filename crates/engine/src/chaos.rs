@@ -27,7 +27,7 @@
 //! | site | op | effect |
 //! |---|---|---|
 //! | `io-short-write` | line/file writes | writes only a prefix, then errors |
-//! | `io-fsync` | fsync | the flush fails after data may have been buffered |
+//! | `io-fsync` | file or directory fsync | the sync fails after data may have been buffered |
 //! | `io-rename` | atomic-replace rename | tmp file written + synced, rename fails |
 //! | `io-torn-tail` | line writes | writes the line **without** its final newline, then errors (a mid-write kill) |
 //! | `io-disk-full` | line/file writes | fails up front, writing nothing |
@@ -88,7 +88,7 @@ pub enum FaultSite {
     CorruptResult,
     /// An IO write persists only a prefix of its bytes, then errors.
     IoShortWrite,
-    /// An fsync fails after the data was handed to the OS.
+    /// A file or directory fsync fails after the data was handed to the OS.
     IoFsync,
     /// The rename leg of an atomic replace fails (tmp file left behind).
     IoRename,

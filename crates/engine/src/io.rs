@@ -28,7 +28,9 @@
 //!   newline flush leaves behind, and the state the journal/shard readers
 //!   must recover from;
 //! * **fsync** fails before syncing: the data may sit in the page cache but
-//!   the caller must assume it is not durable;
+//!   the caller must assume it is not durable. The same site fails a
+//!   directory sync ([`IoGuard::sync_dir`]), the last leg of an atomic
+//!   replace: the rename has landed but may not survive power loss;
 //! * **rename** fails the publish leg of an atomic replace: the synced tmp
 //!   file exists, the destination is untouched.
 //!
@@ -128,8 +130,8 @@ impl IoGuard {
         io::Error::other(format!("chaos: injected io fault (site={})", site.name()))
     }
 
-    /// Appends `line` plus a trailing newline to `file`, without flushing.
-    /// `line` must not itself contain a newline.
+    /// Appends `line` plus a trailing newline to `file` in one write,
+    /// without flushing. `line` must not itself contain a newline.
     ///
     /// Fault sites, in precedence order: `io-disk-full` (nothing written),
     /// `io-short-write` (half the line written), `io-torn-tail` (the whole
@@ -153,8 +155,12 @@ impl IoGuard {
             }
             return Err(Self::injected(site));
         }
-        file.write_all(line)?;
-        file.write_all(b"\n")
+        // One write for the line and its newline: short of a fault, a
+        // reader polling the file never sees a line without its newline.
+        let mut buf = Vec::with_capacity(line.len() + 1);
+        buf.extend_from_slice(line);
+        buf.push(b'\n');
+        file.write_all(&buf)
     }
 
     /// Flushes `file` and fsyncs it to disk. The `io-fsync` site fails
@@ -205,14 +211,30 @@ impl IoGuard {
         fs::rename(from, to)
     }
 
+    /// Fsyncs the directory `dir`, making the renames and file creations
+    /// inside it durable. Draws the `io-fsync` site, which fails before
+    /// syncing: an entry renamed just before may be visible now and still
+    /// vanish on power loss.
+    pub fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        #[cfg(feature = "chaos")]
+        if let Some(site) = self.draw(&[FaultSite::IoFsync]) {
+            return Err(Self::injected(site));
+        }
+        File::open(dir)?.sync_all()
+    }
+
     /// Atomically replaces `path` with `bytes`: write `path.tmp`, fsync,
-    /// rename over `path`. On any failure `path` still holds its previous
-    /// contents (at worst a stale `.tmp` is left behind, which a later
-    /// replace overwrites).
+    /// rename over `path`, fsync the directory. If the write or the rename
+    /// fails, `path` still holds its previous contents (at worst a stale
+    /// `.tmp` is left behind, which a later replace overwrites). If only
+    /// the directory sync fails, the new contents are in place but may
+    /// not survive power loss.
     pub fn atomic_replace(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let tmp = path.with_extension("tmp");
         self.write_file_bytes(&tmp, bytes)?;
-        self.rename(&tmp, path)
+        self.rename(&tmp, path)?;
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        self.sync_dir(dir.unwrap_or(Path::new(".")))
     }
 
     /// Opens `path` for appending (creating it if absent), untouched by
@@ -306,6 +328,30 @@ mod tests {
             assert_eq!(fs::read_to_string(&p).unwrap(), "old");
             // The synced tmp is allowed to linger; a retry overwrites it.
             assert_eq!(fs::read_to_string(p.with_extension("tmp")).unwrap(), "new");
+            let _ = fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn failed_dir_sync_fails_the_replace_after_the_rename_landed() {
+            // An atomic replace draws three ops: the tmp write, the rename
+            // and the directory sync. Pick a key whose io-fsync draws spare
+            // the tmp write's fsync (op 0) and hit the directory's (op 2).
+            let plan = Arc::new(FaultPlan::new(7).with_rate(FaultSite::IoFsync, 0.5));
+            let fires = |base: u64| {
+                let probe = IoGuard::armed(Arc::clone(&plan), base);
+                (0..3).map(|_| probe.draw(&[FaultSite::IoFsync]).is_some()).collect::<Vec<_>>()
+            };
+            let base = (0..)
+                .find(|&b| matches!(fires(b)[..], [false, _, true]))
+                .expect("some key fires only the directory sync");
+            let dir = tmpdir("dirsync");
+            let p = dir.join("a.json");
+            fs::write(&p, "old").unwrap();
+            let g = IoGuard::armed(Arc::clone(&plan), base);
+            let err = g.atomic_replace(&p, b"new").unwrap_err();
+            assert!(err.to_string().contains("io-fsync"));
+            assert_eq!(fs::read_to_string(&p).unwrap(), "new", "the rename landed");
+            assert!(!p.with_extension("tmp").exists());
             let _ = fs::remove_dir_all(&dir);
         }
 

@@ -12,7 +12,8 @@
 //!   `snapshot.json`. A leftover `.tmp` is ignored at recovery.
 //!
 //! Compaction order is: write `.tmp`, fsync, rename over `snapshot.json`,
-//! then truncate `journal.jsonl`. A `kill -9` between the rename and the
+//! fsync the directory (so the rename survives power loss), then truncate
+//! `journal.jsonl`. A `kill -9` between the rename and the
 //! truncate leaves journal records with `seq` ≤ the snapshot's — recovery
 //! skips those, so replay is idempotent. A `kill -9` mid-append leaves a
 //! truncated final line — recovery drops it (that event was never
@@ -168,6 +169,7 @@ impl Journal {
         bytes.push(b'\n');
         self.guard.write_file_bytes(&tmp, &bytes)?;
         self.guard.rename(&tmp, &snap)?;
+        self.guard.sync_dir(&self.dir)?;
         // Crash window: snapshot covers seq ≤ self.seq, journal still holds
         // those records. Recovery skips them, so this truncate is merely an
         // optimisation that can safely be lost.

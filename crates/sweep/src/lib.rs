@@ -13,15 +13,17 @@
 //!   sharded and streaming sweeps emit byte-identical rows;
 //! * [`shard`] — per-chunk `shard-NNNNN.jsonl` writers with running
 //!   digests, plus the torn-tail recovery rule;
-//! * [`manifest`] — the `manifest.json` checkpoint, rewritten atomically
-//!   (tmp → fsync → rename) after every chunk;
+//! * [`manifest`] — the `manifest.json` checkpoint: an append-only log
+//!   whose header is written once and which gains one fsynced record line
+//!   per completed chunk;
 //! * [`run`] — the orchestrator: fresh/resume validation, chunk-by-chunk
 //!   execution, digest-verified skipping, tail healing, and the final
 //!   digest-verified merge into `merged.jsonl`.
 //!
 //! Every durable write goes through the engine's fault-injectable
 //! [`IoGuard`](pobp_engine::IoGuard); with the `chaos` feature a seeded
-//! plan can fail any write, fsync, or rename deterministically, and the
+//! plan can fail any write, fsync (file or directory), or rename
+//! deterministically, and the
 //! property tests in `tests/` drive kill-at-every-point → resume →
 //! byte-identical-merge, across engine thread counts.
 //!

@@ -17,6 +17,8 @@
 //! changed grid (hard error) or a changed chunk (recomputed) instead of
 //! silently merging rows from two different sweeps.
 
+use std::fmt::{self, Write};
+
 use pobp_engine::{splitmix64, task_key, Algo, SolveTask};
 use pobp_instances::RandomWorkload;
 
@@ -59,19 +61,31 @@ impl SweepSpec {
     /// changes the output bytes or the chunking is in here; the manifest
     /// stores it (plus its digest) and `--resume` refuses a mismatch.
     pub fn spec_string(&self) -> String {
-        let list = |xs: &[u64]| {
-            xs.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(",")
-        };
-        format!(
-            "v1;ns={};ks={};seeds={};alg={};machines={};exact_ref={};chunk_cells={}",
-            list(&self.ns.iter().map(|&n| n as u64).collect::<Vec<_>>()),
-            list(&self.ks.iter().map(|&k| k as u64).collect::<Vec<_>>()),
-            list(&self.seeds),
+        fn list<T: fmt::Display>(out: &mut String, key: &str, xs: &[T]) {
+            out.push_str(key);
+            out.push('=');
+            for (i, x) in xs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{x}");
+            }
+            out.push(';');
+        }
+        let mut out = String::with_capacity(64 + 12 * self.seeds.len());
+        out.push_str("v1;");
+        list(&mut out, "ns", &self.ns);
+        list(&mut out, "ks", &self.ks);
+        list(&mut out, "seeds", &self.seeds);
+        let _ = write!(
+            out,
+            "alg={};machines={};exact_ref={};chunk_cells={}",
             self.algo.name(),
             self.machines,
             self.exact_ref,
             self.chunk_cells,
-        )
+        );
+        out
     }
 
     /// FNV-1a digest of [`spec_string`](SweepSpec::spec_string).
@@ -243,6 +257,46 @@ mod tests {
         let mut s2 = spec();
         s2.ks = vec![0, 1, 4];
         assert_ne!(s2.chunks()[0].key(), a[0].key());
+    }
+
+    /// The spec string as it was first built, one `String` per list
+    /// element joined with commas: the oracle for the one-buffer writer.
+    fn spec_string_by_join(s: &SweepSpec) -> String {
+        let list = |xs: &[u64]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(",");
+        format!(
+            "v1;ns={};ks={};seeds={};alg={};machines={};exact_ref={};chunk_cells={}",
+            list(&s.ns.iter().map(|&n| n as u64).collect::<Vec<_>>()),
+            list(&s.ks.iter().map(|&k| k as u64).collect::<Vec<_>>()),
+            list(&s.seeds),
+            s.algo.name(),
+            s.machines,
+            s.exact_ref,
+            s.chunk_cells,
+        )
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn spec_string_matches_the_join_oracle(
+            ns in proptest::collection::vec(0usize..5000, 0..4),
+            ks in proptest::collection::vec(0u32..64, 0..5),
+            seeds in proptest::collection::vec(0u64..u64::MAX, 0..30),
+            algo in 0usize..4,
+            machines in 1usize..9,
+            exact_ref in proptest::prelude::AnyBool,
+            chunk_cells in 0usize..100,
+        ) {
+            let s = SweepSpec {
+                ns,
+                ks,
+                seeds,
+                algo: [Algo::Reduction, Algo::Combined, Algo::LsaCs, Algo::K0][algo],
+                machines,
+                exact_ref,
+                chunk_cells,
+            };
+            proptest::prop_assert_eq!(s.spec_string(), spec_string_by_join(&s));
+        }
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //!
 //! `run_sweep` executes chunks strictly in plan order; within a chunk the
 //! engine parallelizes across `--threads`, but the *IO stream* — rows in
-//! grid order, one fsync per chunk, one manifest replace per chunk — is a
-//! pure function of the spec. A run killed (or failed by an injected IO
-//! fault) at any instant leaves the directory in one of three states, all
-//! of which resume cleanly:
+//! grid order, one shard fsync per chunk, then one fsynced record appended
+//! to the manifest log — is a pure function of the spec. A run killed (or
+//! failed by an injected IO fault) at any instant leaves the directory in
+//! one of three states, all of which resume cleanly:
 //!
 //! 1. **between chunks** — manifest and shards agree; resume re-verifies
 //!    recorded digests and continues with the first unrecorded chunk;
@@ -16,9 +16,11 @@
 //!    tail; [`recover`] truncates to the last
 //!    complete row and resume re-runs only the remaining tasks (rows are
 //!    pure functions of their task, so the healed shard is byte-identical);
-//! 3. **shard done, manifest not yet replaced** — the shard is complete
-//!    and fsynced but unrecorded; resume recovers it whole, re-runs zero
-//!    tasks, and records it.
+//! 3. **shard done, record not yet appended** — the shard is complete and
+//!    fsynced, but its manifest record is missing or torn (a final line
+//!    without its newline, which loading drops and the resumed run cuts
+//!    off); resume recovers the shard whole, re-runs zero tasks, and
+//!    records it.
 //!
 //! Completion (every chunk recorded) merges the shards — digests verified
 //! again — into `merged.jsonl` via the same atomic-replace discipline.
@@ -26,6 +28,8 @@
 //! in CI: *kill a sweep anywhere, resume it, and the merged bytes equal an
 //! uninterrupted run's, for any `--threads`*. See `docs/sweeps.md`.
 
+use std::fs::File;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use pobp_engine::{run_batch, BatchReport, EngineConfig, EngineStats, IoGuard};
@@ -79,8 +83,8 @@ pub struct SweepOutcome {
 }
 
 /// Runs (or resumes) the sweep in `dir`. On error the directory is always
-/// left resumable: shards at worst carry a torn tail, the manifest is
-/// always a complete document.
+/// left resumable: shards and the manifest log at worst carry a torn tail,
+/// and the manifest's header is always complete.
 pub fn run_sweep(dir: &Path, cfg: &SweepConfig) -> Result<SweepOutcome, String> {
     if cfg.spec.is_empty() {
         return Err("empty grid: every one of --n/--k/--seeds needs at least one value".into());
@@ -101,8 +105,9 @@ pub fn run_sweep(dir: &Path, cfg: &SweepConfig) -> Result<SweepOutcome, String> 
         }
     }
     let spec_string = spec.spec_string();
-    let spec_digest = spec.digest();
+    let spec_digest = fnv1a(spec_string.as_bytes());
     let chunks = spec.chunks();
+    let m_guard = manifest_guard(cfg, spec_digest);
 
     let mut manifest = match loaded {
         Some(m) if !cfg.resume => {
@@ -140,15 +145,14 @@ pub fn run_sweep(dir: &Path, cfg: &SweepConfig) -> Result<SweepOutcome, String> 
         None => {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("creating {}: {e}", dir.display()))?;
-            let fresh = Manifest::fresh(spec_string.clone(), spec_digest, chunks.len());
-            fresh
-                .write(dir, &manifest_guard(cfg, spec_digest))
-                .map_err(|e| format!("writing manifest: {e}"))?;
+            let fresh = Manifest::fresh(spec_string, spec_digest, chunks.len());
+            fresh.write(dir, &m_guard).map_err(|e| format!("writing manifest: {e}"))?;
             fresh
         }
     };
+    let mut log =
+        Manifest::open_log(dir, &m_guard).map_err(|e| format!("opening manifest: {e}"))?;
 
-    let m_guard = manifest_guard(cfg, spec_digest);
     let mut out = SweepOutcome { chunks_total: chunks.len(), ..SweepOutcome::default() };
     #[cfg(feature = "instrument")]
     let run_started = std::time::Instant::now();
@@ -166,7 +170,9 @@ pub fn run_sweep(dir: &Path, cfg: &SweepConfig) -> Result<SweepOutcome, String> 
                     chunk.index, rec.key, key,
                 ));
             }
-            verify_shard(&path, rec)?;
+            let bytes =
+                std::fs::read(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+            check_shard(&path, &bytes, rec)?;
             out.chunks_skipped += 1;
             continue;
         }
@@ -211,15 +217,15 @@ pub fn run_sweep(dir: &Path, cfg: &SweepConfig) -> Result<SweepOutcome, String> 
             writer.finish().map_err(|e| format!("fsyncing {}: {e}", path.display()))?;
         debug_assert_eq!(done.rows, total);
 
-        manifest.done.push(ChunkRecord {
+        let rec = ChunkRecord {
             index: chunk.index,
             key,
             rows: done.rows,
             bytes: done.bytes,
             digest: done.digest,
-        });
+        };
         manifest
-            .write(dir, &m_guard)
+            .append(&mut log, rec, &m_guard)
             .map_err(|e| format!("writing manifest: {e}"))?;
         out.chunks_completed += 1;
         pobp_core::obs_count!("sweep.chunks_completed");
@@ -267,11 +273,11 @@ fn write_heartbeat(
     let _ = std::fs::write(dir.join("heartbeat.json"), format!("{line}\n"));
 }
 
-/// Re-checks a recorded chunk's shard against its manifest record — the
-/// digest verification `--resume` promises before skipping a chunk.
-fn verify_shard(path: &Path, rec: &ChunkRecord) -> Result<(), String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    if bytes.len() as u64 != rec.bytes || fnv1a(&bytes) != rec.digest {
+/// Checks a recorded chunk's shard bytes against its manifest record — the
+/// digest verification `--resume` promises before skipping a chunk, and
+/// the merge repeats.
+fn check_shard(path: &Path, bytes: &[u8], rec: &ChunkRecord) -> Result<(), String> {
+    if bytes.len() as u64 != rec.bytes || fnv1a(bytes) != rec.digest {
         return Err(format!(
             "{}: shard does not match its manifest record ({} bytes vs {} recorded) — \
              the checkpoint directory was modified; delete it and re-run",
@@ -285,18 +291,22 @@ fn verify_shard(path: &Path, rec: &ChunkRecord) -> Result<(), String> {
 
 /// Concatenates the shards, in chunk order and digest-verified, into
 /// `merged.jsonl` (atomic replace). Byte-identical to what a streaming
-/// sweep of the same spec prints.
+/// sweep of the same spec prints. Each shard is read once, straight into
+/// the merged buffer, and checked there.
 fn merge(dir: &Path, manifest: &Manifest, guard: &IoGuard) -> Result<PathBuf, String> {
-    let mut merged = Vec::new();
+    // Every record's length was checked against its shard earlier in this
+    // run (skipped chunks) or measured while writing it, so this is exact.
+    let mut merged = Vec::with_capacity(manifest.done.iter().map(|r| r.bytes as usize).sum());
     for index in 0..manifest.chunks_total {
         let rec = manifest
             .record(index)
             .ok_or_else(|| format!("merge: chunk {index} missing from the manifest"))?;
         let path = shard_path(dir, index);
-        verify_shard(&path, rec)?;
-        let bytes =
-            std::fs::read(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-        merged.extend_from_slice(&bytes);
+        let start = merged.len();
+        File::open(&path)
+            .and_then(|mut f| f.read_to_end(&mut merged))
+            .map_err(|e| format!("reading {}: {e}", path.display()))?;
+        check_shard(&path, &merged[start..], rec)?;
     }
     let out = dir.join("merged.jsonl");
     guard

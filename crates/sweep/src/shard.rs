@@ -7,16 +7,16 @@
 //! hands the manifest exact `(rows, bytes, digest)` accounting without
 //! re-reading the file.
 //!
-//! Recovery ([`recover`]) is the torn-tail rule the serve journal uses:
-//! keep the longest prefix ending in a newline, drop the rest. A row is
-//! *complete* iff its newline reached the file — every io-* fault and
-//! every `kill -9` leaves either a clean prefix or a newline-less tail,
-//! both of which recover to a row boundary. The resume runner then re-runs
+//! Recovery ([`recover`]) is the torn-tail rule the serve journal and the
+//! manifest log use: keep the longest prefix ending in a newline, drop the
+//! rest. A row is *complete* iff its newline reached the file — every io-*
+//! fault and every `kill -9` leaves either a clean prefix or a
+//! newline-less tail, both of which recover to a row boundary. The resume runner then re-runs
 //! only the tasks past that boundary; rows are pure functions of their
 //! task, so the healed shard is byte-identical to an uninterrupted one.
 
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 use pobp_engine::IoGuard;
@@ -46,15 +46,14 @@ pub struct ShardState {
     pub torn_bytes: u64,
 }
 
-/// Reads a shard file and truncates it to its longest complete-line
-/// prefix, returning the prefix's accounting. A missing file is an empty
-/// shard (nothing to truncate).
-pub fn recover(path: &Path) -> io::Result<ShardState> {
+/// The torn-tail rule, shared by shards and the manifest log: truncates
+/// `path` to its longest prefix ending in a newline, and returns that
+/// prefix and the number of bytes cut. A missing file is an empty prefix
+/// (nothing to truncate).
+pub(crate) fn cut_torn_tail(path: &Path) -> io::Result<(Vec<u8>, u64)> {
     let mut file = match File::options().read(true).write(true).open(path) {
         Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return Ok(ShardState { rows: 0, bytes: 0, digest: fnv1a(b""), torn_bytes: 0 })
-        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
         Err(e) => return Err(e),
     };
     let mut buf = Vec::new();
@@ -63,15 +62,22 @@ pub fn recover(path: &Path) -> io::Result<ShardState> {
     let torn = (buf.len() - keep) as u64;
     if torn > 0 {
         file.set_len(keep as u64)?;
-        file.seek(SeekFrom::End(0))?;
         file.sync_all()?;
+        buf.truncate(keep);
     }
-    let prefix = &buf[..keep];
+    Ok((buf, torn))
+}
+
+/// Reads a shard file and truncates it to its longest complete-line
+/// prefix, returning the prefix's accounting. A missing file is an empty
+/// shard.
+pub fn recover(path: &Path) -> io::Result<ShardState> {
+    let (prefix, torn_bytes) = cut_torn_tail(path)?;
     Ok(ShardState {
         rows: prefix.iter().filter(|&&b| b == b'\n').count() as u64,
-        bytes: keep as u64,
-        digest: fnv1a(prefix),
-        torn_bytes: torn,
+        bytes: prefix.len() as u64,
+        digest: fnv1a(&prefix),
+        torn_bytes,
     })
 }
 

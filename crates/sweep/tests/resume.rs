@@ -1,5 +1,6 @@
 //! The resume contract, deterministically: every crash state `run_sweep`
-//! documents (between chunks, mid-shard, shard-done-unrecorded) resumes to
+//! documents (between chunks, mid-shard, shard-done-unrecorded or with a
+//! torn manifest record) resumes to
 //! a merged file byte-identical to an uninterrupted run's, and the guard
 //! rails (foreign directories, mismatched specs, tampered shards) fail
 //! loudly instead of merging garbage.
@@ -7,6 +8,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use pobp_core::json::Json;
 use pobp_engine::{Algo, EngineConfig};
 use pobp_sweep::{run_sweep, Manifest, SweepConfig, SweepSpec};
 
@@ -217,8 +219,108 @@ fn manifest_on_disk_matches_the_documented_schema() {
     assert_eq!(m.done.len(), m.chunks_total);
     assert_eq!(m.spec, spec(2).spec_string());
     assert_eq!(m.spec_digest, spec(2).digest());
-    // Keys/digests round-trip through the 0x-hex convention at full width.
+    // One header line, then one record line per chunk, each newline-ended.
     let text = fs::read_to_string(dir.join("manifest.json")).unwrap();
-    assert!(text.contains("\"key\":\"0x"), "{text}");
+    assert!(text.ends_with('\n'));
+    let lines: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+    assert_eq!(lines.len(), 1 + m.chunks_total, "{text}");
+    let header = &lines[0];
+    assert_eq!(header.get("version").and_then(Json::as_u64), Some(2));
+    assert_eq!(header.get("spec").and_then(Json::as_str), Some(m.spec.as_str()));
+    assert_eq!(header.get("chunks_total").and_then(Json::as_u64), Some(m.chunks_total as u64));
+    assert!(header.get("done").is_none(), "records are lines, not a header field");
+    for (i, rec) in lines[1..].iter().enumerate() {
+        assert_eq!(rec.get("index").and_then(Json::as_u64), Some(i as u64));
+        // Keys/digests use the 0x-hex convention at full width.
+        for field in ["key", "digest"] {
+            let hex = rec.get(field).and_then(Json::as_str).unwrap();
+            assert!(hex.starts_with("0x") && hex.len() == 18, "{field}: {hex}");
+        }
+        assert!(rec.get("rows").and_then(Json::as_u64).is_some());
+        assert!(rec.get("bytes").and_then(Json::as_u64).is_some());
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// After its header the manifest is only ever appended to: every life of
+/// a budget-limited sweep leaves a byte prefix of the uninterrupted run's
+/// manifest, extending what the life before it left.
+#[test]
+fn the_manifest_only_grows_by_appends() {
+    let clean_dir = tmpdir("append-clean");
+    run_sweep(&clean_dir, &cfg(spec(1), 1, false, None)).unwrap();
+    let clean = fs::read(clean_dir.join("manifest.json")).unwrap();
+    fs::remove_dir_all(&clean_dir).unwrap();
+
+    let dir = tmpdir("append");
+    let mut before = Vec::new();
+    let mut resume = false;
+    loop {
+        let out = run_sweep(&dir, &cfg(spec(1), 2, resume, Some(1))).unwrap();
+        let now = fs::read(dir.join("manifest.json")).unwrap();
+        assert!(clean.starts_with(&now), "a life left a manifest that is not a prefix");
+        assert!(now.starts_with(&before) && now.len() > before.len(), "a life rewrote the log");
+        before = now;
+        resume = true;
+        if out.merged.is_some() {
+            break;
+        }
+    }
+    assert_eq!(before, clean);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A crash mid-append leaves the manifest's last record without its
+/// newline. Loading drops it; the chunk's shard was fsynced before the
+/// append, so resume adopts the shard whole, re-runs nothing, and records
+/// it again over the cut tail.
+#[test]
+fn a_torn_manifest_record_is_re_recorded_from_its_complete_shard() {
+    let clean_dir = tmpdir("torn-rec-clean");
+    let out = run_sweep(&clean_dir, &cfg(spec(1), 1, false, None)).unwrap();
+    let baseline = fs::read(out.merged.unwrap()).unwrap();
+    let clean_manifest = fs::read(clean_dir.join("manifest.json")).unwrap();
+    fs::remove_dir_all(&clean_dir).unwrap();
+
+    let dir = tmpdir("torn-rec");
+    run_sweep(&dir, &cfg(spec(1), 1, false, Some(2))).unwrap();
+    let path = dir.join("manifest.json");
+    let full = fs::read(&path).unwrap();
+    let last = full[..full.len() - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+    let torn = &full[..last + (full.len() - last) / 2];
+    fs::write(&path, torn).unwrap();
+    assert_eq!(Manifest::load(&dir).unwrap().unwrap().done.len(), 1, "the torn record is dropped");
+
+    let adopted = run_sweep(&dir, &cfg(spec(1), 4, true, Some(1))).unwrap();
+    assert_eq!(adopted.chunks_skipped, 1);
+    assert_eq!(adopted.chunks_completed, 1);
+    assert_eq!(adopted.rows_recovered, spec(1).ks.len() as u64, "the whole shard is adopted");
+    assert_eq!(adopted.rows_written, 0, "no row is re-run");
+    let healed = fs::read(&path).unwrap();
+    assert_eq!(healed, full, "the cut tail is gone and the record is whole again");
+
+    let out = run_sweep(&dir, &cfg(spec(1), 1, true, None)).unwrap();
+    assert_eq!(fs::read(out.merged.unwrap()).unwrap(), baseline);
+    assert_eq!(fs::read(&path).unwrap(), clean_manifest, "no torn bytes remain");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A directory checkpointed by an older build (one `"version":1`
+/// document) is refused, not mistaken for a fresh directory whose stale
+/// shards would be adopted.
+#[test]
+fn a_version_1_checkpoint_is_refused() {
+    let dir = tmpdir("v1");
+    fs::create_dir_all(&dir).unwrap();
+    let v1 = format!(
+        "{{\"version\":1,\"spec\":\"{}\",\"spec_digest\":\"{:#018x}\",\"chunks_total\":4,\"done\":[]}}\n",
+        spec(1).spec_string(),
+        spec(1).digest(),
+    );
+    fs::write(dir.join("manifest.json"), v1).unwrap();
+    for resume in [false, true] {
+        let err = run_sweep(&dir, &cfg(spec(1), 1, resume, None)).unwrap_err();
+        assert!(err.contains("version 1") && err.contains("fresh directory"), "{err}");
+    }
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -163,7 +163,8 @@ report status \"degraded\" instead of failing.
 sweep --out DIR switches to the crash-safe sharded mode (docs/sweeps.md):
 the grid is split into content-addressed chunks of --chunk-cells (n, seed)
 cells, each chunk's rows stream to DIR/shard-NNNNN.jsonl, and progress is
-checkpointed in DIR/manifest.json (tmp/fsync/rename). A killed sweep
+checkpointed in DIR/manifest.json (a header, then one fsynced record line
+appended per finished chunk). A killed sweep
 continues with --resume — completed chunks are digest-verified and
 skipped, torn shard tails are healed, only missing rows are recomputed —
 and the final DIR/merged.jsonl is byte-identical to an uninterrupted run

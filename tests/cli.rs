@@ -623,7 +623,8 @@ fn sweep_killed_by_chunk_budget_resumes_to_the_full_merge() {
 }
 
 /// `kill -9` mid-sweep, then `--resume`: the merge equals an uninterrupted
-/// run's. The sweep is killed as soon as its manifest records a chunk, so
+/// run's. The sweep is killed as soon as its manifest holds a complete
+/// chunk record (a header line and a record line, both newline-ended), so
 /// the kill lands while chunks remain (the test fails if the sweep finishes
 /// first). Each life runs at a different thread count.
 #[test]
@@ -653,8 +654,10 @@ fn sweep_killed_mid_run_resumes_to_the_full_merge() {
             .spawn()
             .expect("spawn pobp sweep");
         let manifest = dir.join("manifest.json");
-        let recorded =
-            || std::fs::read_to_string(&manifest).is_ok_and(|m| m.contains("\"done\":[{"));
+        let recorded = || {
+            std::fs::read(&manifest)
+                .is_ok_and(|m| m.iter().filter(|&&b| b == b'\n').count() >= 2)
+        };
         while !recorded() {
             assert!(
                 child.try_wait().expect("poll the sweep").is_none(),
@@ -681,4 +684,76 @@ fn sweep_killed_mid_run_resumes_to_the_full_merge() {
         std::fs::remove_dir_all(&dir).ok();
     }
     std::fs::remove_dir_all(&clean_dir).ok();
+}
+
+/// Every IO fault site, armed at rate 1, kills a sharded sweep at its
+/// first guarded op that draws the site; a disarmed rerun converges to the
+/// merge of a never-faulted run. The fresh manifest's header is written by
+/// atomic replace, whose tmp write draws io-disk-full, io-short-write and
+/// io-fsync and whose rename draws io-rename: those four die before any
+/// manifest exists, and the rerun starts fresh. io-torn-tail is drawn
+/// only by line appends, so it gets past the header, dies on the first
+/// shard row, and the rerun resumes.
+#[cfg(feature = "chaos")]
+#[test]
+fn every_io_fault_site_kills_a_sharded_sweep_and_a_disarmed_rerun_converges() {
+    let tmp = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!("pobp-cli-io-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let grid = ["sweep", "--n", "10,14", "--k", "0,1", "--seeds", "2", "--chunk-cells", "1"];
+    let clean_dir = tmp("clean");
+    let (_, err, ok) = run(&[&grid[..], &["--out", clean_dir.to_str().unwrap()]].concat());
+    assert!(ok, "{err}");
+    let clean = std::fs::read(clean_dir.join("merged.jsonl")).unwrap();
+
+    for site in ["io-short-write", "io-fsync", "io-rename", "io-torn-tail", "io-disk-full"] {
+        let dir = tmp(site);
+        let out = [&grid[..], &["--out", dir.to_str().unwrap()]].concat();
+        let chaos = format!("{site}:1");
+        let (_, err, ok) = run(&[&out[..], &["--chaos", &chaos, "--chaos-seed", "3"]].concat());
+        assert!(!ok, "{site}: a rate-1 fault did not fail the sweep");
+        assert!(err.contains(&format!("chaos: injected io fault (site={site})")), "{site}: {err}");
+        let checkpointed = dir.join("manifest.json").exists();
+        assert_eq!(checkpointed, site == "io-torn-tail", "{site}: where the sweep died");
+        let rerun = if checkpointed { [&out[..], &["--resume"]].concat() } else { out };
+        let (_, err, ok) = run(&rerun);
+        assert!(ok, "{site}: {err}");
+        assert_eq!(std::fs::read(dir.join("merged.jsonl")).unwrap(), clean, "{site}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    std::fs::remove_dir_all(&clean_dir).ok();
+}
+
+/// A faulty sweep dies at the same deterministic point on any thread
+/// count: the directories it leaves are byte-identical, file by file
+/// (`heartbeat.json`, wall-clock telemetry in instrument builds, aside).
+#[cfg(feature = "chaos")]
+#[test]
+fn faulty_sweeps_die_at_the_same_point_on_any_thread_count() {
+    let leave = |threads: &str| {
+        let dir = std::env::temp_dir()
+            .join(format!("pobp-cli-io-det-{threads}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (_, _, ok) = run(&[
+            "sweep", "--n", "10,14", "--k", "0,1", "--seeds", "2", "--chunk-cells", "1",
+            "--threads", threads, "--out", dir.to_str().unwrap(),
+            "--chaos", "io-torn-tail:0.5", "--chaos-seed", "9",
+        ]);
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).unwrap()))
+            .filter(|(name, _)| name != "heartbeat.json")
+            .collect();
+        files.sort();
+        std::fs::remove_dir_all(&dir).ok();
+        (ok, files)
+    };
+    let (ok1, files1) = leave("1");
+    let (ok4, files4) = leave("4");
+    assert!(!files1.is_empty(), "the sweep left no files");
+    assert_eq!(ok1, ok4);
+    assert!(files1 == files4, "the faulty sweep's directories differ across thread counts");
 }
