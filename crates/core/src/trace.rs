@@ -429,7 +429,7 @@ pub fn chrome_json(events: &[TraceEvent]) -> String {
 /// per-task sequence order equals program order — the rendered text is a
 /// pure function of the batch for deterministic configurations, regardless
 /// of thread count. See `docs/observability.md` for the contract and its
-/// exclusions (real deadlines, duplicate-task cache hits).
+/// exclusions (real deadlines, mid-batch cancellation).
 #[cfg(feature = "instrument")]
 pub fn logical_text(events: &[TraceEvent]) -> String {
     let mut logical: Vec<&TraceEvent> = events
@@ -645,7 +645,7 @@ mod tests {
         let ((), events) = capture(|| {
             crate::trace_event!("untasked");
             let _t = task_scope(1, "one");
-            crate::trace_event!(timing "cache.probe");
+            crate::trace_event!(timing "cache.ref_hit");
             crate::trace_event!("retry", 2);
             crate::trace_event!("emit", text: "ok");
         });

@@ -1,30 +1,27 @@
-//! Content-addressed in-memory result caching.
+//! Content-addressed in-memory reference caching.
 //!
 //! Grid sweeps revisit the same instance many times — every `k` of a
 //! `(n, seed) × k` grid shares the instance, and the expensive side of most
 //! tasks is the unbounded reference (`OPT_∞` exact branch-and-bound, or the
 //! greedy EDF baseline), which does not depend on `k` at all. The cache
-//! therefore has two layers, both keyed by a content hash of the instance
-//! (not by task identity):
+//! therefore maps `(instance_hash, exact_ref)` — a content hash of the
+//! instance, not task identity — to the shared unbounded reference
+//! solution, so a sweep over `k ∈ {1, 2, 4, 8}` pays for `OPT_∞` once.
 //!
-//! * the **reference layer** maps `(instance_hash, exact_ref)` to the
-//!   shared unbounded reference solution, so a sweep over `k ∈ {1, 2, 4, 8}`
-//!   pays for `OPT_∞` once;
-//! * the **result layer** maps the full task key
-//!   `(instance_hash, k, machines, algo, exact_ref)` to the finished
-//!   [`CachedResult`] — the [`SolveOutput`] *plus* the schedule it was
-//!   derived from and the effective `k`, so a cache hit can be re-certified
-//!   at the engine's trust boundary ([`crate::cert`]) instead of trusted.
+//! Whole outputs are not cached: every task makes its own attempt, so its
+//! report and its logical trace are pure functions of the task. A sweep
+//! grid holds distinct cells, and the `pobp serve` daemon answers a repeat
+//! of a finished job from its own content-key index, without an engine.
 //!
 //! Caching never changes *what* a task returns — solvers are pure, so a
-//! cached output is identical to a recomputed one — only what it costs.
+//! cached reference is identical to a recomputed one — only what it costs.
 //! Cache-hit accounting is reported in
 //! [`EngineStats`](crate::pool::EngineStats) and the `engine.cache.*`
 //! counters, never in per-task output (see the determinism contract in
 //! `docs/engine.md`).
 //!
 //! The reduction's `k`-independent prefix (`ReductionPlan`: laminarize +
-//! schedule forest) is deliberately *not* a layer here. The cache is never
+//! schedule forest) is deliberately *not* cached here. The cache is never
 //! evicted, so a plan stored beside each reference would live as long as
 //! the engine (in `pobp serve`, the process); a prototype that did so grew
 //! serve-mixed peak RSS from 31.6 to about 36 MiB. Instead each worker
@@ -42,7 +39,7 @@ use std::sync::{Arc, Mutex};
 
 use pobp_core::{trace_event, JobSet, Schedule};
 
-use crate::task::{Algo, SolveOutput, SolveTask};
+use crate::task::SolveTask;
 
 /// FNV-1a content hash of a job set: every job's release, deadline, length,
 /// and value bits, in id order. Two `JobSet`s hash equal iff they contain
@@ -102,27 +99,10 @@ pub struct RefSolution {
     pub value: f64,
 }
 
-/// A result-layer entry: the output plus the evidence needed to re-certify
-/// it on every hit — the schedule it was derived from and the effective
-/// preemption budget it was verified against.
-#[derive(Clone, Debug)]
-pub struct CachedResult {
-    /// The finished output.
-    pub output: SolveOutput,
-    /// The schedule behind `output` (shared, the schedule can be large).
-    pub schedule: Arc<Schedule>,
-    /// The `k` the schedule is held to (`0` for `Algo::K0`, else the task's).
-    pub eff_k: u32,
-}
-
-/// Full task key for the result layer.
-type ResultKey = (u64, u32, usize, Algo, bool);
-
-/// The two-layer cache. Cheap to share: clone the [`Arc`] handle.
+/// The reference cache. Cheap to share: clone the [`Arc`] handle.
 #[derive(Debug, Default)]
 pub struct ResultCache {
     refs: Mutex<HashMap<(u64, bool), Arc<RefSolution>>>,
-    results: Mutex<HashMap<ResultKey, CachedResult>>,
     #[cfg(feature = "chaos")]
     chaos: Mutex<Option<Arc<crate::chaos::FaultPlan>>>,
 }
@@ -134,7 +114,7 @@ impl ResultCache {
     }
 
     /// Arms (or disarms) the fault plan consulted by the corrupt-at-put
-    /// sites. Set by [`Engine::with_chaos`](crate::pool::Engine::with_chaos).
+    /// site. Set by [`Engine::with_chaos`](crate::pool::Engine::with_chaos).
     #[cfg(feature = "chaos")]
     pub fn set_chaos(&self, plan: Option<Arc<crate::chaos::FaultPlan>>) {
         *self.chaos.lock().unwrap() = plan;
@@ -171,59 +151,15 @@ impl ResultCache {
             .clone()
     }
 
-    /// Looks up the result layer by the full task key.
-    pub fn get_result(
-        &self,
-        inst: u64,
-        k: u32,
-        machines: usize,
-        algo: Algo,
-        exact: bool,
-    ) -> Option<CachedResult> {
-        self.results.lock().unwrap().get(&(inst, k, machines, algo, exact)).cloned()
-    }
-
-    /// Stores into the result layer. The entry carries its schedule so
-    /// every later hit is re-certified, not trusted (see [`crate::cert`]).
-    pub fn put_result(
-        &self,
-        inst: u64,
-        k: u32,
-        machines: usize,
-        algo: Algo,
-        exact: bool,
-        entry: CachedResult,
-    ) {
-        #[cfg(feature = "chaos")]
-        let entry = {
-            let mut entry = entry;
-            if let Some(plan) = self.chaos.lock().unwrap().as_ref() {
-                plan.corrupt_result(inst ^ splitmix_key(k, machines, algo, exact), &mut entry.output);
-            }
-            entry
-        };
-        trace_event!(timing "cache.result_store");
-        self.results.lock().unwrap().insert((inst, k, machines, algo, exact), entry);
-    }
-
-    /// Number of entries across both layers (for reporting).
+    /// Number of cached references (for reporting).
     pub fn len(&self) -> usize {
-        self.refs.lock().unwrap().len() + self.results.lock().unwrap().len()
+        self.refs.lock().unwrap().len()
     }
 
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// Mixes the non-instance parts of a result key into the chaos decision
-/// key, so distinct `(k, machines, algo, exact)` cells of one instance draw
-/// corruption independently.
-#[cfg(feature = "chaos")]
-fn splitmix_key(k: u32, machines: usize, algo: Algo, exact: bool) -> u64 {
-    let packed = (k as u64) ^ ((machines as u64) << 20) ^ ((algo as u64) << 50) ^ ((exact as u64) << 60);
-    packed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Certified outputs: the engine's trust boundary.
 //!
 //! Nothing leaves the engine as [`TaskResult::Done`](crate::task::TaskResult)
-//! (or `Degraded`) on trust. Before a result is emitted — whether freshly
-//! solved, served from the cache, or produced by the degradation fallback —
-//! the schedule behind it is independently re-checked against the `JobSet`:
+//! (or `Degraded`) on trust. Before a result is emitted — whether solved by
+//! the task's algorithm or produced by the degradation fallback — the
+//! schedule behind it is independently re-checked against the `JobSet`:
 //!
 //! 1. **feasibility** — `Schedule::verify_on(jobs, Some(eff_k), machines)`:
 //!    every clause of Definition 2.1 plus the machine range;
@@ -15,7 +15,7 @@
 //! A mismatch becomes a structured
 //! [`TaskResult::CertFailed`](crate::task::TaskResult) naming the stage and
 //! reason, **never** a wrong value in an output row. This is what turns
-//! injected cache corruption (see [`crate::chaos`]) or a solver bug into a
+//! injected reference corruption (see [`crate::chaos`]) or a solver bug into a
 //! visible, attributable failure. Certification costs one `verify` plus one
 //! stats pass per emitted result — small next to any solve — and is always
 //! on; it is not feature-gated.
@@ -75,8 +75,7 @@ fn values_differ(claimed: f64, recomputed: f64) -> bool {
 /// Certifies a bounded-stage result: feasibility of `schedule` under
 /// `(eff_k, machines)` and agreement of `out`'s claimed statistics with a
 /// recomputation from the schedule. The reference side is certified
-/// separately ([`certify_reference`]) because cache hits carry no reference
-/// schedule.
+/// separately ([`certify_reference`]).
 pub(crate) fn certify_solve(
     jobs: &JobSet,
     schedule: &Schedule,

@@ -8,7 +8,7 @@
 //! lets CI diff a fault-injected `pobp sweep --threads 1` against
 //! `--threads 4` (see `docs/robustness.md`).
 //!
-//! The named sites (pool, task wrapper, cache):
+//! The named sites (pool, task wrapper, reference cache):
 //!
 //! | site | where | effect |
 //! |---|---|---|
@@ -17,8 +17,7 @@
 //! | `delay` | `pool.rs`, attempt start | sleeps [`FaultPlan::delay`] (exercises deadline yield points; wall-clock only) |
 //! | `cancel` | `pool.rs`, before the first attempt | cancels the task's own token (surfaces as a deadline stop) |
 //! | `deadline` | `solve.rs`, reference→bounded stage boundary | forces [`StopReason::DeadlineExceeded`](crate::cancel::StopReason) |
-//! | `corrupt-ref` | `cache.rs`, reference-layer put | perturbs the stored reference value |
-//! | `corrupt-result` | `cache.rs`, result-layer put | perturbs the stored output value |
+//! | `corrupt-ref` | `cache.rs`, reference put | perturbs the stored reference value |
 //!
 //! The IO sites (all routed through [`IoGuard`](crate::io::IoGuard), the
 //! fault-injectable writer under the sweep shard files and the serve
@@ -52,7 +51,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::cache::RefSolution;
-use crate::task::SolveOutput;
 
 /// The `pobp sweep` usage addendum for chaos builds. Lives in this module
 /// so every chaos-related CLI string is compiled out with the feature.
@@ -60,7 +58,7 @@ pub const CLI_USAGE: &str = "
 chaos builds only: sweep and serve also accept
   --chaos SPEC      comma-separated site:rate entries, e.g.
                     panic:0.25,deadline:1,corrupt-ref:0.5 with sites
-                    panic|flaky|delay|cancel|deadline|corrupt-ref|corrupt-result
+                    panic|flaky|delay|cancel|deadline|corrupt-ref
                     |io-short-write|io-fsync|io-rename|io-torn-tail|io-disk-full
                     (the pseudo-site delay-ms:N sets the delay duration)
   --chaos-seed S    seed of the fault plan (default 0); the same seed over
@@ -82,10 +80,8 @@ pub enum FaultSite {
     SpuriousCancel,
     /// Force a `DeadlineExceeded` stop at the stage boundary.
     ForcedDeadline,
-    /// Corrupt the reference-layer cache entry at put time.
+    /// Corrupt the reference cache entry at put time.
     CorruptRef,
-    /// Corrupt the result-layer cache entry at put time.
-    CorruptResult,
     /// An IO write persists only a prefix of its bytes, then errors.
     IoShortWrite,
     /// A file or directory fsync fails after the data was handed to the OS.
@@ -101,14 +97,13 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Every site, in spec/reporting order.
-    pub const ALL: [FaultSite; 12] = [
+    pub const ALL: [FaultSite; 11] = [
         FaultSite::Panic,
         FaultSite::Flaky,
         FaultSite::Delay,
         FaultSite::SpuriousCancel,
         FaultSite::ForcedDeadline,
         FaultSite::CorruptRef,
-        FaultSite::CorruptResult,
         FaultSite::IoShortWrite,
         FaultSite::IoFsync,
         FaultSite::IoRename,
@@ -125,7 +120,6 @@ impl FaultSite {
             FaultSite::SpuriousCancel => "cancel",
             FaultSite::ForcedDeadline => "deadline",
             FaultSite::CorruptRef => "corrupt-ref",
-            FaultSite::CorruptResult => "corrupt-result",
             FaultSite::IoShortWrite => "io-short-write",
             FaultSite::IoFsync => "io-fsync",
             FaultSite::IoRename => "io-rename",
@@ -149,7 +143,6 @@ impl FaultSite {
             FaultSite::SpuriousCancel => 0xd6e8_feb8_6659_fd93,
             FaultSite::ForcedDeadline => 0xa076_1d64_78bd_642f,
             FaultSite::CorruptRef => 0xe703_7ed1_a0b4_28db,
-            FaultSite::CorruptResult => 0x8ebc_6af0_9c88_c6e3,
             FaultSite::IoShortWrite => 0xc2b2_ae3d_27d4_eb4f,
             FaultSite::IoFsync => 0x1656_67b1_9e37_79f9,
             FaultSite::IoRename => 0x27d4_eb2f_1656_67c5,
@@ -280,18 +273,6 @@ impl FaultPlan {
         // Push the claimed reference value well past any certification
         // tolerance while keeping it finite and positive.
         sol.value = sol.value * 2.0 + 1.0;
-        true
-    }
-
-    /// The `corrupt-result` site: perturbs a result-layer output about to
-    /// enter the cache. Returns whether it fired.
-    pub(crate) fn corrupt_result(&self, key: u64, out: &mut SolveOutput) -> bool {
-        if !self.fires(FaultSite::CorruptResult, key) {
-            return false;
-        }
-        pobp_core::obs_count!("engine.chaos.corrupt_result");
-        pobp_core::trace_event!(timing "chaos.corrupt_result");
-        out.alg_value = out.alg_value * 2.0 + 1.0;
         true
     }
 }

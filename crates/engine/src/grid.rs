@@ -2,10 +2,10 @@
 //!
 //! Task order is row-major over `ns × seeds × ks` — seeds inside `n`, `k`
 //! innermost — so every `k` of one `(n, seed)` cell is adjacent and the
-//! cache's reference layer (keyed by instance, not by `k`) is hit
-//! immediately. The order, and therefore the report order, is a pure
-//! function of the spec: two engines given the same spec return
-//! byte-identical report sequences regardless of thread count.
+//! reference cache (keyed by instance, not by `k`) is hit immediately. The
+//! order, and therefore the report order, is a pure function of the spec:
+//! two engines given the same spec return byte-identical report sequences
+//! regardless of thread count.
 
 use pobp_core::JobSet;
 use pobp_instances::RandomWorkload;

@@ -21,10 +21,10 @@
 //!   not-before requeue (the worker never sleeps out a backoff), with
 //!   attempt accounting in each [`TaskReport`];
 //! * a content-addressed [`cache`] shares the expensive unbounded-reference
-//!   side (`OPT_∞`) across every `k` of a grid and deduplicates identical
-//!   tasks outright;
-//! * every emitted output — fresh, cached, or fallback — passed the
-//!   [`cert`] trust boundary (schedule re-verified, values recomputed); a
+//!   side (`OPT_∞`) across every `k` of a grid; every task still makes its
+//!   own attempt;
+//! * every emitted output — solved or fallback — passed the [`cert`] trust
+//!   boundary (schedule and reference re-verified, values recomputed); a
 //!   mismatch is a structured [`TaskResult::CertFailed`], never a wrong row;
 //! * with [`EngineConfig::degrade`] on, tasks that exhaust retries or blow
 //!   their deadline fall back to the polynomial `LSA_CS`/`k = 0` algorithm
@@ -32,16 +32,16 @@
 //! * long-lived owners stop cleanly via [`Engine::shutdown`] — drain-then-
 //!   join or cancel-then-join, both of which refuse new batches and return
 //!   only once every worker thread has joined — and share one
-//!   content-addressed cache across many engines via
+//!   content-addressed reference cache across many engines via
 //!   [`Engine::with_shared_cache`] (the `pobp serve` daemon's pattern);
 //! * with the `chaos` cargo feature, a seeded [`chaos::FaultPlan`] injects
 //!   panics, delays, spurious cancellations, forced deadlines, and
-//!   cache-entry corruption at named sites, deterministically per task —
+//!   reference-cache corruption at named sites, deterministically per task —
 //!   chaos runs replay byte-identically across thread counts. Without the
 //!   feature, none of the injection code exists in the binary.
 //!
-//! With the `obs` cargo feature the engine emits the `engine.*` counter
-//! families (tasks run/cached/panicked/timed-out/retried, certification
+//! With the `instrument` cargo feature the engine emits the `engine.*`
+//! counter families (tasks run/panicked/timed-out/retried, certification
 //! verdicts, chaos injections, degradations, injector/local queue depth,
 //! steal attempts and hits, per-worker busy time); see
 //! `docs/observability.md`.
@@ -63,7 +63,7 @@
 //! // The terminal kinds partition the batch.
 //! let s = batch.stats;
 //! assert_eq!(
-//!     s.run + s.cached + s.degraded + s.cert_failed + s.panicked + s.timed_out + s.cancelled,
+//!     s.run + s.degraded + s.cert_failed + s.panicked + s.timed_out + s.cancelled,
 //!     s.tasks
 //! );
 //! ```
@@ -83,7 +83,7 @@ pub mod pool;
 mod solve;
 pub mod task;
 
-pub use cache::{instance_hash, splitmix64, task_key, CachedResult, RefSolution, ResultCache};
+pub use cache::{instance_hash, splitmix64, task_key, RefSolution, ResultCache};
 pub use io::IoGuard;
 pub use cancel::{CancelToken, StopReason, TaskCtx};
 pub use cert::{CertFailure, CertStage};

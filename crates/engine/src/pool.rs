@@ -21,8 +21,8 @@
 //! Two robustness layers sit between a solve and its report
 //! (`docs/robustness.md`):
 //!
-//! * **certification** — every emitted output (fresh, cached, or fallback)
-//!   passed the trust boundary of [`crate::cert`]; a mismatch becomes
+//! * **certification** — every emitted output (solved or fallback) passed
+//!   the trust boundary of [`crate::cert`]; a mismatch becomes
 //!   [`TaskResult::CertFailed`], never a wrong row;
 //! * **graceful degradation** — with [`EngineConfig::degrade`] on, a task
 //!   that exhausts its retry budget or blows its deadline is retried once
@@ -39,9 +39,8 @@ use pobp_core::obs::LogHistogram;
 use pobp_core::{obs_count, obs_event, obs_span, trace, trace_event};
 use pobp_sched::SolveWorkspace;
 
-use crate::cache::{instance_hash, CachedResult, ResultCache};
+use crate::cache::{instance_hash, ResultCache};
 use crate::cancel::{CancelToken, StopReason, TaskCtx};
-use crate::cert;
 use crate::exec::{Fabric, StealRng, Unit};
 use crate::solve::{solve_task, PlanMemo, SolveFailure};
 use crate::task::{Algo, DegradeCause, SolveTask, TaskReport, TaskResult};
@@ -66,7 +65,7 @@ pub struct EngineConfig {
     /// 100 ms): the task is requeued and becomes runnable again
     /// `backoff · 2^(r−1)` later; the worker stays busy in the meantime.
     pub backoff: Duration,
-    /// Whether the content-addressed result cache is consulted.
+    /// Whether the content-addressed reference cache is consulted.
     pub use_cache: bool,
     /// Whether the graceful-degradation ladder is armed: tasks that exhaust
     /// retries or overrun their deadline fall back to the polynomial
@@ -95,17 +94,15 @@ impl Default for EngineConfig {
     }
 }
 
-/// Batch-level accounting. The terminal kinds plus `cached` partition the
-/// batch: `run + cached + degraded + cert_failed + panicked + timed_out +
-/// cancelled == tasks`.
+/// Batch-level accounting. The terminal kinds partition the batch:
+/// `run + degraded + cert_failed + panicked + timed_out + cancelled ==
+/// tasks`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Tasks in the batch.
     pub tasks: usize,
-    /// Tasks computed fresh to a successful, certified result.
+    /// Tasks solved to a successful, certified result.
     pub run: usize,
-    /// Tasks answered from the result cache (re-certified on the hit).
-    pub cached: usize,
     /// Tasks rescued by the polynomial fallback after their primary
     /// algorithm failed.
     pub degraded: usize,
@@ -144,7 +141,6 @@ pub struct BatchReport {
 #[derive(Default)]
 struct StatsCell {
     run: AtomicUsize,
-    cached: AtomicUsize,
     degraded: AtomicUsize,
     cert_failed: AtomicUsize,
     panicked: AtomicUsize,
@@ -161,7 +157,6 @@ impl StatsCell {
         EngineStats {
             tasks,
             run: self.run.load(Ordering::Relaxed),
-            cached: self.cached.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
             cert_failed: self.cert_failed.load(Ordering::Relaxed),
             panicked: self.panicked.load(Ordering::Relaxed),
@@ -200,7 +195,7 @@ impl Drop for BatchGuard<'_> {
     }
 }
 
-/// A reusable batch-solving engine: configuration, the shared result
+/// A reusable batch-solving engine: configuration, the shared reference
 /// cache (persists across batches), and a batch-level cancel token.
 #[derive(Debug, Default)]
 pub struct Engine {
@@ -218,10 +213,11 @@ impl Engine {
         Engine::with_shared_cache(cfg, Arc::new(ResultCache::new()))
     }
 
-    /// An engine sharing an existing result cache. This is how a long-lived
-    /// service gives every per-job engine one content-addressed cache: the
-    /// engines are cheap (config + token + `Arc` handle) while the cache —
-    /// the expensive, shareable state — persists across all of them.
+    /// An engine sharing an existing reference cache. This is how a
+    /// long-lived service gives every per-job engine one content-addressed
+    /// cache: the engines are cheap (config + token + `Arc` handle) while
+    /// the cache — the expensive, shareable state — persists across all of
+    /// them.
     pub fn with_shared_cache(cfg: EngineConfig, cache: Arc<ResultCache>) -> Self {
         Engine {
             cfg,
@@ -257,12 +253,12 @@ impl Engine {
         &self.cfg
     }
 
-    /// The shared result cache (persists across `run_batch` calls).
+    /// The shared reference cache (persists across `run_batch` calls).
     pub fn cache(&self) -> &ResultCache {
         &self.cache
     }
 
-    /// A clonable handle to the result cache, for sharing with another
+    /// A clonable handle to the reference cache, for sharing with another
     /// engine via [`Engine::with_shared_cache`].
     pub fn cache_handle(&self) -> Arc<ResultCache> {
         self.cache.clone()
@@ -467,8 +463,7 @@ impl Engine {
         BatchReport { reports, stats: stats.snapshot(n) }
     }
 
-    /// Runs one dispatched attempt of a unit: the cache check on the first
-    /// dispatch (hits are re-certified), a single attempt under
+    /// Runs one dispatched attempt of a unit: a single attempt under
     /// `catch_unwind`, the degradation ladder, terminal accounting. Returns
     /// `None` when the attempt panicked with retry budget left — the unit
     /// has then been requeued with a not-before timestamp and some worker
@@ -485,54 +480,14 @@ impl Engine {
         ws: &mut SolveWorkspace,
     ) -> Option<TaskReport> {
         let index = unit.index;
-        // The instance is hashed once per dispatch; both cache layers key
-        // on it.
+        // The instance is hashed once per dispatch, as the reference key.
         let cache = self.cfg.use_cache.then(|| (&*self.cache, instance_hash(&task.instance)));
-        if let Some((c, inst)) = cache.filter(|_| unit.attempts == 0) {
-            // Timing-class: whether a result-layer probe hits depends on
-            // scheduling order, so none of this appears in the logical trace.
-            if let Some(hit) = obs_span!(timing "cache.probe", {
-                c.get_result(inst, task.k, task.machines, task.algo, task.exact_ref)
-            }) {
-                trace_event!(timing "cache.result_hit");
-                // Trust boundary: a hit is re-certified against the
-                // schedule stored with it, never trusted. A poisoned entry
-                // surfaces as CertFailed — not as a wrong output row.
-                let result = match obs_span!(timing "cert.recheck", cert::certify_solve(
-                    &task.instance,
-                    &hit.schedule,
-                    hit.eff_k,
-                    task.machines,
-                    &hit.output,
-                )) {
-                    Ok(()) => {
-                        obs_count!("engine.tasks.cached");
-                        obs_count!("engine.cert.ok");
-                        stats.cached.fetch_add(1, Ordering::Relaxed);
-                        TaskResult::Done(hit.output)
-                    }
-                    Err(failure) => {
-                        obs_count!("engine.cert.failed");
-                        trace_event!(timing "cert.recheck_failed");
-                        stats.cert_failed.fetch_add(1, Ordering::Relaxed);
-                        failure.into()
-                    }
-                };
-                return Some(TaskReport {
-                    index,
-                    label: task.label.clone(),
-                    attempts: 0,
-                    result,
-                });
-            }
-        }
-
         if unit.attempts == 0 {
-            // First dispatch after a cache miss: create the task's cancel
-            // token, chaos handle, and absolute deadline. All three live in
-            // the unit from here on, so they survive a retry requeue — a
-            // task's deadline keeps running while it waits out a backoff,
-            // exactly as it did when the backoff was an in-worker sleep.
+            // First dispatch: create the task's cancel token, chaos handle,
+            // and absolute deadline. All three live in the unit from here
+            // on, so they survive a retry requeue — a task's deadline keeps
+            // running while it waits out a backoff, exactly as it did when
+            // the backoff was an in-worker sleep.
             unit.token = Some(CancelToken::new());
             #[cfg(feature = "chaos")]
             {
@@ -593,20 +548,6 @@ impl Engine {
                 stats.run.fetch_add(1, Ordering::Relaxed);
                 if solved.ref_hit {
                     stats.ref_cache_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                if let Some((c, inst)) = cache {
-                    c.put_result(
-                        inst,
-                        task.k,
-                        task.machines,
-                        task.algo,
-                        task.exact_ref,
-                        CachedResult {
-                            output: solved.output.clone(),
-                            schedule: solved.schedule.clone(),
-                            eff_k: solved.eff_k,
-                        },
-                    );
                 }
                 TaskResult::Done(solved.output)
             }
@@ -711,10 +652,9 @@ impl Engine {
             #[cfg(feature = "chaos")]
             chaos: None,
         };
-        // The fallback runs cache-free: its output answers the *original*
-        // task's report, so caching it under the fallback key would let an
-        // unrelated duplicate of the fallback task pick up accounting
-        // differences, and caching under the original key would be a lie.
+        // The fallback runs cache-free, like it runs chaos-free: a
+        // reference entry poisoned by the `corrupt-ref` site cannot reach
+        // the rescue.
         obs_span!("degrade", {
             // No fallback algorithm is a reduction, so the memo goes unused.
             let solve = || solve_task(&fb_task, &ctx, None, &mut None, ws);

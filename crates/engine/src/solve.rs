@@ -1,7 +1,7 @@
 //! The task wrapper: one `SolveTask` → one **certified** `SolveOutput`.
 //!
 //! Every task runs in two stages — the unbounded *reference* (the expensive,
-//! `k`-independent side, served from the cache's reference layer when
+//! `k`-independent side, served from the engine's reference cache when
 //! possible) and the *bounded* algorithm itself — with a cooperative
 //! [`TaskCtx`] check at each stage boundary. Before the output is released
 //! the engine's trust boundary re-checks it ([`crate::cert`]): the schedule
@@ -43,13 +43,10 @@ impl From<StopReason> for SolveFailure {
     }
 }
 
-/// A certified solve: the output, the schedule behind it (kept so the pool
-/// can cache it for hit-time re-certification), the effective `k` it was
-/// verified against, and whether the reference came from the cache.
+/// A certified solve: the output and whether the reference came from the
+/// cache.
 pub(crate) struct Solved {
     pub output: SolveOutput,
-    pub schedule: Arc<Schedule>,
-    pub eff_k: u32,
     pub ref_hit: bool,
 }
 
@@ -65,9 +62,9 @@ pub(crate) struct Solved {
 /// never hits. Why this is not a cache layer: see [`crate::cache`].
 pub(crate) type PlanMemo = Option<(Arc<RefSolution>, ReductionPlan)>;
 
-/// Computes the unbounded reference of `task`, consulting the reference
-/// layer of `cache` (the cache and the task's instance hash). The returned
-/// flag is `true` on a cache hit.
+/// Computes the unbounded reference of `task`, consulting `cache` (the
+/// cache and the task's instance hash). The returned flag is `true` on a
+/// cache hit.
 fn reference(
     task: &SolveTask,
     ids: &[JobId],
@@ -235,9 +232,8 @@ pub(crate) fn solve_task(
         preemptions: stats.total_preemptions,
         branch_values,
     };
-    // The trust boundary: nothing leaves the wrapper uncertified. The
-    // reference is certified here (its schedule is in hand); the bounded
-    // side re-checks through the same path a cache hit takes.
+    // The trust boundary: nothing leaves the wrapper uncertified — neither
+    // the reference (which may come from the cache) nor the bounded side.
     obs_time!("engine.cert.time", {
         cert::certify_reference(&task.instance, &reference.schedule, reference.value)
             .and_then(|()| {
@@ -246,5 +242,5 @@ pub(crate) fn solve_task(
             .map_err(SolveFailure::Cert)
     })?;
     trace_event!("cert.ok");
-    Ok(Solved { output, schedule: Arc::new(schedule), eff_k, ref_hit })
+    Ok(Solved { output, ref_hit })
 }

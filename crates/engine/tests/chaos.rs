@@ -39,20 +39,11 @@ fn corrupted_reference_cache_is_cert_failed_never_a_wrong_row() {
 }
 
 #[test]
-fn corrupted_result_cache_poisons_the_duplicate_not_the_original() {
-    // corrupt-result fires at put time, so the computing task still reports
-    // its honest (pre-put) output; the poisoned entry is caught when a
-    // duplicate task hits the cache.
-    let plan = FaultPlan::new(3).with_rate(FaultSite::CorruptResult, 1.0);
-    let engine = Engine::with_chaos(sequential(), plan);
-    let task = grid().tasks().remove(0);
-    let first = engine.run_batch(std::slice::from_ref(&task));
-    assert!(matches!(first.reports[0].result, TaskResult::Done(_)));
-    let second = engine.run_batch(std::slice::from_ref(&task));
-    let TaskResult::CertFailed { stage, .. } = &second.reports[0].result else {
-        panic!("poisoned hit leaked: {:?}", second.reports[0].result);
-    };
-    assert_eq!(*stage, CertStage::Value);
+fn corrupt_result_is_an_unknown_site() {
+    // The engine caches references only, so there is no output entry to
+    // corrupt: a `corrupt-result` spec is refused, not silently ignored.
+    let err = FaultPlan::parse("corrupt-result:1", 0).unwrap_err();
+    assert!(err.contains("unknown chaos site `corrupt-result`"), "got: {err}");
 }
 
 #[test]

@@ -4,9 +4,10 @@
 
 use std::time::Duration;
 
+use pobp_core::JobId;
 use pobp_engine::{
     instance_hash, run_batch, Algo, CertStage, DegradeCause, Engine, EngineConfig, GridSpec,
-    SolveTask, TaskResult,
+    RefSolution, SolveTask, TaskResult,
 };
 use pobp_instances::RandomWorkload;
 
@@ -34,7 +35,7 @@ fn batch_solves_a_grid_in_input_order() {
     }
     let s = batch.stats;
     assert_eq!(
-        s.run + s.cached + s.degraded + s.cert_failed + s.panicked + s.timed_out + s.cancelled,
+        s.run + s.degraded + s.cert_failed + s.panicked + s.timed_out + s.cancelled,
         s.tasks
     );
     assert_eq!(s.tasks, tasks.len());
@@ -61,7 +62,7 @@ fn panicking_task_is_isolated_not_fatal() {
         }
     }
     assert_eq!(batch.stats.panicked, 1);
-    assert_eq!(batch.stats.run + batch.stats.cached, tasks.len() - 1);
+    assert_eq!(batch.stats.run, tasks.len() - 1);
 }
 
 #[test]
@@ -147,18 +148,18 @@ fn cancelled_engine_reports_cancelled() {
 }
 
 #[test]
-fn duplicate_tasks_hit_the_result_cache() {
+fn duplicate_tasks_get_identical_reports() {
+    // Every copy makes its own attempt; only the reference is shared.
     let base = grid_tasks();
     let tasks = vec![base[0].clone(), base[0].clone(), base[0].clone()];
     let batch = run_batch(&tasks, sequential());
-    assert_eq!(batch.stats.run, 1);
-    assert_eq!(batch.stats.cached, 2);
-    // Cached answers are identical to the computed one.
+    assert_eq!(batch.stats.run, 3);
+    assert_eq!(batch.stats.ref_cache_hits, 2);
     let TaskResult::Done(first) = &batch.reports[0].result else { panic!() };
-    for r in &batch.reports[1..] {
+    for r in &batch.reports {
         let TaskResult::Done(out) = &r.result else { panic!() };
         assert_eq!(out, first);
-        assert_eq!(r.attempts, 0, "cache hits make no attempt");
+        assert_eq!(r.attempts, 1, "task {}", r.index);
     }
 }
 
@@ -188,7 +189,6 @@ fn cache_off_recomputes_everything() {
     let cfg = EngineConfig { use_cache: false, ..sequential() };
     let batch = run_batch(&tasks, cfg);
     assert_eq!(batch.stats.run, 2);
-    assert_eq!(batch.stats.cached, 0);
     assert_eq!(batch.stats.ref_cache_hits, 0);
 }
 
@@ -269,29 +269,26 @@ fn degradation_skips_the_test_only_panic_algo() {
 
 #[test]
 fn tampered_cache_entry_fails_certification_instead_of_leaking() {
-    // The trust boundary in action without the chaos feature: poison a
-    // result-cache entry by hand and check the engine refuses to serve it.
+    // The trust boundary in action without the chaos feature: poison the
+    // task's reference entry by hand (`2v + 1`, as the corrupt-ref site
+    // does) and check the engine refuses to emit a row built on it.
     let task = grid_tasks()[0].clone();
+    let ids: Vec<JobId> = task.instance.ids().collect();
+    let schedule = pobp_sched::greedy_unbounded(&task.instance, &ids).schedule;
+    let value = schedule.value(&task.instance) * 2.0 + 1.0;
     let engine = Engine::new(sequential());
-    let first = engine.run_batch(std::slice::from_ref(&task));
-    let TaskResult::Done(honest) = &first.reports[0].result else { panic!() };
+    engine.cache().put_ref(
+        instance_hash(&task.instance),
+        task.exact_ref,
+        RefSolution { schedule, value },
+    );
 
-    let inst = instance_hash(&task.instance);
-    let mut entry = engine
-        .cache()
-        .get_result(inst, task.k, task.machines, task.algo, task.exact_ref)
-        .expect("first run populated the result layer");
-    entry.output.alg_value = honest.alg_value * 2.0 + 1.0;
-    engine
-        .cache()
-        .put_result(inst, task.k, task.machines, task.algo, task.exact_ref, entry);
-
-    let second = engine.run_batch(std::slice::from_ref(&task));
-    let TaskResult::CertFailed { stage, reason } = &second.reports[0].result else {
-        panic!("poisoned hit leaked: {:?}", second.reports[0].result);
+    let batch = engine.run_batch(std::slice::from_ref(&task));
+    let TaskResult::CertFailed { stage, reason } = &batch.reports[0].result else {
+        panic!("poisoned reference leaked: {:?}", batch.reports[0].result);
     };
-    assert_eq!(*stage, CertStage::Value);
-    assert!(reason.contains("value"), "got: {reason}");
-    assert_eq!(second.stats.cert_failed, 1);
-    assert_eq!(second.stats.cached, 0);
+    assert_eq!(*stage, CertStage::Reference);
+    assert!(reason.contains("reference value"), "got: {reason}");
+    assert_eq!(batch.stats.cert_failed, 1);
+    assert_eq!(batch.stats.run, 0);
 }

@@ -25,16 +25,12 @@ fn obs_counters_partition_the_batch() {
     };
     let (_, snap) = obs::measure(|| run_batch(&tasks, cfg));
     let sum = snap.counter("engine.tasks.run")
-        + snap.counter("engine.tasks.cached")
         + snap.counter("engine.tasks.panicked")
         + snap.counter("engine.tasks.timed_out")
         + snap.counter("engine.tasks.cancelled");
     assert_eq!(sum, total);
     // Every emitted output was certified exactly once.
-    assert_eq!(
-        snap.counter("engine.cert.ok"),
-        snap.counter("engine.tasks.run") + snap.counter("engine.tasks.cached")
-    );
+    assert_eq!(snap.counter("engine.cert.ok"), snap.counter("engine.tasks.run"));
     assert_eq!(snap.counter("engine.cert.failed"), 0);
     assert_eq!(snap.counter("engine.tasks.panicked"), 1);
     assert_eq!(snap.counter("engine.tasks.retried"), 1);

@@ -1,14 +1,8 @@
 //! The online algorithms inherit the engine's determinism contract: a batch
 //! of online-arrival tasks over the instance zoo produces byte-identical
 //! ordered reports for `threads = 1` and `threads = 4` (the logical-trace
-//! side is in `trace_logical.rs`).
-//!
-//! Caveat baked into these tests: zoo cells are compared with the result
-//! cache **off**. The fig2/fig4 families ignore their seed, so a sweep holds
-//! duplicate cache keys and *which* duplicate is served from cache is
-//! scheduling-dependent — `attempts` (part of the Debug rendering) is
-//! cache-state metadata, not certified output. The `pobp online` CLI handles
-//! this by never emitting `attempts`; here we simply keep every task fresh.
+//! side is in `trace_logical.rs`), with the cache on — also when the
+//! fig2/fig4 families, which ignore their seed, repeat a task across seeds.
 
 use proptest::prelude::*;
 
@@ -39,7 +33,6 @@ fn config(threads: usize) -> EngineConfig {
         threads,
         max_retries: 1,
         backoff: std::time::Duration::from_millis(1),
-        use_cache: false,
         ..EngineConfig::default()
     }
 }
@@ -48,19 +41,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// `--threads 1` and `--threads 4` agree byte-for-byte on the full
-    /// Debug rendering of an online zoo sweep's reports.
+    /// Debug rendering of an online zoo sweep's reports, `attempts`
+    /// included. Two seeds, so the fig2/fig4 cells repeat.
     #[test]
     fn online_reports_are_thread_count_invariant(
         ns in proptest::collection::vec(4usize..10, 1..=2),
         ks in proptest::collection::vec(0u32..3, 1..=2),
         seed in 0u64..50,
     ) {
-        let tasks = online_zoo_tasks(&ns, &ks, &[seed]);
+        let tasks = online_zoo_tasks(&ns, &ks, &[seed, seed + 1]);
         let seq = run_batch(&tasks, config(1));
         let par = run_batch(&tasks, config(4));
         prop_assert_eq!(format!("{:#?}", seq.reports), format!("{:#?}", par.reports));
         for report in &seq.reports {
             prop_assert!(matches!(report.result, TaskResult::Done(_)), "{} failed", report.label);
+            prop_assert_eq!(report.attempts, 1, "{}", &report.label);
         }
     }
 }

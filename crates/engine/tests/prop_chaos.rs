@@ -43,7 +43,7 @@ proptest! {
         );
         for s in [seq.stats, par.stats] {
             prop_assert_eq!(
-                s.run + s.cached + s.degraded + s.cert_failed + s.panicked + s.timed_out
+                s.run + s.degraded + s.cert_failed + s.panicked + s.timed_out
                     + s.cancelled,
                 s.tasks
             );

@@ -67,7 +67,7 @@ proptest! {
         // Terminal kinds partition the batch on both sides.
         for s in [seq.stats, par.stats] {
             prop_assert_eq!(
-                s.run + s.cached + s.degraded + s.cert_failed + s.panicked + s.timed_out
+                s.run + s.degraded + s.cert_failed + s.panicked + s.timed_out
                     + s.cancelled,
                 s.tasks
             );

@@ -72,7 +72,7 @@ proptest! {
         for s in [seq.stats, two.stats, par.stats] {
             prop_assert!(s.steal_hits <= s.steal_attempts);
             prop_assert_eq!(
-                s.run + s.cached + s.degraded + s.cert_failed + s.panicked + s.timed_out
+                s.run + s.degraded + s.cert_failed + s.panicked + s.timed_out
                     + s.cancelled,
                 s.tasks
             );

@@ -81,8 +81,8 @@ fn closed_engine_refuses_new_batches_as_cancelled() {
 
 #[test]
 fn shared_cache_spans_engines() {
-    // Two engines over one cache: the second serves the first's results as
-    // cache hits — the serve daemon's per-job-engine pattern.
+    // Two engines over one cache: the second reuses every reference the
+    // first computed — the serve daemon's per-job-engine pattern.
     let a = Engine::new(EngineConfig { threads: 1, ..EngineConfig::default() });
     let tasks = slow_batch(8);
     let first = a.run_batch(&tasks);
@@ -92,7 +92,8 @@ fn shared_cache_spans_engines() {
         a.cache_handle(),
     );
     let second = b.run_batch(&tasks);
-    assert_eq!(second.stats.cached, 8, "shared cache should answer the rerun");
+    assert_eq!(second.stats.run, 8);
+    assert_eq!(second.stats.ref_cache_hits, 8, "shared cache should serve every reference");
     for (x, y) in first.reports.iter().zip(&second.reports) {
         assert_eq!(x.result.output(), y.result.output());
     }

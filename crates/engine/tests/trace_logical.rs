@@ -29,22 +29,14 @@ fn logical_of(tasks: &[SolveTask], threads: usize, use_cache: bool) -> String {
     trace::logical_text(&events)
 }
 
-/// `v` without repeats. The determinism contract covers batches of
-/// distinct tasks (docs/observability.md): a repeated grid value makes two
-/// entries share a result-cache key, and hit-vs-compute is then a race.
-fn distinct<T: Ord>(mut v: Vec<T>) -> Vec<T> {
-    v.sort();
-    v.dedup();
-    v
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The headline acceptance test: `--threads 1` and `--threads 4`
     /// produce byte-identical logical traces, including with a panicking
-    /// task in the middle of the batch and with the cache on (cache events
-    /// are timing-class, so they never reach the logical projection).
+    /// task in the middle of the batch, with the cache on (cache events
+    /// are timing-class, so they never reach the logical projection), and
+    /// with repeated grid values, which repeat whole tasks.
     #[test]
     fn logical_trace_is_thread_count_invariant(
         ns in proptest::collection::vec(4usize..12, 1..=2),
@@ -53,7 +45,7 @@ proptest! {
         panic_at in 0usize..64,
         use_cache in AnyBool,
     ) {
-        let grid = GridSpec::new(distinct(ns), distinct(ks), distinct(seeds), Algo::Reduction);
+        let grid = GridSpec::new(ns, ks, seeds, Algo::Reduction);
         let mut tasks = grid.tasks();
         let at = panic_at % tasks.len();
         let mut bad = SolveTask::new(tasks[at].instance.clone(), 1, Algo::PanicForTest);
@@ -99,26 +91,44 @@ proptest! {
 
 /// The logical projection of an online zoo sweep is byte-identical across
 /// thread counts: the `online.*` instants fire inside the task span in
-/// decision order, independent of scheduling. The cache is off because the
-/// fig2/fig4 families ignore their seed, so the zoo repeats task keys.
+/// decision order, independent of scheduling. Two seeds, so the fig2/fig4
+/// families (which ignore their seed) repeat tasks.
 #[test]
 fn online_logical_trace_is_thread_count_invariant() {
     let mut tasks = Vec::new();
     for family in ZOO_FAMILIES {
         for n in [5, 8] {
-            for k in [0, 1] {
-                let instance = zoo_instance(family, n, k, 3);
-                for algo in [Algo::OnlineDjn, Algo::OnlineGreedy, Algo::OnlineEdf] {
-                    let mut t = SolveTask::new(instance.clone(), k, algo);
-                    t.label = format!("{family} n={n} k={k} {}", algo.name());
-                    tasks.push(t);
+            for seed in [3, 4] {
+                for k in [0, 1] {
+                    let instance = zoo_instance(family, n, k, seed);
+                    for algo in [Algo::OnlineDjn, Algo::OnlineGreedy, Algo::OnlineEdf] {
+                        let mut t = SolveTask::new(instance.clone(), k, algo);
+                        t.label = format!("{family} n={n} k={k} {}", algo.name());
+                        tasks.push(t);
+                    }
                 }
             }
         }
     }
-    let seq = logical_of(&tasks, 1, false);
+    let seq = logical_of(&tasks, 1, true);
     assert!(seq.contains("online."), "expected online.* instants in the logical trace:\n{seq}");
-    assert_eq!(seq, logical_of(&tasks, 4, false));
+    assert_eq!(seq, logical_of(&tasks, 4, true));
+}
+
+/// A repeated task makes its own attempt: with the cache on, the third
+/// entry of `[A, B, A]` traces exactly the lines of the first.
+#[test]
+fn a_repeated_task_traces_like_its_first_copy() {
+    let grid = GridSpec::new(vec![10], vec![1], vec![0, 1], Algo::Reduction);
+    let [a, b]: [SolveTask; 2] = grid.tasks().try_into().expect("two cells");
+    let text = logical_of(&[a.clone(), b, a], 1, true);
+    let lines_of = |task: usize| -> Vec<&str> {
+        let prefix = format!("task {task} ");
+        text.lines().filter_map(|l| l.strip_prefix(prefix.as_str())).collect()
+    };
+    let first = lines_of(0);
+    assert!(first.contains(&"begin attempt"), "no attempt traced:\n{text}");
+    assert_eq!(lines_of(2), first, "the repeat traced differently:\n{text}");
 }
 
 /// Every phase the pool emits shows up in the logical trace of a plain run.
@@ -162,7 +172,7 @@ fn spans_are_balanced_and_nested_per_worker() {
 }
 
 /// The task span is covered by its direct child spans: the instrumented
-/// stages (attempt, cache probe, recheck, …) account for most of each
+/// stages (attempt, degrade, …) account for most of each
 /// task's wall-clock, so a Chrome trace of a sweep has no large opaque
 /// gaps. The pool's per-task overhead outside any child span is bookkeeping
 /// only; 80% is deliberately lenient to keep the test robust on loaded CI

@@ -26,13 +26,11 @@ pub enum KbasSolver {
     LevelledContraction,
 }
 
-/// Everything produced by the reduction, for inspection by experiments.
+/// The `k`-dependent products of the reduction, for inspection by
+/// experiments. The `k`-independent prefix (laminarized schedule and its
+/// forest) lives in the [`ReductionPlan`] that produced the outcome.
 #[derive(Clone, Debug)]
 pub struct ReductionOutcome {
-    /// The laminarized copy of the input schedule (same jobs and value).
-    pub laminar: Schedule,
-    /// The schedule forest of the laminarized schedule.
-    pub forest: ScheduleForest,
     /// The optimal k-BAS over the forest (populated by the `Tm` solver;
     /// for `LevelledContraction` it holds the TM tables of the same forest
     /// so experiments can compare — `keep_used` is what was applied).
@@ -180,13 +178,7 @@ impl ReductionPlan {
             reconstruct_ws(jobs, &self.laminar, &self.forest, &keep_used, ws)
         );
         debug_assert!(schedule.verify(jobs, Some(k)).is_ok());
-        ReductionOutcome {
-            laminar: self.laminar.clone(),
-            forest: self.forest.clone(),
-            kbas,
-            keep_used,
-            schedule,
-        }
+        ReductionOutcome { kbas, keep_used, schedule }
     }
 }
 

@@ -148,11 +148,12 @@ proptest! {
         assert_schedules_equal(&lam_dirty, &lam_fresh);
 
         for solver in [KbasSolver::Tm, KbasSolver::LevelledContraction] {
+            let plan_dirty = ReductionPlan::new_ws(&jobs2, &fresh.schedule, &mut ws).unwrap();
+            assert_schedules_equal(&plan_dirty.laminar, &lam_fresh);
             let red_dirty =
                 reduce_to_k_bounded_ws(&jobs2, &fresh.schedule, k, solver, &mut ws).unwrap();
             let red_fresh = reduce_to_k_bounded_with(&jobs2, &fresh.schedule, k, solver).unwrap();
             assert_schedules_equal(&red_dirty.schedule, &red_fresh.schedule);
-            assert_schedules_equal(&red_dirty.laminar, &red_fresh.laminar);
             prop_assert_eq!(&red_dirty.keep_used, &red_fresh.keep_used);
             prop_assert_eq!(red_dirty.kbas.value, red_fresh.kbas.value);
         }
@@ -166,12 +167,12 @@ proptest! {
         let witness = greedy_unbounded(&jobs, &ids).schedule;
         let mut ws = SolveWorkspace::new();
         let plan = ReductionPlan::new_ws(&jobs, &witness, &mut ws).unwrap();
+        assert_schedules_equal(&plan.laminar, &laminarize(&jobs, &witness).unwrap());
         for k in 0..4u32 {
             for solver in [KbasSolver::Tm, KbasSolver::LevelledContraction] {
                 let via_plan = plan.solve_ws(&jobs, k, solver, &mut ws);
                 let direct = reduce_to_k_bounded_with(&jobs, &witness, k, solver).unwrap();
                 assert_schedules_equal(&via_plan.schedule, &direct.schedule);
-                assert_schedules_equal(&via_plan.laminar, &direct.laminar);
                 prop_assert_eq!(&via_plan.keep_used, &direct.keep_used);
                 prop_assert_eq!(via_plan.kbas.value, direct.kbas.value);
             }

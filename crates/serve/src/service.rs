@@ -22,12 +22,14 @@
 //!
 //! # Result reuse
 //!
-//! Two layers. Submissions whose [content key](JobSpec::content_key)
-//! matches an already-finished certified job short-circuit the queue
-//! entirely: the daemon journals `Submit` + `Finish` with the stored result
-//! and bumps `serve.cache.hits`. Below that, every per-job engine shares
-//! one [`ResultCache`], so even concurrent duplicate jobs that miss the
-//! serve layer reuse reference solutions and solver results.
+//! Submissions whose [content key](JobSpec::content_key) matches an
+//! already-finished certified job short-circuit the queue entirely: the
+//! daemon journals `Submit` + `Finish` with the stored result and bumps
+//! `serve.cache.hits`. Below that, every per-job engine shares one
+//! [`ResultCache`] of unbounded references, so a job that misses the serve
+//! layer — a duplicate of a job still queued or running, or another `k`
+//! over the same instance — reuses its reference and solves only its own
+//! bounded stage.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::io;

@@ -10,10 +10,10 @@
 //! `--threads 1` and `--threads 4` byte-identical, and — because a resumed
 //! sweep recomputes exactly the missing cells — what makes a `--resume`
 //! after `kill -9` converge to the uninterrupted bytes (docs/sweeps.md).
-//! (`attempts` qualifies: sweep grids contain no duplicate-content tasks,
-//! so the result cache never answers one cell with another's attempt
-//! count, and chaos retries are content-keyed.)
+//! (`attempts` qualifies: every task makes its own attempts, and chaos
+//! retries are content-keyed.)
 
+use pobp_core::json::Json;
 use pobp_engine::{Algo, SolveOutput, TaskReport, TaskResult};
 
 /// Formats the JSON line of one sweep cell.
@@ -44,13 +44,13 @@ pub fn format_row(
         }
         TaskResult::CertFailed { stage, reason } => {
             line.push_str(&format!(
-                ",\"stage\":\"{}\",\"reason\":\"{}\"",
+                ",\"stage\":\"{}\",\"reason\":{}",
                 stage.name(),
-                json_escape(reason),
+                Json::Str(reason.clone()),
             ));
         }
         TaskResult::Panicked { message } => {
-            line.push_str(&format!(",\"message\":\"{}\"", json_escape(message)));
+            line.push_str(&format!(",\"message\":{}", Json::Str(message.clone())));
         }
         TaskResult::TimedOut | TaskResult::Cancelled => {}
     }
@@ -67,21 +67,4 @@ pub fn push_output_fields(line: &mut String, out: &SolveOutput) {
     if let Some(p) = out.price() {
         line.push_str(&format!(",\"price\":{p}"));
     }
-}
-
-/// Minimal JSON string escaping for panic messages and cert reasons.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }

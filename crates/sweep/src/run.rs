@@ -353,7 +353,6 @@ fn checkpoint_chunk_cells(spec: &str) -> Option<usize> {
 fn add_stats(acc: &mut EngineStats, s: &EngineStats) {
     acc.tasks += s.tasks;
     acc.run += s.run;
-    acc.cached += s.cached;
     acc.degraded += s.degraded;
     acc.cert_failed += s.cert_failed;
     acc.panicked += s.panicked;

@@ -15,7 +15,8 @@
 
 use pobp::cli::{flag_value, has_flag, instrument_flags, parse_num_list_strict, parse_num_strict};
 use pobp::prelude::*;
-use pobp::sweep::rows::{format_row, json_escape};
+use pobp::core::json::Json;
+use pobp::sweep::rows::format_row;
 use std::io::Read;
 
 fn main() {
@@ -551,12 +552,11 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     }
     let s = batch.stats;
     eprintln!(
-        "sweep: {} tasks ({} run, {} cached, {} degraded, {} cert-failed, {} panicked, \
+        "sweep: {} tasks ({} run, {} degraded, {} cert-failed, {} panicked, \
          {} timed out, {} cancelled, {} retries, {} ref-cache hits, \
          {} steals/{} probes) on {} threads",
         s.tasks,
         s.run,
-        s.cached,
         s.degraded,
         s.cert_failed,
         s.panicked,
@@ -709,11 +709,8 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
             });
             continue;
         };
-        // No `attempts` here, deliberately: a task answered from the result
-        // cache reports 0 attempts, and *which* duplicate zoo cell wins the
-        // race to populate the cache depends on scheduling order (fig2/fig4
-        // repeat their instance across seeds). Everything emitted below is
-        // certified output — a pure function of the request.
+        // Everything emitted below is certified output — a pure function of
+        // the request.
         let mut line = format!(
             "{{\"family\":\"{}\",\"n\":{},\"k\":{},\"seed\":{},\"alg\":\"{}\",\"status\":\"{}\"",
             row.family,
@@ -748,13 +745,13 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
             }
             TaskResult::CertFailed { stage, reason } => {
                 line.push_str(&format!(
-                    ",\"stage\":\"{}\",\"reason\":\"{}\"",
+                    ",\"stage\":\"{}\",\"reason\":{}",
                     stage.name(),
-                    json_escape(reason),
+                    Json::Str(reason.clone()),
                 ));
             }
             TaskResult::Panicked { message } => {
-                line.push_str(&format!(",\"message\":\"{}\"", json_escape(message)));
+                line.push_str(&format!(",\"message\":{}", Json::Str(message.clone())));
             }
             TaskResult::TimedOut | TaskResult::Cancelled => {}
         }
@@ -763,12 +760,11 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
     }
     let s = batch.stats;
     eprintln!(
-        "online: {} tasks ({} oracle cells, {} run, {} cached, {} degraded, {} cert-failed, \
+        "online: {} tasks ({} oracle cells, {} run, {} degraded, {} cert-failed, \
          {} panicked, {} timed out, {} cancelled) on {} threads",
         s.tasks,
         rows.iter().filter(|r| r.alg.is_none()).count(),
         s.run,
-        s.cached,
         s.degraded,
         s.cert_failed,
         s.panicked,

@@ -435,6 +435,34 @@ fn online_ratios_stay_under_the_recorded_bound() {
     assert!(checked > 0, "no ratio rows:\n{out}");
 }
 
+/// `pobp online --trace-logical` is byte-identical at `--threads 1` and `4`
+/// with the cache on, although fig2/fig4 repeat their cells across seeds:
+/// every task makes its own attempt, so every online row traces its run.
+#[cfg(feature = "instrument")]
+#[test]
+fn online_logical_trace_is_thread_count_invariant() {
+    let dir = std::env::temp_dir().join(format!("pobp-online-logical-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace_at = |threads: &str| {
+        let path = dir.join(format!("t{threads}.txt"));
+        let (rows, err, ok) = run(&[
+            "online", "--n", "8,12", "--k", "0,1,2", "--seeds", "3", "--threads", threads,
+            "--trace-logical", path.to_str().unwrap(),
+        ]);
+        assert!(ok, "{err}");
+        (rows, std::fs::read_to_string(&path).unwrap())
+    };
+    let (rows, seq) = trace_at("1");
+    let (_, par) = trace_at("4");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(seq, par, "logical traces differ across thread counts");
+    // 5 families × 2 n × 3 seeds × 3 k cells, each an oracle task plus
+    // one task per online algorithm.
+    assert_eq!(rows.lines().count(), 270);
+    assert_eq!(seq.lines().filter(|l| l.contains(" online.done")).count(), 270);
+    assert_eq!(seq.lines().filter(|l| l.ends_with(" begin attempt")).count(), 360);
+}
+
 #[test]
 fn online_trace_flags_respect_the_feature_gate() {
     let dir = std::env::temp_dir().join(format!("pobp-online-trace-{}", std::process::id()));

@@ -69,7 +69,8 @@ proptest! {
         // (2) Value identity with the k-BAS.
         prop_assert!((red.schedule.value(&jobs) - red.kbas.value).abs() < 1e-9);
         // (3) The k-BAS is valid on the schedule forest.
-        prop_assert!(is_kbas(&red.forest.forest, &red.kbas.keep, k));
+        let plan = ReductionPlan::new(&jobs, &inf.schedule).unwrap();
+        prop_assert!(is_kbas(&plan.forest.forest, &red.kbas.keep, k));
         // (4) Theorem 4.2 loss bound w.r.t. the input schedule value —
         // the theorem is stated for k ≥ 1 (log_{k+1} is undefined at k=0).
         if k >= 1 {

@@ -201,28 +201,32 @@ fn e13_online_ratio_rows() {
             }
         }
     }
-    let engine = Engine::new(EngineConfig { threads: 2, degrade: true, ..EngineConfig::default() });
-    let batch = engine.run_batch(&tasks);
-    let mut ratios: std::collections::BTreeMap<(&str, &str), Vec<f64>> = Default::default();
-    let mut oracle = 0.0f64;
-    for ((task, &(family, exact)), report) in tasks.iter().zip(&cells).zip(&batch.reports) {
-        let value = report.result.output().expect("every E13 task completes").alg_value;
-        if task.algo == Algo::Reduction {
-            oracle = exact.filter(|&e| e >= value).unwrap_or(value);
-            continue;
+    // The same pins at one and at four threads: the table is
+    // thread-count invariant.
+    for threads in [1, 4] {
+        let cfg = EngineConfig { threads, degrade: true, ..EngineConfig::default() };
+        let batch = Engine::new(cfg).run_batch(&tasks);
+        let mut ratios: std::collections::BTreeMap<(&str, &str), Vec<f64>> = Default::default();
+        let mut oracle = 0.0f64;
+        for ((task, &(family, exact)), report) in tasks.iter().zip(&cells).zip(&batch.reports) {
+            let value = report.result.output().expect("every E13 task completes").alg_value;
+            if task.algo == Algo::Reduction {
+                oracle = exact.filter(|&e| e >= value).unwrap_or(value);
+                continue;
+            }
+            let ratio = oracle / value;
+            let bound = djn_ratio_bound(task.instance.length_ratio().unwrap_or(1.0));
+            assert!(ratio <= bound, "{}: ratio {ratio:.3} escapes {bound:.3}", report.label);
+            ratios.entry((family.name(), task.algo.name())).or_default().push(ratio);
         }
-        let ratio = oracle / value;
-        let bound = djn_ratio_bound(task.instance.length_ratio().unwrap_or(1.0));
-        assert!(ratio <= bound, "{}: ratio {ratio:.3} escapes {bound:.3}", report.label);
-        ratios.entry((family.name(), task.algo.name())).or_default().push(ratio);
-    }
-    assert_eq!(ratios.len(), rows.len());
-    for &(family, alg, geo, worst) in &rows {
-        let rs = &ratios[&(family, alg)];
-        assert_eq!(rs.len(), 12, "{family}/{alg}");
-        let geo_mean = (rs.iter().map(|r| r.ln()).sum::<f64>() / rs.len() as f64).exp();
-        let max = rs.iter().cloned().fold(0.0f64, f64::max);
-        assert_eq!(format!("{geo_mean:.3}"), geo, "{family}/{alg} geo-mean ratio");
-        assert_eq!(format!("{max:.3}"), worst, "{family}/{alg} worst ratio");
+        assert_eq!(ratios.len(), rows.len());
+        for &(family, alg, geo, worst) in &rows {
+            let rs = &ratios[&(family, alg)];
+            assert_eq!(rs.len(), 12, "{family}/{alg}");
+            let geo_mean = (rs.iter().map(|r| r.ln()).sum::<f64>() / rs.len() as f64).exp();
+            let max = rs.iter().cloned().fold(0.0f64, f64::max);
+            assert_eq!(format!("{geo_mean:.3}"), geo, "{threads} threads: {family}/{alg} geo-mean");
+            assert_eq!(format!("{max:.3}"), worst, "{threads} threads: {family}/{alg} worst");
+        }
     }
 }
