@@ -28,11 +28,12 @@
 //! keeps the plan of the last reference it reduced (`PlanMemo` in
 //! `solve.rs`): at most one plan per worker, dropped when the batch ends.
 //!
-//! With the `chaos` feature an armed [`FaultPlan`](crate::chaos::FaultPlan)
-//! can corrupt entries **at put time**, decided by the entry key: every
-//! consumer of a poisoned entry (including the worker that computed it,
-//! which adopts the canonical entry returned by [`ResultCache::put_ref`])
-//! observes the same corrupt bytes, keeping chaos runs deterministic.
+//! With the `chaos` feature the `corrupt-ref` site perturbs a reference
+//! just before the task wrapper puts it here, decided by the entry key:
+//! every consumer of a poisoned entry (including the worker that computed
+//! it, which adopts the canonical entry returned by
+//! [`ResultCache::put_ref`]) observes the same corrupt bytes, keeping chaos
+//! runs deterministic.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -103,21 +104,12 @@ pub struct RefSolution {
 #[derive(Debug, Default)]
 pub struct ResultCache {
     refs: Mutex<HashMap<(u64, bool), Arc<RefSolution>>>,
-    #[cfg(feature = "chaos")]
-    chaos: Mutex<Option<Arc<crate::chaos::FaultPlan>>>,
 }
 
 impl ResultCache {
     /// An empty cache.
     pub fn new() -> Self {
         ResultCache::default()
-    }
-
-    /// Arms (or disarms) the fault plan consulted by the corrupt-at-put
-    /// site. Set by [`Engine::with_chaos`](crate::pool::Engine::with_chaos).
-    #[cfg(feature = "chaos")]
-    pub fn set_chaos(&self, plan: Option<Arc<crate::chaos::FaultPlan>>) {
-        *self.chaos.lock().unwrap() = plan;
     }
 
     /// Looks up the reference layer.
@@ -132,14 +124,6 @@ impl ResultCache {
     /// one consistent reference solution. (Solvers are deterministic, so
     /// the racers computed identical solutions anyway.)
     pub fn put_ref(&self, inst: u64, exact: bool, sol: RefSolution) -> Arc<RefSolution> {
-        #[cfg(feature = "chaos")]
-        let sol = {
-            let mut sol = sol;
-            if let Some(plan) = self.chaos.lock().unwrap().as_ref() {
-                plan.corrupt_ref(inst ^ exact as u64, &mut sol);
-            }
-            sol
-        };
         // Timing-class: under a race several workers store (the winner's
         // entry survives), so store counts vary across thread counts.
         trace_event!(timing "cache.ref_store");

@@ -12,10 +12,10 @@
 //! [`TimedOut`](crate::task::TaskResult::TimedOut)); the deadline bounds
 //! when a task can *start* new work, not the latency of a single stage.
 //!
-//! The [`CancelToken`] carries the *external* stop requests: the batch
-//! token (`cancel_all`, cancel-mode shutdown) and the per-task token (the
-//! chaos `cancel` site, targeted job cancellation in `pobp serve`). Both
-//! are observed at the same yield points.
+//! The [`CancelToken`] carries the *external* stop request: the batch
+//! token that `Engine::cancel_all` flips, which is how `pobp serve` stops
+//! a running job. It is observed at the same yield points. The chaos
+//! `cancel` site needs no token: it expires the task's deadline.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -47,20 +47,17 @@ impl CancelToken {
 /// Why a stage-boundary check told the task wrapper to stop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StopReason {
-    /// The task's own deadline passed, or its per-task token was cancelled
-    /// (chaos `cancel` site, targeted job cancellation).
+    /// The task's own deadline passed (the chaos `cancel` site expires it
+    /// before the task starts).
     DeadlineExceeded,
     /// The batch-level token was cancelled.
     BatchCancelled,
 }
 
-/// Per-task view of the cancellation state: the task's own token, the
-/// batch token, and the absolute deadline checked at every yield point.
+/// Per-task view of the cancellation state: the batch token and the
+/// absolute deadline checked at every yield point.
 #[derive(Clone, Debug)]
 pub struct TaskCtx {
-    /// The task's own cancel token (chaos `cancel` site; targeted
-    /// cancellation).
-    pub cancel: CancelToken,
     /// Batch-wide token (cancels every task).
     pub batch: CancelToken,
     /// Absolute wall-clock deadline, if the task has one.
@@ -73,10 +70,9 @@ pub struct TaskCtx {
 }
 
 impl TaskCtx {
-    /// A context with no deadline and fresh tokens (used by tests).
+    /// A context with no deadline and a fresh batch token (used by tests).
     pub fn unbounded() -> Self {
         TaskCtx {
-            cancel: CancelToken::new(),
             batch: CancelToken::new(),
             deadline: None,
             #[cfg(feature = "chaos")]
@@ -92,9 +88,6 @@ impl TaskCtx {
     pub fn should_stop(&self) -> Option<StopReason> {
         if self.batch.is_cancelled() {
             return Some(StopReason::BatchCancelled);
-        }
-        if self.cancel.is_cancelled() {
-            return Some(StopReason::DeadlineExceeded);
         }
         if let Some(d) = self.deadline {
             if Instant::now() >= d {

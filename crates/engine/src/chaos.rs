@@ -5,19 +5,19 @@
 //! state, no wall clock — so a chaos run replays **byte-identically**: the
 //! same plan over the same task list injects the same faults regardless of
 //! thread count, scheduling order, or cache state. That property is what
-//! lets CI diff a fault-injected `pobp sweep --threads 1` against
-//! `--threads 4` (see `docs/robustness.md`).
+//! lets `tests/cli.rs` diff a fault-injected `pobp sweep --threads 1`
+//! against `--threads 4` (see `docs/robustness.md`).
 //!
-//! The named sites (pool, task wrapper, reference cache):
+//! The named sites (pool, task wrapper):
 //!
 //! | site | where | effect |
 //! |---|---|---|
 //! | `panic` | `pool.rs`, inside the attempt `catch_unwind` | panics on **every** attempt (exercises retry exhaustion) |
 //! | `flaky` | `pool.rs`, inside the attempt `catch_unwind` | panics on the **first** attempt only (exercises retry success) |
 //! | `delay` | `pool.rs`, attempt start | sleeps [`FaultPlan::delay`] (exercises deadline yield points; wall-clock only) |
-//! | `cancel` | `pool.rs`, before the first attempt | cancels the task's own token (surfaces as a deadline stop) |
+//! | `cancel` | `pool.rs`, before the first attempt | expires the task's deadline (surfaces as a deadline stop) |
 //! | `deadline` | `solve.rs`, reference→bounded stage boundary | forces [`StopReason::DeadlineExceeded`](crate::cancel::StopReason) |
-//! | `corrupt-ref` | `cache.rs`, reference put | perturbs the stored reference value |
+//! | `corrupt-ref` | `solve.rs`, just before the reference put | perturbs the stored reference value |
 //!
 //! The IO sites (all routed through [`IoGuard`](crate::io::IoGuard), the
 //! fault-injectable writer under the sweep shard files and the serve
@@ -44,18 +44,18 @@
 //!
 //! This module only exists under `--features chaos`; every call site in the
 //! engine is wrapped in `#[cfg(feature = "chaos")]`, so a default build
-//! carries zero trace of the injection code (CI checks the release binary
-//! for the `chaos: injected` marker strings).
+//! carries zero trace of the injection code (a default-build test in
+//! `tests/cli.rs` checks the `pobp` binary for the marker strings).
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::cache::RefSolution;
 
-/// The `pobp sweep` usage addendum for chaos builds. Lives in this module
+/// The `pobp` usage addendum for chaos builds. Lives in this module
 /// so every chaos-related CLI string is compiled out with the feature.
 pub const CLI_USAGE: &str = "
-chaos builds only: sweep and serve also accept
+chaos builds only: sweep, online and serve also accept
   --chaos SPEC      comma-separated site:rate entries, e.g.
                     panic:0.25,deadline:1,corrupt-ref:0.5 with sites
                     panic|flaky|delay|cancel|deadline|corrupt-ref
@@ -76,11 +76,11 @@ pub enum FaultSite {
     Flaky,
     /// Sleep at attempt start.
     Delay,
-    /// Spuriously cancel the task's own token before it starts.
+    /// Expire the task's deadline before it starts.
     SpuriousCancel,
     /// Force a `DeadlineExceeded` stop at the stage boundary.
     ForcedDeadline,
-    /// Corrupt the reference cache entry at put time.
+    /// Corrupt a reference just before it is put in the cache.
     CorruptRef,
     /// An IO write persists only a prefix of its bytes, then errors.
     IoShortWrite,
@@ -282,8 +282,8 @@ impl FaultPlan {
 pub use crate::cache::{splitmix64, task_key};
 
 /// A task's chaos handle: the armed plan plus this task's content key.
-/// Carried on [`TaskCtx`](crate::cancel::TaskCtx) so the stage boundary in
-/// `solve.rs` can consult the `deadline` site.
+/// Carried on [`TaskCtx`](crate::cancel::TaskCtx) so the task wrapper in
+/// `solve.rs` can consult the `deadline` and `corrupt-ref` sites.
 #[derive(Clone, Debug)]
 pub struct TaskChaos {
     /// The armed plan.

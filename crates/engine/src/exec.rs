@@ -3,12 +3,13 @@
 //! not-before heap for retry backoff, and a parking lot for idle workers.
 //!
 //! The fabric schedules *units* — `(task index, attempts so far, per-task
-//! cancellation state)` — not results: every solver is a pure function and
-//! each report is keyed by its input index, so **scheduling order never
-//! reaches an output byte**. Stealing is therefore free to be greedy; it is
-//! still seeded deterministically per worker (`splitmix64(worker)`), so a
-//! given build's victim sequence is reproducible rather than dependent on
-//! OS entropy, which keeps scheduling repeatable when replaying chaos runs.
+//! deadline and chaos state)` — not results: every solver is a pure
+//! function and each report is keyed by its input index, so **scheduling
+//! order never reaches an output byte**. Stealing is therefore free to be
+//! greedy; it is still seeded deterministically per worker
+//! (`splitmix64(worker)`), so a given build's victim sequence is
+//! reproducible rather than dependent on OS entropy, which keeps
+//! scheduling repeatable when replaying chaos runs.
 //!
 //! Claim order for a worker, cheapest first:
 //!
@@ -34,23 +35,19 @@ use std::time::{Duration, Instant};
 use pobp_core::{obs_count, obs_event};
 
 use crate::cache::splitmix64;
-use crate::cancel::CancelToken;
 
 /// Longest a worker parks between re-checks when it has no due wake-up.
 const PARK_CAP: Duration = Duration::from_millis(1);
 
 /// One schedulable attempt of a task: the input index plus whatever
 /// per-task state must survive a requeue (the attempt counter, the task's
-/// cancel token, its absolute deadline, and its chaos handle). The state
-/// fields are `None` until the first dispatch initialises them.
+/// absolute deadline, and its chaos handle). The state fields are `None`
+/// until the first dispatch initialises them.
 pub(crate) struct Unit {
     /// Input index of the task (and of its report slot).
     pub index: usize,
     /// Attempts already made; `0` until the first dispatch.
     pub attempts: u32,
-    /// The task's own cancel token, created at first dispatch and carried
-    /// across retries so a cancellation observed between attempts sticks.
-    pub token: Option<CancelToken>,
     /// Absolute deadline fixed at first dispatch; requeue time counts
     /// against it, exactly as the old in-worker backoff sleep did.
     pub deadline_at: Option<Instant>,
@@ -66,7 +63,6 @@ impl Unit {
         Unit {
             index,
             attempts: 0,
-            token: None,
             deadline_at: None,
             #[cfg(feature = "chaos")]
             chaos: None,

@@ -15,8 +15,8 @@
 //!   [`TaskResult::Panicked`] record instead of killing the sweep;
 //! * tasks carry an optional wall-clock deadline enforced cooperatively:
 //!   [`cancel`]'s stage-boundary yield points compare it against the clock
-//!   (no watchdog thread exists), so an overrun or a cancellation is
-//!   observed at the task's next boundary;
+//!   (no watchdog thread exists), so an overrun or an
+//!   [`Engine::cancel_all`] is observed at the task's next boundary;
 //! * panicking attempts get bounded retry with exponential backoff as a
 //!   not-before requeue (the worker never sleeps out a backoff), with
 //!   attempt accounting in each [`TaskReport`];
@@ -29,16 +29,16 @@
 //! * with [`EngineConfig::degrade`] on, tasks that exhaust retries or blow
 //!   their deadline fall back to the polynomial `LSA_CS`/`k = 0` algorithm
 //!   and report [`TaskResult::Degraded`] (still certified);
-//! * long-lived owners stop cleanly via [`Engine::shutdown`] — drain-then-
-//!   join or cancel-then-join, both of which refuse new batches and return
-//!   only once every worker thread has joined — and share one
-//!   content-addressed reference cache across many engines via
-//!   [`Engine::with_shared_cache`] (the `pobp serve` daemon's pattern);
-//! * with the `chaos` cargo feature, a seeded [`chaos::FaultPlan`] injects
-//!   panics, delays, spurious cancellations, forced deadlines, and
-//!   reference-cache corruption at named sites, deterministically per task —
-//!   chaos runs replay byte-identically across thread counts. Without the
-//!   feature, none of the injection code exists in the binary.
+//! * a long-lived owner shares one content-addressed reference cache
+//!   across many short-lived engines via [`Engine::with_shared_cache`],
+//!   and stops a running batch with [`Engine::cancel_all`] (the
+//!   `pobp serve` daemon's pattern);
+//! * with the `chaos` cargo feature, a seeded [`chaos::FaultPlan`] armed
+//!   through `EngineConfig::chaos` injects panics, delays, spurious
+//!   cancellations, forced deadlines, and reference-cache corruption at
+//!   named sites, deterministically per task — chaos runs replay
+//!   byte-identically across thread counts. Without the feature, none of
+//!   the injection code exists in the binary.
 //!
 //! With the `instrument` cargo feature the engine emits the `engine.*`
 //! counter families (tasks run/panicked/timed-out/retried, certification

@@ -32,7 +32,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pobp_core::obs::LogHistogram;
@@ -78,6 +78,12 @@ pub struct EngineConfig {
     /// degrade/cert-failure counts. Purely cosmetic — stdout rows and
     /// reports are unaffected.
     pub progress: bool,
+    /// The fault plan armed on every task of the batch: the named sites in
+    /// the pool, the task wrapper and the reference put fire
+    /// deterministically per task (see [`crate::chaos`]). `None` injects
+    /// nothing.
+    #[cfg(feature = "chaos")]
+    pub chaos: Option<Arc<crate::chaos::FaultPlan>>,
 }
 
 impl Default for EngineConfig {
@@ -90,6 +96,8 @@ impl Default for EngineConfig {
             use_cache: true,
             degrade: false,
             progress: false,
+            #[cfg(feature = "chaos")]
+            chaos: None,
         }
     }
 }
@@ -170,31 +178,6 @@ impl StatsCell {
     }
 }
 
-/// Lifecycle bookkeeping behind [`Engine::shutdown`]: how many `run_batch`
-/// calls are in flight, whether the engine has been closed to new batches,
-/// and a condvar to wait for the in-flight count to reach zero.
-#[derive(Debug, Default)]
-struct Lifecycle {
-    closed: AtomicBool,
-    active: Mutex<usize>,
-    idle: Condvar,
-}
-
-/// Drop guard that decrements the in-flight batch count and wakes any
-/// thread blocked in [`Engine::shutdown`]. A guard (not a manual decrement)
-/// so the count stays correct even if `run_batch` unwinds.
-struct BatchGuard<'a>(&'a Lifecycle);
-
-impl Drop for BatchGuard<'_> {
-    fn drop(&mut self) {
-        let mut active = self.0.active.lock().unwrap();
-        *active -= 1;
-        if *active == 0 {
-            self.0.idle.notify_all();
-        }
-    }
-}
-
 /// A reusable batch-solving engine: configuration, the shared reference
 /// cache (persists across batches), and a batch-level cancel token.
 #[derive(Debug, Default)]
@@ -202,9 +185,6 @@ pub struct Engine {
     cfg: EngineConfig,
     cache: Arc<ResultCache>,
     batch: CancelToken,
-    lifecycle: Lifecycle,
-    #[cfg(feature = "chaos")]
-    chaos: Option<Arc<crate::chaos::FaultPlan>>,
 }
 
 impl Engine {
@@ -219,38 +199,7 @@ impl Engine {
     /// the cache — the expensive, shareable state — persists across all of
     /// them.
     pub fn with_shared_cache(cfg: EngineConfig, cache: Arc<ResultCache>) -> Self {
-        Engine {
-            cfg,
-            cache,
-            batch: CancelToken::new(),
-            lifecycle: Lifecycle::default(),
-            #[cfg(feature = "chaos")]
-            chaos: None,
-        }
-    }
-
-    /// An engine with an armed fault plan: the named injection sites in the
-    /// pool, the task wrapper, and the cache fire deterministically per
-    /// task (see [`crate::chaos`]).
-    #[cfg(feature = "chaos")]
-    pub fn with_chaos(cfg: EngineConfig, plan: crate::chaos::FaultPlan) -> Self {
-        let mut e = Engine::new(cfg);
-        e.set_chaos(Arc::new(plan));
-        e
-    }
-
-    /// Arms a fault plan on an already-built engine. A service building
-    /// per-job engines over a shared cache uses this to make every engine —
-    /// and the shared cache — fire the same deterministic plan.
-    #[cfg(feature = "chaos")]
-    pub fn set_chaos(&mut self, plan: Arc<crate::chaos::FaultPlan>) {
-        self.cache.set_chaos(Some(plan.clone()));
-        self.chaos = Some(plan);
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
+        Engine { cfg, cache, batch: CancelToken::new() }
     }
 
     /// The shared reference cache (persists across `run_batch` calls).
@@ -258,51 +207,10 @@ impl Engine {
         &self.cache
     }
 
-    /// A clonable handle to the reference cache, for sharing with another
-    /// engine via [`Engine::with_shared_cache`].
-    pub fn cache_handle(&self) -> Arc<ResultCache> {
-        self.cache.clone()
-    }
-
     /// Cancels the current and all future batches of this engine: every
     /// task not yet finished reports [`TaskResult::Cancelled`].
     pub fn cancel_all(&self) {
         self.batch.cancel();
-    }
-
-    /// Whether [`Engine::shutdown`] has closed this engine to new batches.
-    pub fn is_closed(&self) -> bool {
-        self.lifecycle.closed.load(Ordering::Acquire)
-    }
-
-    /// Stops the engine so its owner can exit cleanly: closes the engine to
-    /// new batches (a `run_batch` call after shutdown returns every task as
-    /// [`TaskResult::Cancelled`] without starting a pool) and blocks until
-    /// every in-flight batch has finished and joined its worker threads —
-    /// shutdown never leaks a thread.
-    ///
-    /// * `drain: true` — **drain-then-join**: in-flight batches run to
-    ///   completion; their tasks finish with whatever result they earn.
-    /// * `drain: false` — **cancel-then-join**: the batch token is
-    ///   cancelled first, so every task not yet past its last stage
-    ///   boundary reports [`TaskResult::Cancelled`]; the pool still joins
-    ///   all threads before shutdown returns.
-    ///
-    /// Idempotent: repeat calls (of either mode) return once the engine is
-    /// idle. After a `drain: false` shutdown the batch token stays
-    /// cancelled, like [`Engine::cancel_all`].
-    pub fn shutdown(&self, drain: bool) {
-        self.lifecycle.closed.store(true, Ordering::Release);
-        if drain {
-            obs_count!("engine.shutdown.drain");
-        } else {
-            obs_count!("engine.shutdown.cancel");
-            self.batch.cancel();
-        }
-        let mut active = self.lifecycle.active.lock().unwrap();
-        while *active > 0 {
-            active = self.lifecycle.idle.wait(active).unwrap();
-        }
     }
 
     /// Runs `tasks` across the configured worker pool and returns one
@@ -313,30 +221,6 @@ impl Engine {
         if n == 0 {
             return BatchReport { reports: Vec::new(), stats: stats.snapshot(0) };
         }
-        {
-            // Register this batch with the shutdown lifecycle. The closed
-            // check happens under the same lock that `shutdown` waits on,
-            // so a batch either registers before shutdown observes the
-            // in-flight count or sees the closed flag — never neither.
-            let mut active = self.lifecycle.active.lock().unwrap();
-            if self.lifecycle.closed.load(Ordering::Acquire) {
-                stats.cancelled.fetch_add(n, Ordering::Relaxed);
-                obs_count!("engine.batches.refused");
-                let reports = tasks
-                    .iter()
-                    .enumerate()
-                    .map(|(index, t)| TaskReport {
-                        index,
-                        label: t.label.clone(),
-                        attempts: 0,
-                        result: TaskResult::Cancelled,
-                    })
-                    .collect();
-                return BatchReport { reports, stats: stats.snapshot(n) };
-            }
-            *active += 1;
-        }
-        let _batch_guard = BatchGuard(&self.lifecycle);
         let threads = match self.cfg.threads {
             0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
             t => t,
@@ -483,33 +367,30 @@ impl Engine {
         // The instance is hashed once per dispatch, as the reference key.
         let cache = self.cfg.use_cache.then(|| (&*self.cache, instance_hash(&task.instance)));
         if unit.attempts == 0 {
-            // First dispatch: create the task's cancel token, chaos handle,
-            // and absolute deadline. All three live in the unit from here
-            // on, so they survive a retry requeue — a task's deadline keeps
-            // running while it waits out a backoff, exactly as it did when
-            // the backoff was an in-worker sleep.
-            unit.token = Some(CancelToken::new());
+            // First dispatch: fix the task's absolute deadline and chaos
+            // handle. Both live in the unit from here on, so they survive a
+            // retry requeue — a task's deadline keeps running while it waits
+            // out a backoff, exactly as it did when the backoff was an
+            // in-worker sleep.
+            unit.deadline_at = self.cfg.deadline.map(|d| Instant::now() + d);
             #[cfg(feature = "chaos")]
             {
-                unit.chaos = self.chaos.as_ref().map(|plan| crate::chaos::TaskChaos {
+                unit.chaos = self.cfg.chaos.as_ref().map(|plan| crate::chaos::TaskChaos {
                     plan: plan.clone(),
                     key: crate::chaos::task_key(task),
                 });
                 if let Some(ch) = &unit.chaos {
-                    // The `cancel` site: spuriously cancel the task's own
-                    // token before it starts; the wrapper notices at its
-                    // first boundary.
+                    // The `cancel` site: expire the task's deadline before
+                    // it starts; the wrapper stops at its first boundary.
                     if ch.plan.fires(crate::chaos::FaultSite::SpuriousCancel, ch.key) {
                         obs_count!("engine.chaos.cancel");
                         trace_event!("chaos.cancel");
-                        unit.token.as_ref().expect("token just created").cancel();
+                        unit.deadline_at = Some(Instant::now());
                     }
                 }
             }
-            unit.deadline_at = self.cfg.deadline.map(|d| Instant::now() + d);
         }
         let ctx = TaskCtx {
-            cancel: unit.token.clone().expect("token initialised at first dispatch"),
             batch: self.batch.clone(),
             deadline: unit.deadline_at,
             #[cfg(feature = "chaos")]
@@ -646,7 +527,6 @@ impl Engine {
             label: task.label.clone(),
         };
         let ctx = TaskCtx {
-            cancel: CancelToken::new(),
             batch: self.batch.clone(),
             deadline: None,
             #[cfg(feature = "chaos")]

@@ -64,11 +64,14 @@ pub(crate) type PlanMemo = Option<(Arc<RefSolution>, ReductionPlan)>;
 
 /// Computes the unbounded reference of `task`, consulting `cache` (the
 /// cache and the task's instance hash). The returned flag is `true` on a
-/// cache hit.
+/// cache hit. `ctx` carries the task's chaos handle, which only the
+/// `corrupt-ref` site reads.
+#[cfg_attr(not(feature = "chaos"), allow(unused_variables))]
 fn reference(
     task: &SolveTask,
     ids: &[JobId],
     cache: Option<(&ResultCache, u64)>,
+    ctx: &TaskCtx,
     ws: &mut SolveWorkspace,
 ) -> (Arc<RefSolution>, bool) {
     if let Some((c, inst)) = cache {
@@ -93,7 +96,19 @@ fn reference(
     obs_count!("engine.solve.ref_computed");
     trace_event!(timing "cache.ref_computed");
     let sol = match cache {
-        Some((c, inst)) => c.put_ref(inst, task.exact_ref, sol),
+        Some((c, inst)) => {
+            // The `corrupt-ref` site, keyed by the cache entry: every
+            // consumer of the entry observes the same corrupt bytes.
+            #[cfg(feature = "chaos")]
+            let sol = {
+                let mut sol = sol;
+                if let Some(ch) = &ctx.chaos {
+                    ch.plan.corrupt_ref(inst ^ task.exact_ref as u64, &mut sol);
+                }
+                sol
+            };
+            c.put_ref(inst, task.exact_ref, sol)
+        }
         None => Arc::new(sol),
     };
     (sol, false)
@@ -208,7 +223,7 @@ pub(crate) fn solve_task(
         return Err(stop.into());
     }
     let ids: Vec<JobId> = task.instance.ids().collect();
-    let (reference, ref_hit) = reference(task, &ids, cache, ws);
+    let (reference, ref_hit) = reference(task, &ids, cache, ctx, ws);
     if let Some(stop) = ctx.should_stop() {
         return Err(stop.into());
     }

@@ -238,8 +238,7 @@ pub struct TaskReport {
     pub index: usize,
     /// The task's label, echoed verbatim.
     pub label: String,
-    /// Number of solve attempts made: 1 + retries actually used (`0` only
-    /// when a shut-down engine refused the batch).
+    /// Number of solve attempts made: 1 + retries actually used.
     pub attempts: u32,
     /// The terminal result.
     pub result: TaskResult,

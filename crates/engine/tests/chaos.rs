@@ -4,6 +4,7 @@
 //! degradation layers must respond exactly as `docs/robustness.md` claims.
 #![cfg(feature = "chaos")]
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use pobp_engine::{
@@ -25,7 +26,11 @@ fn corrupted_reference_cache_is_cert_failed_never_a_wrong_row() {
     // poisoned reference on every task that consumes it, and no Done row
     // may carry the corrupted value.
     let plan = FaultPlan::new(11).with_rate(FaultSite::CorruptRef, 1.0);
-    let engine = Engine::with_chaos(EngineConfig { threads: 4, ..EngineConfig::default() }, plan);
+    let engine = Engine::new(EngineConfig {
+        threads: 4,
+        chaos: Some(Arc::new(plan)),
+        ..EngineConfig::default()
+    });
     let tasks = grid().tasks();
     let batch = engine.run_batch(&tasks);
     for r in &batch.reports {
@@ -50,7 +55,7 @@ fn corrupt_result_is_an_unknown_site() {
 fn forced_deadline_degrades_to_a_certified_polynomial_result() {
     let plan = FaultPlan::new(5).with_rate(FaultSite::ForcedDeadline, 1.0);
     let cfg = EngineConfig { threads: 2, degrade: true, ..EngineConfig::default() };
-    let engine = Engine::with_chaos(cfg, plan);
+    let engine = Engine::new(EngineConfig { chaos: Some(Arc::new(plan)), ..cfg });
     let tasks = grid().tasks();
     let batch = engine.run_batch(&tasks);
     for (r, t) in batch.reports.iter().zip(&tasks) {
@@ -69,7 +74,7 @@ fn forced_deadline_degrades_to_a_certified_polynomial_result() {
 #[test]
 fn forced_deadline_without_degradation_is_a_timeout() {
     let plan = FaultPlan::new(5).with_rate(FaultSite::ForcedDeadline, 1.0);
-    let engine = Engine::with_chaos(sequential(), plan);
+    let engine = Engine::new(EngineConfig { chaos: Some(Arc::new(plan)), ..sequential() });
     let batch = engine.run_batch(&grid().tasks());
     assert!(batch.reports.iter().all(|r| r.result == TaskResult::TimedOut));
 }
@@ -83,7 +88,7 @@ fn flaky_site_is_rescued_by_retry() {
         backoff: Duration::from_millis(1),
         ..EngineConfig::default()
     };
-    let engine = Engine::with_chaos(cfg, plan);
+    let engine = Engine::new(EngineConfig { chaos: Some(Arc::new(plan)), ..cfg });
     let tasks = grid().tasks();
     let batch = engine.run_batch(&tasks);
     for r in &batch.reports {
@@ -105,7 +110,7 @@ fn panic_site_exhausts_retries_then_the_ladder_decides() {
     };
     let task = grid().tasks().remove(3);
 
-    let hard = Engine::with_chaos(cfg(false), mk_plan());
+    let hard = Engine::new(EngineConfig { chaos: Some(Arc::new(mk_plan())), ..cfg(false) });
     let batch = hard.run_batch(std::slice::from_ref(&task));
     let TaskResult::Panicked { message } = &batch.reports[0].result else {
         panic!("{:?}", batch.reports[0].result)
@@ -113,7 +118,7 @@ fn panic_site_exhausts_retries_then_the_ladder_decides() {
     assert!(message.contains("chaos: injected panic"), "got: {message}");
     assert_eq!(batch.reports[0].attempts, 2);
 
-    let soft = Engine::with_chaos(cfg(true), mk_plan());
+    let soft = Engine::new(EngineConfig { chaos: Some(Arc::new(mk_plan())), ..cfg(true) });
     let batch = soft.run_batch(std::slice::from_ref(&task));
     let TaskResult::Degraded { cause, .. } = &batch.reports[0].result else {
         panic!("{:?}", batch.reports[0].result)
@@ -124,15 +129,16 @@ fn panic_site_exhausts_retries_then_the_ladder_decides() {
 #[test]
 fn spurious_cancel_surfaces_as_a_deadline_stop() {
     let plan = FaultPlan::new(29).with_rate(FaultSite::SpuriousCancel, 1.0);
-    let engine = Engine::with_chaos(sequential(), plan);
+    let engine = Engine::new(EngineConfig { chaos: Some(Arc::new(plan)), ..sequential() });
     let batch = engine.run_batch(&grid().tasks());
     assert!(batch.reports.iter().all(|r| r.result == TaskResult::TimedOut));
 
     let plan = FaultPlan::new(29).with_rate(FaultSite::SpuriousCancel, 1.0);
-    let rescue = Engine::with_chaos(
-        EngineConfig { degrade: true, ..sequential() },
-        plan,
-    );
+    let rescue = Engine::new(EngineConfig {
+        degrade: true,
+        chaos: Some(Arc::new(plan)),
+        ..sequential()
+    });
     let batch = rescue.run_batch(&grid().tasks());
     assert!(batch
         .reports
@@ -157,7 +163,7 @@ fn partial_rate_plans_replay_exactly_across_runs() {
             degrade: true,
             ..EngineConfig::default()
         };
-        Engine::with_chaos(cfg, plan)
+        Engine::new(EngineConfig { chaos: Some(Arc::new(plan)), ..cfg })
     };
     let a = mk().run_batch(&grid().tasks());
     let b = mk().run_batch(&grid().tasks());

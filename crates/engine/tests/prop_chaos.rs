@@ -4,6 +4,8 @@
 //! including runs where faults land as `Degraded` and `CertFailed` rows.
 #![cfg(feature = "chaos")]
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use pobp_engine::{Algo, Engine, EngineConfig, FaultPlan, FaultSite, GridSpec};
@@ -33,7 +35,7 @@ proptest! {
                 degrade,
                 ..EngineConfig::default()
             };
-            Engine::with_chaos(cfg, plan).run_batch(&tasks)
+            Engine::new(EngineConfig { chaos: Some(Arc::new(plan)), ..cfg }).run_batch(&tasks)
         };
         let seq = run(1);
         let par = run(4);

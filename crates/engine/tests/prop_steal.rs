@@ -84,6 +84,7 @@ proptest! {
 mod chaos {
     use super::*;
     use pobp_engine::{Engine, FaultPlan, FaultSite};
+    use std::sync::Arc;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
@@ -109,7 +110,7 @@ mod chaos {
                     .with_rate(FaultSite::CorruptRef, 0.2);
                 let mut cfg = cfg(threads, true);
                 cfg.degrade = degrade;
-                Engine::with_chaos(cfg, plan).run_batch(&tasks)
+                Engine::new(EngineConfig { chaos: Some(Arc::new(plan)), ..cfg }).run_batch(&tasks)
             };
             let seq = run(1);
             let two = run(2);

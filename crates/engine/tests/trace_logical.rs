@@ -224,6 +224,7 @@ fn task_spans_are_covered_by_child_spans() {
 #[test]
 fn chaotic_logical_trace_is_thread_count_invariant() {
     use pobp_engine::{Engine, FaultPlan, FaultSite};
+    use std::sync::Arc;
     let grid = GridSpec::new(vec![8, 12], vec![0, 1, 2], vec![0, 1, 2], Algo::Reduction);
     let tasks = grid.tasks();
     let run = |threads: usize| {
@@ -237,9 +238,10 @@ fn chaotic_logical_trace_is_thread_count_invariant() {
             max_retries: 2,
             backoff: std::time::Duration::from_millis(1),
             degrade: true,
+            chaos: Some(Arc::new(plan)),
             ..EngineConfig::default()
         };
-        let (_batch, events) = trace::capture(|| Engine::with_chaos(cfg, plan).run_batch(&tasks));
+        let (_batch, events) = trace::capture(|| Engine::new(cfg).run_batch(&tasks));
         trace::logical_text(&events)
     };
     let seq = run(1);

@@ -212,7 +212,7 @@ pub enum JobStatus {
     /// `timed_out`, or `cert_failed` (the result JSON says which).
     Failed,
     /// Cancelled — while queued (never reached the engine) or mid-run
-    /// (the per-job engine was cancel-shutdown).
+    /// (the per-job engine was stopped with `cancel_all`).
     Cancelled,
 }
 

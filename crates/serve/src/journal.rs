@@ -16,9 +16,10 @@
 //! `journal.jsonl`. A `kill -9` between the rename and the
 //! truncate leaves journal records with `seq` ≤ the snapshot's — recovery
 //! skips those, so replay is idempotent. A `kill -9` mid-append leaves a
-//! truncated final line — recovery drops it (that event was never
-//! acknowledged, so nothing observable is lost). Both cases are exercised
-//! by `tests/prop_journal.rs`.
+//! truncated final line without its newline — recovery drops it (that
+//! event was never acknowledged, so nothing observable is lost). Both cases
+//! are exercised by `tests/prop_journal.rs`. Any other line that does not
+//! parse is damage no crash leaves, and recovery refuses it.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -45,7 +46,7 @@ pub struct RecoveryReport {
     /// Records skipped because the snapshot already covered them
     /// (crash between compaction's rename and truncate).
     pub skipped: u64,
-    /// Whether a truncated/corrupt tail line was dropped
+    /// Whether a torn final line (no newline, does not parse) was dropped
     /// (crash mid-append).
     pub dropped_tail: bool,
 }
@@ -75,7 +76,8 @@ pub struct Journal {
 impl Journal {
     /// Opens (creating if needed) the registry directory, recovers the
     /// registry state from snapshot + journal, and returns the journal
-    /// positioned to append.
+    /// positioned to append. A damaged journal (see [`replay_dir`]) is an
+    /// error, and the directory is left as it was found.
     pub fn open(
         dir: &Path,
         compact_every: u64,
@@ -224,6 +226,14 @@ fn ends_with_newline(file: &File) -> io::Result<bool> {
 /// start from, without opening the directory for writing. The soak
 /// harness's replay-identity invariant and the property tests use this
 /// directly.
+///
+/// Only a final line without its newline can be a torn append: the writer
+/// puts a record and its newline in one write, and a failed append poisons
+/// the journal until a compaction truncates it. So such a line is dropped
+/// when it does not parse (and replayed when it does). Any other line that
+/// does not parse — bad JSON, no `seq`, an unknown event — is an
+/// `InvalidData` error naming its line: skipping it would drop the
+/// acknowledged records after it.
 pub fn replay_dir(dir: &Path) -> io::Result<(Registry, u64, RecoveryReport)> {
     let mut report = RecoveryReport::default();
     let mut registry = Registry::new();
@@ -248,23 +258,25 @@ pub fn replay_dir(dir: &Path) -> io::Result<(Registry, u64, RecoveryReport)> {
         Err(e) => return Err(e),
     }
     let text = String::from_utf8_lossy(&bytes);
-    for line in text.split('\n') {
+    let mut lines = (1..).zip(text.split('\n')).peekable();
+    while let Some((line_no, line)) = lines.next() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        // A malformed record can only be a torn final append: the writer
-        // flushes line-atomically, so everything before it is intact. Drop
-        // it (it was never acknowledged) and stop.
-        let (record_seq, event) = match Json::parse(line).ok().and_then(|v| {
-            let s = v.get("seq").and_then(Json::as_u64)?;
-            let ev = Event::from_json(&v).ok()?;
-            Some((s, ev))
-        }) {
-            Some(parsed) => parsed,
-            None => {
+        let (record_seq, event) = match parse_record(line) {
+            Ok(parsed) => parsed,
+            // The segment after the last newline: a torn final append,
+            // never acknowledged.
+            Err(_) if lines.peek().is_none() => {
                 report.dropped_tail = true;
                 break;
+            }
+            Err(e) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("journal line {line_no}: {e}"),
+                ));
             }
         };
         if record_seq <= report.snapshot_seq {
@@ -276,6 +288,13 @@ pub fn replay_dir(dir: &Path) -> io::Result<(Registry, u64, RecoveryReport)> {
         report.replayed += 1;
     }
     Ok((registry, seq, report))
+}
+
+/// One journal line: its sequence number and event.
+fn parse_record(line: &str) -> Result<(u64, Event), String> {
+    let v = Json::parse(line).map_err(|e| e.to_string())?;
+    let seq = v.get("seq").and_then(Json::as_u64).ok_or("record without a numeric seq")?;
+    Ok((seq, Event::from_json(&v)?))
 }
 
 /// Serialises a recovery report for the `stats` op.
@@ -392,6 +411,34 @@ mod tests {
         live.apply(&ev);
         let (recovered3, _, _) = replay_dir(&dir).unwrap();
         assert_eq!(recovered3, live);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_complete_line_is_an_error_not_a_torn_tail() {
+        let dir = tmpdir("damaged");
+        {
+            let mut live = Registry::new();
+            let (mut j, _, _) = Journal::open(&dir, 1000).unwrap();
+            for seed in 0..3 {
+                j.append(&submit_event(&mut live, seed)).unwrap();
+            }
+        }
+        let path = dir.join("journal.jsonl");
+        let intact = fs::read_to_string(&path).unwrap();
+        for (damaged_line, from, to) in [(2, "\"submit\"", "\"subm1t\""), (3, "{", "[")] {
+            let mut lines: Vec<String> = intact.lines().map(String::from).collect();
+            lines[damaged_line - 1] = lines[damaged_line - 1].replacen(from, to, 1);
+            let damaged = lines.join("\n") + "\n";
+            fs::write(&path, &damaged).unwrap();
+            let err = Journal::open(&dir, 1000).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(&format!("journal line {damaged_line}")), "{err}");
+            // Nothing was compacted away: the acknowledged records after
+            // the damage are still on disk for an operator to repair.
+            assert_eq!(fs::read_to_string(&path).unwrap(), damaged);
+            assert!(!dir.join("snapshot.json").exists());
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 }

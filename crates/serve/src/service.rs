@@ -75,8 +75,9 @@ pub struct ServiceConfig {
     pub degrade: bool,
     /// Journal appends between snapshot compactions.
     pub compact_every: u64,
-    /// Arm deterministic IO fault injection (the io-* sites in
-    /// docs/sweeps.md) under the journal's appends and compactions.
+    /// Arm deterministic fault injection: the io-* sites (docs/sweeps.md)
+    /// under the journal's appends and compactions, and every site of the
+    /// per-job engines, each of which gets a copy in its `EngineConfig`.
     #[cfg(feature = "chaos")]
     pub chaos: Option<Arc<pobp_engine::FaultPlan>>,
     /// Live-telemetry knobs: sampler period, scrape address, flight-dump
@@ -184,11 +185,6 @@ pub struct ServeCounters {
     pub cancelled: u64,
     /// Jobs re-queued by crash recovery.
     pub requeued: u64,
-    /// Victim probes made by the engines' work-stealing workers, summed
-    /// over finished jobs (scheduling telemetry; never affects results).
-    pub engine_steal_attempts: u64,
-    /// Steal probes that landed work, summed over finished jobs.
-    pub engine_steal_hits: u64,
 }
 
 /// Priority-queue entry: max-heap on `(priority, −id)` — higher priority
@@ -527,8 +523,6 @@ impl Service {
             ("degraded", Json::Num(c.degraded as f64)),
             ("failed", Json::Num(c.failed as f64)),
             ("cancelled", Json::Num(c.cancelled as f64)),
-            ("engine_steal_attempts", Json::Num(c.engine_steal_attempts as f64)),
-            ("engine_steal_hits", Json::Num(c.engine_steal_hits as f64)),
             ("journal_seq", Json::Num(state.journal.seq() as f64)),
             ("compactions", Json::Num(state.journal.compactions() as f64)),
             ("recovery", recovery_json(&state.recovery)),
@@ -661,18 +655,6 @@ impl Service {
         for (alg, n) in self.inner.telemetry.per_alg_done.lock().unwrap().iter() {
             p.sample("pobp_serve_jobs_done_by_alg_total", &[("alg", alg)], *n as f64);
         }
-        p.header(
-            "pobp_serve_engine_steal_attempts_total",
-            "counter",
-            "Work-steal victim probes made by job engines (scheduling telemetry).",
-        )
-        .sample("pobp_serve_engine_steal_attempts_total", &[], counter("engine_steal_attempts"));
-        p.header(
-            "pobp_serve_engine_steal_hits_total",
-            "counter",
-            "Work-steal probes that landed work in job engines.",
-        )
-        .sample("pobp_serve_engine_steal_hits_total", &[], counter("engine_steal_hits"));
         p.header("pobp_serve_queue_depth", "gauge", "Jobs currently queued.")
             .sample("pobp_serve_queue_depth", &[], gauge("queued"));
         p.header("pobp_serve_queue_cap", "gauge", "Admission bound on queued jobs.")
@@ -818,8 +800,6 @@ fn capture_sample(inner: &Inner) -> Sample {
         .counter("failed", c.failed)
         .counter("cancelled", c.cancelled)
         .counter("requeued", c.requeued)
-        .counter("engine_steal_attempts", c.engine_steal_attempts)
-        .counter("engine_steal_hits", c.engine_steal_hits)
         .counter("finished", finished)
         .counter("journal_appends", state.journal.seq())
         .gauge("queued", state.queued as f64)
@@ -936,29 +916,24 @@ fn worker_loop(inner: &Inner) {
         }
         state.registry.apply(&start);
         state.queued = state.queued.saturating_sub(1);
-        let engine = Arc::new({
-            #[cfg_attr(not(feature = "chaos"), allow(unused_mut))]
-            let mut engine = Engine::with_shared_cache(
-                EngineConfig {
-                    // A job is a one-task batch: `workers` is the daemon's
-                    // parallelism.
-                    threads: 1,
-                    deadline: spec.deadline_ms.map(Duration::from_millis),
-                    degrade: inner.cfg.degrade,
-                    ..EngineConfig::default()
-                },
-                Arc::clone(&inner.cache),
-            );
-            // The daemon's fault plan covers the engines too, not just the
-            // journal: solver-side sites (panic, corrupt-ref, …) fire
-            // per task key inside jobs, which is how the CI flight-recorder
-            // drill forces a CertFailed through the daemon.
-            #[cfg(feature = "chaos")]
-            if let Some(plan) = &inner.cfg.chaos {
-                engine.set_chaos(Arc::clone(plan));
-            }
-            engine
-        });
+        let engine = Arc::new(Engine::with_shared_cache(
+            EngineConfig {
+                // A job is a one-task batch: `workers` is the daemon's
+                // parallelism.
+                threads: 1,
+                deadline: spec.deadline_ms.map(Duration::from_millis),
+                degrade: inner.cfg.degrade,
+                // The daemon's fault plan covers the engines too, not just
+                // the journal: solver-side sites (panic, corrupt-ref, …)
+                // fire per task key inside jobs, which is how the CI
+                // flight-recorder drill forces a CertFailed through the
+                // daemon.
+                #[cfg(feature = "chaos")]
+                chaos: inner.cfg.chaos.clone(),
+                ..EngineConfig::default()
+            },
+            Arc::clone(&inner.cache),
+        ));
         state.running.insert(id, Arc::clone(&engine));
         drop(state);
         trace_event!("serve.claim", id);
@@ -966,7 +941,6 @@ fn worker_loop(inner: &Inner) {
         #[cfg(feature = "instrument")]
         let job_started = Instant::now();
         let report = obs_span!("serve.job", engine.run_batch(std::slice::from_ref(&task)));
-        let engine_stats = report.stats;
         let task_report = report.reports.into_iter().next().expect("batch of one");
         #[cfg(feature = "instrument")]
         {
@@ -983,8 +957,6 @@ fn worker_loop(inner: &Inner) {
         let key = spec.content_key();
         let mut state = inner.state.lock().unwrap();
         state.running.remove(&id);
-        state.counters.engine_steal_attempts += engine_stats.steal_attempts as u64;
-        state.counters.engine_steal_hits += engine_stats.steal_hits as u64;
         let finish = Event::Finish { id, result };
         if let Err(e) = inner.append(&mut state.journal, &finish) {
             eprintln!("serve: journal append failed on finish({id}): {e}");

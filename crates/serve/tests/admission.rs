@@ -5,16 +5,18 @@
 //! worker) then drains the backlog, and the journal's `start` records give
 //! the exact claim order for the priority assertion. Two one-worker tests
 //! check that a queued job's worker is woken on both admission paths: in
-//! process, and over TCP after the ack is written.
+//! process, and over TCP after the ack is written. A third cancels a job
+//! while it runs.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pobp_engine::Algo;
+use pobp_serve::job::MAX_JOB_N;
 use pobp_serve::json::Json;
 use pobp_serve::service::{CancelOutcome, Service, ServiceConfig, SubmitOutcome};
-use pobp_serve::{JobSpec, JobStatus};
+use pobp_serve::{replay_dir, JobSpec, JobStatus};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pobp-serve-adm-{tag}-{}", std::process::id()));
@@ -130,8 +132,8 @@ fn saturated_queue_drains_in_priority_order_and_cancelled_jobs_never_run() {
 /// Waits until job `id` exists and is terminal; its status, or `None` on
 /// timeout.
 fn wait_terminal(service: &Service, id: u64, timeout: Duration) -> Option<JobStatus> {
-    let deadline = std::time::Instant::now() + timeout;
-    while std::time::Instant::now() < deadline {
+    let deadline = Instant::now() + timeout;
+    while Instant::now() < deadline {
         match service.job(id) {
             Some(job) if job.status.is_terminal() => return Some(job.status),
             _ => std::thread::sleep(Duration::from_millis(5)),
@@ -182,6 +184,31 @@ fn tcp_submit_from_a_client_that_hangs_up_still_runs() {
     let client = pobp_serve::Client::new(&addr, Duration::from_secs(5));
     client.shutdown(true).unwrap();
     daemon.join().unwrap().unwrap();
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A running job is stopped through its engine: `cancel` signals the
+/// engine with `cancel_all`, the engine stops the task at its next stage
+/// boundary, and the worker journals the cancelled result.
+#[test]
+fn cancelling_a_running_job_stops_its_engine() {
+    let dir = tmpdir("cancel-running");
+    let service = Service::start(cfg(&dir, 1, 8)).unwrap();
+    // The largest job admission takes: building its instance and its
+    // reference keeps the job short of its first stage boundary long after
+    // the cancel lands.
+    let id = accepted_id(service.submit(JobSpec::cell(Algo::Reduction, MAX_JOB_N, 1, 0)).unwrap());
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while service.job(id).map(|j| j.status) != Some(JobStatus::Running) {
+        assert!(Instant::now() < deadline, "the job never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(service.cancel(id), CancelOutcome::SignalledRunning);
+    assert_eq!(wait_terminal(&service, id, Duration::from_secs(60)), Some(JobStatus::Cancelled));
+    assert_eq!(service.counters().cancelled, 1);
+    let (replayed, _, _) = replay_dir(&dir).unwrap();
+    assert_eq!(replayed.get(id).map(|j| j.status), Some(JobStatus::Cancelled));
+    service.stop(true);
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -397,7 +424,6 @@ fn oversized_scrape_head_is_cut_off_and_scrapes_continue() {
 #[test]
 fn trickling_scrape_head_is_cut_off_at_the_deadline_and_scrapes_continue() {
     use std::io::{Read, Write};
-    use std::time::Instant;
     let dir = tmpdir("scrapetrickle");
     let service = std::sync::Arc::new(Service::start(cfg(&dir, 0, 4)).unwrap());
     let addr = pobp_serve::spawn_metrics_listener("127.0.0.1:0", service.clone()).unwrap();

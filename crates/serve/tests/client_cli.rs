@@ -183,3 +183,22 @@ fn saturation_rejection_exits_3_and_cancel_resolves_queued_jobs() {
         Some("cancelled")
     );
 }
+
+/// A build without `instrument` carries no instrumentation (no trace
+/// exporter, no engine event name, no Prometheus exposition markers, no
+/// metric prefix), and `top` refuses to run rather than show nothing.
+#[cfg(not(feature = "instrument"))]
+#[test]
+fn default_client_carries_no_instrumentation_and_refuses_top() {
+    // Decoded lossily, every ASCII run survives intact: `contains` finds
+    // an ASCII marker wherever `strings` piped into `grep` would.
+    let bytes = fs::read(BIN).expect("read the pobp-client binary");
+    let binary = String::from_utf8_lossy(&bytes);
+    for marker in ["traceEvents", "task.enqueue", "# HELP", "# TYPE", "pobp_serve_"] {
+        assert!(!binary.contains(marker), "the binary carries {marker:?}");
+    }
+    let out = Command::new(BIN).arg("top").output().unwrap();
+    assert_eq!(code(&out), 1);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("needs a binary built with --features instrument"), "{err}");
+}

@@ -32,9 +32,7 @@ use std::fs::File;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 
-use pobp_engine::{run_batch, BatchReport, EngineConfig, EngineStats, IoGuard};
-#[cfg(feature = "chaos")]
-use pobp_engine::{Engine, FaultPlan};
+use pobp_engine::{run_batch, EngineConfig, EngineStats, IoGuard};
 
 use crate::manifest::{ChunkRecord, Manifest};
 use crate::plan::{fnv1a, SweepSpec};
@@ -46,7 +44,8 @@ use crate::shard::{recover, shard_path, ShardState, ShardWriter};
 pub struct SweepConfig {
     /// The sharded grid.
     pub spec: SweepSpec,
-    /// Engine configuration used for every chunk.
+    /// Engine configuration used for every chunk. In chaos builds its fault
+    /// plan also arms the io-* sites in the shard and manifest writers.
     pub engine: EngineConfig,
     /// Continue an interrupted sweep instead of starting a fresh one.
     /// Fresh runs refuse a directory that already holds a manifest;
@@ -55,10 +54,6 @@ pub struct SweepConfig {
     /// Stop after completing this many chunks in this invocation (`None` =
     /// run to the end). The directory stays resumable.
     pub max_chunks: Option<usize>,
-    /// Injected-fault plan for the engine *and* the io-* sites in the
-    /// shard/manifest writers (chaos builds only).
-    #[cfg(feature = "chaos")]
-    pub chaos: Option<std::sync::Arc<FaultPlan>>,
 }
 
 /// What a `run_sweep` invocation accomplished.
@@ -201,7 +196,7 @@ pub fn run_sweep(dir: &Path, cfg: &SweepConfig) -> Result<SweepOutcome, String> 
         let mut writer = ShardWriter::open(dir, chunk.index, &state, shard_guard(cfg, key))
             .map_err(|e| format!("opening {}: {e}", path.display()))?;
         if !remainder.is_empty() {
-            let batch = run_chunk(cfg, remainder);
+            let batch = run_batch(remainder, cfg.engine.clone());
             add_stats(&mut out.stats, &batch.stats);
             for (&(n, k, seed), report) in
                 coords[state.rows as usize..].iter().zip(&batch.reports)
@@ -315,15 +310,6 @@ fn merge(dir: &Path, manifest: &Manifest, guard: &IoGuard) -> Result<PathBuf, St
     Ok(out)
 }
 
-/// Runs one chunk's remaining tasks through the engine.
-fn run_chunk(cfg: &SweepConfig, tasks: &[pobp_engine::SolveTask]) -> BatchReport {
-    #[cfg(feature = "chaos")]
-    if let Some(plan) = &cfg.chaos {
-        return Engine::with_chaos(cfg.engine.clone(), FaultPlan::clone(plan)).run_batch(tasks);
-    }
-    run_batch(tasks, cfg.engine.clone())
-}
-
 /// The guard under the checkpoint manifest (and the final merge), keyed by
 /// the spec digest.
 fn manifest_guard(cfg: &SweepConfig, spec_digest: u64) -> IoGuard {
@@ -337,7 +323,7 @@ fn shard_guard(cfg: &SweepConfig, chunk_key: u64) -> IoGuard {
 
 fn guard_for(cfg: &SweepConfig, key: u64) -> IoGuard {
     #[cfg(feature = "chaos")]
-    if let Some(plan) = &cfg.chaos {
+    if let Some(plan) = &cfg.engine.chaos {
         return IoGuard::armed(std::sync::Arc::clone(plan), key);
     }
     let _ = (cfg, key);

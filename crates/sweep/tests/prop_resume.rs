@@ -52,8 +52,6 @@ fn cfg(spec: &SweepSpec, threads: usize, resume: bool, max_chunks: Option<usize>
         engine: EngineConfig { threads, ..EngineConfig::default() },
         resume,
         max_chunks,
-        #[cfg(feature = "chaos")]
-        chaos: None,
     }
 }
 
@@ -134,10 +132,13 @@ mod chaos {
     fn armed(spec: &SweepSpec, threads: usize, plan: &Arc<FaultPlan>) -> SweepConfig {
         SweepConfig {
             spec: spec.clone(),
-            engine: EngineConfig { threads, ..EngineConfig::default() },
+            engine: EngineConfig {
+                threads,
+                chaos: Some(Arc::clone(plan)),
+                ..EngineConfig::default()
+            },
             resume: false,
             max_chunks: None,
-            chaos: Some(Arc::clone(plan)),
         }
     }
 

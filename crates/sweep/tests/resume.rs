@@ -36,8 +36,6 @@ fn cfg(spec: SweepSpec, threads: usize, resume: bool, max_chunks: Option<usize>)
         engine: EngineConfig { threads, ..EngineConfig::default() },
         resume,
         max_chunks,
-        #[cfg(feature = "chaos")]
-        chaos: None,
     }
 }
 

@@ -452,17 +452,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     if machines == 0 {
         return Err("--machines must be at least 1".into());
     }
-    #[cfg(not(feature = "chaos"))]
-    if has_flag(args, "--chaos") || has_flag(args, "--chaos-seed") {
-        return Err("--chaos/--chaos-seed need a binary built with --features chaos".into());
-    }
-    #[cfg(feature = "chaos")]
-    let chaos_plan = {
-        let chaos_seed: u64 = parse_num_strict(args, "--chaos-seed", 0u64)?;
-        flag_value(args, "--chaos")?
-            .map(|spec| FaultPlan::parse(&spec, chaos_seed))
-            .transpose()?
-    };
+    #[cfg_attr(not(feature = "chaos"), allow(unused_variables))]
+    let chaos = chaos_plan(args)?;
 
     let seeds: Vec<u64> = (0..seed_count).collect();
     if ns.is_empty() || ks.is_empty() || seeds.is_empty() {
@@ -475,6 +466,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         use_cache: !has_flag(args, "--no-cache"),
         degrade: has_flag(args, "--degrade"),
         progress: has_flag(args, "--progress"),
+        #[cfg(feature = "chaos")]
+        chaos,
         ..EngineConfig::default()
     };
     let trace = TraceFiles::arm(args)?;
@@ -496,8 +489,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             engine: cfg,
             resume,
             max_chunks: (max_chunks > 0).then_some(max_chunks),
-            #[cfg(feature = "chaos")]
-            chaos: chaos_plan.map(std::sync::Arc::new),
         };
         let out = pobp::sweep::run_sweep(std::path::Path::new(&dir), &sweep_cfg)?;
         let s = out.stats;
@@ -528,12 +519,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     }
 
     let grid = GridSpec { ns: ns.clone(), ks: ks.clone(), seeds, algo, machines, exact_ref };
-    #[cfg(feature = "chaos")]
-    let batch = match chaos_plan {
-        Some(plan) => Engine::with_chaos(cfg, plan).run_batch(&grid.tasks()),
-        None => pobp::engine::run_batch(&grid.tasks(), cfg),
-    };
-    #[cfg(not(feature = "chaos"))]
     let batch = pobp::engine::run_batch(&grid.tasks(), cfg);
 
     // Rebuild the grid coordinates in task order (ns × seeds × ks — the
@@ -616,17 +601,8 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
     if families.is_empty() || ns.is_empty() || ks.is_empty() || seed_count == 0 {
         return Err("empty grid: every one of --families/--n/--k/--seeds needs a value".into());
     }
-    #[cfg(not(feature = "chaos"))]
-    if has_flag(args, "--chaos") || has_flag(args, "--chaos-seed") {
-        return Err("--chaos/--chaos-seed need a binary built with --features chaos".into());
-    }
-    #[cfg(feature = "chaos")]
-    let chaos_plan = {
-        let chaos_seed: u64 = parse_num_strict(args, "--chaos-seed", 0u64)?;
-        flag_value(args, "--chaos")?
-            .map(|spec| FaultPlan::parse(&spec, chaos_seed))
-            .transpose()?
-    };
+    #[cfg_attr(not(feature = "chaos"), allow(unused_variables))]
+    let chaos = chaos_plan(args)?;
     let trace = TraceFiles::arm(args)?;
 
     // Row metadata, parallel to the task batch. `alg == None` marks the
@@ -685,14 +661,10 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
         use_cache: !has_flag(args, "--no-cache"),
         degrade: has_flag(args, "--degrade"),
         progress: has_flag(args, "--progress"),
+        #[cfg(feature = "chaos")]
+        chaos,
         ..EngineConfig::default()
     };
-    #[cfg(feature = "chaos")]
-    let batch = match chaos_plan {
-        Some(plan) => Engine::with_chaos(cfg, plan).run_batch(&tasks),
-        None => pobp::engine::run_batch(&tasks, cfg),
-    };
-    #[cfg(not(feature = "chaos"))]
     let batch = pobp::engine::run_batch(&tasks, cfg);
 
     // Walk reports cell by cell: the oracle row opens the cell, the online
@@ -775,6 +747,25 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
     trace.write()
 }
 
+/// `--chaos SPEC` / `--chaos-seed S` of `sweep`, `online` and `serve`: the
+/// fault plan to arm, if any.
+#[cfg(feature = "chaos")]
+fn chaos_plan(args: &[String]) -> Result<Option<std::sync::Arc<FaultPlan>>, String> {
+    let seed: u64 = parse_num_strict(args, "--chaos-seed", 0u64)?;
+    let plan = flag_value(args, "--chaos")?.map(|spec| FaultPlan::parse(&spec, seed)).transpose()?;
+    Ok(plan.map(std::sync::Arc::new))
+}
+
+/// A default build has no fault plan to arm: it refuses the chaos flags
+/// rather than run without faults.
+#[cfg(not(feature = "chaos"))]
+fn chaos_plan(args: &[String]) -> Result<Option<std::convert::Infallible>, String> {
+    if has_flag(args, "--chaos") || has_flag(args, "--chaos-seed") {
+        return Err("--chaos/--chaos-seed need a binary built with --features chaos".into());
+    }
+    Ok(None)
+}
+
 /// `pobp serve`: the persistent scheduling daemon (docs/serve.md). Binds
 /// the address, recovers the registry from `--dir`, prints the two startup
 /// lines (`listening on` / `recovered`), and blocks until a client sends
@@ -783,17 +774,8 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let addr = flag_value(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7411".into());
     let dir = flag_value(args, "--dir")?.unwrap_or_else(|| "pobp-serve-registry".into());
-    #[cfg(not(feature = "chaos"))]
-    if has_flag(args, "--chaos") || has_flag(args, "--chaos-seed") {
-        return Err("--chaos/--chaos-seed need a binary built with --features chaos".into());
-    }
-    #[cfg(feature = "chaos")]
-    let chaos_plan = {
-        let chaos_seed: u64 = parse_num_strict(args, "--chaos-seed", 0u64)?;
-        flag_value(args, "--chaos")?
-            .map(|spec| FaultPlan::parse(&spec, chaos_seed))
-            .transpose()?
-    };
+    #[cfg_attr(not(feature = "chaos"), allow(unused_variables))]
+    let chaos = chaos_plan(args)?;
     // A full trace record would grow for as long as the daemon runs; its
     // trace surface is the bounded --flight-dir ring.
     if has_flag(args, "--trace") || has_flag(args, "--trace-logical") {
@@ -812,7 +794,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         degrade: has_flag(args, "--degrade"),
         compact_every: parse_num_strict(args, "--compact-every", 256u64)?,
         #[cfg(feature = "chaos")]
-        chaos: chaos_plan.map(std::sync::Arc::new),
+        chaos,
         #[cfg(feature = "instrument")]
         telemetry: pobp::serve::TelemetryOptions {
             sample_ms,

@@ -80,7 +80,55 @@ fn telemetry_flags_require_the_instrument_feature() {
     ] {
         let (_, err, ok) = run(args);
         assert!(!ok, "{args:?} must fail in a default build");
-        assert!(err.contains("--features instrument"), "error must say how to enable: {err}");
+        assert!(
+            err.contains("needs a binary built with --features instrument"),
+            "error must say how to enable: {err}"
+        );
+    }
+}
+
+/// The bytes of the `pobp` binary under test, decoded lossily: every ASCII
+/// run survives intact, so `contains` finds an ASCII marker wherever
+/// `strings` piped into `grep` would.
+#[cfg(not(all(feature = "chaos", feature = "instrument")))]
+fn pobp_binary_text() -> String {
+    let bytes = std::fs::read(env!("CARGO_BIN_EXE_pobp")).expect("read the pobp binary");
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// A build without `instrument` carries no instrumentation: no trace
+/// exporter, no engine event name, no Prometheus exposition markers and
+/// no metric prefix. (Its flags are refused by
+/// `telemetry_flags_require_the_instrument_feature` and
+/// `sweep_trace_flags_respect_the_feature_gate`.)
+#[cfg(not(feature = "instrument"))]
+#[test]
+fn default_build_carries_no_instrumentation() {
+    let binary = pobp_binary_text();
+    for marker in ["traceEvents", "task.enqueue", "# HELP", "# TYPE", "pobp_serve_"] {
+        assert!(!binary.contains(marker), "the binary carries {marker:?}");
+    }
+}
+
+/// A build without `chaos` carries no trace of the fault-injection harness,
+/// and every command that takes the chaos flags refuses them rather than
+/// run without faults.
+#[cfg(not(feature = "chaos"))]
+#[test]
+fn default_build_carries_no_chaos_harness_and_refuses_its_flags() {
+    let binary = pobp_binary_text();
+    for marker in ["chaos: injected", "injected io fault", "io-torn-tail", "io-disk-full"] {
+        assert!(!binary.contains(marker), "the binary carries {marker:?}");
+    }
+    for args in [
+        &["sweep", "--n", "8", "--k", "0", "--seeds", "1", "--chaos", "panic:1"][..],
+        &["online", "--n", "8", "--k", "1", "--seeds", "1", "--chaos-seed", "3"][..],
+        &["serve", "--chaos", "io-fsync:1", "--addr", "127.0.0.1:0"][..],
+    ] {
+        let (out, err, ok) = run(args);
+        assert!(!ok, "{args:?} must fail in a default build");
+        assert!(err.contains("need a binary built with --features chaos"), "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?} must not run: {out}");
     }
 }
 
@@ -325,7 +373,7 @@ fn sweep_trace_flags_respect_the_feature_gate() {
         assert!(text.contains("begin task"), "{text}");
     } else {
         assert!(!ok);
-        assert!(err.contains("--features instrument"), "{err}");
+        assert!(err.contains("needs a binary built with --features instrument"), "{err}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -784,4 +832,69 @@ fn faulty_sweeps_die_at_the_same_point_on_any_thread_count() {
     assert!(!files1.is_empty(), "the sweep left no files");
     assert_eq!(ok1, ok4);
     assert!(files1 == files4, "the faulty sweep's directories differ across thread counts");
+}
+
+/// The grid of the chaos sweeps below: 12 cells, 4 of them `k = 0`.
+#[cfg(feature = "chaos")]
+const CHAOS_GRID: [&str; 7] = ["sweep", "--n", "10,14", "--k", "0,1,2", "--seeds", "2"];
+
+/// Rows of a chaos sweep over [`CHAOS_GRID`] carrying `needle`.
+#[cfg(feature = "chaos")]
+fn count_rows(rows: &str, needle: &str) -> usize {
+    rows.lines().filter(|row| row.contains(needle)).count()
+}
+
+/// A reference corrupted at every put never reaches an output row: every
+/// row is `cert_failed`, none `ok`.
+#[cfg(feature = "chaos")]
+#[test]
+fn chaos_corrupted_references_are_cert_failed_never_a_wrong_row() {
+    let (out, err, ok) =
+        run(&[&CHAOS_GRID[..], &["--chaos", "corrupt-ref:1", "--chaos-seed", "7"]].concat());
+    assert!(ok, "{err}");
+    assert_eq!(count_rows(&out, "\"status\":\"cert_failed\""), 12, "{out}");
+    assert_eq!(count_rows(&out, "\"status\":\"ok\""), 0, "{out}");
+}
+
+/// Forced deadlines under `--degrade` leave every row a certified
+/// polynomial rescue: `k0` for the `k = 0` cells, `lsa` for the rest.
+#[cfg(feature = "chaos")]
+#[test]
+fn chaos_forced_deadlines_degrade_every_row() {
+    let chaos = ["--chaos", "deadline:1", "--chaos-seed", "7", "--degrade"];
+    let (out, err, ok) = run(&[&CHAOS_GRID[..], &chaos].concat());
+    assert!(ok, "{err}");
+    assert_eq!(count_rows(&out, "\"status\":\"degraded\""), 12, "{out}");
+    assert_eq!(count_rows(&out, "\"fallback\":\"k0\""), 4, "{out}");
+    assert_eq!(count_rows(&out, "\"fallback\":\"lsa\""), 8, "{out}");
+    assert_eq!(count_rows(&out, "\"status\":\"timed_out\""), 0, "{out}");
+    assert_eq!(count_rows(&out, "\"status\":\"cert_failed\""), 0, "{out}");
+}
+
+/// A partial panic rate gives mixed per-row outcomes, the same ones on
+/// every run of the same seed.
+#[cfg(feature = "chaos")]
+#[test]
+fn chaos_partial_panic_rate_gives_mixed_rows() {
+    let chaos = ["--chaos", "panic:0.3", "--chaos-seed", "2", "--retries", "1"];
+    let (out, err, ok) = run(&[&CHAOS_GRID[..], &chaos].concat());
+    assert!(ok, "{err}");
+    assert_eq!(count_rows(&out, "\"status\":\"ok\""), 7, "{out}");
+    assert_eq!(count_rows(&out, "\"status\":\"panicked\""), 5, "{out}");
+}
+
+/// A chaotic sweep's rows do not depend on the thread count.
+#[cfg(feature = "chaos")]
+#[test]
+fn chaos_sweep_output_is_thread_count_invariant() {
+    let sweep = [
+        "sweep", "--n", "12,16", "--k", "0,1,2", "--seeds", "4", "--degrade",
+        "--chaos", "panic:0.4,flaky:0.4,deadline:0.4,corrupt-ref:0.4", "--chaos-seed", "42",
+    ];
+    let (par, err, ok) = run(&[&sweep[..], &["--threads", "4"]].concat());
+    assert!(ok, "{err}");
+    let (seq, err, ok) = run(&[&sweep[..], &["--threads", "1"]].concat());
+    assert!(ok, "{err}");
+    assert_eq!(seq.lines().count(), 24, "{seq}");
+    assert_eq!(par, seq, "the chaotic sweep differs between --threads 4 and --threads 1");
 }
