@@ -20,10 +20,13 @@
 //! `--trace FILE` (needs a `--features instrument` build) arms the full
 //! trace record and writes the Chrome trace-event JSON of everything the
 //! harness ran; see `docs/observability.md`.
+//!
+//! `--help` prints the usage and the experiment list; an unknown selector
+//! or flag is an error that names it, and runs nothing.
 
 use std::collections::BTreeMap;
 
-use pobp::cli::{flag_value, has_flag, instrument_flags, parse_num_strict};
+use pobp::cli::{flag_value, has_flag, instrument_flags, only_flags, parse_num_strict};
 use pobp_bench::{geo_mean, lax_workload, log_base_k1, mixed_workload, small_workload};
 use pobp_core::{JobId, JobSet};
 use pobp_engine::{Algo, Engine, EngineConfig, GridSpec, SolveTask, TaskResult};
@@ -48,8 +51,55 @@ fn die(e: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
+/// The `--help` text: flags, then one line per experiment.
+fn usage(experiments: &[Experiment]) -> String {
+    let mut out = String::from(
+        "experiments — regenerate the paper's experiment tables (EXPERIMENTS.md)\n\n\
+         USAGE:\n    experiments [SELECTOR...] [--threads N] [--obs] [--obs-out FILE] \
+         [--trace FILE]\n\n\
+         SELECTORS (none means all):\n",
+    );
+    for (name, title, _) in experiments {
+        out.push_str(&format!("    {name:<5} {title}\n"));
+    }
+    out.push_str("    all   every experiment\n");
+    out
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let experiments: &[Experiment] = &[
+        ("e1", "Figure 1: laminar rearrangement", |_| e1_laminar()),
+        ("e2", "Theorem 3.9: k-BAS loss upper bound", |_| e2_kbas_upper()),
+        ("e3", "Theorem 3.20 / Fig 3: k-BAS loss tightness", |_| e3_kbas_lower()),
+        ("e4", "Theorem 4.2: reduction vs exact OPT_inf", e4_reduction),
+        ("e5", "Theorems 4.3/4.13 / Fig 4: PoBP lower bound", |_| e5_fig4()),
+        ("e6", "Theorem 4.5 / Alg 2: LSA_CS vs P", e6_lsa),
+        ("e7", "Alg 3: combined algorithm", e7_combined),
+        ("e8", "Section 5 / Fig 2: k = 0", |_| e8_k0()),
+        ("e9", "Section 4.3.4: multiple machines", e9_multi),
+        ("e10", "Ablations", |_| e10_ablations()),
+        ("e11", "Extensions: migrative machines, CS-by-value/density", |_| e11_extensions()),
+        ("e12", "Motivation: context-switch cost crossover", |_| e12_switch_cost()),
+        ("e13", "Online arrival: empirical competitive ratios vs OPT_k oracle", e13_online),
+    ];
+    if has_flag(&args, "--help") || has_flag(&args, "-h") {
+        print!("{}", usage(experiments));
+        return;
+    }
+    only_flags(&args, &["--threads", "--trace"]).unwrap_or_else(|e| die(e));
+    let is_flag_or_value = |i: usize| {
+        args[i].starts_with("--")
+            || (i > 0
+                && ["--obs-out", "--threads", "--trace"].contains(&args[i - 1].as_str()))
+    };
+    let selectors: Vec<&String> =
+        (0..args.len()).filter(|&i| !is_flag_or_value(i)).map(|i| &args[i]).collect();
+    let known = |s: &str| s == "all" || experiments.iter().any(|(name, ..)| *name == s);
+    if let Some(unknown) = selectors.iter().find(|s| !known(s)) {
+        let names: Vec<&str> = experiments.iter().map(|(name, ..)| *name).collect();
+        die(format!("unknown experiment {unknown:?} (expected {} or all)", names.join(", ")));
+    }
     let obs_out: Option<String> = match flag_value(&args, "--obs-out") {
         Ok(Some(path)) => Some(path),
         Ok(None) if has_flag(&args, "--obs") => Some("obs-report.json".into()),
@@ -66,33 +116,11 @@ fn main() {
     // the polynomial fallback (flagged on stderr) instead of killing the
     // whole harness run.
     let engine = Engine::new(EngineConfig { threads, degrade: true, ..EngineConfig::default() });
-    let is_flag_or_value = |i: usize| {
-        args[i].starts_with("--")
-            || (i > 0
-                && ["--obs-out", "--threads", "--trace"].contains(&args[i - 1].as_str()))
-    };
-    let selectors: Vec<&String> =
-        (0..args.len()).filter(|&i| !is_flag_or_value(i)).map(|i| &args[i]).collect();
     let run =
         |name: &str| selectors.is_empty() || selectors.iter().any(|a| *a == name || *a == "all");
     if obs_out.is_some() {
         pobp_core::obs::reset();
     }
-    let experiments: &[Experiment] = &[
-        ("e1", "Figure 1: laminar rearrangement", |_| e1_laminar()),
-        ("e2", "Theorem 3.9: k-BAS loss upper bound", |_| e2_kbas_upper()),
-        ("e3", "Theorem 3.20 / Fig 3: k-BAS loss tightness", |_| e3_kbas_lower()),
-        ("e4", "Theorem 4.2: reduction vs exact OPT_inf", e4_reduction),
-        ("e5", "Theorems 4.3/4.13 / Fig 4: PoBP lower bound", |_| e5_fig4()),
-        ("e6", "Theorem 4.5 / Alg 2: LSA_CS vs P", e6_lsa),
-        ("e7", "Alg 3: combined algorithm", e7_combined),
-        ("e8", "Section 5 / Fig 2: k = 0", |_| e8_k0()),
-        ("e9", "Section 4.3.4: multiple machines", e9_multi),
-        ("e10", "Ablations", |_| e10_ablations()),
-        ("e11", "Extensions: migrative machines, CS-by-value/density", |_| e11_extensions()),
-        ("e12", "Motivation: context-switch cost crossover", |_| e12_switch_cost()),
-        ("e13", "Online arrival: empirical competitive ratios vs OPT_k oracle", e13_online),
-    ];
     for (name, title, f) in experiments {
         if run(name) {
             println!("\n################ {name}: {title} ################\n");

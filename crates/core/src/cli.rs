@@ -14,6 +14,18 @@ pub fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// Refuses every `--flag` in `args` that is not in `known`, before a
+/// command does any work, so a mistyped flag is an error instead of a
+/// silently kept default: `unknown flag --thread`. The global `--obs` and
+/// `--obs-out` are always allowed.
+pub fn only_flags(args: &[String], known: &[&str]) -> Result<(), String> {
+    let allowed = |a: &str| known.contains(&a) || a == "--obs" || a == "--obs-out";
+    match args.iter().find(|a| a.starts_with("--") && !allowed(a)) {
+        Some(flag) => Err(format!("unknown flag {flag}")),
+        None => Ok(()),
+    }
+}
+
 /// Returns the value following `--name`, if present: `flag_value(args,
 /// "--k")` on `["--k", "2"]` is `Ok(Some("2"))`. A flag that is present
 /// **must** carry a value: `Err` when `--name` is the last argument or is
@@ -160,6 +172,16 @@ mod tests {
         let b = args(&["--obs-out", "--obs"]);
         let err = flag_value(&b, "--obs-out").unwrap_err();
         assert!(err.contains("--obs-out"), "{err}");
+    }
+
+    #[test]
+    fn only_known_flags_pass() {
+        let a = args(&["--n", "12", "--gantt", "--obs", "--obs-out", "r.json", "-3"]);
+        assert_eq!(only_flags(&a, &["--n", "--gantt"]), Ok(()));
+        let err = only_flags(&args(&["--n", "8", "--thread", "4"]), &["--n", "--threads"]);
+        assert_eq!(err, Err("unknown flag --thread".into()));
+        // Values are not flags; only `--` tokens are checked.
+        assert_eq!(only_flags(&args(&["e1", "-h", "x"]), &[]), Ok(()));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! behind the one `instrument` cargo feature: the [`obs`] aggregate (the
 //! [`obs_count!`], [`obs_time!`], and [`obs_event!`] macros), the [`trace`]
 //! recorder ([`obs_span!`] and [`trace_event!`]) with its runtime-armed full
-//! record and `flight` ring, and the live `metrics` window — see
+//! record and `flight` ring, and the `metrics` Prometheus exposition — see
 //! `docs/observability.md`. Without the feature the macros compile to
 //! no-ops and `flight`/`metrics` do not exist.
 

@@ -17,7 +17,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use pobp_core::cli::{flag_value, has_flag, needs_instrument, parse_num_strict};
+use pobp_core::cli::{flag_value, has_flag, needs_instrument, only_flags, parse_num_strict};
 use pobp_serve::json::{obj, Json};
 use pobp_serve::soak::{run_soak, SoakConfig};
 use pobp_serve::Client;
@@ -54,6 +54,8 @@ SPEC FLAGS (submit):
     --name TAG --alg A --n N --k K --seed S --machines M
     --exact-ref --family F --priority P --deadline-ms MS
 
+A flag the command does not know is a usage error.
+
 Exit codes: 0 ok, 1 usage/transport, 3 rejected, 4 failed/cancelled,
 5 cert_failed."
     );
@@ -71,6 +73,11 @@ fn run() -> i32 {
     };
     if matches!(cmd.as_str(), "top" | "dump-flight") && !pobp_core::obs::enabled() {
         return usage_err(&needs_instrument(&cmd));
+    }
+    if let Some(known) = command_flags(&cmd) {
+        if let Err(e) = only_flags(&args[1..], &[known, &["--addr"]].concat()) {
+            return usage_err(&e);
+        }
     }
     let addr = match flag_value(&args, "--addr") {
         Ok(v) => v.unwrap_or_else(|| "127.0.0.1:7411".into()),
@@ -105,6 +112,25 @@ fn run() -> i32 {
             EXIT_USAGE
         }
     }
+}
+
+/// The flags each command reads, besides the global `--addr`; `None` for
+/// an unknown command.
+fn command_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "ping" | "stats" | "dump-flight" => &[],
+        "submit" => &[
+            "--name", "--alg", "--n", "--k", "--seed", "--machines", "--deadline-ms",
+            "--priority", "--exact-ref", "--family", "--wait", "--wait-secs",
+        ],
+        "status" | "cancel" => &["--id"],
+        "result" => &["--id", "--wait", "--wait-secs"],
+        "list" => &["--status", "--limit"],
+        "top" => &["--interval-ms", "--count"],
+        "shutdown" => &["--cancel"],
+        "soak" => &["--seconds", "--seed", "--journal", "--expect-restart"],
+        _ => return None,
+    })
 }
 
 fn usage_err(msg: &str) -> i32 {
@@ -288,11 +314,12 @@ fn cmd_list(client: &Client, args: &[String]) -> i32 {
     print_response(client.request(&Json::Obj(pairs)))
 }
 
-/// `top`: poll the daemon's `metrics` op and render a live dashboard.
+/// `top`: poll the daemon's `metrics` op and render a live dashboard, with
+/// rates over the interval between two consecutive polls.
 ///
 /// On a TTY the view repaints in place (ANSI clear); piped output gets one
-/// plain block per tick so CI can run `top --count 1` and grep the text.
-/// `--count 0` (the default) polls until interrupted.
+/// plain block per tick so a script can run `top --count 2` and grep the
+/// text. `--count 0` (the default) polls until interrupted.
 #[cfg(feature = "instrument")]
 fn cmd_top(client: &Client, args: &[String]) -> i32 {
     use std::io::{IsTerminal, Write as _};
@@ -306,6 +333,7 @@ fn cmd_top(client: &Client, args: &[String]) -> i32 {
     };
     let live = std::io::stdout().is_terminal();
     let mut ticks = 0u64;
+    let mut prev: Option<Json> = None;
     loop {
         let resp = match client.metrics() {
             Ok(v) => v,
@@ -322,7 +350,8 @@ fn cmd_top(client: &Client, args: &[String]) -> i32 {
         if live {
             print!("\x1b[2J\x1b[H");
         }
-        print!("{}", render_top(m));
+        print!("{}", render_top(m, prev.as_ref()));
+        prev = Some(m.clone());
         let _ = std::io::stdout().flush();
         ticks += 1;
         if count != 0 && ticks >= count {
@@ -332,28 +361,38 @@ fn cmd_top(client: &Client, args: &[String]) -> i32 {
     }
 }
 
-/// Formats one `metrics` payload as the `top` text block.
+/// Formats one `metrics` payload as the `top` text block. Rates and
+/// ratios are counter deltas against `prev`, the payload of the previous
+/// poll, over the uptime between the two; each prints `-` on the first
+/// frame, and a ratio also when its denominator did not move.
 #[cfg(feature = "instrument")]
-fn render_top(m: &Json) -> String {
+fn render_top(m: &Json, prev: Option<&Json>) -> String {
     let num = |key: &str| m.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-    let rate = |key: &str| {
-        m.get("rates")
-            .and_then(|r| r.get(key))
-            .and_then(Json::as_f64)
-            .map_or_else(|| "   -".into(), |v| format!("{v:.1}/s"))
+    let counter = |payload: &Json, key: &str| {
+        payload.get("counters").and_then(|c| c.get(key)).and_then(Json::as_f64).unwrap_or(0.0)
     };
-    let ratio = |key: &str| {
-        m.get(key)
-            .and_then(Json::as_f64)
-            .map_or_else(|| "   -".into(), |v| format!("{:.1}%", v * 100.0))
+    // The seconds since the previous poll, and the counter deltas over
+    // them: none on the first poll, or across a daemon restart (uptime went
+    // back).
+    let secs = prev
+        .and_then(|before| before.get("uptime_ms").and_then(Json::as_f64))
+        .map(|before_ms| (num("uptime_ms") - before_ms) / 1000.0)
+        .filter(|s| *s > 0.0);
+    let delta = |key: &str| secs.and(prev).map(|before| counter(m, key) - counter(before, key));
+    let dash = || "   -".to_string();
+    let rate = |key: &str| match (delta(key), secs) {
+        (Some(d), Some(s)) => format!("{:.1}/s", d / s),
+        _ => dash(),
+    };
+    let ratio = |part: &str, whole: &str| match (delta(part), delta(whole)) {
+        (Some(p), Some(w)) if w > 0.0 => format!("{:.1}%", p / w * 100.0),
+        _ => dash(),
     };
     let mut out = String::new();
     out.push_str(&format!(
-        "pobp serve - up {:.1}s   window {:.1}s over {} samples @ {}ms\n",
+        "pobp serve - up {:.1}s   rates over the last {}\n",
         num("uptime_ms") / 1000.0,
-        num("window_secs"),
-        num("samples"),
-        num("sample_ms"),
+        secs.map_or_else(|| "-".to_string(), |s| format!("{s:.1}s")),
     ));
     out.push_str(&format!(
         "queue    {:>4} / {} queued   {:>3} running   {:>5} jobs   journal {:.1} KiB\n",
@@ -368,15 +407,15 @@ fn render_top(m: &Json) -> String {
     }
     out.push_str(&format!(
         "rates    accepted {}   finished {}   rejected {}   cache-hits {}\n",
-        rate("accepted_per_s"),
-        rate("finished_per_s"),
-        rate("rejected_per_s"),
-        rate("cache_hits_per_s"),
+        rate("accepted"),
+        rate("finished"),
+        rate("rejected"),
+        rate("cache_hits"),
     ));
     out.push_str(&format!(
         "ratios   cache-hit {}   degrade {}\n",
-        ratio("cache_hit_ratio"),
-        ratio("degrade_ratio"),
+        ratio("cache_hits", "accepted"),
+        ratio("degraded", "finished"),
     ));
     let lat = |q: &str| {
         m.get("latency_ms").and_then(|l| l.get(q)).and_then(Json::as_f64).unwrap_or(0.0)
@@ -471,5 +510,49 @@ mod tests {
         // A flag missing its value is a loud error naming the flag.
         let bad: Vec<String> = ["--n"].iter().map(|s| s.to_string()).collect();
         assert!(spec_from_flags(&bad).unwrap_err().contains("--n"));
+    }
+
+    #[cfg(feature = "instrument")]
+    #[test]
+    fn top_derives_rates_from_two_consecutive_polls() {
+        /// A `metrics` payload with only what `top`'s rates and ratios read.
+        fn payload(uptime_ms: u64, accepted: u64, finished: u64, cache_hits: u64) -> Json {
+            let counters =
+                [("accepted", accepted), ("finished", finished), ("cache_hits", cache_hits)]
+                    .map(|(k, v)| (k, Json::Num(v as f64)));
+            obj([("uptime_ms", Json::Num(uptime_ms as f64)), ("counters", obj(counters))])
+        }
+        let line = |frame: &str, head: &str| {
+            frame.lines().find(|l| l.starts_with(head)).unwrap_or_default().to_string()
+        };
+        let first = payload(10_000, 6, 3, 1);
+        let second = payload(12_000, 10, 5, 2);
+        // The first frame has nothing to difference against.
+        let frame = render_top(&first, None);
+        assert!(frame.contains("rates over the last -"), "{frame}");
+        let rates = line(&frame, "rates");
+        assert!(!rates.contains("/s") && rates.matches(" -").count() == 4, "{rates}");
+        let ratios = line(&frame, "ratios");
+        assert!(!ratios.contains('%') && ratios.matches(" -").count() == 2, "{ratios}");
+        // 2 s later: +4 accepted, +2 finished, +1 cache hit.
+        let frame = render_top(&second, Some(&first));
+        assert!(frame.contains("rates over the last 2.0s"), "{frame}");
+        let rates = line(&frame, "rates");
+        assert!(rates.contains("accepted 2.0/s") && rates.contains("finished 1.0/s"), "{rates}");
+        assert!(rates.contains("rejected 0.0/s") && rates.contains("cache-hits 0.5/s"), "{rates}");
+        let ratios = line(&frame, "ratios");
+        assert!(ratios.contains("cache-hit 25.0%") && ratios.contains("degrade 0.0%"), "{ratios}");
+        // Nothing moved: rates are zero, and ratios have no denominator.
+        let third = payload(13_000, 10, 5, 2);
+        let frame = render_top(&third, Some(&second));
+        let rates = line(&frame, "rates");
+        assert!(rates.contains("accepted 0.0/s"), "{rates}");
+        let ratios = line(&frame, "ratios");
+        assert_eq!(ratios.matches(" -").count(), 2, "{ratios}");
+        // Across a daemon restart (uptime went back) nothing is differenced.
+        let frame = render_top(&payload(500, 1, 0, 0), Some(&third));
+        assert!(frame.contains("rates over the last -"), "{frame}");
+        assert_eq!(line(&frame, "rates").matches(" -").count(), 4, "{frame}");
+        assert_eq!(line(&frame, "ratios").matches(" -").count(), 2, "{frame}");
     }
 }

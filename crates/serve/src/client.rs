@@ -73,7 +73,7 @@ impl Client {
         self.request(&obj([("op", Json::Str("stats".into()))]))
     }
 
-    /// `metrics` — the live windowed-telemetry payload (rates, gauges,
+    /// `metrics` — the live-telemetry payload (cumulative counters, levels,
     /// latency quantiles, per-alg breakdown).
     #[cfg(feature = "instrument")]
     pub fn metrics(&self) -> io::Result<Json> {

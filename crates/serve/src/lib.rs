@@ -22,9 +22,9 @@
 //! * [`server`] / [`client`] — the TCP front end and its client.
 //! * [`soak`] — the randomized invariant-checking harness
 //!   (`pobp-client soak`).
-//! * `telemetry` (`instrument` builds) — the live-telemetry glue: sampler
-//!   options, the Prometheus scrape listener, flight dumps
-//!   (docs/observability.md).
+//! * `telemetry` (`instrument` builds) — the live-telemetry glue: job
+//!   latency and per-algorithm counts, the `metrics` payload, the
+//!   Prometheus scrape listener, flight dumps (docs/observability.md).
 
 pub mod client;
 pub mod job;

@@ -39,15 +39,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-#[cfg(feature = "instrument")]
-use std::collections::BTreeMap;
-#[cfg(feature = "instrument")]
-use std::sync::atomic::AtomicU64;
-
-#[cfg(feature = "instrument")]
-use pobp_core::metrics::{MetricsWindow, Prom, Sample};
-#[cfg(feature = "instrument")]
-use pobp_core::obs::LogHistogram;
 use pobp_core::{obs_count, obs_event, obs_span, trace_event};
 use pobp_engine::{Algo, Engine, EngineConfig, ResultCache, TaskReport, TaskResult};
 
@@ -56,7 +47,7 @@ use crate::journal::{recovery_json, Journal, RecoveryReport, DEFAULT_COMPACT_EVE
 use crate::json::{obj, Json};
 use crate::registry::{Event, JobRecord, Registry};
 #[cfg(feature = "instrument")]
-use crate::telemetry::{TelemetryOptions, WINDOW_SAMPLES};
+use crate::telemetry::{Telemetry, TelemetryOptions};
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -80,8 +71,8 @@ pub struct ServiceConfig {
     /// per-job engines, each of which gets a copy in its `EngineConfig`.
     #[cfg(feature = "chaos")]
     pub chaos: Option<Arc<pobp_engine::FaultPlan>>,
-    /// Live-telemetry knobs: sampler period, scrape address, flight-dump
-    /// directory (docs/observability.md).
+    /// Live-telemetry knobs: scrape address and flight-dump directory
+    /// (docs/observability.md).
     #[cfg(feature = "instrument")]
     pub telemetry: TelemetryOptions,
 }
@@ -187,6 +178,33 @@ pub struct ServeCounters {
     pub requeued: u64,
 }
 
+/// One reading of the daemon's state, taken under the state lock: the one
+/// source the `stats` op, the `metrics` op and a Prometheus scrape render.
+/// It holds cumulative counters and levels only; a reader derives rates
+/// over its own interval.
+pub(crate) struct Reading {
+    /// The always-on service counters.
+    pub(crate) counters: ServeCounters,
+    /// Jobs in the registry.
+    pub(crate) jobs: usize,
+    /// Jobs in [`JobStatus::Queued`].
+    pub(crate) queued: usize,
+    /// Jobs on an engine.
+    pub(crate) running: usize,
+    /// The admission bound on `queued`.
+    pub(crate) queue_cap: usize,
+    /// Sequence number of the last journal record: the journal's appends.
+    pub(crate) journal_seq: u64,
+    /// Snapshot compactions since the daemon started.
+    pub(crate) compactions: u64,
+    /// Size of the journal file.
+    pub(crate) journal_bytes: u64,
+    /// Whether a failed append has poisoned the journal.
+    pub(crate) journal_poisoned: bool,
+    /// What recovery found at startup.
+    pub(crate) recovery: RecoveryReport,
+}
+
 /// Priority-queue entry: max-heap on `(priority, −id)` — higher priority
 /// first, FIFO by id on ties.
 #[derive(Debug, PartialEq, Eq)]
@@ -223,25 +241,6 @@ struct State {
     recovery: RecoveryReport,
 }
 
-/// Live-telemetry state (outside the state lock: the sampler and scrape
-/// paths take the state lock briefly per tick, never the other way round).
-#[cfg(feature = "instrument")]
-struct Telemetry {
-    /// Monotone epoch for sample timestamps and uptime.
-    started: Instant,
-    /// The windowed sample ring the `metrics` op and scrapes read.
-    window: Mutex<MetricsWindow>,
-    /// Job wall-clock latency in milliseconds (engine run only).
-    latency_ms: LogHistogram,
-    /// Jobs finished `Done`/`Degraded` per algorithm name.
-    per_alg_done: Mutex<BTreeMap<&'static str, u64>>,
-    /// Number of the next flight dump.
-    flight_seq: AtomicU64,
-    /// Keeps the flight ring armed while a daemon with a flight directory
-    /// lives.
-    _ring: Option<pobp_core::trace::Armed>,
-}
-
 struct Inner {
     cfg: ServiceConfig,
     cache: Arc<ResultCache>,
@@ -260,7 +259,7 @@ impl Inner {
         let appended = journal.append(event);
         #[cfg(feature = "instrument")]
         if appended.is_err() {
-            flight_on_failure(self, "journal-poisoned");
+            self.telemetry.flight_on_failure("journal-poisoned");
         }
         appended
     }
@@ -284,7 +283,7 @@ impl Service {
     /// Recovers the registry from `cfg.dir` and starts the worker pool.
     pub fn start(cfg: ServiceConfig) -> io::Result<Service> {
         #[cfg(feature = "instrument")]
-        let flight_seq = cfg.telemetry.flight_dir.as_deref().map(open_flight_dir).transpose()?;
+        let telemetry = Telemetry::start(&cfg.telemetry)?;
         let (journal, mut registry, recovery) = Journal::open(&cfg.dir, cfg.compact_every)?;
         // Arm IO fault injection after recovery: recovery itself is
         // read-only, and the startup compaction must succeed so the
@@ -339,17 +338,9 @@ impl Service {
             stopping: AtomicBool::new(false),
             drain: AtomicBool::new(true),
             #[cfg(feature = "instrument")]
-            telemetry: Telemetry {
-                started: Instant::now(),
-                window: Mutex::new(MetricsWindow::new(WINDOW_SAMPLES)),
-                latency_ms: LogHistogram::new(),
-                per_alg_done: Mutex::new(BTreeMap::new()),
-                flight_seq: AtomicU64::new(flight_seq.unwrap_or(0)),
-                _ring: flight_seq.map(|_| pobp_core::trace::arm(pobp_core::trace::Sink::Ring)),
-            },
+            telemetry,
         });
-        #[cfg_attr(not(feature = "instrument"), allow(unused_mut))]
-        let mut workers: Vec<JoinHandle<()>> = (0..cfg.workers)
+        let workers: Vec<JoinHandle<()>> = (0..cfg.workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
@@ -358,16 +349,6 @@ impl Service {
                     .expect("spawn worker")
             })
             .collect();
-        #[cfg(feature = "instrument")]
-        if cfg.telemetry.sample_ms > 0 {
-            let inner = Arc::clone(&inner);
-            workers.push(
-                std::thread::Builder::new()
-                    .name("pobp-serve-sampler".into())
-                    .spawn(move || sampler_loop(&inner))
-                    .expect("spawn sampler"),
-            );
-        }
         Ok(Service { inner, workers: Mutex::new(workers), stop_once: std::sync::Once::new() })
     }
 
@@ -506,214 +487,59 @@ impl Service {
         self.inner.state.lock().unwrap().counters
     }
 
-    /// The `stats` op payload: counters, queue/running depth, journal
-    /// position, and what recovery found at startup.
-    pub fn stats_json(&self) -> Json {
+    /// One [`Reading`] of the daemon's state, under the state lock.
+    pub(crate) fn reading(&self) -> Reading {
         let state = self.inner.state.lock().unwrap();
-        let c = state.counters;
+        Reading {
+            counters: state.counters,
+            jobs: state.registry.len(),
+            queued: state.queued,
+            running: state.running.len(),
+            queue_cap: self.inner.cfg.queue_cap,
+            journal_seq: state.journal.seq(),
+            compactions: state.journal.compactions(),
+            journal_bytes: state.journal.bytes(),
+            journal_poisoned: state.journal.is_poisoned(),
+            recovery: state.recovery,
+        }
+    }
+
+    /// The `stats` op payload: counters, queue/running depth, journal
+    /// position, size and health, and what recovery found at startup.
+    pub fn stats_json(&self) -> Json {
+        let r = self.reading();
+        let c = r.counters;
+        let num = |v: u64| Json::Num(v as f64);
         obj([
-            ("jobs", Json::Num(state.registry.len() as f64)),
-            ("queued", Json::Num(state.queued as f64)),
-            ("running", Json::Num(state.running.len() as f64)),
-            ("queue_cap", Json::Num(self.inner.cfg.queue_cap as f64)),
-            ("accepted", Json::Num(c.accepted as f64)),
-            ("rejected", Json::Num(c.rejected as f64)),
-            ("cache_hits", Json::Num(c.cache_hits as f64)),
-            ("done", Json::Num(c.done as f64)),
-            ("degraded", Json::Num(c.degraded as f64)),
-            ("failed", Json::Num(c.failed as f64)),
-            ("cancelled", Json::Num(c.cancelled as f64)),
-            ("journal_seq", Json::Num(state.journal.seq() as f64)),
-            ("compactions", Json::Num(state.journal.compactions() as f64)),
-            ("recovery", recovery_json(&state.recovery)),
+            ("jobs", num(r.jobs as u64)),
+            ("queued", num(r.queued as u64)),
+            ("running", num(r.running as u64)),
+            ("queue_cap", num(r.queue_cap as u64)),
+            ("accepted", num(c.accepted)),
+            ("rejected", num(c.rejected)),
+            ("cache_hits", num(c.cache_hits)),
+            ("done", num(c.done)),
+            ("degraded", num(c.degraded)),
+            ("failed", num(c.failed)),
+            ("cancelled", num(c.cancelled)),
+            ("journal_seq", num(r.journal_seq)),
+            ("compactions", num(r.compactions)),
+            ("journal_bytes", num(r.journal_bytes)),
+            ("journal_poisoned", Json::Bool(r.journal_poisoned)),
+            ("recovery", recovery_json(&r.recovery)),
         ])
     }
 
-    /// The `metrics` op payload: takes one on-demand sample (so the view is
-    /// current even between sampler ticks, and works with `sample_ms: 0`),
-    /// then derives windowed rates, ratios, latency quantiles, and the
-    /// per-algorithm breakdown. All values are wall-clock telemetry — see
-    /// the determinism contract in `docs/observability.md`.
+    /// The `metrics` op payload (docs/serve.md#live-telemetry).
     #[cfg(feature = "instrument")]
     pub fn metrics_json(&self) -> Json {
-        let sample = capture_sample(&self.inner);
-        let mut window = self.inner.telemetry.window.lock().unwrap();
-        window.push(sample);
-        let latest = window.latest().cloned().unwrap_or_default();
-        let rate = |name: &str| match window.rate(name) {
-            Some(r) => Json::Num(r),
-            None => Json::Null,
-        };
-        let gauge = |name: &str| Json::Num(window.gauge(name).unwrap_or(0.0));
-        let ratio = |num: &str, den: &str| match window.ratio(num, den) {
-            Some(r) => Json::Num(r),
-            None => Json::Null,
-        };
-        let h = &self.inner.telemetry.latency_ms;
-        let latency_count: u64 = h.counts().iter().sum();
-        let per_alg: Vec<(String, Json)> = self
-            .inner
-            .telemetry
-            .per_alg_done
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(alg, n)| ((*alg).to_string(), obj([("done", Json::Num(*n as f64))])))
-            .collect();
-        obj([
-            ("window_secs", Json::Num(window.window_secs())),
-            ("samples", Json::Num(window.len() as f64)),
-            ("sample_ms", Json::Num(self.inner.cfg.telemetry.sample_ms as f64)),
-            ("uptime_ms", Json::Num(self.inner.telemetry.started.elapsed().as_millis() as f64)),
-            ("queued", gauge("queued")),
-            ("running", gauge("running")),
-            ("jobs", gauge("jobs")),
-            ("queue_cap", Json::Num(self.inner.cfg.queue_cap as f64)),
-            ("journal_bytes", gauge("journal_bytes")),
-            ("journal_poisoned", Json::Bool(window.gauge("journal_poisoned").unwrap_or(0.0) > 0.0)),
-            (
-                "counters",
-                Json::Obj(
-                    latest
-                        .counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "rates",
-                obj([
-                    ("accepted_per_s", rate("accepted")),
-                    ("rejected_per_s", rate("rejected")),
-                    ("finished_per_s", rate("finished")),
-                    ("done_per_s", rate("done")),
-                    ("failed_per_s", rate("failed")),
-                    ("cache_hits_per_s", rate("cache_hits")),
-                ]),
-            ),
-            ("cache_hit_ratio", ratio("cache_hits", "accepted")),
-            ("degrade_ratio", ratio("degraded", "finished")),
-            (
-                "latency_ms",
-                obj([
-                    ("count", Json::Num(latency_count as f64)),
-                    ("p50", Json::Num(h.quantile(0.50))),
-                    ("p90", Json::Num(h.quantile(0.90))),
-                    ("p99", Json::Num(h.quantile(0.99))),
-                ]),
-            ),
-            ("per_alg", Json::Obj(per_alg)),
-        ])
+        self.inner.telemetry.metrics_json(&self.reading())
     }
 
-    /// The Prometheus text exposition body (`--metrics-addr` scrapes):
-    /// cumulative counters straight from the always-on [`ServeCounters`],
-    /// instantaneous gauges, windowed rates/ratios, and latency quantiles.
+    /// The Prometheus text exposition body `--metrics-addr` serves.
     #[cfg(feature = "instrument")]
     pub fn prometheus_text(&self) -> String {
-        let sample = capture_sample(&self.inner);
-        let mut window = self.inner.telemetry.window.lock().unwrap();
-        window.push(sample);
-        let latest = window.latest().cloned().unwrap_or_default();
-        let counter = |name: &str| latest.counters.get(name).copied().unwrap_or(0) as f64;
-        let gauge = |name: &str| window.gauge(name).unwrap_or(0.0);
-        let h = &self.inner.telemetry.latency_ms;
-        let latency_count: u64 = h.counts().iter().sum();
-        let mut p = Prom::new();
-        p.header("pobp_serve_up", "gauge", "1 while the daemon answers scrapes.")
-            .sample("pobp_serve_up", &[], 1.0);
-        p.header("pobp_serve_uptime_seconds", "gauge", "Seconds since the daemon started.")
-            .sample(
-                "pobp_serve_uptime_seconds",
-                &[],
-                self.inner.telemetry.started.elapsed().as_secs_f64(),
-            );
-        p.header("pobp_serve_jobs_accepted_total", "counter", "Admitted submissions.")
-            .sample("pobp_serve_jobs_accepted_total", &[], counter("accepted"));
-        p.header("pobp_serve_jobs_rejected_total", "counter", "Rejected submissions.")
-            .sample("pobp_serve_jobs_rejected_total", &[], counter("rejected"));
-        p.header(
-            "pobp_serve_cache_hits_total",
-            "counter",
-            "Submissions answered from an equal-keyed finished job.",
-        )
-        .sample("pobp_serve_cache_hits_total", &[], counter("cache_hits"));
-        p.header(
-            "pobp_serve_jobs_finished_total",
-            "counter",
-            "Jobs reaching a terminal status, by status.",
-        );
-        for status in ["done", "degraded", "failed", "cancelled"] {
-            p.sample("pobp_serve_jobs_finished_total", &[("status", status)], counter(status));
-        }
-        p.header(
-            "pobp_serve_jobs_done_by_alg_total",
-            "counter",
-            "Jobs finished done or degraded, by algorithm.",
-        );
-        for (alg, n) in self.inner.telemetry.per_alg_done.lock().unwrap().iter() {
-            p.sample("pobp_serve_jobs_done_by_alg_total", &[("alg", alg)], *n as f64);
-        }
-        p.header("pobp_serve_queue_depth", "gauge", "Jobs currently queued.")
-            .sample("pobp_serve_queue_depth", &[], gauge("queued"));
-        p.header("pobp_serve_queue_cap", "gauge", "Admission bound on queued jobs.")
-            .sample("pobp_serve_queue_cap", &[], self.inner.cfg.queue_cap as f64);
-        p.header("pobp_serve_running", "gauge", "Jobs currently running.")
-            .sample("pobp_serve_running", &[], gauge("running"));
-        p.header("pobp_serve_jobs", "gauge", "Jobs in the registry.")
-            .sample("pobp_serve_jobs", &[], gauge("jobs"));
-        p.header("pobp_serve_journal_bytes", "gauge", "Size of the journal file.")
-            .sample("pobp_serve_journal_bytes", &[], gauge("journal_bytes"));
-        p.header(
-            "pobp_serve_journal_poisoned",
-            "gauge",
-            "1 while the journal refuses appends after an IO failure.",
-        )
-        .sample("pobp_serve_journal_poisoned", &[], gauge("journal_poisoned"));
-        p.header(
-            "pobp_serve_accepted_per_second",
-            "gauge",
-            "Admissions per second over the sample window.",
-        )
-        .sample("pobp_serve_accepted_per_second", &[], window.rate("accepted").unwrap_or(0.0));
-        p.header(
-            "pobp_serve_finished_per_second",
-            "gauge",
-            "Terminal jobs per second over the sample window.",
-        )
-        .sample("pobp_serve_finished_per_second", &[], window.rate("finished").unwrap_or(0.0));
-        p.header(
-            "pobp_serve_cache_hit_ratio",
-            "gauge",
-            "Cache hits per admission over the sample window (NaN when idle).",
-        )
-        .sample(
-            "pobp_serve_cache_hit_ratio",
-            &[],
-            window.ratio("cache_hits", "accepted").unwrap_or(f64::NAN),
-        );
-        p.header(
-            "pobp_serve_degrade_ratio",
-            "gauge",
-            "Degraded finishes per terminal job over the sample window (NaN when idle).",
-        )
-        .sample(
-            "pobp_serve_degrade_ratio",
-            &[],
-            window.ratio("degraded", "finished").unwrap_or(f64::NAN),
-        );
-        p.header(
-            "pobp_serve_job_latency_ms",
-            "gauge",
-            "Job wall-clock latency quantiles in milliseconds.",
-        );
-        for (label, q) in [("0.5", 0.50), ("0.9", 0.90), ("0.99", 0.99)] {
-            p.sample("pobp_serve_job_latency_ms", &[("quantile", label)], h.quantile(q));
-        }
-        p.header("pobp_serve_job_latency_count", "counter", "Jobs measured for latency.")
-            .sample("pobp_serve_job_latency_count", &[], latency_count as f64);
-        p.finish()
+        self.inner.telemetry.prometheus_text(&self.reading())
     }
 
     /// Writes the flight-recorder ring as Chrome-trace JSON into the
@@ -721,7 +547,7 @@ impl Service {
     /// no flight directory is configured.
     #[cfg(feature = "instrument")]
     pub fn dump_flight(&self, reason: &str) -> io::Result<Option<PathBuf>> {
-        dump_flight_to_dir(&self.inner, reason)
+        self.inner.telemetry.dump_flight(reason)
     }
 
     /// Blocks until no job is queued or running, or `timeout` elapses.
@@ -784,100 +610,6 @@ impl Drop for Service {
     }
 }
 
-/// One timestamped capture of the always-on counters and gauges, for the
-/// sampler thread and on-demand `metrics`/scrape reads.
-#[cfg(feature = "instrument")]
-fn capture_sample(inner: &Inner) -> Sample {
-    let state = inner.state.lock().unwrap();
-    let c = state.counters;
-    let finished = c.done + c.degraded + c.failed + c.cancelled;
-    Sample::at(inner.telemetry.started.elapsed().as_millis() as u64)
-        .counter("accepted", c.accepted)
-        .counter("rejected", c.rejected)
-        .counter("cache_hits", c.cache_hits)
-        .counter("done", c.done)
-        .counter("degraded", c.degraded)
-        .counter("failed", c.failed)
-        .counter("cancelled", c.cancelled)
-        .counter("requeued", c.requeued)
-        .counter("finished", finished)
-        .counter("journal_appends", state.journal.seq())
-        .gauge("queued", state.queued as f64)
-        .gauge("running", state.running.len() as f64)
-        .gauge("jobs", state.registry.len() as f64)
-        .gauge("journal_bytes", state.journal.bytes() as f64)
-        .gauge("journal_poisoned", u8::from(state.journal.is_poisoned()) as f64)
-}
-
-/// The background sampler: one [`capture_sample`] per `--sample-ms` tick
-/// into the window ring, until the daemon stops. Sleeps in short steps so
-/// `stop` never waits a full period.
-#[cfg(feature = "instrument")]
-fn sampler_loop(inner: &Inner) {
-    let period = Duration::from_millis(inner.cfg.telemetry.sample_ms.max(10));
-    loop {
-        if inner.stopping.load(Ordering::Acquire) {
-            return;
-        }
-        let sample = capture_sample(inner);
-        inner.telemetry.window.lock().unwrap().push(sample);
-        let mut slept = Duration::ZERO;
-        while slept < period {
-            if inner.stopping.load(Ordering::Acquire) {
-                return;
-            }
-            let step = Duration::from_millis(20).min(period - slept);
-            std::thread::sleep(step);
-            slept += step;
-        }
-    }
-}
-
-/// Creates the flight directory if missing and returns the number of the
-/// next dump: one past the highest `flight-NNNNN-*` already there, so a
-/// restarted daemon numbers after its predecessors instead of overwriting
-/// their dumps.
-#[cfg(feature = "instrument")]
-fn open_flight_dir(dir: &std::path::Path) -> io::Result<u64> {
-    std::fs::create_dir_all(dir)?;
-    let mut next = 0;
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let taken = name
-            .to_str()
-            .and_then(|n| n.strip_prefix("flight-")?.split('-').next()?.parse::<u64>().ok());
-        if let Some(n) = taken {
-            next = next.max(n.saturating_add(1));
-        }
-    }
-    Ok(next)
-}
-
-/// Writes the flight ring to `--flight-dir` as
-/// `flight-NNNNN-<reason>.json`; `Ok(None)` when no directory is
-/// configured.
-#[cfg(feature = "instrument")]
-fn dump_flight_to_dir(inner: &Inner, reason: &str) -> io::Result<Option<PathBuf>> {
-    let Some(dir) = &inner.cfg.telemetry.flight_dir else { return Ok(None) };
-    std::fs::create_dir_all(dir)?;
-    let n = inner.telemetry.flight_seq.fetch_add(1, Ordering::Relaxed);
-    let path = dir.join(format!("flight-{n:05}-{reason}.json"));
-    std::fs::write(&path, pobp_core::flight::dump_json())?;
-    Ok(Some(path))
-}
-
-/// Automatic flight dump on a failure trigger (panicked task, failed
-/// certificate, poisoned journal): best-effort, a note on stderr either
-/// way, never an error to the caller.
-#[cfg(feature = "instrument")]
-fn flight_on_failure(inner: &Inner, reason: &str) {
-    match dump_flight_to_dir(inner, reason) {
-        Ok(Some(path)) => eprintln!("serve: flight dump ({reason}) written to {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("serve: flight dump ({reason}) failed: {e}"),
-    }
-}
-
 /// One worker: claim highest-priority queued job → journal `Start` → run it
 /// on a fresh engine sharing the daemon cache → journal `Finish`.
 fn worker_loop(inner: &Inner) {
@@ -925,9 +657,9 @@ fn worker_loop(inner: &Inner) {
                 degrade: inner.cfg.degrade,
                 // The daemon's fault plan covers the engines too, not just
                 // the journal: solver-side sites (panic, corrupt-ref, …)
-                // fire per task key inside jobs, which is how the CI
-                // flight-recorder drill forces a CertFailed through the
-                // daemon.
+                // fire per task key inside jobs, which is how the
+                // flight-dump test in `tests/client_cli.rs` forces a
+                // CertFailed through the daemon.
                 #[cfg(feature = "chaos")]
                 chaos: inner.cfg.chaos.clone(),
                 ..EngineConfig::default()
@@ -943,16 +675,7 @@ fn worker_loop(inner: &Inner) {
         let report = obs_span!("serve.job", engine.run_batch(std::slice::from_ref(&task)));
         let task_report = report.reports.into_iter().next().expect("batch of one");
         #[cfg(feature = "instrument")]
-        {
-            inner.telemetry.latency_ms.record(job_started.elapsed().as_millis() as u64);
-            // Post-mortem triggers: bound the damage story to a file the
-            // moment an engine reports a panic or a failed certificate.
-            match &task_report.result {
-                TaskResult::CertFailed { .. } => flight_on_failure(inner, "cert-failed"),
-                TaskResult::Panicked { .. } => flight_on_failure(inner, "panic"),
-                _ => {}
-            }
-        }
+        inner.telemetry.job_ran(spec.alg, &task_report.result, job_started.elapsed());
         let result = task_result_json(&task_report);
         let key = spec.content_key();
         let mut state = inner.state.lock().unwrap();
@@ -980,10 +703,6 @@ fn worker_loop(inner: &Inner) {
                 state.counters.failed += 1;
                 obs_count!("serve.jobs.failed");
             }
-        }
-        #[cfg(feature = "instrument")]
-        if matches!(status, JobStatus::Done | JobStatus::Degraded) {
-            *inner.telemetry.per_alg_done.lock().unwrap().entry(spec.alg.name()).or_insert(0) += 1;
         }
         if matches!(status, JobStatus::Done | JobStatus::Degraded)
             && spec.alg != Algo::PanicForTest

@@ -29,15 +29,8 @@ fn cfg(dir: &Path, workers: usize, queue_cap: usize) -> ServiceConfig {
         dir: dir.to_path_buf(),
         workers,
         queue_cap,
-        degrade: false,
         compact_every: 10_000,
-        #[cfg(feature = "chaos")]
-        chaos: None,
-        // `sample_ms: 0` disables the background sampler so instrument
-        // builds of these tests stay exactly as deterministic as default
-        // builds — the `metrics` op still works via its on-demand sample.
-        #[cfg(feature = "instrument")]
-        telemetry: pobp_serve::TelemetryOptions { sample_ms: 0, ..Default::default() },
+        ..ServiceConfig::default()
     }
 }
 
@@ -286,6 +279,8 @@ fn stats_json_fields_are_exact_after_scripted_traffic() {
     ] {
         assert_eq!(num(&stats, key), want, "stats field {key:?}");
     }
+    assert!(num(&stats, "journal_bytes") > 0.0, "three journalled records have bytes");
+    assert_eq!(stats.get("journal_poisoned").and_then(Json::as_bool), Some(false));
     let recovery = stats.get("recovery").expect("stats must embed the recovery report");
     assert_eq!(num(recovery, "replayed"), 0.0, "fresh directory replays nothing");
     assert_eq!(recovery.get("dropped_tail").and_then(Json::as_bool), Some(false));
@@ -293,9 +288,10 @@ fn stats_json_fields_are_exact_after_scripted_traffic() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// The `metrics` payload over the same scripted worker-less traffic: the
-/// on-demand sample makes gauges and counters exact with `sample_ms: 0`,
-/// and windowed rates/ratios are `null` until a second sample exists.
+/// The `metrics` payload over the same scripted worker-less traffic: one
+/// reading of the daemon's state, so every level and cumulative counter is
+/// exact, and it carries no rates (a reader derives those over its own
+/// interval).
 #[cfg(feature = "instrument")]
 #[test]
 fn metrics_json_fields_are_exact_after_scripted_traffic() {
@@ -306,32 +302,36 @@ fn metrics_json_fields_are_exact_after_scripted_traffic() {
     assert!(matches!(service.submit(spec(9, 0)).unwrap(), SubmitOutcome::Rejected { .. }));
     assert_eq!(service.cancel(second), CancelOutcome::CancelledQueued);
     let m = service.metrics_json();
-    for (key, want) in
-        [("queued", 1.0), ("running", 0.0), ("jobs", 2.0), ("queue_cap", 2.0), ("samples", 1.0)]
-    {
+    for (key, want) in [("queued", 1.0), ("running", 0.0), ("jobs", 2.0), ("queue_cap", 2.0)] {
         assert_eq!(num(&m, key), want, "metrics field {key:?}");
     }
     assert_eq!(m.get("journal_poisoned").and_then(Json::as_bool), Some(false));
-    assert!(num(&m, "journal_bytes") > 0.0, "two journalled records have bytes");
-    let counters = m.get("counters").expect("metrics must embed the counter sample");
-    for (key, want) in [
-        ("accepted", 2.0),
-        ("rejected", 1.0),
-        ("cancelled", 1.0),
-        ("cache_hits", 0.0),
-        ("finished", 1.0), // cancelled counts as finished in the rollup
-        ("journal_appends", 3.0),
-    ] {
-        assert_eq!(num(counters, key), want, "metrics counter {key:?}");
+    assert_eq!(num(&m, "journal_bytes"), num(&service.stats_json(), "journal_bytes"));
+    assert!(num(&m, "journal_bytes") > 0.0, "three journalled records have bytes");
+    let Some(Json::Obj(counters)) = m.get("counters") else {
+        panic!("metrics must embed the counters object")
+    };
+    let counters: Vec<(&str, f64)> =
+        counters.iter().map(|(k, v)| (k.as_str(), v.as_f64().unwrap_or(f64::NAN))).collect();
+    assert_eq!(
+        counters,
+        [
+            ("accepted", 2.0),
+            ("cache_hits", 0.0),
+            ("cancelled", 1.0),
+            ("degraded", 0.0),
+            ("done", 0.0),
+            ("failed", 0.0),
+            ("finished", 1.0), // cancelled counts as finished in the rollup
+            ("journal_appends", 3.0),
+            ("rejected", 1.0),
+            ("requeued", 0.0),
+        ],
+    );
+    for key in ["window_secs", "samples", "sample_ms", "rates", "cache_hit_ratio", "degrade_ratio"]
+    {
+        assert!(m.get(key).is_none(), "metrics must not carry {key:?}");
     }
-    // One sample spans no time: every windowed rate and ratio is null,
-    // never a fabricated zero.
-    let rates = m.get("rates").expect("metrics must embed the rates object");
-    for key in ["accepted_per_s", "rejected_per_s", "finished_per_s"] {
-        assert!(matches!(rates.get(key), Some(Json::Null)), "rate {key:?} must be null");
-    }
-    assert!(matches!(m.get("cache_hit_ratio"), Some(Json::Null)));
-    assert!(matches!(m.get("degrade_ratio"), Some(Json::Null)));
     // Nothing ran: no latency observations, no per-alg rows.
     assert_eq!(num(m.get("latency_ms").unwrap(), "count"), 0.0);
     assert!(matches!(m.get("per_alg"), Some(Json::Obj(algs)) if algs.is_empty()));

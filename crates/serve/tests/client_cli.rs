@@ -28,24 +28,22 @@ struct TestDaemon {
 
 impl TestDaemon {
     fn start(tag: &str, workers: usize, queue_cap: usize) -> Self {
-        let dir = std::env::temp_dir().join(format!("pobp-client-cli-{tag}-{}", std::process::id()));
+        let cfg = ServiceConfig { workers, queue_cap, compact_every: 256, ..Default::default() };
+        Self::start_with(tag, cfg).0
+    }
+
+    /// A daemon on `cfg` (its `dir` replaced by a fresh temporary one), and
+    /// the service it runs.
+    fn start_with(tag: &str, cfg: ServiceConfig) -> (Self, Arc<Service>) {
+        let dir =
+            std::env::temp_dir().join(format!("pobp-client-cli-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let cfg = ServiceConfig {
-            dir: dir.clone(),
-            workers,
-            queue_cap,
-            degrade: false,
-            compact_every: 256,
-            #[cfg(feature = "chaos")]
-            chaos: None,
-            #[cfg(feature = "instrument")]
-            telemetry: pobp_serve::TelemetryOptions { sample_ms: 0, ..Default::default() },
-        };
-        let service = Arc::new(Service::start(cfg).unwrap());
-        let handle = std::thread::spawn(move || serve_listener(listener, service));
-        Self { addr, dir, handle: Some(handle) }
+        let service = Arc::new(Service::start(ServiceConfig { dir: dir.clone(), ..cfg }).unwrap());
+        let served = Arc::clone(&service);
+        let handle = std::thread::spawn(move || serve_listener(listener, served));
+        (Self { addr, dir, handle: Some(handle) }, service)
     }
 
     fn run(&self, args: &[&str]) -> Output {
@@ -94,6 +92,19 @@ fn usage_errors_exit_1_and_name_the_flag() {
     // An unknown command is a usage error too.
     let out = Command::new(BIN).args(["frobnicate"]).output().unwrap();
     assert_eq!(code(&out), 1);
+}
+
+#[test]
+fn unknown_flags_are_usage_errors_and_submit_nothing() {
+    let daemon = TestDaemon::start("unknownflag", 1, 16);
+    let out = daemon.run(&["submit", "--alg", "lsa", "--nn", "12", "--wait"]);
+    assert_eq!(code(&out), 1);
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --nn"), "{err}");
+    let out = daemon.run(&["stats"]);
+    let stats = stdout_json(&out).get("stats").cloned().expect("stats object");
+    assert_eq!(stats.get("accepted").and_then(Json::as_u64), Some(0), "{stats}");
 }
 
 #[test]
@@ -201,4 +212,138 @@ fn default_client_carries_no_instrumentation_and_refuses_top() {
     assert_eq!(code(&out), 1);
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("needs a binary built with --features instrument"), "{err}");
+}
+
+/// The Prometheus families a scrape serves: cumulative counters and levels
+/// only, no rate or ratio gauges.
+#[cfg(feature = "instrument")]
+const FAMILIES: [&str; 15] = [
+    "pobp_serve_cache_hits_total",
+    "pobp_serve_job_latency_count",
+    "pobp_serve_job_latency_ms",
+    "pobp_serve_jobs",
+    "pobp_serve_jobs_accepted_total",
+    "pobp_serve_jobs_done_by_alg_total",
+    "pobp_serve_jobs_finished_total",
+    "pobp_serve_jobs_rejected_total",
+    "pobp_serve_journal_bytes",
+    "pobp_serve_journal_poisoned",
+    "pobp_serve_queue_cap",
+    "pobp_serve_queue_depth",
+    "pobp_serve_running",
+    "pobp_serve_up",
+    "pobp_serve_uptime_seconds",
+];
+
+/// After 4 reduction jobs and 1 lsa job, a scrape pairs `# HELP`/`# TYPE`
+/// per family, every value parses, and the counters read the traffic;
+/// `top` then renders two frames.
+#[cfg(feature = "instrument")]
+#[test]
+fn scrape_and_top_read_the_daemon_after_scripted_jobs() {
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::io::{Read, Write};
+    let cfg = ServiceConfig { workers: 2, ..Default::default() };
+    let (daemon, service) = TestDaemon::start_with("scrape", cfg);
+    let metrics = pobp_serve::spawn_metrics_listener("127.0.0.1:0", service).unwrap();
+    let jobs = [("reduction", "1"), ("reduction", "2"), ("reduction", "3"), ("reduction", "4")];
+    for (alg, seed) in jobs.into_iter().chain([("lsa", "1")]) {
+        let submit = ["submit", "--alg", alg, "--n", "12", "--k", "1", "--seed", seed, "--wait"];
+        let out = daemon.run(&submit);
+        assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    }
+
+    let mut scrape = std::net::TcpStream::connect(metrics).unwrap();
+    scrape.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+    let mut reply = String::new();
+    scrape.read_to_string(&mut reply).unwrap();
+    let (head, body) = reply.split_once("\r\n\r\n").expect("an HTTP response");
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    let (mut helps, mut types) = (BTreeSet::new(), BTreeSet::new());
+    let mut samples = BTreeMap::new();
+    for line in body.lines().filter(|l| !l.is_empty()) {
+        let family = |rest: &str| rest.split(' ').next().unwrap_or_default().to_string();
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            helps.insert(family(rest));
+        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+            types.insert(family(rest));
+        } else {
+            let (series, value) = line.rsplit_once(' ').expect("a sample line has a value");
+            let value: f64 = value.parse().unwrap_or_else(|e| panic!("{line:?}: {e}"));
+            samples.insert(series.to_string(), value);
+        }
+    }
+    assert!(!helps.is_empty() && helps == types, "HELP/TYPE must pair per family:\n{body}");
+    assert_eq!(samples["pobp_serve_up"], 1.0);
+    assert_eq!(samples["pobp_serve_jobs_accepted_total"], 5.0);
+    assert_eq!(samples[r#"pobp_serve_jobs_done_by_alg_total{alg="reduction"}"#], 4.0);
+    assert_eq!(samples[r#"pobp_serve_jobs_done_by_alg_total{alg="lsa"}"#], 1.0);
+    for q in ["0.5", "0.9", "0.99"] {
+        let series = format!("pobp_serve_job_latency_ms{{quantile=\"{q}\"}}");
+        assert!(samples.get(&series).is_some_and(|v| *v >= 0.0), "{series} missing:\n{body}");
+    }
+    // Counters and levels only: no per-second or ratio gauge.
+    assert_eq!(helps.iter().map(String::as_str).collect::<Vec<_>>(), FAMILIES, "{body}");
+
+    let out = daemon.run(&["top", "--count", "2", "--interval-ms", "50"]);
+    assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    for head in ["queue", "rates", "ratios", "latency", "per-alg", "  reduction", "  lsa"] {
+        let frames = text.lines().filter(|l| l.starts_with(head)).count();
+        assert_eq!(frames, 2, "two frames of {head:?}:\n{text}");
+    }
+}
+
+/// A chaos plan that corrupts every reference forces a `cert_failed` job
+/// (exit 5) through the daemon; it and an explicit `dump-flight` each leave
+/// a flight dump of Chrome trace events.
+#[cfg(all(feature = "instrument", feature = "chaos"))]
+#[test]
+fn chaos_cert_failure_leaves_loadable_flight_dumps() {
+    let flights =
+        std::env::temp_dir().join(format!("pobp-client-cli-flights-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&flights);
+    let plan = pobp_engine::FaultPlan::parse("corrupt-ref:1", 7).unwrap();
+    let cfg = ServiceConfig {
+        workers: 1,
+        chaos: Some(Arc::new(plan)),
+        telemetry: pobp_serve::TelemetryOptions {
+            flight_dir: Some(flights.clone()),
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let (daemon, _) = TestDaemon::start_with("flight", cfg);
+    let out = daemon.run(&[
+        "submit", "--alg", "reduction", "--n", "12", "--k", "1", "--seed", "9", "--wait",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(code(&out), 5, "the cert_failed exit code; stdout: {stdout}");
+    let out = daemon.run(&["dump-flight"]);
+    assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(stdout_json(&out).get("ok").and_then(Json::as_bool), Some(true));
+    drop(daemon);
+
+    let names: Vec<String> = fs::read_dir(&flights)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    for reason in ["cert-failed", "manual"] {
+        let suffix = format!("-{reason}.json");
+        let dumped = names.iter().any(|n| n.starts_with("flight-") && n.ends_with(&suffix));
+        assert!(dumped, "no {reason} dump among {names:?}");
+    }
+    for name in &names {
+        let text = fs::read_to_string(flights.join(name)).unwrap();
+        let dump = Json::parse(&text).unwrap_or_else(|e| panic!("{name} is not JSON: {e:?}"));
+        let Some(Json::Arr(events)) = dump.get("traceEvents") else {
+            panic!("{name} has no traceEvents array")
+        };
+        assert!(!events.is_empty(), "empty flight dump {name}");
+        for event in events {
+            let ph = event.get("ph").and_then(Json::as_str);
+            assert!(matches!(ph, Some("B" | "E" | "i")), "{name}: event phase {ph:?}");
+        }
+    }
+    fs::remove_dir_all(&flights).ok();
 }

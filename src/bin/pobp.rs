@@ -13,7 +13,9 @@
 //! The instance format is the one of `pobp::prelude::{write_jobs, parse_jobs}`:
 //! one `release deadline length value` line per job.
 
-use pobp::cli::{flag_value, has_flag, instrument_flags, parse_num_list_strict, parse_num_strict};
+use pobp::cli::{
+    flag_value, has_flag, instrument_flags, only_flags, parse_num_list_strict, parse_num_strict,
+};
 use pobp::prelude::*;
 use pobp::core::json::Json;
 use pobp::sweep::rows::format_row;
@@ -136,12 +138,13 @@ USAGE:
                                                  (competitive-ratio lab, JSON lines)
   pobp serve [--addr HOST:PORT] [--dir DIR] [--workers N] [--queue-cap N]
              [--degrade] [--compact-every N]
-             [--metrics-addr HOST:PORT] [--sample-ms MS] [--flight-dir DIR]
+             [--metrics-addr HOST:PORT] [--flight-dir DIR]
                                                  (scheduling daemon, docs/serve.md)
 
 Any command also accepts --obs (print the JSON counter report to stderr) or
 --obs-out FILE (write it to FILE). Counters require building with
-`--features instrument`; see docs/observability.md.
+`--features instrument`; see docs/observability.md. A flag the command does
+not know is an error.
 
 solve, sweep and online accept --trace FILE (Chrome trace-event JSON — open
 in Perfetto / chrome://tracing) and --trace-logical FILE (the deterministic
@@ -178,8 +181,8 @@ durable journal in --dir that survives kill -9 (acknowledged jobs and
 finished results are recovered on restart). Drive it with pobp-client.
 With `--features instrument` the daemon also serves live telemetry
 (docs/observability.md): --metrics-addr exposes a Prometheus scrape
-endpoint, --sample-ms sets the windowed sampler period, and --flight-dir
-collects bounded flight-recorder dumps (Chrome trace JSON) on panics,
+endpoint of cumulative counters and levels, and --flight-dir collects
+bounded flight-recorder dumps (Chrome trace JSON) on panics,
 cert failures, journal poisoning, or an explicit dump-flight op; watch it
 live with `pobp-client top`.
 
@@ -208,6 +211,7 @@ fn usage() -> String {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
+    only_flags(args, &["--kind", "--n", "--k", "--depth", "--seed"])?;
     let kind = flag_value(args, "--kind")?.ok_or("gen needs --kind")?;
     let jobs = match kind.as_str() {
         "fig2" => {
@@ -255,6 +259,7 @@ fn read_stdin_jobs() -> Result<JobSet, String> {
 }
 
 fn cmd_solve(args: &[String]) -> Result<(), String> {
+    only_flags(args, &["--k", "--alg", "--gantt", "--svg", "--out", "--trace", "--trace-logical"])?;
     let trace = TraceFiles::arm(args)?;
     let k: u32 = parse_num_strict(args, "--k", 1u32)?;
     let alg = flag_value(args, "--alg")?.unwrap_or_else(|| "combined".into());
@@ -319,6 +324,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_price(args: &[String]) -> Result<(), String> {
+    only_flags(args, &["--k"])?;
     let k: u32 = parse_num_strict(args, "--k", 1u32)?;
     let jobs = read_stdin_jobs()?;
     if jobs.len() > 20 {
@@ -349,6 +355,7 @@ fn cmd_price(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sim(args: &[String]) -> Result<(), String> {
+    only_flags(args, &["--policy", "--k", "--delta", "--trace"])?;
     let delta: i64 = parse_num_strict(args, "--delta", 0i64)?;
     let k: u32 = parse_num_strict(args, "--k", 1u32)?;
     let policy = match flag_value(args, "--policy")?.as_deref().unwrap_or("edf") {
@@ -393,6 +400,7 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_choose_k(args: &[String]) -> Result<(), String> {
+    only_flags(args, &["--delta", "--kmax"])?;
     let delta: i64 = parse_num_strict(args, "--delta", 2i64)?;
     let k_max: u32 = parse_num_strict(args, "--kmax", 4u32)?;
     let jobs = read_stdin_jobs()?;
@@ -431,6 +439,15 @@ fn cmd_choose_k(args: &[String]) -> Result<(), String> {
 /// sweep resumes to the same merged bytes. The batch summary goes to
 /// stderr.
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
+    only_flags(
+        args,
+        &[
+            "--n", "--k", "--seeds", "--alg", "--threads", "--deadline-ms", "--machines",
+            "--exact-ref", "--no-cache", "--retries", "--degrade", "--progress", "--out",
+            "--resume", "--chunk-cells", "--max-chunks", "--trace", "--trace-logical", "--chaos",
+            "--chaos-seed",
+        ],
+    )?;
     let ns: Vec<usize> = parse_num_list_strict(args, "--n", &[20, 40])?;
     let ks: Vec<u32> = parse_num_list_strict(args, "--k", &[0, 1, 2, 4])?;
     let seed_count: u64 = parse_num_strict(args, "--seeds", 5u64)?;
@@ -568,6 +585,14 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 /// durations, no cache flags — so `--threads 1` and `--threads 4` emit
 /// byte-identical bytes.
 fn cmd_online(args: &[String]) -> Result<(), String> {
+    only_flags(
+        args,
+        &[
+            "--alg", "--families", "--n", "--k", "--seeds", "--threads", "--exact-ref",
+            "--no-cache", "--retries", "--degrade", "--deadline-ms", "--progress", "--trace",
+            "--trace-logical", "--chaos", "--chaos-seed",
+        ],
+    )?;
     let families: Vec<ZooFamily> = match flag_value(args, "--families")? {
         Some(v) => v
             .split(',')
@@ -772,6 +797,14 @@ fn chaos_plan(args: &[String]) -> Result<Option<std::convert::Infallible>, Strin
 /// the `shutdown` op. `--addr` with port `0` lets the OS pick (scripts
 /// scrape the printed address).
 fn cmd_serve(args: &[String]) -> Result<(), String> {
+    only_flags(
+        args,
+        &[
+            "--addr", "--dir", "--workers", "--queue-cap", "--degrade", "--compact-every",
+            "--metrics-addr", "--flight-dir", "--trace", "--trace-logical", "--chaos",
+            "--chaos-seed",
+        ],
+    )?;
     let addr = flag_value(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7411".into());
     let dir = flag_value(args, "--dir")?.unwrap_or_else(|| "pobp-serve-registry".into());
     #[cfg_attr(not(feature = "chaos"), allow(unused_variables))]
@@ -783,10 +816,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     // A default build refuses these here, so there their values go unused.
     #[cfg_attr(not(feature = "instrument"), allow(unused_variables))]
-    let [metrics_addr, _, flight_dir] =
-        instrument_flags(args, ["--metrics-addr", "--sample-ms", "--flight-dir"])?;
-    #[cfg_attr(not(feature = "instrument"), allow(unused_variables))]
-    let sample_ms: u64 = parse_num_strict(args, "--sample-ms", 1000u64)?;
+    let [metrics_addr, flight_dir] = instrument_flags(args, ["--metrics-addr", "--flight-dir"])?;
     let cfg = pobp::serve::ServiceConfig {
         dir: dir.into(),
         workers: parse_num_strict(args, "--workers", 2usize)?.max(1),
@@ -797,7 +827,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         chaos,
         #[cfg(feature = "instrument")]
         telemetry: pobp::serve::TelemetryOptions {
-            sample_ms,
             flight_dir: flight_dir.map(std::path::PathBuf::from),
             metrics_addr,
         },
@@ -806,6 +835,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_replay(args: &[String]) -> Result<(), String> {
+    only_flags(args, &["--plan", "--delta"])?;
     let delta: i64 = parse_num_strict(args, "--delta", 0i64)?;
     let plan_path = flag_value(args, "--plan")?.ok_or("replay needs --plan FILE")?;
     let jobs = read_stdin_jobs()?;

@@ -51,8 +51,8 @@ fn serve_flag_errors_are_loud_and_never_bind() {
     for (args, flag) in [
         (&["serve", "--queue-cap"][..], "--queue-cap"),
         (&["serve", "--compact-every", "soon", "--addr", "127.0.0.1:0"][..], "--compact-every"),
-        // Telemetry flags: a missing value or a non-numeric value must
-        // fail before any socket is bound, naming the flag.
+        // Telemetry flags: a missing value, or a flag the daemon does not
+        // have, must fail before any socket is bound, naming the flag.
         (&["serve", "--metrics-addr"][..], "--metrics-addr"),
         (&["serve", "--sample-ms", "fast", "--addr", "127.0.0.1:0"][..], "--sample-ms"),
         (&["serve", "--flight-dir"][..], "--flight-dir"),
@@ -75,7 +75,6 @@ fn serve_flag_errors_are_loud_and_never_bind() {
 fn telemetry_flags_require_the_instrument_feature() {
     for args in [
         &["serve", "--metrics-addr", "127.0.0.1:0"][..],
-        &["serve", "--sample-ms", "500"][..],
         &["serve", "--flight-dir", "flights"][..],
     ] {
         let (_, err, ok) = run(args);
@@ -130,6 +129,29 @@ fn default_build_carries_no_chaos_harness_and_refuses_its_flags() {
         assert!(err.contains("need a binary built with --features chaos"), "{args:?}: {err}");
         assert!(out.is_empty(), "{args:?} must not run: {out}");
     }
+}
+
+/// Every command refuses a flag it does not read, before any work: exit 1,
+/// the flag named, nothing on stdout, and no daemon bound.
+#[test]
+fn every_command_refuses_an_unknown_flag() {
+    for cmd in ["gen", "solve", "price", "sim", "choose-k", "replay", "sweep", "online", "serve"] {
+        // `--addr` keeps a `serve` that failed to refuse off the default port.
+        let out = pobp().args([cmd, "--bogus", "--addr", "127.0.0.1:0"]).output().unwrap();
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(1), "{cmd} --bogus: {stderr}");
+        assert!(stderr.contains("unknown flag --bogus"), "{cmd}: {stderr}");
+        assert!(stdout.is_empty(), "{cmd} --bogus must not run: {stdout}");
+    }
+    // A near-miss of a real flag is not silently dropped for its default.
+    let (out, err, ok) = run(&["sweep", "--n", "8", "--k", "0", "--seeds", "1", "--thread", "4"]);
+    assert!(!ok && err.contains("unknown flag --thread"), "{err}");
+    assert!(out.is_empty(), "{out}");
+    // `--sample-ms` is unknown to the daemon in every build.
+    let (out, err, ok) = run(&["serve", "--sample-ms", "500", "--addr", "127.0.0.1:0"]);
+    assert!(!ok && err.contains("unknown flag --sample-ms"), "{err}");
+    assert!(!out.contains("serve: listening"), "{out}");
 }
 
 #[test]
@@ -616,6 +638,30 @@ fn sweep_isolates_panics_per_task() {
     assert!(ok, "{err}");
     let panicked = out.lines().filter(|row| row.contains("\"status\":\"panicked\"")).count();
     assert_eq!(panicked, 3, "{out}");
+}
+
+/// Telemetry never changes results: a sharded sweep's `merged.jsonl` is the
+/// same bytes at `--threads` 1 and 4 in every build, pinned to the length
+/// and FNV-1a digest of a default release binary's merge, and only an
+/// `instrument` build writes the progress heartbeat beside it.
+#[test]
+fn sharded_sweep_bytes_do_not_depend_on_the_build() {
+    for threads in ["1", "4"] {
+        let dir = std::env::temp_dir()
+            .join(format!("pobp-cli-build-t{threads}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (_, err, ok) = run(&[
+            "sweep", "--n", "12,16", "--k", "0,1,2", "--seeds", "4", "--chunk-cells", "2",
+            "--threads", threads, "--out", dir.to_str().unwrap(),
+        ]);
+        assert!(ok, "{err}");
+        let merged = std::fs::read(dir.join("merged.jsonl")).unwrap();
+        let digest = (merged.len(), pobp::sweep::plan::fnv1a(&merged));
+        assert_eq!(digest, (3972, 0x3f01_edf4_0c2c_e45c), "--threads {threads}");
+        let heartbeat = dir.join("heartbeat.json").exists();
+        assert_eq!(heartbeat, cfg!(feature = "instrument"), "--threads {threads}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

@@ -155,3 +155,37 @@ fn serve_flag_errors_are_loud() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--workers"));
 }
+
+/// With `--metrics-addr` the daemon prints a third startup line, after the
+/// two that scripts key on, and the address it names serves the scrape.
+#[cfg(feature = "instrument")]
+#[test]
+fn metrics_addr_adds_a_third_startup_line_that_serves_scrapes() {
+    use std::io::{Read, Write};
+    let dir = std::env::temp_dir().join(format!("pobp-serve-e2e-metrics-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let mut child = Command::new(POBP)
+        .args(["serve", "--addr", "127.0.0.1:0", "--metrics-addr", "127.0.0.1:0", "--dir"])
+        .arg(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn pobp serve");
+    let mut lines = BufReader::new(child.stdout.take().expect("daemon stdout")).lines();
+    let mut next = || lines.next().expect("too few startup lines").expect("read daemon stdout");
+    let first = next();
+    let addr = first.strip_prefix("serve: listening on ").expect("first line").to_string();
+    let second = next();
+    assert!(second.starts_with("serve: recovered "), "{second:?}");
+    let third = next();
+    let metrics = third.strip_prefix("serve: metrics on ").unwrap_or_else(|| panic!("{third:?}"));
+    let mut scrape = std::net::TcpStream::connect(metrics).expect("connect to the scrape address");
+    scrape.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+    let mut reply = String::new();
+    scrape.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+    assert!(reply.contains("\npobp_serve_up 1\n"), "{reply}");
+    let _ = Client::new(&addr, Duration::from_secs(10)).shutdown(true);
+    assert!(child.wait().expect("reap daemon").success());
+    fs::remove_dir_all(&dir).ok();
+}
