@@ -26,20 +26,17 @@
 
 use std::collections::BTreeMap;
 
-use pobp::cli::{flag_value, has_flag, instrument_flags, only_flags, parse_num_strict};
+use pobp::cli::{flag_value, has_flag, instrument_flags, parse_num_strict, positionals};
 use pobp_bench::{geo_mean, lax_workload, log_base_k1, mixed_workload, small_workload};
 use pobp_core::{JobId, JobSet};
-use pobp_engine::{Algo, Engine, EngineConfig, GridSpec, SolveTask, TaskResult};
+use pobp_engine::{Algo, Engine, EngineConfig, GridSpec, OnlineLab, SolveTask, TaskResult};
 use pobp_forest::{levelled_contraction, loss_bound, tm, LowerBoundTree};
-use pobp_instances::{
-    random_forest, round_robin_schedule, zoo_instance, Fig2Instance, Fig4Instance, ZooFamily,
-    ZOO_FAMILIES,
-};
+use pobp_instances::{random_forest, round_robin_schedule, Fig2Instance, Fig4Instance, ZOO_FAMILIES};
 use pobp_sched::{
     cs_by_density, cs_by_value, edf_feasible, edf_schedule, edf_truncate, global_edf,
     greedy_nonpreemptive_by_value, greedy_unbounded, is_laminar, iterative_multi_machine,
-    laminarize, lsa, lsa_cs, opt_k_bounded_fits, opt_k_bounded_small, opt_nonpreemptive,
-    opt_unbounded, reduce_to_k_bounded, schedule_k0, KbasSolver, ReductionPlan, SolveWorkspace,
+    laminarize, lsa, lsa_cs, opt_nonpreemptive, opt_unbounded, reduce_to_k_bounded, schedule_k0,
+    KbasSolver, ReductionPlan, SolveWorkspace,
 };
 
 /// One harness entry: selector name, table title, runner.
@@ -87,14 +84,8 @@ fn main() {
         print!("{}", usage(experiments));
         return;
     }
-    only_flags(&args, &["--threads", "--trace"]).unwrap_or_else(|e| die(e));
-    let is_flag_or_value = |i: usize| {
-        args[i].starts_with("--")
-            || (i > 0
-                && ["--obs-out", "--threads", "--trace"].contains(&args[i - 1].as_str()))
-    };
-    let selectors: Vec<&String> =
-        (0..args.len()).filter(|&i| !is_flag_or_value(i)).map(|i| &args[i]).collect();
+    let selectors =
+        positionals(&args, &["--threads", "--trace"], &[]).unwrap_or_else(|e| die(e));
     let known = |s: &str| s == "all" || experiments.iter().any(|(name, ..)| *name == s);
     if let Some(unknown) = selectors.iter().find(|s| !known(s)) {
         let names: Vec<&str> = experiments.iter().map(|(name, ..)| *name).collect();
@@ -606,90 +597,51 @@ fn e11_extensions() {
 }
 
 /// E13: the online-arrival competitive-ratio lab (`docs/online.md`,
-/// `docs/results/e13_competitive.md`). Sweeps the instance zoo, runs every
-/// online algorithm *and* a paired offline `OPT_k` oracle task through the
-/// engine, and tables the empirical ratio `oracle / online` per family.
+/// `docs/results/e13_competitive.md`). Runs an [`OnlineLab`] over the
+/// instance zoo — every online algorithm *and* a paired offline `OPT_k`
+/// oracle task per cell, in one engine batch — and tables the empirical
+/// ratio `oracle / online` per family.
 /// Gate: every measured ratio must stay under the `(1+√P)²` reference bound
 /// — the run panics (fails CI) if any row escapes it.
 fn e13_online(engine: &Engine) {
     println!("online arrival vs offline OPT_k oracle (pobp_sim::online, docs/online.md)");
     println!("(zoo: n in {{8, 16}}, k in {{1, 2}}, 3 seeds; ratio = oracle / online value;");
     println!(" oracle = certified Thm-4.2 reduction, exact OPT_k where it fits)\n");
-    let online_algs = [Algo::OnlineDjn, Algo::OnlineGreedy, Algo::OnlineEdf];
-    let (ns, ks, seeds) = (vec![8usize, 16], vec![1u32, 2], 0..3u64);
-
-    // The paired batch: one oracle task opens each cell, the online tasks
-    // follow. Everything runs through one engine batch so the tables are
-    // deterministic for any --threads.
-    struct Cell {
-        family: ZooFamily,
-        bound: f64,
-        exact: Option<f64>,
-    }
-    let mut tasks: Vec<SolveTask> = Vec::new();
-    let mut cell_of: Vec<(usize, Option<Algo>)> = Vec::new(); // (cell idx, alg)
-    let mut cells: Vec<Cell> = Vec::new();
-    for &family in &ZOO_FAMILIES {
-        for &n in &ns {
-            for seed in seeds.clone() {
-                for &k in &ks {
-                    let instance = zoo_instance(family, n, k, seed);
-                    let ids: Vec<JobId> = instance.ids().collect();
-                    let bound = pobp_sim::djn_ratio_bound(instance.length_ratio().unwrap_or(1.0));
-                    let exact = opt_k_bounded_fits(&instance, &ids)
-                        .then(|| opt_k_bounded_small(&instance, &ids, k));
-                    let cell = cells.len();
-                    cells.push(Cell { family, bound, exact });
-                    let mut push = |algo: Algo, tag: &str| {
-                        tasks.push(SolveTask {
-                            instance: instance.clone(),
-                            k,
-                            machines: 1,
-                            algo,
-                            exact_ref: false,
-                            label: format!("{family} n={n} k={k} seed={seed} {tag}"),
-                        });
-                        cell_of.push((cell, (algo != Algo::Reduction).then_some(algo)));
-                    };
-                    push(Algo::Reduction, "oracle");
-                    for &alg in &online_algs {
-                        push(alg, alg.name());
-                    }
-                }
-            }
-        }
-    }
+    let lab = OnlineLab {
+        families: ZOO_FAMILIES.to_vec(),
+        ns: vec![8, 16],
+        ks: vec![1, 2],
+        seeds: (0..3).collect(),
+        algs: vec![Algo::OnlineDjn, Algo::OnlineGreedy, Algo::OnlineEdf],
+        exact_ref: false,
+    };
+    let tasks = lab.tasks();
     let batch = engine.run_batch(&tasks);
+    // Every task, oracle included, must complete (degraded rescues are
+    // flagged on stderr).
+    for report in &batch.reports {
+        done(report);
+    }
+    let rows = lab.rows(&tasks, &batch.reports);
 
     // Aggregate ratios per (family, alg); enforce the bound per row.
     let mut ratios: BTreeMap<(&'static str, &'static str), Vec<f64>> = BTreeMap::new();
-    let mut exact_cells = 0usize;
-    let mut oracle_value = 0.0f64;
-    for ((cell, alg), report) in cell_of.iter().zip(&batch.reports) {
-        let out = done(report);
-        let c = &cells[*cell];
-        let Some(alg) = alg else {
-            // The oracle row: a certified k-bounded value, i.e. a lower
-            // bound on OPT_k — upgraded to OPT_k itself where exact fits.
-            oracle_value = match c.exact {
-                Some(e) if e >= out.alg_value => {
-                    exact_cells += 1;
-                    e
-                }
-                _ => out.alg_value,
-            };
-            continue;
-        };
-        assert!(out.alg_value > 0.0, "online {} scheduled nothing: {}", alg.name(), report.label);
-        let ratio = oracle_value / out.alg_value;
+    for row in &rows {
+        let label = &row.report.label;
+        let ratio = row
+            .ratio
+            .unwrap_or_else(|| panic!("online {} scheduled nothing: {label}", row.alg.name()));
         assert!(
-            ratio <= c.bound,
-            "measured ratio {ratio:.3} escapes the (1+sqrt P)^2 bound {:.3} on {}",
-            c.bound,
-            report.label
+            ratio <= row.bound,
+            "measured ratio {ratio:.3} escapes the (1+sqrt P)^2 bound {:.3} on {label}",
+            row.bound,
         );
-        ratios.entry((c.family.name(), alg.name())).or_default().push(ratio);
+        ratios.entry((row.family.name(), row.alg.name())).or_default().push(ratio);
     }
+    let exact_cells = rows
+        .chunks(lab.algs.len())
+        .filter(|cell| matches!(cell[0].oracle, Some((_, "exact"))))
+        .count();
 
     println!(" family   | algorithm     | geo-mean ratio | worst ratio | n rows");
     println!("----------+---------------+----------------+-------------+-------");
@@ -704,7 +656,7 @@ fn e13_online(engine: &Engine) {
     println!(
         "\nevery measured ratio within the (1+sqrt P)^2 reference bound \
          ({} cells, {} with exact OPT_k oracle)",
-        cells.len(),
+        lab.cells().count(),
         exact_cells
     );
 }

@@ -14,16 +14,49 @@ pub fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-/// Refuses every `--flag` in `args` that is not in `known`, before a
-/// command does any work, so a mistyped flag is an error instead of a
-/// silently kept default: `unknown flag --thread`. The global `--obs` and
-/// `--obs-out` are always allowed.
-pub fn only_flags(args: &[String], known: &[&str]) -> Result<(), String> {
-    let allowed = |a: &str| known.contains(&a) || a == "--obs" || a == "--obs-out";
-    match args.iter().find(|a| a.starts_with("--") && !allowed(a)) {
-        Some(flag) => Err(format!("unknown flag {flag}")),
+/// Refuses every argument a command would not read, before it does any
+/// work, so a mistyped or doubled flag is an error instead of a silently
+/// kept default: a `--flag` in neither `values` (flags that take a value)
+/// nor `switches` (`unknown flag --thread`), a flag given twice (`repeated
+/// flag --n`), and any other argument that is not the value of the flag
+/// before it (`unexpected argument "stray"`). The global `--obs` switch
+/// and `--obs-out` value flag are always allowed.
+pub fn only_flags(args: &[String], values: &[&str], switches: &[&str]) -> Result<(), String> {
+    match positionals(args, values, switches)?.first() {
+        Some(stray) => Err(format!("unexpected argument {stray:?}")),
         None => Ok(()),
     }
+}
+
+/// The arguments that are neither flags nor flag values, in order, for a
+/// command that takes positional arguments (the `experiments` selectors).
+/// Unknown and repeated flags are refused as in [`only_flags`].
+pub fn positionals<'a>(
+    args: &'a [String],
+    values: &[&str],
+    switches: &[&str],
+) -> Result<Vec<&'a str>, String> {
+    let (mut seen, mut out) = (Vec::new(), Vec::new());
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            out.push(arg);
+            continue;
+        }
+        let takes_value = arg == "--obs-out" || values.contains(&arg);
+        if !takes_value && arg != "--obs" && !switches.contains(&arg) {
+            return Err(format!("unknown flag {arg}"));
+        }
+        if seen.contains(&arg) {
+            return Err(format!("repeated flag {arg}"));
+        }
+        seen.push(arg);
+        // A missing value is left for `flag_value` to refuse by name.
+        if takes_value && rest.clone().next().is_some_and(|v| !v.starts_with("--")) {
+            rest.next();
+        }
+    }
+    Ok(out)
 }
 
 /// Returns the value following `--name`, if present: `flag_value(args,
@@ -176,12 +209,33 @@ mod tests {
 
     #[test]
     fn only_known_flags_pass() {
-        let a = args(&["--n", "12", "--gantt", "--obs", "--obs-out", "r.json", "-3"]);
-        assert_eq!(only_flags(&a, &["--n", "--gantt"]), Ok(()));
-        let err = only_flags(&args(&["--n", "8", "--thread", "4"]), &["--n", "--threads"]);
+        let a = args(&["--n", "12", "--gantt", "--obs", "--obs-out", "r.json", "--delta", "-3"]);
+        assert_eq!(only_flags(&a, &["--n", "--delta"], &["--gantt"]), Ok(()));
+        let err = only_flags(&args(&["--n", "8", "--thread", "4"]), &["--n", "--threads"], &[]);
         assert_eq!(err, Err("unknown flag --thread".into()));
-        // Values are not flags; only `--` tokens are checked.
-        assert_eq!(only_flags(&args(&["e1", "-h", "x"]), &[]), Ok(()));
+        // A value flag missing its value is `flag_value`'s error, not this one.
+        assert_eq!(only_flags(&args(&["--n", "--gantt"]), &["--n"], &["--gantt"]), Ok(()));
+    }
+
+    #[test]
+    fn repeated_flags_and_stray_arguments_are_refused() {
+        let n = &["--n", "--k"][..];
+        let err = only_flags(&args(&["--n", "8", "--k", "0", "--n", "12"]), n, &[]);
+        assert_eq!(err, Err("repeated flag --n".into()));
+        let err = only_flags(&args(&["--gantt", "--gantt"]), n, &["--gantt"]);
+        assert_eq!(err, Err("repeated flag --gantt".into()));
+        let err = only_flags(&args(&["--obs", "--obs"]), n, &[]);
+        assert_eq!(err, Err("repeated flag --obs".into()));
+        let err = only_flags(&args(&["--n", "8", "stray"]), n, &[]);
+        assert_eq!(err, Err("unexpected argument \"stray\"".into()));
+        // A switch takes no value: what follows it is an argument of its own.
+        let err = only_flags(&args(&["--gantt", "8"]), n, &["--gantt"]);
+        assert_eq!(err, Err("unexpected argument \"8\"".into()));
+        // Positional arguments, for the commands that take them.
+        let a = args(&["e1", "--threads", "2", "-h", "--obs-out", "r.json", "e4"]);
+        assert_eq!(positionals(&a, &["--threads"], &[]), Ok(vec!["e1", "-h", "e4"]));
+        let twice = args(&["e1", "--threads", "1", "--threads", "2"]);
+        assert_eq!(positionals(&twice, &["--threads"], &[]), Err("repeated flag --threads".into()));
     }
 
     #[test]

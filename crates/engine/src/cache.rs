@@ -23,8 +23,9 @@
 //! The reduction's `k`-independent prefix (`ReductionPlan`: laminarize +
 //! schedule forest) is deliberately *not* cached here. The cache is never
 //! evicted, so a plan stored beside each reference would live as long as
-//! the engine (in `pobp serve`, the process); a prototype that did so grew
-//! serve-mixed peak RSS from 31.6 to about 36 MiB. Instead each worker
+//! the engine; a prototype that did so, while the `pobp serve` daemon still
+//! shared one cache across its jobs, grew serve-mixed peak RSS from 31.6
+//! to about 36 MiB. Instead each worker
 //! keeps the plan of the last reference it reduced (`PlanMemo` in
 //! `solve.rs`): at most one plan per worker, dropped when the batch ends.
 //!

@@ -29,10 +29,11 @@
 //! * with [`EngineConfig::degrade`] on, tasks that exhaust retries or blow
 //!   their deadline fall back to the polynomial `LSA_CS`/`k = 0` algorithm
 //!   and report [`TaskResult::Degraded`] (still certified);
-//! * a long-lived owner shares one content-addressed reference cache
-//!   across many short-lived engines via [`Engine::with_shared_cache`],
-//!   and stops a running batch with [`Engine::cancel_all`] (the
-//!   `pobp serve` daemon's pattern);
+//! * engines that solve the same instances can share one reference cache
+//!   via [`Engine::with_shared_cache`], and a long-lived owner stops a
+//!   running batch with [`Engine::cancel_all`] (the `pobp serve` daemon
+//!   cancels a running job this way; each of its jobs runs on an
+//!   [`Engine::new`] engine);
 //! * with the `chaos` cargo feature, a seeded [`chaos::FaultPlan`] armed
 //!   through `EngineConfig::chaos` injects panics, delays, spurious
 //!   cancellations, forced deadlines, and reference-cache corruption at
@@ -79,6 +80,7 @@ pub mod chaos;
 mod exec;
 pub mod grid;
 pub mod io;
+pub mod lab;
 pub mod pool;
 mod solve;
 pub mod task;
@@ -90,5 +92,6 @@ pub use cert::{CertFailure, CertStage};
 #[cfg(feature = "chaos")]
 pub use chaos::{FaultPlan, FaultSite};
 pub use grid::GridSpec;
+pub use lab::{LabRow, OnlineLab};
 pub use pool::{run_batch, BatchReport, Engine, EngineConfig, EngineStats};
 pub use task::{Algo, DegradeCause, SolveOutput, SolveTask, TaskReport, TaskResult};

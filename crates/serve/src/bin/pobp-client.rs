@@ -54,7 +54,8 @@ SPEC FLAGS (submit):
     --name TAG --alg A --n N --k K --seed S --machines M
     --exact-ref --family F --priority P --deadline-ms MS
 
-A flag the command does not know is a usage error.
+A flag the command does not know, a repeated flag, and any other argument
+that is not a flag's value are usage errors.
 
 Exit codes: 0 ok, 1 usage/transport, 3 rejected, 4 failed/cancelled,
 5 cert_failed."
@@ -74,8 +75,8 @@ fn run() -> i32 {
     if matches!(cmd.as_str(), "top" | "dump-flight") && !pobp_core::obs::enabled() {
         return usage_err(&needs_instrument(&cmd));
     }
-    if let Some(known) = command_flags(&cmd) {
-        if let Err(e) = only_flags(&args[1..], &[known, &["--addr"]].concat()) {
+    if let Some((values, switches)) = command_flags(&cmd) {
+        if let Err(e) = only_flags(&args[1..], &[values, &["--addr"]].concat(), switches) {
             return usage_err(&e);
         }
     }
@@ -114,21 +115,24 @@ fn run() -> i32 {
     }
 }
 
-/// The flags each command reads, besides the global `--addr`; `None` for
-/// an unknown command.
-fn command_flags(cmd: &str) -> Option<&'static [&'static str]> {
+/// The flags each command reads besides the global `--addr`, as (flags
+/// that take a value, switches); `None` for an unknown command.
+fn command_flags(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
     Some(match cmd {
-        "ping" | "stats" | "dump-flight" => &[],
-        "submit" => &[
-            "--name", "--alg", "--n", "--k", "--seed", "--machines", "--deadline-ms",
-            "--priority", "--exact-ref", "--family", "--wait", "--wait-secs",
-        ],
-        "status" | "cancel" => &["--id"],
-        "result" => &["--id", "--wait", "--wait-secs"],
-        "list" => &["--status", "--limit"],
-        "top" => &["--interval-ms", "--count"],
-        "shutdown" => &["--cancel"],
-        "soak" => &["--seconds", "--seed", "--journal", "--expect-restart"],
+        "ping" | "stats" | "dump-flight" => (&[], &[]),
+        "submit" => (
+            &[
+                "--name", "--alg", "--n", "--k", "--seed", "--machines", "--deadline-ms",
+                "--priority", "--family", "--wait-secs",
+            ],
+            &["--exact-ref", "--wait"],
+        ),
+        "status" | "cancel" => (&["--id"], &[]),
+        "result" => (&["--id", "--wait-secs"], &["--wait"]),
+        "list" => (&["--status", "--limit"], &[]),
+        "top" => (&["--interval-ms", "--count"], &[]),
+        "shutdown" => (&[], &["--cancel"]),
+        "soak" => (&["--seconds", "--seed", "--journal"], &["--expect-restart"]),
         _ => return None,
     })
 }

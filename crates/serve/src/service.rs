@@ -25,11 +25,13 @@
 //! Submissions whose [content key](JobSpec::content_key) matches an
 //! already-finished certified job short-circuit the queue entirely: the
 //! daemon journals `Submit` + `Finish` with the stored result and bumps
-//! `serve.cache.hits`. Below that, every per-job engine shares one
-//! [`ResultCache`] of unbounded references, so a job that misses the serve
-//! layer — a duplicate of a job still queued or running, or another `k`
-//! over the same instance — reuses its reference and solves only its own
-//! bounded stage.
+//! `serve.cache.hits`. That index is the daemon's only reuse: each job
+//! runs on an engine of its own with a fresh reference cache, so a job
+//! that misses it — a duplicate of a job still queued or running, or
+//! another `k` over the same instance — computes its own reference. Fresh
+//! submissions carry fresh instances, so a reference cache shared across
+//! jobs would hold one entry per solved job for the daemon's life and
+//! answer almost none.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::io;
@@ -40,7 +42,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pobp_core::{obs_count, obs_event, obs_span, trace_event};
-use pobp_engine::{Algo, Engine, EngineConfig, ResultCache, TaskReport, TaskResult};
+use pobp_engine::{Algo, Engine, EngineConfig, TaskReport, TaskResult};
 
 use crate::job::{JobSpec, JobStatus};
 use crate::journal::{recovery_json, Journal, RecoveryReport, DEFAULT_COMPACT_EVERY};
@@ -243,7 +245,6 @@ struct State {
 
 struct Inner {
     cfg: ServiceConfig,
-    cache: Arc<ResultCache>,
     state: Mutex<State>,
     work_ready: Condvar,
     stopping: AtomicBool,
@@ -323,7 +324,6 @@ impl Service {
         let queued = pending.len();
         let inner = Arc::new(Inner {
             cfg: cfg.clone(),
-            cache: Arc::new(ResultCache::new()),
             state: Mutex::new(State {
                 registry,
                 journal,
@@ -611,7 +611,7 @@ impl Drop for Service {
 }
 
 /// One worker: claim highest-priority queued job → journal `Start` → run it
-/// on a fresh engine sharing the daemon cache → journal `Finish`.
+/// on a fresh engine → journal `Finish`.
 fn worker_loop(inner: &Inner) {
     loop {
         let mut state = inner.state.lock().unwrap();
@@ -648,24 +648,20 @@ fn worker_loop(inner: &Inner) {
         }
         state.registry.apply(&start);
         state.queued = state.queued.saturating_sub(1);
-        let engine = Arc::new(Engine::with_shared_cache(
-            EngineConfig {
-                // A job is a one-task batch: `workers` is the daemon's
-                // parallelism.
-                threads: 1,
-                deadline: spec.deadline_ms.map(Duration::from_millis),
-                degrade: inner.cfg.degrade,
-                // The daemon's fault plan covers the engines too, not just
-                // the journal: solver-side sites (panic, corrupt-ref, …)
-                // fire per task key inside jobs, which is how the
-                // flight-dump test in `tests/client_cli.rs` forces a
-                // CertFailed through the daemon.
-                #[cfg(feature = "chaos")]
-                chaos: inner.cfg.chaos.clone(),
-                ..EngineConfig::default()
-            },
-            Arc::clone(&inner.cache),
-        ));
+        let engine = Arc::new(Engine::new(EngineConfig {
+            // A job is a one-task batch: `workers` is the daemon's
+            // parallelism.
+            threads: 1,
+            deadline: spec.deadline_ms.map(Duration::from_millis),
+            degrade: inner.cfg.degrade,
+            // The daemon's fault plan covers the engines too, not just the
+            // journal: solver-side sites (panic, corrupt-ref, …) fire per
+            // task key inside jobs, which is how the flight-dump test in
+            // `tests/client_cli.rs` forces a CertFailed through the daemon.
+            #[cfg(feature = "chaos")]
+            chaos: inner.cfg.chaos.clone(),
+            ..EngineConfig::default()
+        }));
         state.running.insert(id, Arc::clone(&engine));
         drop(state);
         trace_event!("serve.claim", id);

@@ -108,6 +108,25 @@ fn unknown_flags_are_usage_errors_and_submit_nothing() {
 }
 
 #[test]
+fn repeated_flags_and_stray_arguments_are_usage_errors_and_submit_nothing() {
+    let daemon = TestDaemon::start("strayarg", 1, 16);
+    for (args, named) in [
+        (&["submit", "--alg", "lsa", "--n", "12", "--n", "14", "--wait"][..], "repeated flag --n"),
+        (&["submit", "--alg", "lsa", "--n", "12", "stray", "--wait"][..], "unexpected argument"),
+        (&["submit", "--wait", "yes", "--alg", "lsa"][..], "unexpected argument \"yes\""),
+    ] {
+        let out = daemon.run(args);
+        assert_eq!(code(&out), 1, "{args:?}");
+        assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(named), "{args:?}: {err}");
+    }
+    let out = daemon.run(&["stats"]);
+    let stats = stdout_json(&out).get("stats").cloned().expect("stats object");
+    assert_eq!(stats.get("accepted").and_then(Json::as_u64), Some(0), "{stats}");
+}
+
+#[test]
 fn transport_failure_exits_1() {
     // Nothing listens here: bind a port, then close it immediately.
     let dead = {

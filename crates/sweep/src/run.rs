@@ -46,6 +46,10 @@ pub struct SweepConfig {
     pub spec: SweepSpec,
     /// Engine configuration used for every chunk. In chaos builds its fault
     /// plan also arms the io-* sites in the shard and manifest writers.
+    /// Its `progress` asks for one stderr line over the whole sweep (chunks
+    /// and rows recorded, this run's row rate), redrawn as each chunk is
+    /// recorded; the chunk batches run without the engine's own meter,
+    /// which would restart at every chunk.
     pub engine: EngineConfig,
     /// Continue an interrupted sweep instead of starting a fresh one.
     /// Fresh runs refuse a directory that already holds a manifest;
@@ -149,8 +153,20 @@ pub fn run_sweep(dir: &Path, cfg: &SweepConfig) -> Result<SweepOutcome, String> 
         Manifest::open_log(dir, &m_guard).map_err(|e| format!("opening manifest: {e}"))?;
 
     let mut out = SweepOutcome { chunks_total: chunks.len(), ..SweepOutcome::default() };
-    #[cfg(feature = "instrument")]
-    let run_started = std::time::Instant::now();
+    let started = std::time::Instant::now();
+    let engine = EngineConfig { progress: false, ..cfg.engine.clone() };
+    let progress = |chunks_done: usize, rows_done: u64, rows_written: u64| {
+        if cfg.engine.progress {
+            let rate = rows_written as f64 / started.elapsed().as_secs_f64().max(1e-9);
+            eprint!(
+                "\rprogress: {chunks_done}/{} chunks | {rows_done}/{} rows | {rate:.1} rows/s   ",
+                chunks.len(),
+                spec.rows(),
+            );
+        }
+    };
+    let mut rows_done: u64 = manifest.done.iter().map(|r| r.rows).sum();
+    progress(manifest.done.len(), rows_done, 0);
 
     for chunk in &chunks {
         let tasks = chunk.tasks();
@@ -196,7 +212,7 @@ pub fn run_sweep(dir: &Path, cfg: &SweepConfig) -> Result<SweepOutcome, String> 
         let mut writer = ShardWriter::open(dir, chunk.index, &state, shard_guard(cfg, key))
             .map_err(|e| format!("opening {}: {e}", path.display()))?;
         if !remainder.is_empty() {
-            let batch = run_batch(remainder, cfg.engine.clone());
+            let batch = run_batch(remainder, engine.clone());
             add_stats(&mut out.stats, &batch.stats);
             for (&(n, k, seed), report) in
                 coords[state.rows as usize..].iter().zip(&batch.reports)
@@ -223,11 +239,16 @@ pub fn run_sweep(dir: &Path, cfg: &SweepConfig) -> Result<SweepOutcome, String> 
             .append(&mut log, rec, &m_guard)
             .map_err(|e| format!("writing manifest: {e}"))?;
         out.chunks_completed += 1;
+        rows_done += done.rows;
+        progress(manifest.done.len(), rows_done, out.rows_written);
         pobp_core::obs_count!("sweep.chunks_completed");
         #[cfg(feature = "instrument")]
-        write_heartbeat(dir, run_started, manifest.done.len(), chunks.len(), &out);
+        write_heartbeat(dir, started, manifest.done.len(), chunks.len(), &out);
     }
 
+    if cfg.engine.progress {
+        eprintln!();
+    }
     if manifest.done.len() == chunks.len() {
         out.merged = Some(merge(dir, &manifest, &m_guard)?);
     }

@@ -144,7 +144,8 @@ USAGE:
 Any command also accepts --obs (print the JSON counter report to stderr) or
 --obs-out FILE (write it to FILE). Counters require building with
 `--features instrument`; see docs/observability.md. A flag the command does
-not know is an error.
+not know, a repeated flag, and any other argument that is not a flag's
+value are errors.
 
 solve, sweep and online accept --trace FILE (Chrome trace-event JSON — open
 in Perfetto / chrome://tracing) and --trace-logical FILE (the deterministic
@@ -152,7 +153,7 @@ logical trace: ordering and phase transitions, timestamps stripped,
 byte-identical across --threads). Both need a binary built with
 `--features instrument`. sweep --progress draws a live stderr meter (rows
 done/total, throughput, running p50 task latency, degrade/cert-fail
-counts).
+counts); with --out, one line of the whole sweep's chunks and rows done.
 
 sweep runs the (n, k, seed) grid through the parallel batch engine
 (docs/engine.md): one JSON line per task on stdout, in deterministic grid
@@ -211,7 +212,7 @@ fn usage() -> String {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    only_flags(args, &["--kind", "--n", "--k", "--depth", "--seed"])?;
+    only_flags(args, &["--kind", "--n", "--k", "--depth", "--seed"], &[])?;
     let kind = flag_value(args, "--kind")?.ok_or("gen needs --kind")?;
     let jobs = match kind.as_str() {
         "fig2" => {
@@ -259,7 +260,11 @@ fn read_stdin_jobs() -> Result<JobSet, String> {
 }
 
 fn cmd_solve(args: &[String]) -> Result<(), String> {
-    only_flags(args, &["--k", "--alg", "--gantt", "--svg", "--out", "--trace", "--trace-logical"])?;
+    only_flags(
+        args,
+        &["--k", "--alg", "--svg", "--out", "--trace", "--trace-logical"],
+        &["--gantt"],
+    )?;
     let trace = TraceFiles::arm(args)?;
     let k: u32 = parse_num_strict(args, "--k", 1u32)?;
     let alg = flag_value(args, "--alg")?.unwrap_or_else(|| "combined".into());
@@ -324,7 +329,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_price(args: &[String]) -> Result<(), String> {
-    only_flags(args, &["--k"])?;
+    only_flags(args, &["--k"], &[])?;
     let k: u32 = parse_num_strict(args, "--k", 1u32)?;
     let jobs = read_stdin_jobs()?;
     if jobs.len() > 20 {
@@ -355,7 +360,7 @@ fn cmd_price(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sim(args: &[String]) -> Result<(), String> {
-    only_flags(args, &["--policy", "--k", "--delta", "--trace"])?;
+    only_flags(args, &["--policy", "--k", "--delta"], &["--trace"])?;
     let delta: i64 = parse_num_strict(args, "--delta", 0i64)?;
     let k: u32 = parse_num_strict(args, "--k", 1u32)?;
     let policy = match flag_value(args, "--policy")?.as_deref().unwrap_or("edf") {
@@ -400,7 +405,7 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_choose_k(args: &[String]) -> Result<(), String> {
-    only_flags(args, &["--delta", "--kmax"])?;
+    only_flags(args, &["--delta", "--kmax"], &[])?;
     let delta: i64 = parse_num_strict(args, "--delta", 2i64)?;
     let k_max: u32 = parse_num_strict(args, "--kmax", 4u32)?;
     let jobs = read_stdin_jobs()?;
@@ -443,10 +448,10 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         args,
         &[
             "--n", "--k", "--seeds", "--alg", "--threads", "--deadline-ms", "--machines",
-            "--exact-ref", "--no-cache", "--retries", "--degrade", "--progress", "--out",
-            "--resume", "--chunk-cells", "--max-chunks", "--trace", "--trace-logical", "--chaos",
-            "--chaos-seed",
+            "--retries", "--out", "--chunk-cells", "--max-chunks", "--trace", "--trace-logical",
+            "--chaos", "--chaos-seed",
         ],
+        &["--exact-ref", "--no-cache", "--degrade", "--progress", "--resume"],
     )?;
     let ns: Vec<usize> = parse_num_list_strict(args, "--n", &[20, 40])?;
     let ks: Vec<u32> = parse_num_list_strict(args, "--k", &[0, 1, 2, 4])?;
@@ -573,13 +578,11 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     trace.write()
 }
 
-/// `pobp online`: the competitive-ratio lab. Crosses the instance-zoo
-/// families with `--n/--k/--seeds`, pairs every online task with an offline
-/// `OPT_k` oracle task (`Algo::Reduction` — the engine certifies the
-/// denominator), runs the whole batch through the engine, and emits one
-/// JSON line per online row: certified value, oracle value (upgraded to the
-/// exact `OPT_k` where `opt_k_bounded_fits`), the empirical ratio
-/// `oracle / value`, and the `(1+√P)²` reference bound.
+/// `pobp online`: the competitive-ratio lab. Runs the batch of an
+/// [`OnlineLab`] over the instance-zoo families and `--n/--k/--seeds`
+/// through the engine and emits one JSON line per lab row: certified value,
+/// oracle value and kind, the empirical ratio `oracle / value`, and the
+/// `(1+√P)²` reference bound.
 ///
 /// Like `sweep`, stdout rows are a pure function of the request — no
 /// durations, no cache flags — so `--threads 1` and `--threads 4` emit
@@ -588,10 +591,10 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
     only_flags(
         args,
         &[
-            "--alg", "--families", "--n", "--k", "--seeds", "--threads", "--exact-ref",
-            "--no-cache", "--retries", "--degrade", "--deadline-ms", "--progress", "--trace",
-            "--trace-logical", "--chaos", "--chaos-seed",
+            "--alg", "--families", "--n", "--k", "--seeds", "--threads", "--retries",
+            "--deadline-ms", "--trace", "--trace-logical", "--chaos", "--chaos-seed",
         ],
+        &["--exact-ref", "--no-cache", "--degrade", "--progress"],
     )?;
     let families: Vec<ZooFamily> = match flag_value(args, "--families")? {
         Some(v) => v
@@ -611,7 +614,6 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
     let threads: usize = parse_num_strict(args, "--threads", 0usize)?;
     let deadline_ms: u64 = parse_num_strict(args, "--deadline-ms", 0u64)?;
     let retries: u32 = parse_num_strict(args, "--retries", 1u32)?;
-    let exact_ref = has_flag(args, "--exact-ref");
     let algs: Vec<Algo> = match flag_value(args, "--alg")?.as_deref().unwrap_or("all") {
         "all" => vec![Algo::OnlineDjn, Algo::OnlineGreedy, Algo::OnlineEdf],
         name => {
@@ -630,55 +632,15 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
     let chaos = chaos_plan(args)?;
     let trace = TraceFiles::arm(args)?;
 
-    // Row metadata, parallel to the task batch. `alg == None` marks the
-    // oracle task that opens each (family, n, seed, k) cell.
-    struct Row {
-        family: ZooFamily,
-        n: usize,
-        k: u32,
-        seed: u64,
-        alg: Option<Algo>,
-        bound: f64,
-        exact: Option<f64>,
-    }
-    let mut tasks: Vec<SolveTask> = Vec::new();
-    let mut rows: Vec<Row> = Vec::new();
-    for &family in &families {
-        for &n in &ns {
-            for seed in 0..seed_count {
-                for &k in &ks {
-                    let instance = zoo_instance(family, n, k, seed);
-                    let ids: Vec<JobId> = instance.ids().collect();
-                    let bound = djn_ratio_bound(instance.length_ratio().unwrap_or(1.0));
-                    // The exact OPT_k upgrade, where the state space allows.
-                    let exact = opt_k_bounded_fits(&instance, &ids)
-                        .then(|| opt_k_bounded_small(&instance, &ids, k));
-                    let label = |alg: &str| format!("{family} n={n} k={k} seed={seed} {alg}");
-                    tasks.push(SolveTask {
-                        instance: instance.clone(),
-                        k,
-                        machines: 1,
-                        algo: Algo::Reduction,
-                        exact_ref,
-                        label: label("oracle"),
-                    });
-                    rows.push(Row { family, n, k, seed, alg: None, bound, exact });
-                    for &alg in &algs {
-                        tasks.push(SolveTask {
-                            instance: instance.clone(),
-                            k,
-                            machines: 1,
-                            algo: alg,
-                            exact_ref,
-                            label: label(alg.name()),
-                        });
-                        rows.push(Row { family, n, k, seed, alg: Some(alg), bound, exact });
-                    }
-                }
-            }
-        }
-    }
-
+    let lab = OnlineLab {
+        families,
+        ns,
+        ks,
+        seeds: (0..seed_count).collect(),
+        algs,
+        exact_ref: has_flag(args, "--exact-ref"),
+    };
+    let tasks = lab.tasks();
     let cfg = EngineConfig {
         threads,
         deadline: (deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms)),
@@ -692,34 +654,22 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
     };
     let batch = pobp::engine::run_batch(&tasks, cfg);
 
-    // Walk reports cell by cell: the oracle row opens the cell, the online
-    // rows that follow consume its certified value.
-    let mut oracle: Option<(f64, &'static str)> = None;
-    for (row, report) in rows.iter().zip(&batch.reports) {
-        let Some(alg) = row.alg else {
-            // The reduction value is a certified lower bound on OPT_k; the
-            // exact solver (when available) is OPT_k itself — take the max
-            // so the denominator is the best certified knowledge.
-            oracle = report.result.output().map(|out| match row.exact {
-                Some(e) if e >= out.alg_value => (e, "exact"),
-                _ => (out.alg_value, "reduction"),
-            });
-            continue;
-        };
-        // Everything emitted below is certified output — a pure function of
-        // the request.
+    // Everything emitted below is certified output — a pure function of
+    // the request.
+    for row in lab.rows(&tasks, &batch.reports) {
+        let result = &row.report.result;
         let mut line = format!(
             "{{\"family\":\"{}\",\"n\":{},\"k\":{},\"seed\":{},\"alg\":\"{}\",\"status\":\"{}\"",
             row.family,
             row.n,
             row.k,
             row.seed,
-            alg.name(),
-            report.result.status(),
+            row.alg.name(),
+            result.status(),
         );
-        match &report.result {
+        match result {
             TaskResult::Done(out) | TaskResult::Degraded { output: out, .. } => {
-                if let TaskResult::Degraded { fallback, cause, .. } = &report.result {
+                if let TaskResult::Degraded { fallback, cause, .. } = result {
                     line.push_str(&format!(
                         ",\"fallback\":\"{}\",\"cause\":\"{}\"",
                         fallback.name(),
@@ -730,13 +680,11 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
                     ",\"value\":{},\"scheduled\":{},\"preemptions\":{}",
                     out.alg_value, out.scheduled, out.preemptions,
                 ));
-                if let Some((oracle_value, kind)) = oracle {
-                    line.push_str(&format!(
-                        ",\"oracle\":{oracle_value},\"oracle_kind\":\"{kind}\""
-                    ));
-                    if out.alg_value > 0.0 {
-                        line.push_str(&format!(",\"ratio\":{}", oracle_value / out.alg_value));
-                    }
+                if let Some((oracle, kind)) = row.oracle {
+                    line.push_str(&format!(",\"oracle\":{oracle},\"oracle_kind\":\"{kind}\""));
+                }
+                if let Some(ratio) = row.ratio {
+                    line.push_str(&format!(",\"ratio\":{ratio}"));
                 }
                 line.push_str(&format!(",\"bound\":{}", row.bound));
             }
@@ -760,7 +708,7 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
         "online: {} tasks ({} oracle cells, {} run, {} degraded, {} cert-failed, \
          {} panicked, {} timed out, {} cancelled) on {} threads",
         s.tasks,
-        rows.iter().filter(|r| r.alg.is_none()).count(),
+        lab.cells().count(),
         s.run,
         s.degraded,
         s.cert_failed,
@@ -800,10 +748,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     only_flags(
         args,
         &[
-            "--addr", "--dir", "--workers", "--queue-cap", "--degrade", "--compact-every",
-            "--metrics-addr", "--flight-dir", "--trace", "--trace-logical", "--chaos",
-            "--chaos-seed",
+            "--addr", "--dir", "--workers", "--queue-cap", "--compact-every", "--metrics-addr",
+            "--flight-dir", "--trace", "--trace-logical", "--chaos", "--chaos-seed",
         ],
+        &["--degrade"],
     )?;
     let addr = flag_value(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7411".into());
     let dir = flag_value(args, "--dir")?.unwrap_or_else(|| "pobp-serve-registry".into());
@@ -835,7 +783,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_replay(args: &[String]) -> Result<(), String> {
-    only_flags(args, &["--plan", "--delta"])?;
+    only_flags(args, &["--plan", "--delta"], &[])?;
     let delta: i64 = parse_num_strict(args, "--delta", 0i64)?;
     let plan_path = flag_value(args, "--plan")?.ok_or("replay needs --plan FILE")?;
     let jobs = read_stdin_jobs()?;

@@ -118,7 +118,8 @@ pub mod prelude {
     };
     pub use pobp_engine::{
         run_batch, Algo, BatchReport, CancelToken, CertFailure, CertStage, DegradeCause, Engine,
-        EngineConfig, EngineStats, GridSpec, SolveOutput, SolveTask, TaskReport, TaskResult,
+        EngineConfig, EngineStats, GridSpec, LabRow, OnlineLab, SolveOutput, SolveTask, TaskReport,
+        TaskResult,
     };
     #[cfg(feature = "chaos")]
     pub use pobp_engine::{FaultPlan, FaultSite};

@@ -154,6 +154,34 @@ fn every_command_refuses_an_unknown_flag() {
     assert!(!out.contains("serve: listening"), "{out}");
 }
 
+/// Every command refuses a repeated flag, and an argument that is neither a
+/// flag nor a flag's value, before any work: exit 1, the argument named,
+/// nothing on stdout, and no daemon bound.
+#[test]
+fn every_command_refuses_a_repeated_flag_or_a_stray_argument() {
+    let refused = |args: &[&str], named: &str| {
+        let out = pobp().args(args).output().unwrap();
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} must not run: {stdout}");
+    };
+    for cmd in ["gen", "solve", "price", "sim", "choose-k", "replay", "sweep", "online", "serve"] {
+        // `--addr` keeps a `serve` that failed to refuse off the default port.
+        let addr: &[&str] = if cmd == "serve" { &["--addr", "127.0.0.1:0"] } else { &[] };
+        refused(&[&[cmd, "--obs", "--obs"], addr].concat(), "repeated flag --obs");
+        refused(&[&[cmd, "stray"], addr].concat(), "unexpected argument \"stray\"");
+    }
+    // A second `--n` is not dropped for the first, and a trailing word does
+    // not ride along with a grid that would otherwise run.
+    let grid = ["sweep", "--n", "8", "--k", "0", "--seeds", "1"];
+    refused(&[&grid[..], &["--n", "12"]].concat(), "repeated flag --n");
+    refused(&[&grid[..], &["stray"]].concat(), "unexpected argument \"stray\"");
+    // A switch takes no value: the word after it is an argument of its own.
+    refused(&["online", "--degrade", "yes", "--n", "4"], "unexpected argument \"yes\"");
+}
+
 #[test]
 fn unknown_command_fails() {
     let (_, err, ok) = run(&["frobnicate"]);
@@ -400,6 +428,70 @@ fn sweep_trace_flags_respect_the_feature_gate() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `sweep --trace` writes Chrome trace-event JSON: a non-empty
+/// `traceEvents` array whose every event is a `B`, `E` or `i` phase, with
+/// `task` spans among them.
+#[cfg(feature = "instrument")]
+#[test]
+fn sweep_trace_is_chrome_trace_event_json() {
+    use pobp::core::json::Json;
+    let path = std::env::temp_dir().join(format!("pobp-chrome-{}.json", std::process::id()));
+    let (_, err, ok) = run(&[
+        "sweep", "--n", "12,16", "--k", "0,1,2", "--seeds", "4", "--threads", "4", "--trace",
+        path.to_str().unwrap(),
+    ]);
+    assert!(ok, "{err}");
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let doc = Json::parse(&text).expect("the trace parses as JSON");
+    let events = doc.get("traceEvents").and_then(Json::as_arr).expect("a traceEvents array");
+    assert!(!events.is_empty(), "empty trace");
+    for event in events {
+        let ph = event.get("ph").and_then(Json::as_str);
+        assert!(matches!(ph, Some("B" | "E" | "i")), "phase {ph:?}: {event}");
+    }
+    let name = |e: &Json| e.get("name").and_then(Json::as_str) == Some("task");
+    assert!(events.iter().any(name), "no task spans");
+}
+
+/// Runs `pobp ARGS --trace-logical FILE` and returns the logical trace.
+#[cfg(feature = "instrument")]
+fn logical_trace(tag: &str, args: &[&str]) -> String {
+    let path = std::env::temp_dir().join(format!("pobp-logical-{tag}-{}.txt", std::process::id()));
+    let (_, err, ok) = run(&[args, &["--trace-logical", path.to_str().unwrap()]].concat());
+    assert!(ok, "{err}");
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    text
+}
+
+/// A sweep's logical trace is the same bytes at `--threads 1` and `4`.
+#[cfg(feature = "instrument")]
+#[test]
+fn sweep_logical_trace_is_thread_count_invariant() {
+    let grid = ["sweep", "--n", "12,16", "--k", "0,1,2", "--seeds", "4"];
+    let seq = logical_trace("sweep-t1", &[&grid[..], &["--threads", "1"]].concat());
+    let par = logical_trace("sweep-t4", &[&grid[..], &["--threads", "4"]].concat());
+    assert!(seq.contains("begin task"), "{seq}");
+    assert_eq!(seq, par, "logical traces differ across thread counts");
+}
+
+/// ...and so it is under injected panics, flaky attempts and forced
+/// deadlines with the degradation ladder armed, whose `chaos.` events the
+/// trace records.
+#[cfg(all(feature = "instrument", feature = "chaos"))]
+#[test]
+fn chaos_sweep_logical_trace_is_thread_count_invariant() {
+    let grid = [
+        "sweep", "--n", "12,16", "--k", "0,1,2", "--seeds", "4", "--degrade", "--chaos",
+        "panic:0.4,flaky:0.4,deadline:0.4", "--chaos-seed", "42",
+    ];
+    let seq = logical_trace("chaos-t1", &[&grid[..], &["--threads", "1"]].concat());
+    let par = logical_trace("chaos-t4", &[&grid[..], &["--threads", "4"]].concat());
+    assert!(par.contains("chaos."), "no chaos events traced:\n{par}");
+    assert_eq!(seq, par, "chaotic logical traces differ across thread counts");
+}
+
 /// `solve --trace` is checked before any work: a default build refuses it
 /// without writing `--out`; an `instrument` build writes both files.
 #[test]
@@ -570,6 +662,24 @@ fn sweep_progress_renders_a_meter() {
     assert!(err.contains("progress:"), "{err}");
     assert!(err.contains("rows/s"), "{err}");
     assert!(err.contains("p50"), "{err}");
+}
+
+/// A sharded sweep runs one engine batch per chunk, but `--progress` draws
+/// one meter over the whole sweep: its chunks and its rows, not a meter
+/// per chunk that each ends at the chunk's rows.
+#[test]
+fn sharded_sweep_progress_counts_the_whole_sweep() {
+    let dir = std::env::temp_dir().join(format!("pobp-cli-progress-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (out, err, ok) = run(&[
+        "sweep", "--n", "20", "--k", "0,1", "--seeds", "40", "--chunk-cells", "8", "--out",
+        dir.to_str().unwrap(), "--progress",
+    ]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(ok, "{err}");
+    assert!(out.is_empty(), "{out}");
+    assert!(err.contains("progress: 5/5 chunks | 80/80 rows"), "{err}");
+    assert!(!err.contains("16/16 rows"), "a per-chunk meter was drawn: {err}");
 }
 
 #[test]

@@ -152,9 +152,9 @@ fn e1_round_robin_rows() {
 /// E13: the online-arrival competitive-ratio table, row for row as
 /// `experiments e13` prints it: per (family, algorithm), the geo-mean and
 /// worst `oracle / online` ratio over the zoo grid n ∈ {8, 16},
-/// k ∈ {1, 2}, seeds 0..3. Each cell pairs the online runs with a certified
-/// reduction oracle, upgraded to the exact `OPT_k` where it fits and
-/// dominates, exactly as the harness does.
+/// k ∈ {1, 2}, seeds 0..3. The batch and its rows come from the
+/// [`OnlineLab`] the harness runs, so each cell pairs the online runs with
+/// the harness's own oracle rule.
 #[test]
 fn e13_online_ratio_rows() {
     // (family, algorithm, geo-mean ratio, worst ratio), as printed.
@@ -175,49 +175,27 @@ fn e13_online_ratio_rows() {
         ("random", "online-edf", "0.989", "1.391"),
         ("random", "online-greedy", "1.132", "1.377"),
     ];
-    let online_algs = [Algo::OnlineDjn, Algo::OnlineGreedy, Algo::OnlineEdf];
-    let mut tasks = Vec::new();
-    let mut cells = Vec::new(); // per task: (family, exact OPT_k if it fits)
-    for &family in &ZOO_FAMILIES {
-        for n in [8usize, 16] {
-            for seed in 0..3u64 {
-                for k in [1u32, 2] {
-                    let instance = zoo_instance(family, n, k, seed);
-                    let ids: Vec<JobId> = instance.ids().collect();
-                    let exact = opt_k_bounded_fits(&instance, &ids)
-                        .then(|| opt_k_bounded_small(&instance, &ids, k));
-                    for algo in std::iter::once(Algo::Reduction).chain(online_algs) {
-                        tasks.push(SolveTask {
-                            instance: instance.clone(),
-                            k,
-                            machines: 1,
-                            algo,
-                            exact_ref: false,
-                            label: format!("{family} n={n} k={k} seed={seed} {}", algo.name()),
-                        });
-                        cells.push((family, exact));
-                    }
-                }
-            }
-        }
-    }
+    let lab = OnlineLab {
+        families: ZOO_FAMILIES.to_vec(),
+        ns: vec![8, 16],
+        ks: vec![1, 2],
+        seeds: (0..3).collect(),
+        algs: vec![Algo::OnlineDjn, Algo::OnlineGreedy, Algo::OnlineEdf],
+        exact_ref: false,
+    };
+    let tasks = lab.tasks();
     // The same pins at one and at four threads: the table is
     // thread-count invariant.
     for threads in [1, 4] {
         let cfg = EngineConfig { threads, degrade: true, ..EngineConfig::default() };
         let batch = Engine::new(cfg).run_batch(&tasks);
+        let completed = batch.reports.iter().all(|r| r.result.output().is_some());
+        assert!(completed, "every E13 task completes");
         let mut ratios: std::collections::BTreeMap<(&str, &str), Vec<f64>> = Default::default();
-        let mut oracle = 0.0f64;
-        for ((task, &(family, exact)), report) in tasks.iter().zip(&cells).zip(&batch.reports) {
-            let value = report.result.output().expect("every E13 task completes").alg_value;
-            if task.algo == Algo::Reduction {
-                oracle = exact.filter(|&e| e >= value).unwrap_or(value);
-                continue;
-            }
-            let ratio = oracle / value;
-            let bound = djn_ratio_bound(task.instance.length_ratio().unwrap_or(1.0));
-            assert!(ratio <= bound, "{}: ratio {ratio:.3} escapes {bound:.3}", report.label);
-            ratios.entry((family.name(), task.algo.name())).or_default().push(ratio);
+        for row in lab.rows(&tasks, &batch.reports) {
+            let (ratio, bound) = (row.ratio.expect("online value is positive"), row.bound);
+            assert!(ratio <= bound, "{}: ratio {ratio:.3} escapes {bound:.3}", row.report.label);
+            ratios.entry((row.family.name(), row.alg.name())).or_default().push(ratio);
         }
         assert_eq!(ratios.len(), rows.len());
         for &(family, alg, geo, worst) in &rows {
