@@ -85,7 +85,8 @@ fn main() {
         return;
     }
     let selectors =
-        positionals(&args, &["--threads", "--trace"], &[]).unwrap_or_else(|e| die(e));
+        positionals(&args, &["--threads", "--trace", "--obs-out"], &["--obs"])
+            .unwrap_or_else(|e| die(e));
     let known = |s: &str| s == "all" || experiments.iter().any(|(name, ..)| *name == s);
     if let Some(unknown) = selectors.iter().find(|s| !known(s)) {
         let names: Vec<&str> = experiments.iter().map(|(name, ..)| *name).collect();

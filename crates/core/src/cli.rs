@@ -19,8 +19,9 @@ pub fn has_flag(args: &[String], name: &str) -> bool {
 /// kept default: a `--flag` in neither `values` (flags that take a value)
 /// nor `switches` (`unknown flag --thread`), a flag given twice (`repeated
 /// flag --n`), and any other argument that is not the value of the flag
-/// before it (`unexpected argument "stray"`). The global `--obs` switch
-/// and `--obs-out` value flag are always allowed.
+/// before it (`unexpected argument "stray"`). A binary that honours the
+/// `--obs` switch and the `--obs-out` value flag lists them like any other
+/// flag; one that does not refuses them as unknown.
 pub fn only_flags(args: &[String], values: &[&str], switches: &[&str]) -> Result<(), String> {
     match positionals(args, values, switches)?.first() {
         Some(stray) => Err(format!("unexpected argument {stray:?}")),
@@ -43,8 +44,8 @@ pub fn positionals<'a>(
             out.push(arg);
             continue;
         }
-        let takes_value = arg == "--obs-out" || values.contains(&arg);
-        if !takes_value && arg != "--obs" && !switches.contains(&arg) {
+        let takes_value = values.contains(&arg);
+        if !takes_value && !switches.contains(&arg) {
             return Err(format!("unknown flag {arg}"));
         }
         if seen.contains(&arg) {
@@ -210,7 +211,13 @@ mod tests {
     #[test]
     fn only_known_flags_pass() {
         let a = args(&["--n", "12", "--gantt", "--obs", "--obs-out", "r.json", "--delta", "-3"]);
-        assert_eq!(only_flags(&a, &["--n", "--delta"], &["--gantt"]), Ok(()));
+        let values = ["--n", "--delta", "--obs-out"];
+        assert_eq!(only_flags(&a, &values, &["--gantt", "--obs"]), Ok(()));
+        // `--obs`/`--obs-out` are flags like any other: unlisted, unknown.
+        let err = only_flags(&a, &values, &["--gantt"]);
+        assert_eq!(err, Err("unknown flag --obs".into()));
+        let err = only_flags(&a, &["--n", "--delta"], &["--gantt", "--obs"]);
+        assert_eq!(err, Err("unknown flag --obs-out".into()));
         let err = only_flags(&args(&["--n", "8", "--thread", "4"]), &["--n", "--threads"], &[]);
         assert_eq!(err, Err("unknown flag --thread".into()));
         // A value flag missing its value is `flag_value`'s error, not this one.
@@ -224,7 +231,7 @@ mod tests {
         assert_eq!(err, Err("repeated flag --n".into()));
         let err = only_flags(&args(&["--gantt", "--gantt"]), n, &["--gantt"]);
         assert_eq!(err, Err("repeated flag --gantt".into()));
-        let err = only_flags(&args(&["--obs", "--obs"]), n, &[]);
+        let err = only_flags(&args(&["--obs", "--obs"]), n, &["--obs"]);
         assert_eq!(err, Err("repeated flag --obs".into()));
         let err = only_flags(&args(&["--n", "8", "stray"]), n, &[]);
         assert_eq!(err, Err("unexpected argument \"stray\"".into()));
@@ -233,7 +240,8 @@ mod tests {
         assert_eq!(err, Err("unexpected argument \"8\"".into()));
         // Positional arguments, for the commands that take them.
         let a = args(&["e1", "--threads", "2", "-h", "--obs-out", "r.json", "e4"]);
-        assert_eq!(positionals(&a, &["--threads"], &[]), Ok(vec!["e1", "-h", "e4"]));
+        let values = ["--threads", "--obs-out"];
+        assert_eq!(positionals(&a, &values, &[]), Ok(vec!["e1", "-h", "e4"]));
         let twice = args(&["e1", "--threads", "1", "--threads", "2"]);
         assert_eq!(positionals(&twice, &["--threads"], &[]), Err("repeated flag --threads".into()));
     }

@@ -51,6 +51,8 @@ use crate::task::{Algo, DegradeCause, SolveTask, TaskReport, TaskResult};
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Worker threads; `0` means `std::thread::available_parallelism()`.
+    /// The thread calling `run_batch` is one of them, so a batch spawns
+    /// `threads − 1`.
     pub threads: usize,
     /// Per-task wall-clock deadline, measured from the task's start and
     /// enforced cooperatively: every stage-boundary yield point compares it
@@ -214,7 +216,8 @@ impl Engine {
     }
 
     /// Runs `tasks` across the configured worker pool and returns one
-    /// report per task, in input order.
+    /// report per task, in input order. The calling thread works as one of
+    /// the pool's workers.
     pub fn run_batch(&self, tasks: &[SolveTask]) -> BatchReport {
         let n = tasks.len();
         let stats = StatsCell::default();
@@ -241,6 +244,72 @@ impl Engine {
         let pool_done = AtomicBool::new(false);
         let mut merged: Vec<Option<TaskReport>> = (0..n).map(|_| None).collect();
 
+        // One worker's whole run: claim units until the fabric is done,
+        // and keep the reports it produced.
+        let work = |w: usize| -> Vec<TaskReport> {
+            // One scratch workspace per worker, reused across every task
+            // this worker claims: steady-state solves allocate only
+            // their outputs.
+            let mut ws = SolveWorkspace::new();
+            // The last reduction prefix this worker built, so the rest
+            // of a k row reuses it (`PlanMemo`).
+            let mut memo: PlanMemo = None;
+            let mut rng = StealRng::new(w);
+            // Reports stay worker-local until the merge after the join —
+            // no shared report lock on the hot path.
+            let mut local: Vec<TaskReport> = Vec::new();
+            let mut busy = Duration::ZERO;
+            let mut dispatched = 0u64;
+            // Per-task clock reads feed only telemetry; skip them when
+            // nothing consumes the numbers.
+            let timed = pobp_core::obs::enabled() || progress.is_some();
+            while !fabric.is_done() {
+                let (unit, steals) = fabric.next_unit(w, &mut rng);
+                if steals.attempts > 0 {
+                    stats.steal_attempts.fetch_add(steals.attempts, Ordering::Relaxed);
+                    stats.steal_hits.fetch_add(steals.hits, Ordering::Relaxed);
+                }
+                let Some(unit) = unit else {
+                    fabric.park();
+                    continue;
+                };
+                dispatched += 1;
+                if dispatched > 1 {
+                    obs_count!("engine.ws.reuses");
+                }
+                let start = timed.then(Instant::now);
+                let index = unit.index;
+                let report = {
+                    let _task = trace::task_scope(index as u64, &tasks[index].label);
+                    let report = self.dispatch(
+                        w,
+                        unit,
+                        &tasks[index],
+                        &stats,
+                        &fabric,
+                        &mut memo,
+                        &mut ws,
+                    );
+                    if let Some(r) = &report {
+                        let _ = r; // only the instrument feature reads it
+                        trace_event!("emit", text: r.result.status());
+                    }
+                    report
+                };
+                let elapsed = start.map(|t| t.elapsed()).unwrap_or_default();
+                busy += elapsed;
+                if let Some(report) = report {
+                    if let Some(p) = &progress {
+                        p.record(&report.result, elapsed);
+                    }
+                    local.push(report);
+                    fabric.complete_one();
+                }
+            }
+            obs_event!("engine.worker.busy_us", busy.as_micros() as u64);
+            obs_event!("engine.ws.scratch_bytes", ws.scratch_bytes() as u64);
+            local
+        };
         std::thread::scope(|s| {
             if let Some(p) = &progress {
                 s.spawn(|| {
@@ -252,90 +321,21 @@ impl Engine {
                     eprintln!("\r{}", p.render());
                 });
             }
-            let workers: Vec<_> = (0..threads)
-                .map(|w| {
-                    let fabric = &fabric;
-                    let stats = &stats;
-                    let progress = &progress;
-                    s.spawn(move || {
-                        // One scratch workspace per worker, reused across
-                        // every task this worker claims: steady-state solves
-                        // allocate only their outputs.
-                        let mut ws = SolveWorkspace::new();
-                        // The last reduction prefix this worker built, so
-                        // the rest of a k row reuses it (`PlanMemo`).
-                        let mut memo: PlanMemo = None;
-                        let mut rng = StealRng::new(w);
-                        // Reports stay worker-local until the merge after
-                        // the join — no shared report lock on the hot path.
-                        let mut local: Vec<TaskReport> = Vec::new();
-                        let mut busy = Duration::ZERO;
-                        let mut dispatched = 0u64;
-                        // Per-task clock reads feed only telemetry; skip
-                        // them when nothing consumes the numbers.
-                        let timed = pobp_core::obs::enabled() || progress.is_some();
-                        while !fabric.is_done() {
-                            let (unit, steals) = fabric.next_unit(w, &mut rng);
-                            if steals.attempts > 0 {
-                                stats
-                                    .steal_attempts
-                                    .fetch_add(steals.attempts, Ordering::Relaxed);
-                                stats.steal_hits.fetch_add(steals.hits, Ordering::Relaxed);
-                            }
-                            let Some(unit) = unit else {
-                                fabric.park();
-                                continue;
-                            };
-                            dispatched += 1;
-                            if dispatched > 1 {
-                                obs_count!("engine.ws.reuses");
-                            }
-                            let start = timed.then(Instant::now);
-                            let index = unit.index;
-                            let report = {
-                                let _task =
-                                    trace::task_scope(index as u64, &tasks[index].label);
-                                let report = self.dispatch(
-                                    w,
-                                    unit,
-                                    &tasks[index],
-                                    stats,
-                                    fabric,
-                                    &mut memo,
-                                    &mut ws,
-                                );
-                                if let Some(r) = &report {
-                                    let _ = r; // only the instrument feature reads it
-                                    trace_event!("emit", text: r.result.status());
-                                }
-                                report
-                            };
-                            let elapsed = start.map(|t| t.elapsed()).unwrap_or_default();
-                            busy += elapsed;
-                            if let Some(report) = report {
-                                if let Some(p) = progress {
-                                    p.record(&report.result, elapsed);
-                                }
-                                local.push(report);
-                                fabric.complete_one();
-                            }
-                        }
-                        obs_event!("engine.worker.busy_us", busy.as_micros() as u64);
-                        obs_event!("engine.ws.scratch_bytes", ws.scratch_bytes() as u64);
-                        local
-                    })
-                })
-                .collect();
-            // Join the workers before stopping the progress thread: a
-            // worker panic here (outside the per-task catch_unwind) is an
-            // engine bug.
-            for w in workers {
-                let local =
-                    w.join().expect("engine worker panicked outside the task wrapper");
-                for report in local {
-                    let slot = report.index;
-                    merged[slot] = Some(report);
-                }
+            // The calling thread is worker 0 and only `threads − 1` helpers
+            // are spawned, so a one-thread batch (every daemon job) spawns
+            // no thread at all.
+            let work = &work;
+            let helpers: Vec<_> = (1..threads).map(|w| s.spawn(move || work(w))).collect();
+            let mut locals = vec![work(0)];
+            // Join the helpers before stopping the progress thread: a helper
+            // panic here (outside the per-task catch_unwind) is an engine
+            // bug.
+            for h in helpers {
+                locals.push(h.join().expect("engine worker panicked outside the task wrapper"));
+            }
+            for report in locals.into_iter().flatten() {
+                let slot = report.index;
+                merged[slot] = Some(report);
             }
             pool_done.store(true, Ordering::Release);
         });

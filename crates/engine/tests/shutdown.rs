@@ -8,10 +8,10 @@ use std::time::{Duration, Instant};
 
 use pobp_engine::{Algo, Engine, EngineConfig, GridSpec, ResultCache};
 
-fn slow_batch(cells: usize) -> Vec<pobp_engine::SolveTask> {
+fn slow_batch(n: usize, cells: usize) -> Vec<pobp_engine::SolveTask> {
     // Enough distinct (seed, k) reduction cells that a single worker is
     // busy for a while; no two tasks share a cache key.
-    GridSpec::new(vec![40], (0..4).collect(), (0..cells as u64 / 4).collect(), Algo::Reduction)
+    GridSpec::new(vec![n], (0..4).collect(), (0..cells as u64 / 4).collect(), Algo::Reduction)
         .tasks()
 }
 
@@ -22,9 +22,14 @@ fn cancel_all_stops_a_running_batch_at_the_next_boundary() {
         use_cache: false,
         ..EngineConfig::default()
     }));
+    // Built before the batch starts, so the sleep below runs while the
+    // batch does. At n = 2000 each cell takes milliseconds even in a
+    // release build, so the uncancelled batch would run for seconds and the
+    // cancel always lands mid-batch.
+    let tasks = slow_batch(2000, 400);
     let worker = {
         let engine = engine.clone();
-        std::thread::spawn(move || engine.run_batch(&slow_batch(400)))
+        std::thread::spawn(move || engine.run_batch(&tasks))
     };
     std::thread::sleep(Duration::from_millis(30));
     let begun = Instant::now();
@@ -49,7 +54,7 @@ fn shared_cache_spans_engines() {
     let cache = Arc::new(ResultCache::new());
     let cfg = || EngineConfig { threads: 1, ..EngineConfig::default() };
     let a = Engine::with_shared_cache(cfg(), Arc::clone(&cache));
-    let tasks = slow_batch(8);
+    let tasks = slow_batch(40, 8);
     let first = a.run_batch(&tasks);
     assert_eq!(first.stats.run, 8);
     let b = Engine::with_shared_cache(cfg(), cache);

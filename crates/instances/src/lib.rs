@@ -33,4 +33,4 @@ pub use periodic::{PeriodicTask, TaskSet};
 pub use pobp_forest::LowerBoundTree;
 pub use random::{random_forest, LaxityModel, RandomWorkload, ValueModel};
 pub use textio::{parse_jobs, parse_schedule, write_jobs, write_schedule};
-pub use zoo::{zoo_instance, ZooFamily, ZOO_FAMILIES};
+pub use zoo::{check_zoo_cell, zoo_instance, CellSizeError, ZooFamily, ZOO_FAMILIES};

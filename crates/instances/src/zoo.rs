@@ -77,6 +77,68 @@ impl std::fmt::Display for ZooFamily {
     }
 }
 
+/// A zoo cell that cannot be built: the size field at fault and the rule
+/// it breaks. Displays as `"{field} {reason}"`, e.g. `n must be in 1..=62
+/// for family fig2 (got 64)`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CellSizeError {
+    /// The field at fault: `"n"` or `"k"`.
+    pub field: &'static str,
+    /// The rule the value breaks, with the value given.
+    pub reason: String,
+}
+
+impl std::fmt::Display for CellSizeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} {}", self.field, self.reason)
+    }
+}
+
+/// Checks that the `(family, n, k)` cell can be built within `max_jobs`
+/// jobs, before anything is generated: every front end that takes a cell
+/// from a user (`JobSpec::from_json` in the daemon, `pobp online`,
+/// `pobp gen`) calls this first, so an impossible cell is a named error
+/// instead of a panic.
+///
+/// * [`ZooFamily::Fig2`] lengths go up to `2^(n−1)`, so it needs
+///   `1 ≤ n ≤ 62`.
+/// * [`ZooFamily::Fig4`] never goes below depth 1, which has
+///   `1 + 2·max(k, 1)` jobs whatever `n` is: that smallest instance must
+///   fit `max_jobs`, and its lengths must fit `i64`.
+///
+/// The other families land near `n` jobs and have no rule here.
+pub fn check_zoo_cell(
+    family: ZooFamily,
+    n: usize,
+    k: u32,
+    max_jobs: usize,
+) -> Result<(), CellSizeError> {
+    match family {
+        ZooFamily::Fig2 if !(1..=62).contains(&n) => Err(CellSizeError {
+            field: "n",
+            reason: format!("must be in 1..=62 for family fig2 (got {n})"),
+        }),
+        ZooFamily::Fig4 => {
+            let branching = 2 * u128::from(k.max(1));
+            let jobs = 1 + branching;
+            // Depth 1's root is the longest job: (3K − 1)·3K².
+            let longest = (3 * branching - 1) * 3 * branching * branching;
+            let reason = if jobs > max_jobs as u128 {
+                format!(
+                    "too large for family fig4: its smallest instance has {jobs} jobs, \
+                     over the cap of {max_jobs} (got {k})"
+                )
+            } else if longest > i64::MAX as u128 {
+                format!("too large for family fig4: its job lengths overflow i64 (got {k})")
+            } else {
+                return Ok(());
+            };
+            Err(CellSizeError { field: "k", reason })
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Builds the zoo instance of one `(family, n, k, seed)` cell.
 ///
 /// `n` is a size *target*: the structured families (periodic, fig4) land on
@@ -84,6 +146,10 @@ impl std::fmt::Display for ZooFamily {
 /// [`ZooFamily::Fig4`] (its branching factor is `2·max(k, 1)`); `seed` only
 /// shapes the seeded families (periodic, bursty, random). The result is a
 /// pure function of the four arguments.
+///
+/// # Panics
+/// Panics on a cell [`check_zoo_cell`] refuses at every job cap (fig2 with
+/// `n > 62`, fig4 with lengths past `i64`).
 pub fn zoo_instance(family: ZooFamily, n: usize, k: u32, seed: u64) -> JobSet {
     let n = n.max(1);
     match family {
@@ -190,6 +256,32 @@ mod tests {
                     jobs.len()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn cell_check_names_the_field_and_admits_what_builds() {
+        let err = check_zoo_cell(ZooFamily::Fig2, 63, 1, usize::MAX).unwrap_err();
+        assert_eq!(err.field, "n");
+        assert!(err.to_string().starts_with("n must be in 1..=62"), "{err}");
+        assert_eq!(check_zoo_cell(ZooFamily::Fig2, 0, 1, usize::MAX).unwrap_err().field, "n");
+        for n in [1, 62] {
+            assert_eq!(check_zoo_cell(ZooFamily::Fig2, n, 1, usize::MAX), Ok(()));
+            assert_eq!(zoo_instance(ZooFamily::Fig2, n, 1, 0).len(), n);
+        }
+        // Depth 1 has 1 + 2k jobs whatever n is: k = 2 fits a cap of 5,
+        // not a cap of 4; a k whose branching would wrap u32 never fits.
+        assert_eq!(check_zoo_cell(ZooFamily::Fig4, 3, 2, 5), Ok(()));
+        assert_eq!(zoo_instance(ZooFamily::Fig4, 3, 2, 0).len(), 5);
+        let err = check_zoo_cell(ZooFamily::Fig4, 3, 2, 4).unwrap_err();
+        assert_eq!(err.field, "k");
+        assert!(err.reason.contains("5 jobs"), "{err}");
+        for k in [1 << 31, u32::MAX] {
+            let err = check_zoo_cell(ZooFamily::Fig4, 8, k, usize::MAX).unwrap_err();
+            assert!(err.field == "k" && err.reason.contains("overflow i64"), "{err}");
+        }
+        for f in [ZooFamily::Periodic, ZooFamily::Bursty, ZooFamily::Random] {
+            assert_eq!(check_zoo_cell(f, 1_000_000, u32::MAX, 1), Ok(()));
         }
     }
 

@@ -18,7 +18,7 @@
 //! key; see `docs/serve.md`).
 
 use pobp_engine::{instance_hash, Algo, SolveTask};
-use pobp_instances::{zoo_instance, RandomWorkload, ZooFamily};
+use pobp_instances::{check_zoo_cell, zoo_instance, RandomWorkload, ZooFamily};
 
 use crate::json::Json;
 
@@ -172,6 +172,9 @@ impl JobSpec {
                 ZooFamily::parse(s).ok_or_else(|| format!("unknown family {s:?}"))?,
             ),
         };
+        if let Some(f) = family {
+            check_zoo_cell(f, n, k, MAX_JOB_N).map_err(|e| e.to_string())?;
+        }
         let priority = v.get("priority").and_then(Json::as_i64).unwrap_or(0);
         let deadline_ms = match v.get("deadline_ms") {
             None | Some(Json::Null) => None,
@@ -296,6 +299,24 @@ mod tests {
         assert!(JobSpec::from_json(&bad).unwrap_err().contains("single-machine"));
         let bad = Json::parse(r#"{"deadline_ms":0}"#).unwrap();
         assert!(JobSpec::from_json(&bad).unwrap_err().contains("deadline_ms"));
+    }
+
+    #[test]
+    fn zoo_cells_that_cannot_be_built_are_refused_by_field() {
+        // Each used to panic in `content_key` (fig2's `2^(n-1)` overflow,
+        // fig4's wrapping `2 * k`) or build ten times `MAX_JOB_N` jobs.
+        for (spec, field) in [
+            (r#"{"family":"fig2","n":64}"#, "n must be in 1..=62"),
+            (r#"{"family":"fig4","k":2147483648}"#, "k too large for family fig4"),
+            (r#"{"family":"fig4","k":500000}"#, "k too large for family fig4"),
+        ] {
+            let err = JobSpec::from_json(&Json::parse(spec).unwrap()).unwrap_err();
+            assert!(err.starts_with(field), "{spec}: {err}");
+        }
+        let fits = Json::parse(r#"{"family":"fig4","k":49999,"n":8}"#).unwrap();
+        assert!(JobSpec::from_json(&fits).is_ok());
+        let random = Json::parse(r#"{"n":64,"k":2147483648}"#).unwrap();
+        assert!(JobSpec::from_json(&random).is_ok(), "the random workload has no zoo rule");
     }
 
     #[test]

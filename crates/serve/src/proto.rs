@@ -148,7 +148,7 @@ fn handle_result(service: &Service, req: &Json) -> Json {
         ("ok".into(), Json::Bool(true)),
         ("id".into(), Json::Num(job.id as f64)),
         ("status".into(), Json::Str(job.status.name().into())),
-        ("key".into(), Json::Str(key_hex(job.spec.content_key()))),
+        ("key".into(), Json::Str(key_hex(job.key))),
     ];
     if let Some(result) = &job.result {
         pairs.push(("result".into(), result.clone()));

@@ -112,6 +112,14 @@ pub struct JobRecord {
     pub id: u64,
     /// The validated spec as admitted.
     pub spec: JobSpec,
+    /// The spec's [content key](JobSpec::content_key), computed once when
+    /// the record is made: admission hands over the key it computed before
+    /// taking the state lock, journal replay and snapshot load compute it
+    /// once per record. Every later reader — replies, snapshots, the
+    /// daemon's result-reuse index — reads it here instead of regenerating
+    /// and hashing the instance. Derived from `spec`, so it is never
+    /// persisted.
+    pub key: u64,
     /// Current lifecycle state.
     pub status: JobStatus,
     /// The terminal result object, once finished. `None` while queued or
@@ -127,7 +135,7 @@ impl JobRecord {
             ("id".into(), Json::Num(self.id as f64)),
             ("name".into(), Json::Str(self.spec.name.clone())),
             ("status".into(), Json::Str(self.status.name().into())),
-            ("key".into(), Json::Str(key_hex(self.spec.content_key()))),
+            ("key".into(), Json::Str(key_hex(self.key))),
             ("spec".into(), self.spec.to_json()),
         ];
         if let Some(r) = &self.result {
@@ -143,7 +151,8 @@ impl JobRecord {
         let status_name = v.get("status").and_then(Json::as_str).ok_or("record without a status")?;
         let status = JobStatus::parse(status_name)
             .ok_or_else(|| format!("unknown status {status_name:?}"))?;
-        Ok(JobRecord { id, spec, status, result: v.get("result").cloned() })
+        let key = spec.content_key();
+        Ok(JobRecord { id, spec, key, status, result: v.get("result").cloned() })
     }
 }
 
@@ -193,17 +202,7 @@ impl Registry {
     /// panicking — the journal is an external input after a crash.
     pub fn apply(&mut self, event: &Event) {
         match event {
-            Event::Submit { id, spec } => {
-                // Replays may re-submit an id the snapshot already holds;
-                // keep the richer (further-progressed) record in that case.
-                self.jobs.entry(*id).or_insert_with(|| JobRecord {
-                    id: *id,
-                    spec: spec.clone(),
-                    status: JobStatus::Queued,
-                    result: None,
-                });
-                self.next_id = self.next_id.max(*id + 1);
-            }
+            Event::Submit { id, spec } => self.insert(*id, || (spec.clone(), spec.content_key())),
             Event::Start { id } => {
                 if let Some(job) = self.jobs.get_mut(id) {
                     if !job.status.is_terminal() {
@@ -232,6 +231,25 @@ impl Registry {
                 }
             }
         }
+    }
+
+    /// Registers an admitted job whose content key the caller already
+    /// computed: the record `apply(&Event::Submit { id, spec })` makes,
+    /// without regenerating and hashing the instance a second time.
+    pub fn submit(&mut self, id: u64, spec: JobSpec, key: u64) {
+        self.insert(id, || (spec, key));
+    }
+
+    /// Registers job `id` as queued with the spec and key `made` returns;
+    /// `made` runs only when the id is new.
+    fn insert(&mut self, id: u64, made: impl FnOnce() -> (JobSpec, u64)) {
+        // Replays may re-submit an id the snapshot already holds; keep the
+        // richer (further-progressed) record in that case.
+        self.jobs.entry(id).or_insert_with(|| {
+            let (spec, key) = made();
+            JobRecord { id, spec, key, status: JobStatus::Queued, result: None }
+        });
+        self.next_id = self.next_id.max(id + 1);
     }
 
     /// Ids of jobs that must be re-queued after crash recovery: everything

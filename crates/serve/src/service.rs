@@ -37,7 +37,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -178,6 +178,20 @@ pub struct ServeCounters {
     pub cancelled: u64,
     /// Jobs re-queued by crash recovery.
     pub requeued: u64,
+    /// Connections the front end accepted and served.
+    pub connections_accepted: u64,
+    /// Connections open now: a level, not a running total.
+    pub connections_open: u64,
+    /// Connections answered `overloaded` and closed because
+    /// [`MAX_CONNECTIONS`](crate::server::MAX_CONNECTIONS) were open.
+    pub connections_overloaded: u64,
+    /// Connections closed after sitting idle for
+    /// [`IDLE_LIMIT`](crate::server::IDLE_LIMIT).
+    pub connections_idle_closed: u64,
+    /// Request lines answered `line_too_long` (their connections closed)
+    /// for running past
+    /// [`MAX_REQUEST_LINE`](crate::server::MAX_REQUEST_LINE).
+    pub lines_too_long: u64,
 }
 
 /// One reading of the daemon's state, taken under the state lock: the one
@@ -312,7 +326,7 @@ impl Service {
                 && job.result.is_some()
                 && job.spec.alg != Algo::PanicForTest
             {
-                key_index.entry(job.spec.content_key()).or_insert(job.id);
+                key_index.entry(job.key).or_insert(job.id);
             }
         }
         for &id in &pending {
@@ -401,9 +415,8 @@ impl Service {
             })
         {
             let id = state.registry.allocate_id();
-            let submit = Event::Submit { id, spec };
-            self.inner.append(&mut state.journal, &submit)?;
-            state.registry.apply(&submit);
+            self.inner.append(&mut state.journal, &Event::Submit { id, spec: spec.clone() })?;
+            state.registry.submit(id, spec, key);
             let finish = Event::Finish { id, result };
             self.inner.append(&mut state.journal, &finish)?;
             state.registry.apply(&finish);
@@ -423,9 +436,8 @@ impl Service {
         }
         let id = state.registry.allocate_id();
         let priority = spec.priority;
-        let submit = Event::Submit { id, spec };
-        self.inner.append(&mut state.journal, &submit)?;
-        state.registry.apply(&submit);
+        self.inner.append(&mut state.journal, &Event::Submit { id, spec: spec.clone() })?;
+        state.registry.submit(id, spec, key);
         state.queue.push(QueueEntry { priority, id });
         state.queued += 1;
         state.counters.accepted += 1;
@@ -487,6 +499,35 @@ impl Service {
         self.inner.state.lock().unwrap().counters
     }
 
+    /// Takes one of `cap` connection places for a connection the front end
+    /// accepted, or counts it `overloaded` and returns `false` when all are
+    /// taken. A taken place is given back by [`Service::close_connection`].
+    pub(crate) fn open_connection(&self, cap: u64) -> bool {
+        let mut state = self.inner.state.lock().unwrap();
+        let c = &mut state.counters;
+        if c.connections_open >= cap {
+            c.connections_overloaded += 1;
+            return false;
+        }
+        c.connections_accepted += 1;
+        c.connections_open += 1;
+        true
+    }
+
+    /// Gives back the place of a connection that closed.
+    pub(crate) fn close_connection(&self) {
+        // Runs in a drop, also while a panicking connection thread unwinds:
+        // a poisoned lock must not turn that into an abort, and one counter
+        // decrement leaves the state as valid as it found it.
+        let mut state = self.inner.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.counters.connections_open -= 1;
+    }
+
+    /// Applies `f` to the always-on counters, under the state lock.
+    pub(crate) fn count(&self, f: impl FnOnce(&mut ServeCounters)) {
+        f(&mut self.inner.state.lock().unwrap().counters);
+    }
+
     /// One [`Reading`] of the daemon's state, under the state lock.
     pub(crate) fn reading(&self) -> Reading {
         let state = self.inner.state.lock().unwrap();
@@ -504,8 +545,9 @@ impl Service {
         }
     }
 
-    /// The `stats` op payload: counters, queue/running depth, journal
-    /// position, size and health, and what recovery found at startup.
+    /// The `stats` op payload: counters, queue/running depth, connections
+    /// and the caps' refusals, journal position, size and health, and what
+    /// recovery found at startup.
     pub fn stats_json(&self) -> Json {
         let r = self.reading();
         let c = r.counters;
@@ -522,6 +564,11 @@ impl Service {
             ("degraded", num(c.degraded)),
             ("failed", num(c.failed)),
             ("cancelled", num(c.cancelled)),
+            ("connections_accepted", num(c.connections_accepted)),
+            ("connections_open", num(c.connections_open)),
+            ("connections_overloaded", num(c.connections_overloaded)),
+            ("connections_idle_closed", num(c.connections_idle_closed)),
+            ("lines_too_long", num(c.lines_too_long)),
             ("journal_seq", num(r.journal_seq)),
             ("compactions", num(r.compactions)),
             ("journal_bytes", num(r.journal_bytes)),
@@ -641,7 +688,10 @@ fn worker_loop(inner: &Inner) {
             state.queue.push(QueueEntry { priority, id });
             return;
         }
-        let spec = state.registry.get(id).expect("claimed job exists").spec.clone();
+        let (spec, key) = {
+            let job = state.registry.get(id).expect("claimed job exists");
+            (job.spec.clone(), job.key)
+        };
         let start = Event::Start { id };
         if let Err(e) = inner.append(&mut state.journal, &start) {
             eprintln!("serve: journal append failed on start({id}): {e}");
@@ -649,8 +699,8 @@ fn worker_loop(inner: &Inner) {
         state.registry.apply(&start);
         state.queued = state.queued.saturating_sub(1);
         let engine = Arc::new(Engine::new(EngineConfig {
-            // A job is a one-task batch: `workers` is the daemon's
-            // parallelism.
+            // A job is a one-task batch, solved on this worker's thread:
+            // `workers` is the daemon's parallelism.
             threads: 1,
             deadline: spec.deadline_ms.map(Duration::from_millis),
             degrade: inner.cfg.degrade,
@@ -673,7 +723,6 @@ fn worker_loop(inner: &Inner) {
         #[cfg(feature = "instrument")]
         inner.telemetry.job_ran(spec.alg, &task_report.result, job_started.elapsed());
         let result = task_result_json(&task_report);
-        let key = spec.content_key();
         let mut state = inner.state.lock().unwrap();
         state.running.remove(&id);
         let finish = Event::Finish { id, result };

@@ -12,11 +12,14 @@
 //!    daemon down, replaying its journal + snapshot from disk reproduces
 //!    exactly the registry the live daemon last served.
 //!
-//! With `expect_restart` the harness tolerates transport errors (the CI
-//! durability drill `kill -9`s the daemon mid-soak and restarts it); an
-//! unacknowledged submission is simply not tracked, which is precisely the
-//! durability contract — acknowledgement is the moment a job becomes
-//! guaranteed.
+//! The soak talks through one [`Client`], so one kept connection. With
+//! `expect_restart` the harness tolerates transport errors: the drill in
+//! `tests/serve_e2e.rs` (`soak_survives_a_kill9_and_restart_mid_conversation`)
+//! `kill -9`s the daemon mid-soak and restarts it on the same port, and
+//! the client replaces the dead connection on its next request (the
+//! reconnect rules are in [`crate::client`]). An unacknowledged submission
+//! is simply not tracked, which is precisely the durability contract —
+//! acknowledgement is the moment a job becomes guaranteed.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

@@ -234,6 +234,27 @@ impl Telemetry {
         for (alg, n) in self.per_alg_done.lock().expect("no holder of this lock panics").iter() {
             p.sample("pobp_serve_jobs_done_by_alg_total", &[("alg", alg)], *n as f64);
         }
+        p.header(
+            "pobp_serve_connections_accepted_total",
+            "counter",
+            "Connections the front end accepted and served.",
+        )
+        .sample("pobp_serve_connections_accepted_total", &[], c.connections_accepted as f64);
+        p.header("pobp_serve_connections_open", "gauge", "Connections open now.")
+            .sample("pobp_serve_connections_open", &[], c.connections_open as f64);
+        p.header(
+            "pobp_serve_connections_capped_total",
+            "counter",
+            "Connections the daemon closed at one of its caps, by cap.",
+        );
+        let capped = [
+            ("line_too_long", c.lines_too_long),
+            ("idle", c.connections_idle_closed),
+            ("overloaded", c.connections_overloaded),
+        ];
+        for (cap, n) in capped {
+            p.sample("pobp_serve_connections_capped_total", &[("cap", cap)], n as f64);
+        }
         p.header("pobp_serve_queue_depth", "gauge", "Jobs currently queued.")
             .sample("pobp_serve_queue_depth", &[], r.queued as f64);
         p.header("pobp_serve_queue_cap", "gauge", "Admission bound on queued jobs.")

@@ -16,7 +16,7 @@ use pobp_engine::Algo;
 use pobp_serve::job::MAX_JOB_N;
 use pobp_serve::json::Json;
 use pobp_serve::service::{CancelOutcome, Service, ServiceConfig, SubmitOutcome};
-use pobp_serve::{replay_dir, JobSpec, JobStatus};
+use pobp_serve::{replay_dir, JobRecord, JobSpec, JobStatus};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pobp-serve-adm-{tag}-{}", std::process::id()));
@@ -240,6 +240,46 @@ fn equal_keyed_submissions_share_one_result() {
     }
     assert_eq!(service.counters().cache_hits, 1);
     service.stop(true);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Every record carries its spec's content key, whichever way it was made:
+/// admission (handing over the key it computed before the lock), a
+/// cache-served admission, journal replay, and snapshot load. Replies
+/// print that key.
+#[test]
+fn records_carry_their_content_key_from_admission_replay_and_snapshot() {
+    let dir = tmpdir("keys");
+    let mut online = JobSpec::cell(Algo::OnlineDjn, 12, 2, 3);
+    online.family = Some(pobp_instances::ZooFamily::Fig4);
+    let specs = [spec(0, 0), spec(1, 2), online, spec(0, 5)];
+    let check = |jobs: Vec<JobRecord>, how: &str| {
+        assert_eq!(jobs.len(), specs.len(), "{how}");
+        for job in &jobs {
+            assert_eq!(job.key, job.spec.content_key(), "{how}: job {}", job.id);
+            let hex = format!("{:016x}", job.key);
+            assert_eq!(job.to_json().get("key").and_then(Json::as_str), Some(&*hex), "{how}");
+        }
+    };
+    let service = Service::start(cfg(&dir, 1, 8)).unwrap();
+    let first = accepted_id(service.submit(specs[0].clone()).unwrap());
+    assert!(service.quiesce(Duration::from_secs(60)));
+    for spec in &specs[1..] {
+        service.submit(spec.clone()).unwrap();
+    }
+    assert!(service.quiesce(Duration::from_secs(60)));
+    assert_eq!(service.counters().cache_hits, 1, "the last spec repeats the first");
+    assert_eq!(service.job(4).unwrap().key, service.job(first).unwrap().key);
+    check(service.list(None, 100), "admission");
+    // Nothing has compacted yet: the records come from the journal.
+    let (replayed, _, report) = replay_dir(&dir).unwrap();
+    assert_eq!(report.snapshot_seq, 0);
+    check(replayed.iter().cloned().collect(), "journal replay");
+    service.stop(true);
+    // The final compaction wrote a snapshot and truncated the journal.
+    let (loaded, _, report) = replay_dir(&dir).unwrap();
+    assert_eq!(report.replayed, 0, "everything comes from the snapshot");
+    check(loaded.iter().cloned().collect(), "snapshot load");
     fs::remove_dir_all(&dir).ok();
 }
 

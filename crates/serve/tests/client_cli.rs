@@ -126,6 +126,46 @@ fn repeated_flags_and_stray_arguments_are_usage_errors_and_submit_nothing() {
     assert_eq!(stats.get("accepted").and_then(Json::as_u64), Some(0), "{stats}");
 }
 
+/// `pobp-client` reads neither `--obs` nor `--obs-out`, so it refuses both
+/// as unknown flags before connecting, and writes no report.
+#[test]
+fn obs_flags_are_unknown_flags_of_the_client() {
+    let report = std::env::temp_dir().join(format!("pobp-client-obs-{}.json", std::process::id()));
+    let path = report.to_str().unwrap();
+    for (args, named) in [
+        (&["ping", "--obs"][..], "unknown flag --obs"),
+        (&["ping", "--obs-out", path][..], "unknown flag --obs-out"),
+        (&["stats", "--obs-out", path, "--obs"][..], "unknown flag --obs-out"),
+    ] {
+        let out = Command::new(BIN).args(args).args(["--addr", "127.0.0.1:9"]).output().unwrap();
+        assert_eq!(code(&out), 1, "{args:?}");
+        assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(named), "{args:?}: {err}");
+    }
+    assert!(!report.exists(), "no report may be written");
+}
+
+/// A zoo cell the daemon cannot build is refused by name: exit 1, the
+/// daemon's `bad spec` on stdout, nothing admitted.
+#[test]
+fn unbuildable_zoo_cells_exit_1_with_the_field_named() {
+    let daemon = TestDaemon::start("zoocell", 1, 16);
+    for (args, named) in [
+        (&["submit", "--family", "fig2", "--n", "64"][..], "n must be in 1..=62"),
+        (&["submit", "--family", "fig4", "--k", "2147483648"][..], "k too large for family fig4"),
+    ] {
+        let out = daemon.run(args);
+        assert_eq!(code(&out), 1, "{args:?}");
+        let reply = stdout_json(&out);
+        let error = reply.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(error.starts_with("bad spec: ") && error.contains(named), "{args:?}: {reply}");
+    }
+    let out = daemon.run(&["stats"]);
+    let stats = stdout_json(&out).get("stats").cloned().expect("stats object");
+    assert_eq!(stats.get("accepted").and_then(Json::as_u64), Some(0), "{stats}");
+}
+
 #[test]
 fn transport_failure_exits_1() {
     // Nothing listens here: bind a port, then close it immediately.
@@ -236,8 +276,11 @@ fn default_client_carries_no_instrumentation_and_refuses_top() {
 /// The Prometheus families a scrape serves: cumulative counters and levels
 /// only, no rate or ratio gauges.
 #[cfg(feature = "instrument")]
-const FAMILIES: [&str; 15] = [
+const FAMILIES: [&str; 18] = [
     "pobp_serve_cache_hits_total",
+    "pobp_serve_connections_accepted_total",
+    "pobp_serve_connections_capped_total",
+    "pobp_serve_connections_open",
     "pobp_serve_job_latency_count",
     "pobp_serve_job_latency_ms",
     "pobp_serve_jobs",
@@ -297,6 +340,13 @@ fn scrape_and_top_read_the_daemon_after_scripted_jobs() {
     assert_eq!(samples["pobp_serve_jobs_accepted_total"], 5.0);
     assert_eq!(samples[r#"pobp_serve_jobs_done_by_alg_total{alg="reduction"}"#], 4.0);
     assert_eq!(samples[r#"pobp_serve_jobs_done_by_alg_total{alg="lsa"}"#], 1.0);
+    // One connection per `pobp-client` run: five submits, the `--wait`
+    // polls riding on each one's connection.
+    assert_eq!(samples["pobp_serve_connections_accepted_total"], 5.0);
+    for cap in ["line_too_long", "idle", "overloaded"] {
+        let series = format!("pobp_serve_connections_capped_total{{cap=\"{cap}\"}}");
+        assert_eq!(samples.get(&series), Some(&0.0), "{series}:\n{body}");
+    }
     for q in ["0.5", "0.9", "0.99"] {
         let series = format!("pobp_serve_job_latency_ms{{quantile=\"{q}\"}}");
         assert!(samples.get(&series).is_some_and(|v| *v >= 0.0), "{series} missing:\n{body}");

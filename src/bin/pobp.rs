@@ -16,6 +16,8 @@
 use pobp::cli::{
     flag_value, has_flag, instrument_flags, only_flags, parse_num_list_strict, parse_num_strict,
 };
+use pobp::instances::{check_zoo_cell, CellSizeError};
+use pobp::serve::job::MAX_JOB_N;
 use pobp::prelude::*;
 use pobp::core::json::Json;
 use pobp::sweep::rows::format_row;
@@ -64,6 +66,17 @@ fn emit_obs_report(args: &[String]) -> Result<(), String> {
         eprintln!("{}", pobp::obs::report_json());
     }
     Ok(())
+}
+
+/// [`only_flags`] with the global `--obs` switch and `--obs-out` value
+/// flag, which every command honours ([`emit_obs_report`]).
+fn known_flags(args: &[String], values: &[&str], switches: &[&str]) -> Result<(), String> {
+    only_flags(args, &[values, &["--obs-out"]].concat(), &[switches, &["--obs"]].concat())
+}
+
+/// A zoo cell a command cannot build, as an error naming the flag at fault.
+fn flag_error(e: CellSizeError) -> String {
+    format!("invalid value for --{}: {}", e.field, e.reason)
 }
 
 /// `--trace FILE` (Chrome trace-event JSON) and `--trace-logical FILE` of
@@ -212,11 +225,12 @@ fn usage() -> String {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    only_flags(args, &["--kind", "--n", "--k", "--depth", "--seed"], &[])?;
+    known_flags(args, &["--kind", "--n", "--k", "--depth", "--seed"], &[])?;
     let kind = flag_value(args, "--kind")?.ok_or("gen needs --kind")?;
     let jobs = match kind.as_str() {
         "fig2" => {
             let n: u32 = parse_num_strict(args, "--n", 8u32)?;
+            check_zoo_cell(ZooFamily::Fig2, n as usize, 0, usize::MAX).map_err(flag_error)?;
             Fig2Instance::new(n).build()
         }
         "fig4" => {
@@ -260,7 +274,7 @@ fn read_stdin_jobs() -> Result<JobSet, String> {
 }
 
 fn cmd_solve(args: &[String]) -> Result<(), String> {
-    only_flags(
+    known_flags(
         args,
         &["--k", "--alg", "--svg", "--out", "--trace", "--trace-logical"],
         &["--gantt"],
@@ -329,7 +343,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_price(args: &[String]) -> Result<(), String> {
-    only_flags(args, &["--k"], &[])?;
+    known_flags(args, &["--k"], &[])?;
     let k: u32 = parse_num_strict(args, "--k", 1u32)?;
     let jobs = read_stdin_jobs()?;
     if jobs.len() > 20 {
@@ -360,7 +374,7 @@ fn cmd_price(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sim(args: &[String]) -> Result<(), String> {
-    only_flags(args, &["--policy", "--k", "--delta"], &["--trace"])?;
+    known_flags(args, &["--policy", "--k", "--delta"], &["--trace"])?;
     let delta: i64 = parse_num_strict(args, "--delta", 0i64)?;
     let k: u32 = parse_num_strict(args, "--k", 1u32)?;
     let policy = match flag_value(args, "--policy")?.as_deref().unwrap_or("edf") {
@@ -405,7 +419,7 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_choose_k(args: &[String]) -> Result<(), String> {
-    only_flags(args, &["--delta", "--kmax"], &[])?;
+    known_flags(args, &["--delta", "--kmax"], &[])?;
     let delta: i64 = parse_num_strict(args, "--delta", 2i64)?;
     let k_max: u32 = parse_num_strict(args, "--kmax", 4u32)?;
     let jobs = read_stdin_jobs()?;
@@ -444,7 +458,7 @@ fn cmd_choose_k(args: &[String]) -> Result<(), String> {
 /// sweep resumes to the same merged bytes. The batch summary goes to
 /// stderr.
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    only_flags(
+    known_flags(
         args,
         &[
             "--n", "--k", "--seeds", "--alg", "--threads", "--deadline-ms", "--machines",
@@ -588,7 +602,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 /// durations, no cache flags — so `--threads 1` and `--threads 4` emit
 /// byte-identical bytes.
 fn cmd_online(args: &[String]) -> Result<(), String> {
-    only_flags(
+    known_flags(
         args,
         &[
             "--alg", "--families", "--n", "--k", "--seeds", "--threads", "--retries",
@@ -627,6 +641,14 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
     };
     if families.is_empty() || ns.is_empty() || ks.is_empty() || seed_count == 0 {
         return Err("empty grid: every one of --families/--n/--k/--seeds needs a value".into());
+    }
+    // Every cell must build within the daemon's job cap, before any work.
+    for &family in &families {
+        for &n in &ns {
+            for &k in &ks {
+                check_zoo_cell(family, n, k, MAX_JOB_N).map_err(flag_error)?;
+            }
+        }
     }
     #[cfg_attr(not(feature = "chaos"), allow(unused_variables))]
     let chaos = chaos_plan(args)?;
@@ -745,7 +767,7 @@ fn chaos_plan(args: &[String]) -> Result<Option<std::convert::Infallible>, Strin
 /// the `shutdown` op. `--addr` with port `0` lets the OS pick (scripts
 /// scrape the printed address).
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    only_flags(
+    known_flags(
         args,
         &[
             "--addr", "--dir", "--workers", "--queue-cap", "--compact-every", "--metrics-addr",
@@ -783,7 +805,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_replay(args: &[String]) -> Result<(), String> {
-    only_flags(args, &["--plan", "--delta"], &[])?;
+    known_flags(args, &["--plan", "--delta"], &[])?;
     let delta: i64 = parse_num_strict(args, "--delta", 0i64)?;
     let plan_path = flag_value(args, "--plan")?.ok_or("replay needs --plan FILE")?;
     let jobs = read_stdin_jobs()?;

@@ -204,6 +204,29 @@ fn gen_rejects_unknown_kind() {
     assert!(err.contains("unknown --kind"));
 }
 
+/// A Figure 2 or Figure 4 cell that cannot be built is a usage error (exit
+/// 1) naming the flag, not a panic (exit 101), before any output.
+#[test]
+fn gen_and_online_refuse_zoo_cells_they_cannot_build() {
+    for (args, named) in [
+        (&["gen", "--kind", "fig2", "--n", "64"][..], "--n"),
+        (&["gen", "--kind", "fig2", "--n", "0"][..], "--n"),
+        (&["online", "--families", "fig2", "--n", "64"][..], "--n"),
+        (&["online", "--families", "periodic,fig4", "--n", "8", "--k", "500000"][..], "--k"),
+        (&["online", "--families", "fig4", "--k", "2147483648"][..], "--k"),
+    ] {
+        let out = pobp().args(args).output().expect("run pobp");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(&format!("invalid value for {named}")), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote output before refusing");
+    }
+    // The edges that build still do.
+    let (out, err, ok) = run(&["gen", "--kind", "fig2", "--n", "62"]);
+    assert!(ok, "{err}");
+    assert_eq!(out.lines().filter(|l| !l.starts_with('#')).count(), 62);
+}
+
 #[test]
 fn solve_pipeline_works() {
     let (instance, _, ok) = run(&["gen", "--kind", "fig2", "--n", "6"]);

@@ -2,16 +2,18 @@
 //! subprocess, submit jobs over TCP, `SIGKILL` the daemon mid-flight, restart
 //! it over the same registry directory, and assert every job's state and
 //! cached result survive byte-identically. This is the `kill -9` contract of
-//! docs/serve.md exercised exactly as an operator would hit it.
+//! docs/serve.md exercised exactly as an operator would hit it. The soak
+//! harness (`pobp-client soak`) runs here too: once through a `kill -9` and
+//! restart mid-conversation, once plain at four workers.
 
 use std::fs;
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use pobp::serve::json::Json;
-use pobp::serve::Client;
+use pobp::serve::{run_soak, Client, SoakConfig};
 
 const POBP: &str = env!("CARGO_BIN_EXE_pobp");
 
@@ -24,8 +26,13 @@ struct Daemon {
 
 impl Daemon {
     fn spawn(dir: &PathBuf, extra: &[&str]) -> Self {
+        Self::spawn_at("127.0.0.1:0", dir, extra)
+    }
+
+    /// A daemon bound to `addr`: a restart on the port a killed daemon used.
+    fn spawn_at(addr: &str, dir: &PathBuf, extra: &[&str]) -> Self {
         let mut child = Command::new(POBP)
-            .args(["serve", "--addr", "127.0.0.1:0", "--dir"])
+            .args(["serve", "--addr", addr, "--dir"])
             .arg(dir)
             .args(extra)
             .stdout(Stdio::piped())
@@ -53,10 +60,27 @@ impl Daemon {
         self.child.wait().expect("reap daemon");
     }
 
-    fn shutdown(mut self) {
+    fn shutdown(self) {
         let _ = self.client().shutdown(true);
+        self.exits_cleanly();
+    }
+
+    /// Waits for a daemon something else shut down.
+    fn exits_cleanly(mut self) {
         let status = self.child.wait().expect("reap daemon");
         assert!(status.success(), "daemon exit status: {status:?}");
+    }
+}
+
+/// A soak with replay identity over `dir`: it shuts the daemon down at the
+/// end and replays the directory.
+fn soak(addr: &str, dir: &Path, seconds: u64, expect_restart: bool) -> SoakConfig {
+    SoakConfig {
+        addr: addr.to_string(),
+        seconds,
+        seed: 7,
+        journal_dir: Some(dir.to_path_buf()),
+        expect_restart,
     }
 }
 
@@ -138,6 +162,43 @@ fn kill9_restart_recovers_results_byte_identically() {
     daemon.shutdown();
     let (registry, _, _) = pobp::serve::replay_dir(&dir).expect("replay after shutdown");
     assert_eq!(registry.len(), ids.len() + 1);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// The drill `--expect-restart` exists for: the daemon is `kill -9`ed
+/// mid-soak and restarted on the same port over the same directory. The
+/// soak rides through on transport errors and still finds no lost
+/// acknowledged job, no uncertified result, and a journal that replays to
+/// what the restarted daemon served.
+#[test]
+fn soak_survives_a_kill9_and_restart_mid_conversation() {
+    let dir = std::env::temp_dir().join(format!("pobp-serve-e2e-soak-kill-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let daemon = Daemon::spawn(&dir, &["--workers", "2"]);
+    let addr = daemon.addr.clone();
+    let cfg = soak(&addr, &dir, 4, true);
+    let soaking = std::thread::spawn(move || run_soak(&cfg));
+    std::thread::sleep(Duration::from_millis(1500));
+    daemon.kill9();
+    let restarted = Daemon::spawn_at(&addr, &dir, &["--workers", "2"]);
+    let report = soaking.join().expect("soak thread").unwrap_or_else(|e| panic!("soak: {e}"));
+    restarted.exits_cleanly();
+    assert!(report.transport_errors >= 1, "the kill went unnoticed: {}", report.to_json());
+    assert!(report.submitted > 0 && report.done > 0, "{}", report.to_json());
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A short soak at four workers holds the registry invariants, replay
+/// identity included, without a single transport error.
+#[test]
+fn short_soak_at_four_workers_holds_the_registry_invariants() {
+    let dir = std::env::temp_dir().join(format!("pobp-serve-e2e-soak-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let daemon = Daemon::spawn(&dir, &["--workers", "4"]);
+    let report = run_soak(&soak(&daemon.addr, &dir, 5, false)).unwrap_or_else(|e| panic!("{e}"));
+    daemon.exits_cleanly();
+    assert_eq!(report.transport_errors, 0, "{}", report.to_json());
+    assert!(report.submitted > 0 && report.done > 0, "{}", report.to_json());
     fs::remove_dir_all(&dir).ok();
 }
 
