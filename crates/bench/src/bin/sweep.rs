@@ -10,9 +10,14 @@
 //! cargo run --release -p pobp-bench --bin sweep -- choose-k    > choose_k.csv
 //! cargo run --release -p pobp-bench --bin sweep -- all --markdown
 //! ```
+//!
+//! Several selectors run their series in the table order below, each under
+//! a `# name` line, as `all` (or no selector) does. An unknown selector or
+//! flag is an error before any series runs.
 
 use pobp_bench::report::{num, Table};
 use pobp_bench::{geo_mean, lax_workload, small_workload};
+use pobp_core::cli::{has_flag, positionals};
 use pobp_core::{Job, JobId, JobSet};
 use pobp_forest::{tm, LowerBoundTree};
 use pobp_instances::{Fig2Instance, Fig4Instance};
@@ -24,12 +29,11 @@ type Sweep = (&'static str, fn() -> Table);
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let markdown = args.iter().any(|a| a == "--markdown");
-    let which = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".into());
+    let selectors = positionals(&args, &[], &["--markdown"]).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
+    let markdown = has_flag(&args, "--markdown");
     let sweeps: &[Sweep] = &[
         ("kbas-loss", sweep_kbas_loss),
         ("fig4-price", sweep_fig4_price),
@@ -38,27 +42,25 @@ fn main() {
         ("switch-cost", sweep_switch_cost),
         ("choose-k", sweep_choose_k),
     ];
-    let mut matched = false;
-    for (name, f) in sweeps {
-        if which == *name || which == "all" {
-            matched = true;
-            if which == "all" {
-                println!("# {name}");
-            }
-            let t = f();
-            if markdown {
-                print!("{}", t.to_markdown());
-            } else {
-                print!("{}", t.to_csv());
-            }
-        }
-    }
-    if !matched {
-        eprintln!(
-            "unknown sweep `{which}`; available: {} or `all`",
-            sweeps.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(", ")
-        );
+    let known = |s: &str| s == "all" || sweeps.iter().any(|(name, _)| *name == s);
+    if let Some(unknown) = selectors.iter().find(|s| !known(s)) {
+        let names: Vec<&str> = sweeps.iter().map(|(name, _)| *name).collect();
+        eprintln!("error: unknown sweep {unknown:?} (expected {} or all)", names.join(", "));
         std::process::exit(1);
+    }
+    let all = selectors.is_empty() || selectors.contains(&"all");
+    let chosen: Vec<&Sweep> =
+        sweeps.iter().filter(|(name, _)| all || selectors.contains(name)).collect();
+    for (name, f) in &chosen {
+        if chosen.len() > 1 {
+            println!("# {name}");
+        }
+        let t = f();
+        if markdown {
+            print!("{}", t.to_markdown());
+        } else {
+            print!("{}", t.to_csv());
+        }
     }
 }
 

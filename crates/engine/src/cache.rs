@@ -29,7 +29,7 @@
 //! keeps the plan of the last reference it reduced (`PlanMemo` in
 //! `solve.rs`): at most one plan per worker, dropped when the batch ends.
 //!
-//! With the `chaos` feature the `corrupt-ref` site perturbs a reference
+//! Under an armed fault plan the `corrupt-ref` site perturbs a reference
 //! just before the task wrapper puts it here, decided by the entry key:
 //! every consumer of a poisoned entry (including the worker that computed
 //! it, which adopts the canonical entry returned by

@@ -65,19 +65,13 @@ pub struct TaskCtx {
     /// Chaos handle for this task (`None` when no fault plan is armed). The
     /// task wrapper consults it at the stage boundary for the forced
     /// `deadline` site; see `crate::chaos`.
-    #[cfg(feature = "chaos")]
     pub chaos: Option<crate::chaos::TaskChaos>,
 }
 
 impl TaskCtx {
     /// A context with no deadline and a fresh batch token (used by tests).
     pub fn unbounded() -> Self {
-        TaskCtx {
-            batch: CancelToken::new(),
-            deadline: None,
-            #[cfg(feature = "chaos")]
-            chaos: None,
-        }
+        TaskCtx { batch: CancelToken::new(), deadline: None, chaos: None }
     }
 
     /// Stage-boundary check: `Some(reason)` when the task must stop now.

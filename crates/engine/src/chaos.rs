@@ -1,4 +1,4 @@
-//! Deterministic fault injection (`chaos` cargo feature).
+//! Deterministic fault injection.
 //!
 //! A [`FaultPlan`] is a seed plus a per-site firing rate. Every injection
 //! decision is a pure hash of `(seed, site, task content key)` — no RNG
@@ -42,30 +42,17 @@
 //! bytes. The certification layer ([`crate::cert`]) must then catch the
 //! mismatch as `CertFailed` before it reaches any output row.
 //!
-//! This module only exists under `--features chaos`; every call site in the
-//! engine is wrapped in `#[cfg(feature = "chaos")]`, so a default build
-//! carries zero trace of the injection code (a default-build test in
-//! `tests/cli.rs` checks the `pobp` binary for the marker strings).
+//! The module is compiled into every build and armed only at run time:
+//! through [`EngineConfig::chaos`](crate::EngineConfig::chaos), which the
+//! `pobp` binary fills from its own `--chaos`/`--chaos-seed` flags, or
+//! [`IoGuard::armed`](crate::IoGuard::armed). No protocol op arms a plan.
+//! Unarmed, each site costs one `Option` test and changes no output byte
+//! (`tests/cli.rs::unfired_chaos_plan_is_inert` checks the sweep output).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::cache::RefSolution;
-
-/// The `pobp` usage addendum for chaos builds. Lives in this module
-/// so every chaos-related CLI string is compiled out with the feature.
-pub const CLI_USAGE: &str = "
-chaos builds only: sweep, online and serve also accept
-  --chaos SPEC      comma-separated site:rate entries, e.g.
-                    panic:0.25,deadline:1,corrupt-ref:0.5 with sites
-                    panic|flaky|delay|cancel|deadline|corrupt-ref
-                    |io-short-write|io-fsync|io-rename|io-torn-tail|io-disk-full
-                    (the pseudo-site delay-ms:N sets the delay duration)
-  --chaos-seed S    seed of the fault plan (default 0); the same seed over
-                    the same grid injects the same faults on any --threads
-The io-* sites fire inside the sweep shard writer and the serve journal
-(docs/sweeps.md); the rest fire inside the engine (docs/robustness.md).
-";
+use crate::cache::{splitmix64, RefSolution};
 
 /// A named fault-injection site. See the module table for semantics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,9 +170,11 @@ impl FaultPlan {
 
     /// Parses a `--chaos` spec: comma-separated `site:rate` entries, e.g.
     /// `"panic:0.25,deadline:1,corrupt-ref:0.5"`. The pseudo-site
-    /// `delay-ms:N` sets the delay duration instead of a rate.
+    /// `delay-ms:N` sets the delay duration instead of a rate. Each name
+    /// may appear once: a second entry would silently override the first.
     pub fn parse(spec: &str, seed: u64) -> Result<Self, String> {
         let mut plan = FaultPlan::new(seed);
+        let mut seen = Vec::new();
         for entry in spec.split(',') {
             let entry = entry.trim();
             if entry.is_empty() {
@@ -194,6 +183,10 @@ impl FaultPlan {
             let (name, rate) = entry
                 .split_once(':')
                 .ok_or_else(|| format!("chaos entry `{entry}` is not site:rate"))?;
+            if seen.contains(&name) {
+                return Err(format!("chaos site `{name}` given twice"));
+            }
+            seen.push(name);
             if name == "delay-ms" {
                 let ms: u64 = rate
                     .parse()
@@ -277,10 +270,6 @@ impl FaultPlan {
     }
 }
 
-// The hash primitives live in `cache.rs` (always compiled — the sweep
-// planner keys chunks with them); re-export so chaos callers keep working.
-pub use crate::cache::{splitmix64, task_key};
-
 /// A task's chaos handle: the armed plan plus this task's content key.
 /// Carried on [`TaskCtx`](crate::cancel::TaskCtx) so the task wrapper in
 /// `solve.rs` can consult the `deadline` and `corrupt-ref` sites.
@@ -288,7 +277,7 @@ pub use crate::cache::{splitmix64, task_key};
 pub struct TaskChaos {
     /// The armed plan.
     pub plan: Arc<FaultPlan>,
-    /// This task's content key ([`task_key`]).
+    /// This task's content key ([`task_key`](crate::cache::task_key)).
     pub key: u64,
 }
 
@@ -342,6 +331,9 @@ mod tests {
         assert!(FaultPlan::parse("nope:0.5", 0).unwrap_err().contains("unknown chaos site"));
         assert!(FaultPlan::parse("panic:2", 0).unwrap_err().contains("[0, 1]"));
         assert!(FaultPlan::parse("panic", 0).unwrap_err().contains("site:rate"));
+        for spec in ["panic:1,panic:0", "delay-ms:1, delay-ms:2"] {
+            assert!(FaultPlan::parse(spec, 0).unwrap_err().contains("given twice"), "{spec}");
+        }
     }
 
     #[test]

@@ -53,20 +53,13 @@ pub(crate) struct Unit {
     pub deadline_at: Option<Instant>,
     /// The task's chaos handle (plan + content key), computed once at first
     /// dispatch so requeues do not re-hash the task.
-    #[cfg(feature = "chaos")]
     pub chaos: Option<crate::chaos::TaskChaos>,
 }
 
 impl Unit {
     /// A never-dispatched unit for input index `index`.
     fn fresh(index: usize) -> Self {
-        Unit {
-            index,
-            attempts: 0,
-            deadline_at: None,
-            #[cfg(feature = "chaos")]
-            chaos: None,
-        }
+        Unit { index, attempts: 0, deadline_at: None, chaos: None }
     }
 }
 

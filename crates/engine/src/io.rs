@@ -2,13 +2,12 @@
 //!
 //! Every durable write in the system — the sweep shard files and checkpoint
 //! manifest (`pobp-sweep`), the serve journal and snapshot (`pobp-serve`) —
-//! goes through an [`IoGuard`] instead of calling `std::fs` directly. In a
-//! default build the guard is a zero-sized pass-through: every method
-//! compiles down to the underlying `write_all`/`sync_all`/`rename` call. In
-//! a `chaos` build the guard can be **armed** with a
-//! `FaultPlan`, and then every operation first
-//! consults the plan's IO sites (`io-short-write`, `io-fsync`, `io-rename`,
-//! `io-torn-tail`, `io-disk-full`).
+//! goes through an [`IoGuard`] instead of calling `std::fs` directly. An
+//! inert guard is a pass-through: past one `Option` test, every method is
+//! the underlying `write_all`/`sync_all`/`rename` call. A guard **armed**
+//! with a [`FaultPlan`] first consults the plan's IO sites
+//! (`io-short-write`, `io-fsync`, `io-rename`, `io-torn-tail`,
+//! `io-disk-full`) on every operation.
 //!
 //! Determinism: an armed guard carries a base content key and a per-guard
 //! operation counter; operation `i` draws its fault decisions from
@@ -43,25 +42,19 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 
-#[cfg(feature = "chaos")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "chaos")]
 use std::sync::Arc;
 
-#[cfg(feature = "chaos")]
 use crate::cache::splitmix64;
-#[cfg(feature = "chaos")]
 use crate::chaos::{FaultPlan, FaultSite};
 
 /// A fault-injectable handle over durable-write primitives. Inert (a plain
 /// pass-through to `std::fs`) unless armed with a chaos plan.
 #[derive(Debug, Default)]
 pub struct IoGuard {
-    #[cfg(feature = "chaos")]
     armed: Option<ArmedIo>,
 }
 
-#[cfg(feature = "chaos")]
 #[derive(Debug)]
 struct ArmedIo {
     plan: Arc<FaultPlan>,
@@ -77,14 +70,12 @@ impl IoGuard {
 
     /// A guard armed with `plan`, drawing decisions keyed off `base` (the
     /// writer's content key — e.g. a sweep chunk key or the journal key).
-    #[cfg(feature = "chaos")]
     pub fn armed(plan: Arc<FaultPlan>, base: u64) -> Self {
         IoGuard { armed: Some(ArmedIo { plan, base, ops: AtomicU64::new(0) }) }
     }
 
     /// Draws the fault (if any) for the next operation. Exactly one draw
     /// per public op, so op indices track operations, not site probes.
-    #[cfg(feature = "chaos")]
     fn draw(&self, sites: &[FaultSite]) -> Option<FaultSite> {
         let a = self.armed.as_ref()?;
         let op = a.ops.fetch_add(1, Ordering::Relaxed);
@@ -93,7 +84,6 @@ impl IoGuard {
     }
 
     /// Builds the injected-error value for `site` and counts it.
-    #[cfg(feature = "chaos")]
     fn injected(site: FaultSite) -> io::Error {
         match site {
             FaultSite::IoShortWrite => pobp_core::obs_count!("chaos.io.short_write"),
@@ -114,7 +104,6 @@ impl IoGuard {
     /// line written but no newline).
     pub fn append_line(&self, file: &mut File, line: &[u8]) -> io::Result<()> {
         debug_assert!(!line.contains(&b'\n'), "append_line takes a single line");
-        #[cfg(feature = "chaos")]
         if let Some(site) =
             self.draw(&[FaultSite::IoDiskFull, FaultSite::IoShortWrite, FaultSite::IoTornTail])
         {
@@ -144,7 +133,6 @@ impl IoGuard {
     /// must treat them as not durable.
     pub fn fsync(&self, file: &mut File) -> io::Result<()> {
         file.flush()?;
-        #[cfg(feature = "chaos")]
         if let Some(site) = self.draw(&[FaultSite::IoFsync]) {
             return Err(Self::injected(site));
         }
@@ -155,7 +143,6 @@ impl IoGuard {
     /// Subject to `io-disk-full`, `io-short-write`, and `io-fsync` (one
     /// draw; disk-full and short-write take precedence).
     pub fn write_file_bytes(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        #[cfg(feature = "chaos")]
         if let Some(site) =
             self.draw(&[FaultSite::IoDiskFull, FaultSite::IoShortWrite, FaultSite::IoFsync])
         {
@@ -180,7 +167,6 @@ impl IoGuard {
     /// Renames `from` to `to` — the publish leg of an atomic replace. The
     /// `io-rename` site fails without touching either path.
     pub fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        #[cfg(feature = "chaos")]
         if let Some(site) = self.draw(&[FaultSite::IoRename]) {
             return Err(Self::injected(site));
         }
@@ -192,7 +178,6 @@ impl IoGuard {
     /// syncing: an entry renamed just before may be visible now and still
     /// vanish on power loss.
     pub fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-        #[cfg(feature = "chaos")]
         if let Some(site) = self.draw(&[FaultSite::IoFsync]) {
             return Err(Self::injected(site));
         }
@@ -247,11 +232,8 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[cfg(feature = "chaos")]
     mod chaos {
         use super::*;
-        use crate::chaos::{FaultPlan, FaultSite};
-        use std::sync::Arc;
 
         fn armed(site: FaultSite) -> IoGuard {
             let plan = Arc::new(FaultPlan::new(7).with_rate(site, 1.0));

@@ -34,12 +34,12 @@
 //!   running batch with [`Engine::cancel_all`] (the `pobp serve` daemon
 //!   cancels a running job this way; each of its jobs runs on an
 //!   [`Engine::new`] engine);
-//! * with the `chaos` cargo feature, a seeded [`chaos::FaultPlan`] armed
-//!   through `EngineConfig::chaos` injects panics, delays, spurious
-//!   cancellations, forced deadlines, and reference-cache corruption at
-//!   named sites, deterministically per task — chaos runs replay
-//!   byte-identically across thread counts. Without the feature, none of
-//!   the injection code exists in the binary.
+//! * a seeded [`chaos::FaultPlan`] armed through [`EngineConfig::chaos`]
+//!   injects panics, delays, spurious cancellations, forced deadlines, and
+//!   reference-cache corruption at named sites, deterministically per
+//!   task — chaos runs replay byte-identically across thread counts. The
+//!   injection code is in every build; with no plan armed each site is one
+//!   `Option` test and no output changes.
 //!
 //! With the `instrument` cargo feature the engine emits the `engine.*`
 //! counter families (tasks run/panicked/timed-out/retried, certification
@@ -75,7 +75,6 @@
 pub mod cache;
 pub mod cancel;
 pub mod cert;
-#[cfg(feature = "chaos")]
 pub mod chaos;
 mod exec;
 pub mod grid;
@@ -89,7 +88,6 @@ pub use cache::{instance_hash, splitmix64, task_key, RefSolution, ResultCache};
 pub use io::IoGuard;
 pub use cancel::{CancelToken, StopReason, TaskCtx};
 pub use cert::{CertFailure, CertStage};
-#[cfg(feature = "chaos")]
 pub use chaos::{FaultPlan, FaultSite};
 pub use grid::GridSpec;
 pub use lab::{LabRow, OnlineLab};

@@ -39,8 +39,9 @@ use pobp_core::obs::LogHistogram;
 use pobp_core::{obs_count, obs_event, obs_span, trace, trace_event};
 use pobp_sched::SolveWorkspace;
 
-use crate::cache::{instance_hash, ResultCache};
+use crate::cache::{instance_hash, task_key, ResultCache};
 use crate::cancel::{CancelToken, StopReason, TaskCtx};
+use crate::chaos::{FaultPlan, FaultSite, TaskChaos};
 use crate::exec::{Fabric, StealRng, Unit};
 use crate::solve::{solve_task, PlanMemo, SolveFailure};
 use crate::task::{Algo, DegradeCause, SolveTask, TaskReport, TaskResult};
@@ -84,8 +85,7 @@ pub struct EngineConfig {
     /// the pool, the task wrapper and the reference put fire
     /// deterministically per task (see [`crate::chaos`]). `None` injects
     /// nothing.
-    #[cfg(feature = "chaos")]
-    pub chaos: Option<Arc<crate::chaos::FaultPlan>>,
+    pub chaos: Option<Arc<FaultPlan>>,
 }
 
 impl Default for EngineConfig {
@@ -98,7 +98,6 @@ impl Default for EngineConfig {
             use_cache: true,
             degrade: false,
             progress: false,
-            #[cfg(feature = "chaos")]
             chaos: None,
         }
     }
@@ -373,27 +372,24 @@ impl Engine {
             // out a backoff, exactly as it did when the backoff was an
             // in-worker sleep.
             unit.deadline_at = self.cfg.deadline.map(|d| Instant::now() + d);
-            #[cfg(feature = "chaos")]
-            {
-                unit.chaos = self.cfg.chaos.as_ref().map(|plan| crate::chaos::TaskChaos {
-                    plan: plan.clone(),
-                    key: crate::chaos::task_key(task),
-                });
-                if let Some(ch) = &unit.chaos {
-                    // The `cancel` site: expire the task's deadline before
-                    // it starts; the wrapper stops at its first boundary.
-                    if ch.plan.fires(crate::chaos::FaultSite::SpuriousCancel, ch.key) {
-                        obs_count!("engine.chaos.cancel");
-                        trace_event!("chaos.cancel");
-                        unit.deadline_at = Some(Instant::now());
-                    }
+            unit.chaos = self
+                .cfg
+                .chaos
+                .as_ref()
+                .map(|plan| TaskChaos { plan: plan.clone(), key: task_key(task) });
+            if let Some(ch) = &unit.chaos {
+                // The `cancel` site: expire the task's deadline before it
+                // starts; the wrapper stops at its first boundary.
+                if ch.plan.fires(FaultSite::SpuriousCancel, ch.key) {
+                    obs_count!("engine.chaos.cancel");
+                    trace_event!("chaos.cancel");
+                    unit.deadline_at = Some(Instant::now());
                 }
             }
         }
         let ctx = TaskCtx {
             batch: self.batch.clone(),
             deadline: unit.deadline_at,
-            #[cfg(feature = "chaos")]
             chaos: unit.chaos.clone(),
         };
         unit.attempts += 1;
@@ -406,12 +402,11 @@ impl Engine {
         // only ever replaced by a finished plan.
         let attempt = |memo: &mut PlanMemo, ws: &mut SolveWorkspace| {
             obs_span!("attempt", {
-                #[cfg(feature = "chaos")]
                 if let Some(ch) = &ctx.chaos {
                     // The `delay` site: stall the attempt (wall-clock
                     // only — outputs are unaffected, but an armed real
                     // deadline may now fire, which is the point).
-                    if ch.plan.fires(crate::chaos::FaultSite::Delay, ch.key) {
+                    if ch.plan.fires(FaultSite::Delay, ch.key) {
                         obs_count!("engine.chaos.delay");
                         trace_event!("chaos.delay");
                         std::thread::sleep(ch.plan.delay());
@@ -526,12 +521,7 @@ impl Engine {
             exact_ref: false,
             label: task.label.clone(),
         };
-        let ctx = TaskCtx {
-            batch: self.batch.clone(),
-            deadline: None,
-            #[cfg(feature = "chaos")]
-            chaos: None,
-        };
+        let ctx = TaskCtx { batch: self.batch.clone(), deadline: None, chaos: None };
         // The fallback runs cache-free, like it runs chaos-free: a
         // reference entry poisoned by the `corrupt-ref` site cannot reach
         // the rescue.

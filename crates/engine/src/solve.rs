@@ -25,6 +25,7 @@ use pobp_sim::{run_online, OnlineAlg, OnlineConfig};
 use crate::cache::{RefSolution, ResultCache};
 use crate::cancel::{StopReason, TaskCtx};
 use crate::cert::{self, CertFailure};
+use crate::chaos::FaultSite;
 use crate::task::{Algo, SolveOutput, SolveTask};
 
 /// Why a solve attempt produced no output: stopped at a stage boundary, or
@@ -66,7 +67,6 @@ pub(crate) type PlanMemo = Option<(Arc<RefSolution>, ReductionPlan)>;
 /// cache and the task's instance hash). The returned flag is `true` on a
 /// cache hit. `ctx` carries the task's chaos handle, which only the
 /// `corrupt-ref` site reads.
-#[cfg_attr(not(feature = "chaos"), allow(unused_variables))]
 fn reference(
     task: &SolveTask,
     ids: &[JobId],
@@ -83,7 +83,7 @@ fn reference(
             return (hit, true);
         }
     }
-    let sol = obs_time!("engine.solve.time.reference", {
+    let mut sol = obs_time!("engine.solve.time.reference", {
         if task.exact_ref {
             let opt = opt_unbounded(&task.instance, ids);
             RefSolution { schedule: opt.schedule, value: opt.value }
@@ -99,14 +99,9 @@ fn reference(
         Some((c, inst)) => {
             // The `corrupt-ref` site, keyed by the cache entry: every
             // consumer of the entry observes the same corrupt bytes.
-            #[cfg(feature = "chaos")]
-            let sol = {
-                let mut sol = sol;
-                if let Some(ch) = &ctx.chaos {
-                    ch.plan.corrupt_ref(inst ^ task.exact_ref as u64, &mut sol);
-                }
-                sol
-            };
+            if let Some(ch) = &ctx.chaos {
+                ch.plan.corrupt_ref(inst ^ task.exact_ref as u64, &mut sol);
+            }
             c.put_ref(inst, task.exact_ref, sol)
         }
         None => Arc::new(sol),
@@ -227,11 +222,10 @@ pub(crate) fn solve_task(
     if let Some(stop) = ctx.should_stop() {
         return Err(stop.into());
     }
-    #[cfg(feature = "chaos")]
     if let Some(ch) = &ctx.chaos {
         // The `deadline` site: pretend the wall clock ran out exactly at
         // the reference→bounded stage boundary.
-        if ch.plan.fires(crate::chaos::FaultSite::ForcedDeadline, ch.key) {
+        if ch.plan.fires(FaultSite::ForcedDeadline, ch.key) {
             obs_count!("engine.chaos.deadline");
             trace_event!("chaos.deadline");
             return Err(StopReason::DeadlineExceeded.into());

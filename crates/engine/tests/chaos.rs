@@ -1,8 +1,7 @@
-//! Integration tests for the deterministic fault-injection layer
-//! (`--features chaos`): every injected fault must surface as a structured
-//! report — never as a wrong output row — and the certification and
-//! degradation layers must respond exactly as `docs/robustness.md` claims.
-#![cfg(feature = "chaos")]
+//! Integration tests for the deterministic fault-injection layer: every
+//! injected fault must surface as a structured report — never as a wrong
+//! output row — and the certification and degradation layers must respond
+//! exactly as `docs/robustness.md` claims.
 
 use std::sync::Arc;
 use std::time::Duration;

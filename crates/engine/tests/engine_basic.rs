@@ -269,7 +269,7 @@ fn degradation_skips_the_test_only_panic_algo() {
 
 #[test]
 fn tampered_cache_entry_fails_certification_instead_of_leaking() {
-    // The trust boundary in action without the chaos feature: poison the
+    // The trust boundary in action without a fault plan: poison the
     // task's reference entry by hand (`2v + 1`, as the corrupt-ref site
     // does) and check the engine refuses to emit a row built on it.
     let task = grid_tasks()[0].clone();

@@ -2,7 +2,6 @@
 //! replays **byte-identically** across thread counts for any seed, because
 //! every injection decision is a pure hash of `(seed, site, task key)` —
 //! including runs where faults land as `Degraded` and `CertFailed` rows.
-#![cfg(feature = "chaos")]
 
 use std::sync::Arc;
 

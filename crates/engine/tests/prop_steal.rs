@@ -1,6 +1,6 @@
 //! Steal-heavy schedules, property-tested: with skewed task sizes (a few
 //! expensive instances pinning one worker while tiny ones drain), forced
-//! panics, and — with the `chaos` feature — seeded fault injection, the
+//! panics, and seeded fault injection, the
 //! work-stealing pool still produces **byte-identical reports** at
 //! `threads ∈ {1, 2, 4}` (the logical-trace side of the same skew is in
 //! `trace_logical.rs`). Steal telemetry is an invariant check only: it lives in
@@ -80,7 +80,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "chaos")]
 mod chaos {
     use super::*;
     use pobp_engine::{Engine, FaultPlan, FaultSite};

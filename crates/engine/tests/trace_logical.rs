@@ -4,9 +4,9 @@
 //! the Chrome spans are well-formed (balanced, properly nested) with the
 //! task span dominated by its instrumented children.
 //!
-//! Only compiled with `--features instrument`; the chaos variant additionally
-//! needs `--features chaos`. Every test here records inside
-//! `trace::capture`, so no batch of another test can land in its window.
+//! Only compiled with `--features instrument`. Every test here records
+//! inside `trace::capture`, so no batch of another test can land in its
+//! window.
 
 #![cfg(feature = "instrument")]
 
@@ -220,7 +220,6 @@ fn task_spans_are_covered_by_child_spans() {
 /// Chaos fault injection is part of the logical trace — and stays
 /// deterministic across thread counts, because the fault plan draws from
 /// the task key, not from scheduling order.
-#[cfg(feature = "chaos")]
 #[test]
 fn chaotic_logical_trace_is_thread_count_invariant() {
     use pobp_engine::{Engine, FaultPlan, FaultSite};

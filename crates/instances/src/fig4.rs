@@ -46,6 +46,30 @@ pub struct Fig4Built {
     pub parent_of: Vec<Option<JobId>>,
 }
 
+/// Fig4's size arithmetic for bound `k` at depth `L`, computed without
+/// wrapping before anything is built: the job count of
+/// `Fig4Instance::for_k(max(k, 1), L)`, or the rule that instance breaks,
+/// which [`Fig4Instance::build`] would panic on. With `K = 2·max(k, 1)`,
+/// in the order checked: the values `K^l` must stay below `2^53`, the
+/// longest length `(3K−1)·(3K²)^L` must fit `i64`, and `K` must fit `u32`.
+pub fn fig4_size(k: u32, depth: u32) -> Result<u128, &'static str> {
+    let branching = 2 * u128::from(k.max(1));
+    if branching.checked_pow(depth).is_none_or(|v| v >= 1 << 53) {
+        return Err("its values K^L exceed 2^53");
+    }
+    let longest = (3 * branching * branching)
+        .checked_pow(depth)
+        .and_then(|p| p.checked_mul(3 * branching - 1));
+    if longest.is_none_or(|p| p > i64::MAX as u128) {
+        return Err("its job lengths overflow i64");
+    }
+    if branching > u128::from(u32::MAX) {
+        return Err("its branching 2k overflows u32");
+    }
+    // K^L < 2^53 bounds every term, so the sum cannot wrap.
+    Ok((0..=depth).map(|l| branching.pow(l)).sum())
+}
+
 impl Fig4Instance {
     /// The paper's parameterization for bound `k`: `K = 2k`.
     pub fn for_k(k: u32, depth: u32) -> Self {

@@ -28,7 +28,7 @@ mod zoo;
 
 pub use adversarial::{bursty_workload, overlapping_block, round_robin_schedule};
 pub use fig2::Fig2Instance;
-pub use fig4::{Fig4Built, Fig4Instance};
+pub use fig4::{fig4_size, Fig4Built, Fig4Instance};
 pub use periodic::{PeriodicTask, TaskSet};
 pub use pobp_forest::LowerBoundTree;
 pub use random::{random_forest, LaxityModel, RandomWorkload, ValueModel};

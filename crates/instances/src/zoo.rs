@@ -26,7 +26,9 @@
 use pobp_core::JobSet;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
-use crate::{bursty_workload, Fig2Instance, Fig4Instance, PeriodicTask, RandomWorkload, TaskSet};
+use crate::{
+    bursty_workload, fig4_size, Fig2Instance, Fig4Instance, PeriodicTask, RandomWorkload, TaskSet,
+};
 
 /// A named workload family of the instance zoo.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -104,7 +106,7 @@ impl std::fmt::Display for CellSizeError {
 ///   `1 ≤ n ≤ 62`.
 /// * [`ZooFamily::Fig4`] never goes below depth 1, which has
 ///   `1 + 2·max(k, 1)` jobs whatever `n` is: that smallest instance must
-///   fit `max_jobs`, and its lengths must fit `i64`.
+///   build ([`fig4_size`]) and fit `max_jobs`.
 ///
 /// The other families land near `n` jobs and have no rule here.
 pub fn check_zoo_cell(
@@ -119,19 +121,13 @@ pub fn check_zoo_cell(
             reason: format!("must be in 1..=62 for family fig2 (got {n})"),
         }),
         ZooFamily::Fig4 => {
-            let branching = 2 * u128::from(k.max(1));
-            let jobs = 1 + branching;
-            // Depth 1's root is the longest job: (3K − 1)·3K².
-            let longest = (3 * branching - 1) * 3 * branching * branching;
-            let reason = if jobs > max_jobs as u128 {
-                format!(
+            let reason = match fig4_size(k, 1) {
+                Ok(jobs) if jobs <= max_jobs as u128 => return Ok(()),
+                Ok(jobs) => format!(
                     "too large for family fig4: its smallest instance has {jobs} jobs, \
                      over the cap of {max_jobs} (got {k})"
-                )
-            } else if longest > i64::MAX as u128 {
-                format!("too large for family fig4: its job lengths overflow i64 (got {k})")
-            } else {
-                return Ok(());
+                ),
+                Err(rule) => format!("too large for family fig4: {rule} (got {k})"),
             };
             Err(CellSizeError { field: "k", reason })
         }
@@ -280,6 +276,14 @@ mod tests {
             let err = check_zoo_cell(ZooFamily::Fig4, 8, k, usize::MAX).unwrap_err();
             assert!(err.field == "k" && err.reason.contains("overflow i64"), "{err}");
         }
+        // Deeper cells, as `pobp gen` asks for them: at K = 2 the lengths
+        // 5·12^L fit i64 up to depth 16, and the values 2^L stay exact.
+        assert_eq!(fig4_size(1, 16), Ok((1 << 17) - 1));
+        assert_eq!(Fig4Instance::for_k(1, 16).build().jobs.len(), (1 << 17) - 1);
+        assert_eq!(fig4_size(1, 17), Err("its job lengths overflow i64"));
+        assert_eq!(fig4_size(2, 30), Err("its values K^L exceed 2^53"));
+        assert_eq!(fig4_size(1 << 31, 0), Err("its branching 2k overflows u32"));
+        assert_eq!(fig4_size(0, 0), Ok(1));
         for f in [ZooFamily::Periodic, ZooFamily::Bursty, ZooFamily::Random] {
             assert_eq!(check_zoo_cell(f, 1_000_000, u32::MAX, 1), Ok(()));
         }

@@ -63,8 +63,8 @@ pub struct Journal {
     compact_every: u64,
     /// Total compactions performed by this handle.
     compactions: u64,
-    /// Every durable write goes through the guard — inert in default
-    /// builds, armable with the io-* chaos sites (docs/sweeps.md).
+    /// Every durable write goes through the guard — inert unless
+    /// `pobp serve --chaos` armed the io-* sites (docs/sweeps.md).
     guard: IoGuard,
     /// Set when an append failed mid-line: the file may carry a torn tail,
     /// and appending onto it would corrupt the next record. Further
@@ -115,7 +115,6 @@ impl Journal {
 
     /// Arms the io-* fault sites under every subsequent append/compaction
     /// (`pobp serve --chaos`; see docs/sweeps.md for the sites).
-    #[cfg(feature = "chaos")]
     pub fn set_chaos(&mut self, plan: std::sync::Arc<pobp_engine::FaultPlan>, key: u64) {
         self.guard = IoGuard::armed(plan, key);
     }

@@ -71,7 +71,6 @@ pub struct ServiceConfig {
     /// Arm deterministic fault injection: the io-* sites (docs/sweeps.md)
     /// under the journal's appends and compactions, and every site of the
     /// per-job engines, each of which gets a copy in its `EngineConfig`.
-    #[cfg(feature = "chaos")]
     pub chaos: Option<Arc<pobp_engine::FaultPlan>>,
     /// Live-telemetry knobs: scrape address and flight-dump directory
     /// (docs/observability.md).
@@ -87,7 +86,6 @@ impl Default for ServiceConfig {
             queue_cap: 64,
             degrade: false,
             compact_every: DEFAULT_COMPACT_EVERY,
-            #[cfg(feature = "chaos")]
             chaos: None,
             #[cfg(feature = "instrument")]
             telemetry: TelemetryOptions::default(),
@@ -299,25 +297,18 @@ impl Service {
     pub fn start(cfg: ServiceConfig) -> io::Result<Service> {
         #[cfg(feature = "instrument")]
         let telemetry = Telemetry::start(&cfg.telemetry)?;
-        let (journal, mut registry, recovery) = Journal::open(&cfg.dir, cfg.compact_every)?;
+        let (mut journal, mut registry, recovery) = Journal::open(&cfg.dir, cfg.compact_every)?;
         // Arm IO fault injection after recovery: recovery itself is
         // read-only, and the startup compaction must succeed so the
         // injected faults land on a known-clean journal.
-        #[cfg(feature = "chaos")]
-        let journal = {
-            let mut journal = journal;
-            if let Some(plan) = cfg.chaos.clone() {
-                let key = cfg
-                    .dir
-                    .to_string_lossy()
-                    .bytes()
-                    .fold(0x6a6f_7572_6e61_6c30_u64, |h, b| {
-                        pobp_engine::splitmix64(h ^ u64::from(b))
-                    });
-                journal.set_chaos(plan, key);
-            }
-            journal
-        };
+        if let Some(plan) = cfg.chaos.clone() {
+            let key = cfg
+                .dir
+                .to_string_lossy()
+                .bytes()
+                .fold(0x6a6f_7572_6e61_6c30_u64, |h, b| pobp_engine::splitmix64(h ^ u64::from(b)));
+            journal.set_chaos(plan, key);
+        }
         let pending = registry.recover_pending();
         let mut queue = BinaryHeap::new();
         let mut key_index = HashMap::new();
@@ -708,7 +699,6 @@ fn worker_loop(inner: &Inner) {
             // journal: solver-side sites (panic, corrupt-ref, …) fire per
             // task key inside jobs, which is how the flight-dump test in
             // `tests/client_cli.rs` forces a CertFailed through the daemon.
-            #[cfg(feature = "chaos")]
             chaos: inner.cfg.chaos.clone(),
             ..EngineConfig::default()
         }));

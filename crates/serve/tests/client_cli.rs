@@ -366,7 +366,7 @@ fn scrape_and_top_read_the_daemon_after_scripted_jobs() {
 /// A chaos plan that corrupts every reference forces a `cert_failed` job
 /// (exit 5) through the daemon; it and an explicit `dump-flight` each leave
 /// a flight dump of Chrome trace events.
-#[cfg(all(feature = "instrument", feature = "chaos"))]
+#[cfg(feature = "instrument")]
 #[test]
 fn chaos_cert_failure_leaves_loadable_flight_dumps() {
     let flights =

@@ -21,10 +21,9 @@
 //!   digest-verified merge into `merged.jsonl`.
 //!
 //! Every durable write goes through the engine's fault-injectable
-//! [`IoGuard`](pobp_engine::IoGuard); with the `chaos` feature a seeded
-//! plan can fail any write, fsync (file or directory), or rename
-//! deterministically, and the
-//! property tests in `tests/` drive kill-at-every-point → resume →
+//! [`IoGuard`](pobp_engine::IoGuard); an armed seeded fault plan can fail
+//! any write, fsync (file or directory), or rename deterministically, and
+//! the property tests in `tests/` drive kill-at-every-point → resume →
 //! byte-identical-merge, across engine thread counts.
 //!
 //! With the `instrument` feature the runner emits the `sweep.*` counters

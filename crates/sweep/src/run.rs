@@ -44,8 +44,8 @@ use crate::shard::{recover, shard_path, ShardState, ShardWriter};
 pub struct SweepConfig {
     /// The sharded grid.
     pub spec: SweepSpec,
-    /// Engine configuration used for every chunk. In chaos builds its fault
-    /// plan also arms the io-* sites in the shard and manifest writers.
+    /// Engine configuration used for every chunk. Its fault plan, if any,
+    /// also arms the io-* sites in the shard and manifest writers.
     /// Its `progress` asks for one stderr line over the whole sweep (chunks
     /// and rows recorded, this run's row rate), redrawn as each chunk is
     /// recorded; the chunk batches run without the engine's own meter,
@@ -343,12 +343,10 @@ fn shard_guard(cfg: &SweepConfig, chunk_key: u64) -> IoGuard {
 }
 
 fn guard_for(cfg: &SweepConfig, key: u64) -> IoGuard {
-    #[cfg(feature = "chaos")]
-    if let Some(plan) = &cfg.engine.chaos {
-        return IoGuard::armed(std::sync::Arc::clone(plan), key);
+    match &cfg.engine.chaos {
+        Some(plan) => IoGuard::armed(std::sync::Arc::clone(plan), key),
+        None => IoGuard::inert(),
     }
-    let _ = (cfg, key);
-    IoGuard::inert()
 }
 
 /// The `chunk_cells=N` tail of a recorded spec string (`SweepSpec::spec_string`).

@@ -4,12 +4,12 @@
 //!
 //! Two kill mechanisms:
 //!
-//! * byte-truncation of the active shard (this file, any build) — the
-//!   literal on-disk shape a `kill -9` leaves;
-//! * injected IO faults (`--features chaos`) — the writer itself fails at
-//!   a deterministically chosen event point (short write, failed fsync,
-//!   failed rename, torn tail, disk full), the run errors, and a disarmed
-//!   resume must still converge to identical bytes.
+//! * byte-truncation of the active shard — the literal on-disk shape a
+//!   `kill -9` leaves;
+//! * injected IO faults (the io-* sites of a `FaultPlan`) — the writer
+//!   itself fails at a deterministically chosen event point (short write,
+//!   failed fsync, failed rename, torn tail, disk full), the run errors,
+//!   and a disarmed resume must still converge to identical bytes.
 
 use std::fs;
 use std::path::PathBuf;
@@ -114,7 +114,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "chaos")]
 mod chaos {
     use super::*;
     use pobp_engine::{FaultPlan, FaultSite};

@@ -16,7 +16,7 @@
 use pobp::cli::{
     flag_value, has_flag, instrument_flags, only_flags, parse_num_list_strict, parse_num_strict,
 };
-use pobp::instances::{check_zoo_cell, CellSizeError};
+use pobp::instances::{check_zoo_cell, fig4_size, CellSizeError};
 use pobp::serve::job::MAX_JOB_N;
 use pobp::prelude::*;
 use pobp::core::json::Json;
@@ -36,10 +36,10 @@ fn main() {
         Some("online") => cmd_online(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
-            print!("{}", usage());
+            print!("{USAGE}");
             Ok(())
         }
-        Some(other) => Err(format!("unknown command `{other}`\n{}", usage())),
+        Some(other) => Err(format!("unknown command `{other}`\n{USAGE}")),
     }
     .and_then(|()| emit_obs_report(&args))
     .map_or_else(
@@ -210,19 +210,21 @@ row with the certified oracle value, the empirical competitive ratio
 oracle/value, and the (1+sqrt(P))^2 reference bound. Rows are byte-identical
 across --threads. The oracle is the certified Theorem-4.2 reduction value,
 upgraded to the exact OPT_k on instances small enough for the exact solver.
-";
 
-/// The full usage text; chaos-build binaries append the `--chaos` section.
-fn usage() -> String {
-    #[cfg(feature = "chaos")]
-    {
-        format!("{USAGE}{}", pobp::engine::chaos::CLI_USAGE)
-    }
-    #[cfg(not(feature = "chaos"))]
-    {
-        USAGE.to_string()
-    }
-}
+sweep, online and serve also accept the fault-injection flags
+  --chaos SPEC      comma-separated site:rate entries, e.g.
+                    panic:0.25,deadline:1,corrupt-ref:0.5 with sites
+                    panic|flaky|delay|cancel|deadline|corrupt-ref
+                    |io-short-write|io-fsync|io-rename|io-torn-tail|io-disk-full
+                    (the pseudo-site delay-ms:N sets the delay duration);
+                    each site at most once
+  --chaos-seed S    seed of the fault plan (default 0; needs --chaos); the
+                    same seed over the same grid injects the same faults on
+                    any --threads
+The io-* sites fire inside the sweep shard writer and the serve journal
+(docs/sweeps.md); the rest fire inside the engine (docs/robustness.md).
+Without --chaos no site fires and every output is unchanged.
+";
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
     known_flags(args, &["--kind", "--n", "--k", "--depth", "--seed"], &[])?;
@@ -236,6 +238,13 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         "fig4" => {
             let k: u32 = parse_num_strict(args, "--k", 1u32)?;
             let depth: u32 = parse_num_strict(args, "--depth", 3u32)?;
+            if let Err(rule) = fig4_size(k, depth) {
+                // The depth is at fault unless even this k's depth-1 cell breaks.
+                let (field, got) =
+                    if fig4_size(k, depth.min(1)).is_err() { ("k", k) } else { ("depth", depth) };
+                let reason = format!("too large for family fig4: {rule} (got {got})");
+                return Err(flag_error(CellSizeError { field, reason }));
+            }
             Fig4Instance::for_k(k.max(1), depth).build().jobs
         }
         "random" => {
@@ -488,7 +497,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     if machines == 0 {
         return Err("--machines must be at least 1".into());
     }
-    #[cfg_attr(not(feature = "chaos"), allow(unused_variables))]
     let chaos = chaos_plan(args)?;
 
     let seeds: Vec<u64> = (0..seed_count).collect();
@@ -502,7 +510,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         use_cache: !has_flag(args, "--no-cache"),
         degrade: has_flag(args, "--degrade"),
         progress: has_flag(args, "--progress"),
-        #[cfg(feature = "chaos")]
         chaos,
         ..EngineConfig::default()
     };
@@ -650,7 +657,6 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    #[cfg_attr(not(feature = "chaos"), allow(unused_variables))]
     let chaos = chaos_plan(args)?;
     let trace = TraceFiles::arm(args)?;
 
@@ -670,7 +676,6 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
         use_cache: !has_flag(args, "--no-cache"),
         degrade: has_flag(args, "--degrade"),
         progress: has_flag(args, "--progress"),
-        #[cfg(feature = "chaos")]
         chaos,
         ..EngineConfig::default()
     };
@@ -743,22 +748,15 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
 }
 
 /// `--chaos SPEC` / `--chaos-seed S` of `sweep`, `online` and `serve`: the
-/// fault plan to arm, if any.
-#[cfg(feature = "chaos")]
+/// fault plan to arm, if any. A seed without a plan would run fault-free,
+/// so it is refused.
 fn chaos_plan(args: &[String]) -> Result<Option<std::sync::Arc<FaultPlan>>, String> {
     let seed: u64 = parse_num_strict(args, "--chaos-seed", 0u64)?;
-    let plan = flag_value(args, "--chaos")?.map(|spec| FaultPlan::parse(&spec, seed)).transpose()?;
-    Ok(plan.map(std::sync::Arc::new))
-}
-
-/// A default build has no fault plan to arm: it refuses the chaos flags
-/// rather than run without faults.
-#[cfg(not(feature = "chaos"))]
-fn chaos_plan(args: &[String]) -> Result<Option<std::convert::Infallible>, String> {
-    if has_flag(args, "--chaos") || has_flag(args, "--chaos-seed") {
-        return Err("--chaos/--chaos-seed need a binary built with --features chaos".into());
+    match flag_value(args, "--chaos")? {
+        Some(spec) => Ok(Some(std::sync::Arc::new(FaultPlan::parse(&spec, seed)?))),
+        None if has_flag(args, "--chaos-seed") => Err("--chaos-seed needs --chaos SPEC".into()),
+        None => Ok(None),
     }
-    Ok(None)
 }
 
 /// `pobp serve`: the persistent scheduling daemon (docs/serve.md). Binds
@@ -777,7 +775,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     )?;
     let addr = flag_value(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7411".into());
     let dir = flag_value(args, "--dir")?.unwrap_or_else(|| "pobp-serve-registry".into());
-    #[cfg_attr(not(feature = "chaos"), allow(unused_variables))]
     let chaos = chaos_plan(args)?;
     // A full trace record would grow for as long as the daemon runs; its
     // trace surface is the bounded --flight-dir ring.
@@ -793,7 +790,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         queue_cap: parse_num_strict(args, "--queue-cap", 64usize)?.max(1),
         degrade: has_flag(args, "--degrade"),
         compact_every: parse_num_strict(args, "--compact-every", 256u64)?,
-        #[cfg(feature = "chaos")]
         chaos,
         #[cfg(feature = "instrument")]
         telemetry: pobp::serve::TelemetryOptions {

@@ -21,8 +21,8 @@
 //! * [`engine`] — the deterministic parallel batch-solving engine behind
 //!   `pobp sweep` and `experiments --threads N` (worker pool, panic
 //!   isolation, deadlines, result caching, certified outputs, graceful
-//!   degradation, and — with `--features chaos` — deterministic fault
-//!   injection; `docs/engine.md`, `docs/robustness.md`);
+//!   degradation, and deterministic fault injection armed at run time;
+//!   `docs/engine.md`, `docs/robustness.md`);
 //! * [`sweep`] — crash-safe mega-sweeps behind `pobp sweep --out DIR`:
 //!   content-addressed chunk planning, sharded output with checkpoint
 //!   manifests, and `--resume` with torn-tail recovery and digest-verified
@@ -118,9 +118,7 @@ pub mod prelude {
     };
     pub use pobp_engine::{
         run_batch, Algo, BatchReport, CancelToken, CertFailure, CertStage, DegradeCause, Engine,
-        EngineConfig, EngineStats, GridSpec, LabRow, OnlineLab, SolveOutput, SolveTask, TaskReport,
-        TaskResult,
+        EngineConfig, EngineStats, FaultPlan, FaultSite, GridSpec, LabRow, OnlineLab, SolveOutput,
+        SolveTask, TaskReport, TaskResult,
     };
-    #[cfg(feature = "chaos")]
-    pub use pobp_engine::{FaultPlan, FaultSite};
 }

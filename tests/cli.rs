@@ -89,7 +89,7 @@ fn telemetry_flags_require_the_instrument_feature() {
 /// The bytes of the `pobp` binary under test, decoded lossily: every ASCII
 /// run survives intact, so `contains` finds an ASCII marker wherever
 /// `strings` piped into `grep` would.
-#[cfg(not(all(feature = "chaos", feature = "instrument")))]
+#[cfg(not(feature = "instrument"))]
 fn pobp_binary_text() -> String {
     let bytes = std::fs::read(env!("CARGO_BIN_EXE_pobp")).expect("read the pobp binary");
     String::from_utf8_lossy(&bytes).into_owned()
@@ -106,28 +106,6 @@ fn default_build_carries_no_instrumentation() {
     let binary = pobp_binary_text();
     for marker in ["traceEvents", "task.enqueue", "# HELP", "# TYPE", "pobp_serve_"] {
         assert!(!binary.contains(marker), "the binary carries {marker:?}");
-    }
-}
-
-/// A build without `chaos` carries no trace of the fault-injection harness,
-/// and every command that takes the chaos flags refuses them rather than
-/// run without faults.
-#[cfg(not(feature = "chaos"))]
-#[test]
-fn default_build_carries_no_chaos_harness_and_refuses_its_flags() {
-    let binary = pobp_binary_text();
-    for marker in ["chaos: injected", "injected io fault", "io-torn-tail", "io-disk-full"] {
-        assert!(!binary.contains(marker), "the binary carries {marker:?}");
-    }
-    for args in [
-        &["sweep", "--n", "8", "--k", "0", "--seeds", "1", "--chaos", "panic:1"][..],
-        &["online", "--n", "8", "--k", "1", "--seeds", "1", "--chaos-seed", "3"][..],
-        &["serve", "--chaos", "io-fsync:1", "--addr", "127.0.0.1:0"][..],
-    ] {
-        let (out, err, ok) = run(args);
-        assert!(!ok, "{args:?} must fail in a default build");
-        assert!(err.contains("need a binary built with --features chaos"), "{args:?}: {err}");
-        assert!(out.is_empty(), "{args:?} must not run: {out}");
     }
 }
 
@@ -214,6 +192,9 @@ fn gen_and_online_refuse_zoo_cells_they_cannot_build() {
         (&["online", "--families", "fig2", "--n", "64"][..], "--n"),
         (&["online", "--families", "periodic,fig4", "--n", "8", "--k", "500000"][..], "--k"),
         (&["online", "--families", "fig4", "--k", "2147483648"][..], "--k"),
+        (&["gen", "--kind", "fig4", "--k", "2", "--depth", "30"][..], "--depth"),
+        (&["gen", "--kind", "fig4", "--k", "2147483648", "--depth", "1"][..], "--k"),
+        (&["gen", "--kind", "fig4", "--k", "1", "--depth", "17"][..], "--depth"),
     ] {
         let out = pobp().args(args).output().expect("run pobp");
         let err = String::from_utf8_lossy(&out.stderr);
@@ -502,7 +483,7 @@ fn sweep_logical_trace_is_thread_count_invariant() {
 /// ...and so it is under injected panics, flaky attempts and forced
 /// deadlines with the degradation ladder armed, whose `chaos.` events the
 /// trace records.
-#[cfg(all(feature = "instrument", feature = "chaos"))]
+#[cfg(feature = "instrument")]
 #[test]
 fn chaos_sweep_logical_trace_is_thread_count_invariant() {
     let grid = [
@@ -949,7 +930,6 @@ fn sweep_killed_mid_run_resumes_to_the_full_merge() {
 /// manifest exists, and the rerun starts fresh. io-torn-tail is drawn
 /// only by line appends, so it gets past the header, dies on the first
 /// shard row, and the rerun resumes.
-#[cfg(feature = "chaos")]
 #[test]
 fn every_io_fault_site_kills_a_sharded_sweep_and_a_disarmed_rerun_converges() {
     let tmp = |tag: &str| {
@@ -984,7 +964,6 @@ fn every_io_fault_site_kills_a_sharded_sweep_and_a_disarmed_rerun_converges() {
 /// A faulty sweep dies at the same deterministic point on any thread
 /// count: the directories it leaves are byte-identical, file by file
 /// (`heartbeat.json`, wall-clock telemetry in instrument builds, aside).
-#[cfg(feature = "chaos")]
 #[test]
 fn faulty_sweeps_die_at_the_same_point_on_any_thread_count() {
     let leave = |threads: &str| {
@@ -1014,18 +993,15 @@ fn faulty_sweeps_die_at_the_same_point_on_any_thread_count() {
 }
 
 /// The grid of the chaos sweeps below: 12 cells, 4 of them `k = 0`.
-#[cfg(feature = "chaos")]
 const CHAOS_GRID: [&str; 7] = ["sweep", "--n", "10,14", "--k", "0,1,2", "--seeds", "2"];
 
 /// Rows of a chaos sweep over [`CHAOS_GRID`] carrying `needle`.
-#[cfg(feature = "chaos")]
 fn count_rows(rows: &str, needle: &str) -> usize {
     rows.lines().filter(|row| row.contains(needle)).count()
 }
 
 /// A reference corrupted at every put never reaches an output row: every
 /// row is `cert_failed`, none `ok`.
-#[cfg(feature = "chaos")]
 #[test]
 fn chaos_corrupted_references_are_cert_failed_never_a_wrong_row() {
     let (out, err, ok) =
@@ -1037,7 +1013,6 @@ fn chaos_corrupted_references_are_cert_failed_never_a_wrong_row() {
 
 /// Forced deadlines under `--degrade` leave every row a certified
 /// polynomial rescue: `k0` for the `k = 0` cells, `lsa` for the rest.
-#[cfg(feature = "chaos")]
 #[test]
 fn chaos_forced_deadlines_degrade_every_row() {
     let chaos = ["--chaos", "deadline:1", "--chaos-seed", "7", "--degrade"];
@@ -1052,7 +1027,6 @@ fn chaos_forced_deadlines_degrade_every_row() {
 
 /// A partial panic rate gives mixed per-row outcomes, the same ones on
 /// every run of the same seed.
-#[cfg(feature = "chaos")]
 #[test]
 fn chaos_partial_panic_rate_gives_mixed_rows() {
     let chaos = ["--chaos", "panic:0.3", "--chaos-seed", "2", "--retries", "1"];
@@ -1063,7 +1037,6 @@ fn chaos_partial_panic_rate_gives_mixed_rows() {
 }
 
 /// A chaotic sweep's rows do not depend on the thread count.
-#[cfg(feature = "chaos")]
 #[test]
 fn chaos_sweep_output_is_thread_count_invariant() {
     let sweep = [
@@ -1076,4 +1049,54 @@ fn chaos_sweep_output_is_thread_count_invariant() {
     assert!(ok, "{err}");
     assert_eq!(seq.lines().count(), 24, "{seq}");
     assert_eq!(par, seq, "the chaotic sweep differs between --threads 4 and --threads 1");
+}
+
+/// A plan armed with every rate at 0 fires no site and so changes no
+/// byte: over [`CHAOS_GRID`], at `--threads` 1 and 4, the streamed rows
+/// and the sharded `merged.jsonl` and `manifest.json` are those of the
+/// same sweep without `--chaos`.
+#[test]
+fn unfired_chaos_plan_is_inert() {
+    let unfired =
+        ["--chaos", "panic:0,corrupt-ref:0,io-fsync:0,io-torn-tail:0", "--chaos-seed", "9"];
+    for threads in ["1", "4"] {
+        let grid = [&CHAOS_GRID[..], &["--threads", threads]].concat();
+        let (plain, err, ok) = run(&grid);
+        assert!(ok, "{err}");
+        let (armed, err, ok) = run(&[&grid[..], &unfired].concat());
+        assert!(ok, "{err}");
+        assert_eq!(armed, plain, "--threads {threads}: the streamed rows differ");
+        let sharded = |tag: &str, chaos: &[&str]| {
+            let dir = std::env::temp_dir()
+                .join(format!("pobp-cli-inert-{tag}-t{threads}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let out = ["--out", dir.to_str().unwrap(), "--chunk-cells", "1"];
+            let (_, err, ok) = run(&[&grid[..], &out, chaos].concat());
+            assert!(ok, "{err}");
+            let files = ["merged.jsonl", "manifest.json"].map(|f| std::fs::read(dir.join(f)));
+            std::fs::remove_dir_all(&dir).ok();
+            files.map(|f| f.expect("the sweep wrote its merge and manifest"))
+        };
+        let (armed, plain) = (sharded("armed", &unfired), sharded("plain", &[]));
+        assert!(armed == plain, "--threads {threads}: the sharded files differ");
+    }
+}
+
+/// A chaos seed without a plan would run fault-free: `sweep`, `online`
+/// and `serve` refuse it before any work, with nothing on stdout and no
+/// daemon bound.
+#[test]
+fn chaos_seed_without_chaos_is_refused() {
+    for args in [
+        &["sweep", "--n", "8", "--k", "0,1", "--seeds", "1", "--chaos-seed", "3"][..],
+        &["online", "--n", "8", "--k", "1", "--seeds", "1", "--chaos-seed", "3"][..],
+        &["serve", "--chaos-seed", "3", "--addr", "127.0.0.1:0"][..],
+    ] {
+        let out = pobp().args(args).output().expect("run pobp");
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("--chaos-seed needs --chaos SPEC"), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} must not run: {stdout}");
+    }
 }
