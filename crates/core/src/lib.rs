@@ -49,7 +49,7 @@ pub use job::{Job, JobError, JobId, JobSet, Value};
 pub use render::{render_gantt, render_timeline, RenderOptions};
 pub use schedule::{Assignment, Infeasibility, MachineId, Schedule};
 pub use segs::SegmentSet;
-pub use stats::{schedule_stats, window_load, ScheduleStats};
+pub use stats::{schedule_stats, schedule_totals, window_load, ScheduleStats, ScheduleTotals};
 pub use svg::{render_svg, SvgOptions};
 pub use time::{Interval, Time};
 pub use timeline::Timeline;

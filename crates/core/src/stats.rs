@@ -31,21 +31,44 @@ pub struct ScheduleStats {
     pub utilization: f64,
 }
 
+/// The three totals a solve reports, a subset of [`ScheduleStats`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ScheduleTotals {
+    /// Total value of the scheduled jobs ([`Schedule::value`]).
+    pub value: Value,
+    /// Number of scheduled jobs.
+    pub scheduled: usize,
+    /// Total preemptions across jobs (`Σ (segments − 1)`).
+    pub preemptions: usize,
+}
+
+/// Computes [`ScheduleTotals`] in one pass over the schedule, without the
+/// histogram, busy time and utilization of [`schedule_stats`].
+pub fn schedule_totals(jobs: &JobSet, schedule: &Schedule) -> ScheduleTotals {
+    let mut preemptions = 0usize;
+    // Summed in id order, as `Schedule::value` sums: the same bits.
+    let value: Value = schedule
+        .iter()
+        .map(|(id, a)| {
+            preemptions += a.segs.count().saturating_sub(1);
+            jobs.job(id).value
+        })
+        .sum();
+    ScheduleTotals { value, scheduled: schedule.len(), preemptions }
+}
+
 /// Computes [`ScheduleStats`].
 pub fn schedule_stats(jobs: &JobSet, schedule: &Schedule) -> ScheduleStats {
-    let scheduled = schedule.len();
+    let ScheduleTotals { value, scheduled, preemptions: total_preemptions } =
+        schedule_totals(jobs, schedule);
     let rejected = jobs.len().saturating_sub(scheduled);
-    let value = schedule.value(jobs);
     let total_value = jobs.total_value();
     let value_fraction = if total_value > 0.0 { value / total_value } else { 0.0 };
 
     let max_p = schedule.max_preemptions();
     let mut histogram = vec![0usize; max_p + 1];
-    let mut total_preemptions = 0usize;
     for id in schedule.scheduled_ids() {
-        let p = schedule.preemptions(id);
-        histogram[p] += 1;
-        total_preemptions += p;
+        histogram[schedule.preemptions(id)] += 1;
     }
     if schedule.is_empty() {
         histogram.clear();
@@ -151,6 +174,50 @@ mod tests {
         let st = schedule_stats(&jobs, &s);
         assert_eq!(st.machine_busy, vec![(0, 4), (2, 2)]);
         assert_eq!(st.value_fraction, 1.0);
+    }
+
+    /// The lean totals agree with the full statistics, and with what
+    /// `Schedule` recomputes on its own: the value to the bit, the
+    /// preemptions with the histogram's weighted sum.
+    #[test]
+    fn totals_match_the_full_stats() {
+        let (jobs, preempted) = setup();
+        let multi_jobs: JobSet =
+            vec![Job::new(0, 10, 4, 1.0), Job::new(0, 10, 2, 1.5), Job::new(0, 12, 3, 2.0)]
+                .into_iter()
+                .collect();
+        let mut multi = Schedule::new();
+        multi.assign(JobId(0), 0, SegmentSet::singleton(Interval::new(0, 4)));
+        multi.assign(
+            JobId(1),
+            2,
+            SegmentSet::from_intervals([Interval::new(0, 1), Interval::new(5, 6)]),
+        );
+        multi.assign(
+            JobId(2),
+            2,
+            SegmentSet::from_intervals([
+                Interval::new(1, 2),
+                Interval::new(3, 4),
+                Interval::new(8, 9),
+            ]),
+        );
+        let empty = Schedule::new();
+        for (jobs, s, preemptions) in
+            [(&jobs, &preempted, 1), (&jobs, &empty, 0), (&multi_jobs, &multi, 3)]
+        {
+            let totals = schedule_totals(jobs, s);
+            let stats = schedule_stats(jobs, s);
+            assert_eq!(totals.value.to_bits(), stats.value.to_bits());
+            assert_eq!(totals.value.to_bits(), s.value(jobs).to_bits());
+            assert_eq!(totals.scheduled, stats.scheduled);
+            assert_eq!(totals.scheduled, s.len());
+            assert_eq!(totals.preemptions, stats.total_preemptions);
+            let weighted: usize =
+                stats.preemption_histogram.iter().enumerate().map(|(p, n)| p * n).sum();
+            assert_eq!(totals.preemptions, weighted);
+            assert_eq!(totals.preemptions, preemptions);
+        }
     }
 
     #[test]

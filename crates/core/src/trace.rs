@@ -5,25 +5,24 @@
 //! distributions), `trace` records *individual* events — `(seq, ts, worker,
 //! task, phase, kind, class, payload)` — so a single task's journey through
 //! the engine (enqueue → dequeue → attempt → chaos site → cache probe →
-//! cert → degrade → emit) can be replayed after the fact. [`record`] is the
-//! only recorder. It feeds two sinks, each armed at runtime by [`arm`]:
+//! cert → degrade → emit) can be replayed after the fact. `record` is the
+//! only recorder. It feeds two sinks, each armed at runtime by `arm`:
 //!
-//! * [`Sink::Record`], the full record: every event, taken with [`drain`].
-//!   `--trace`/`--trace-logical` arm it for a whole command and [`capture`]
+//! * `Sink::Record`, the full record: every event, taken with `drain`.
+//!   `--trace`/`--trace-logical` arm it for a whole command and `capture`
 //!   for one test window. Two exporters consume it:
-//!   * [`chrome_json`] — the Chrome trace-event format (load the file in
+//!   * `chrome_json` — the Chrome trace-event format (load the file in
 //!     Perfetto / `chrome://tracing`): one track per worker thread, `B`/`E`
 //!     span pairs and `i` instants, microsecond timestamps.
-//!   * [`logical_text`] — a timestamp-free rendering of only the
+//!   * `logical_text` — a timestamp-free rendering of only the
 //!     [`TraceClass::Logical`] events, grouped per task and ordered by the
 //!     global sequence number. For deterministic engine configurations this
 //!     text is byte-identical across thread counts (see
 //!     `docs/observability.md` for the exact contract).
-//! * [`Sink::Ring`], the [`flight`](crate::flight) ring: only the newest
-//!   events, at a fixed memory cost. `pobp serve --flight-dir` arms it for
-//!   the daemon's life.
+//! * `Sink::Ring`, the `flight` ring: only the newest events, at a fixed
+//!   memory cost. `pobp serve --flight-dir` arms it for the daemon's life.
 //!
-//! With neither sink armed, [`record`] returns after one relaxed load, so a
+//! With neither sink armed, `record` returns after one relaxed load, so a
 //! long-running process that never asked for a trace holds no events.
 //!
 //! Like `obs`, the layer is **zero-cost when off**: the `instrument` cargo
@@ -31,13 +30,15 @@
 //! [`trace_event!`](crate::trace_event) expands to `()` without evaluating
 //! its arguments, [`obs_span!`](crate::obs_span) expands to its body
 //! unchanged, and [`task_scope`]/[`task_context`] become empty inline stubs,
-//! so call sites need no `cfg` of their own.
+//! so call sites need no `cfg` of their own. The recorder, its sinks and
+//! its exporters (`record`, `arm`, `drain`, `capture`, `chrome_json`,
+//! `logical_text`, the `flight` module) exist only in an `instrument` build.
 //!
 //! Full-record events are buffered in per-thread `Vec`s (no locks on the
 //! hot path except a global relaxed fetch-add for the sequence number) and
 //! flushed into a global sink when a buffer fills, when its thread exits,
-//! or on [`drain`]. Tests must serialise their recording windows with
-//! [`capture`], which mirrors `obs::measure`.
+//! or on `drain`. Tests must serialise their recording windows with
+//! `capture`, which mirrors `obs::measure`.
 
 /// Task id carried by events recorded outside any task scope.
 pub const NO_TASK: u64 = u64::MAX;

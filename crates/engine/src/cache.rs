@@ -26,8 +26,10 @@
 //! the engine; a prototype that did so, while the `pobp serve` daemon still
 //! shared one cache across its jobs, grew serve-mixed peak RSS from 31.6
 //! to about 36 MiB. Instead each worker
-//! keeps the plan of the last reference it reduced (`PlanMemo` in
-//! `solve.rs`): at most one plan per worker, dropped when the batch ends.
+//! keeps the plan of the last reference it reduced in its row memo
+//! (`RowMemo` in `solve.rs`), beside the last instance hash and the last
+//! certified reference: at most one of each per worker, dropped when the
+//! batch ends.
 //!
 //! Under an armed fault plan the `corrupt-ref` site perturbs a reference
 //! just before the task wrapper puts it here, decided by the entry key:
@@ -83,7 +85,13 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// planner folds these keys into its chunk digests, which is what makes a
 /// `--resume` able to detect a changed grid spec.
 pub fn task_key(task: &SolveTask) -> u64 {
-    let mut h = instance_hash(&task.instance);
+    task_key_with(instance_hash(&task.instance), task)
+}
+
+/// [`task_key`] from an already-computed `instance_hash(&task.instance)`,
+/// so a `k` row, whose tasks share one instance, hashes it once.
+pub fn task_key_with(inst_hash: u64, task: &SolveTask) -> u64 {
+    let mut h = inst_hash;
     h ^= splitmix64(task.k as u64);
     h = h.rotate_left(17) ^ splitmix64(task.machines as u64);
     h = h.rotate_left(17) ^ splitmix64(task.algo.name().len() as u64 ^ (task.algo as u64) << 8);

@@ -16,16 +16,21 @@
 //! [`TaskResult::CertFailed`](crate::task::TaskResult) naming the stage and
 //! reason, **never** a wrong value in an output row. This is what turns
 //! injected reference corruption (see [`crate::chaos`]) or a solver bug into a
-//! visible, attributable failure. Certification costs one `verify` plus one
-//! stats pass per emitted result — small next to any solve — and is always
-//! on; it is not feature-gated.
+//! visible, attributable failure. Certification is always on; it is not
+//! feature-gated. Each emitted result costs one `verify_on` of its own
+//! schedule and one pass recomputing its three totals
+//! ([`schedule_totals`]). The reference check (a `verify` and a
+//! revaluation of the reference schedule) runs once for each run of tasks
+//! that hand a worker the same reference `Arc` for an equal instance: once
+//! per `k` row. A check that failed is never remembered, so every task
+//! handed a bad reference fails on its own.
 //!
 //! Values in this workspace are integer-valued `f64`s (exact — DESIGN.md
 //! §4); the comparisons still allow a `1e-9` relative slack so the
 //! certification layer never flags benign floating-point noise, while the
 //! chaos corruption (`2v + 1`) stays far outside it.
 
-use pobp_core::{schedule_stats, JobSet, Schedule};
+use pobp_core::{schedule_totals, JobSet, Schedule};
 
 use crate::task::SolveOutput;
 
@@ -87,31 +92,31 @@ pub(crate) fn certify_solve(
         stage: CertStage::Feasibility,
         reason: e.to_string(),
     })?;
-    let stats = schedule_stats(jobs, schedule);
-    if values_differ(out.alg_value, stats.value) {
+    let totals = schedule_totals(jobs, schedule);
+    if values_differ(out.alg_value, totals.value) {
         return Err(CertFailure {
             stage: CertStage::Value,
             reason: format!(
                 "claimed value {} but the schedule recomputes to {}",
-                out.alg_value, stats.value
+                out.alg_value, totals.value
             ),
         });
     }
-    if out.scheduled != stats.scheduled {
+    if out.scheduled != totals.scheduled {
         return Err(CertFailure {
             stage: CertStage::Value,
             reason: format!(
                 "claimed {} scheduled jobs but the schedule holds {}",
-                out.scheduled, stats.scheduled
+                out.scheduled, totals.scheduled
             ),
         });
     }
-    if out.preemptions != stats.total_preemptions {
+    if out.preemptions != totals.preemptions {
         return Err(CertFailure {
             stage: CertStage::Value,
             reason: format!(
                 "claimed {} preemptions but the schedule recomputes to {}",
-                out.preemptions, stats.total_preemptions
+                out.preemptions, totals.preemptions
             ),
         });
     }

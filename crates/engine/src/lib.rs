@@ -84,7 +84,7 @@ pub mod pool;
 mod solve;
 pub mod task;
 
-pub use cache::{instance_hash, splitmix64, task_key, RefSolution, ResultCache};
+pub use cache::{instance_hash, splitmix64, task_key, task_key_with, RefSolution, ResultCache};
 pub use io::IoGuard;
 pub use cancel::{CancelToken, StopReason, TaskCtx};
 pub use cert::{CertFailure, CertStage};

@@ -39,11 +39,11 @@ use pobp_core::obs::LogHistogram;
 use pobp_core::{obs_count, obs_event, obs_span, trace, trace_event};
 use pobp_sched::SolveWorkspace;
 
-use crate::cache::{instance_hash, task_key, ResultCache};
+use crate::cache::{task_key_with, ResultCache};
 use crate::cancel::{CancelToken, StopReason, TaskCtx};
 use crate::chaos::{FaultPlan, FaultSite, TaskChaos};
 use crate::exec::{Fabric, StealRng, Unit};
-use crate::solve::{solve_task, PlanMemo, SolveFailure};
+use crate::solve::{solve_task, RowMemo, SolveFailure};
 use crate::task::{Algo, DegradeCause, SolveTask, TaskReport, TaskResult};
 
 /// Engine configuration. `Default` is the deterministic sweep setup:
@@ -194,11 +194,12 @@ impl Engine {
         Engine::with_shared_cache(cfg, Arc::new(ResultCache::new()))
     }
 
-    /// An engine sharing an existing reference cache. This is how a
-    /// long-lived service gives every per-job engine one content-addressed
-    /// cache: the engines are cheap (config + token + `Arc` handle) while
-    /// the cache — the expensive, shareable state — persists across all of
-    /// them.
+    /// An engine sharing an existing reference cache, so engines that solve
+    /// the same instances compute each reference once between them. No
+    /// product path uses it: every `pobp serve` job runs on an
+    /// [`Engine::new`] engine with a cache of its own. Its one caller
+    /// outside the tests is the benchmark's in-process replay of the
+    /// daemon.
     pub fn with_shared_cache(cfg: EngineConfig, cache: Arc<ResultCache>) -> Self {
         Engine { cfg, cache, batch: CancelToken::new() }
     }
@@ -250,9 +251,10 @@ impl Engine {
             // this worker claims: steady-state solves allocate only
             // their outputs.
             let mut ws = SolveWorkspace::new();
-            // The last reduction prefix this worker built, so the rest
-            // of a k row reuses it (`PlanMemo`).
-            let mut memo: PlanMemo = None;
+            // What the k row this worker is on shares: its instance
+            // hash, its certified reference and its reduction prefix
+            // (`RowMemo`).
+            let mut memo = RowMemo::default();
             let mut rng = StealRng::new(w);
             // Reports stay worker-local until the merge after the join —
             // no shared report lock on the hot path.
@@ -352,19 +354,20 @@ impl Engine {
     /// has then been requeued with a not-before timestamp and some worker
     /// will dispatch it again once the backoff passes.
     #[allow(clippy::too_many_arguments)]
-    fn dispatch(
+    fn dispatch<'b>(
         &self,
         worker: usize,
         mut unit: Unit,
-        task: &SolveTask,
+        task: &'b SolveTask,
         stats: &StatsCell,
         fabric: &Fabric,
-        memo: &mut PlanMemo,
+        memo: &mut RowMemo<'b>,
         ws: &mut SolveWorkspace,
     ) -> Option<TaskReport> {
         let index = unit.index;
-        // The instance is hashed once per dispatch, as the reference key.
-        let cache = self.cfg.use_cache.then(|| (&*self.cache, instance_hash(&task.instance)));
+        // The instance hash is the reference key; the memo computes it once
+        // per run of equal instances.
+        let cache = self.cfg.use_cache.then(|| (&*self.cache, memo.instance_hash(&task.instance)));
         if unit.attempts == 0 {
             // First dispatch: fix the task's absolute deadline and chaos
             // handle. Both live in the unit from here on, so they survive a
@@ -372,11 +375,10 @@ impl Engine {
             // out a backoff, exactly as it did when the backoff was an
             // in-worker sleep.
             unit.deadline_at = self.cfg.deadline.map(|d| Instant::now() + d);
-            unit.chaos = self
-                .cfg
-                .chaos
-                .as_ref()
-                .map(|plan| TaskChaos { plan: plan.clone(), key: task_key(task) });
+            unit.chaos = self.cfg.chaos.as_ref().map(|plan| TaskChaos {
+                plan: plan.clone(),
+                key: task_key_with(memo.instance_hash(&task.instance), task),
+            });
             if let Some(ch) = &unit.chaos {
                 // The `cancel` site: expire the task's deadline before it
                 // starts; the wrapper stops at its first boundary.
@@ -398,9 +400,10 @@ impl Engine {
         // The attempt span lives inside the catch_unwind so its end
         // event fires during unwinding — panicking attempts still close.
         // The workspace is safe to reuse after an unwind: every `*_ws`
-        // entry point resets its buffers at entry. So is the memo: it is
-        // only ever replaced by a finished plan.
-        let attempt = |memo: &mut PlanMemo, ws: &mut SolveWorkspace| {
+        // entry point resets its buffers at entry. So is the memo: each
+        // slot is only ever replaced by a finished hash, a passed check or
+        // a finished plan.
+        let attempt = |memo: &mut RowMemo<'b>, ws: &mut SolveWorkspace| {
             obs_span!("attempt", {
                 if let Some(ch) = &ctx.chaos {
                     // The `delay` site: stall the attempt (wall-clock
@@ -526,8 +529,9 @@ impl Engine {
         // reference entry poisoned by the `corrupt-ref` site cannot reach
         // the rescue.
         obs_span!("degrade", {
-            // No fallback algorithm is a reduction, so the memo goes unused.
-            let solve = || solve_task(&fb_task, &ctx, None, &mut None, ws);
+            // An empty memo: the fallback's reference is its own, checked
+            // afresh, and no fallback algorithm is a reduction.
+            let solve = || solve_task(&fb_task, &ctx, None, &mut RowMemo::default(), ws);
             match catch_unwind(AssertUnwindSafe(solve)) {
                 Ok(Ok(solved)) => {
                     obs_count!("engine.degrade.rescued");

@@ -5,16 +5,18 @@
 //! possible) and the *bounded* algorithm itself — with a cooperative
 //! [`TaskCtx`] check at each stage boundary. Before the output is released
 //! the engine's trust boundary re-checks it ([`crate::cert`]): the schedule
-//! re-verifies under `(eff_k, machines)`, the claimed statistics recompute,
-//! and the reference schedule's value matches the claimed `ref_value`. A
-//! mismatch is a [`SolveFailure::Cert`], which the pool turns into
+//! re-verifies under `(eff_k, machines)`, the claimed totals recompute,
+//! and the reference schedule's value matches the claimed `ref_value` (once
+//! per reference and instance per worker: [`RowMemo`]). A mismatch is a
+//! [`SolveFailure::Cert`], which the pool turns into
 //! `TaskResult::CertFailed`. Panics are **not** handled here: they unwind
 //! out to the pool's `catch_unwind` so the taxonomy (panic vs timeout vs
 //! cancel vs cert) stays in one place.
 
+use std::ptr;
 use std::sync::Arc;
 
-use pobp_core::{obs_count, obs_time, schedule_stats, trace_event, JobId, JobSet, Schedule};
+use pobp_core::{obs_count, obs_time, schedule_totals, trace_event, JobId, JobSet, Schedule};
 use pobp_sched::{
     combined_from_scratch, greedy_unbounded_ws, iterative_multi_machine, k_preemption_combined,
     lsa_cs, opt_unbounded, reduce_to_k_bounded_ws, schedule_k0, KbasSolver, ReductionPlan,
@@ -22,7 +24,7 @@ use pobp_sched::{
 };
 use pobp_sim::{run_online, OnlineAlg, OnlineConfig};
 
-use crate::cache::{RefSolution, ResultCache};
+use crate::cache::{instance_hash, RefSolution, ResultCache};
 use crate::cancel::{StopReason, TaskCtx};
 use crate::cert::{self, CertFailure};
 use crate::chaos::FaultSite;
@@ -51,17 +53,90 @@ pub(crate) struct Solved {
     pub ref_hit: bool,
 }
 
-/// A worker's memo of the `k`-independent reduction prefix: the
-/// [`ReductionPlan`] of the last reference the worker reduced, keyed by that
-/// reference's `Arc`.
+/// A worker's memo of what a `k` row shares, kept for one batch.
 ///
-/// The cache's reference layer hands every task of one instance the same
-/// `Arc`, and a grid's `k` row is contiguous in the batch, so a worker that
-/// claims the row builds the prefix once. Holding the `Arc` keeps its
-/// allocation alive, so a pointer match can never be a reused address.
-/// Without the cache every task computes its own reference, so the memo
-/// never hits. Why this is not a cache layer: see [`crate::cache`].
-pub(crate) type PlanMemo = Option<(Arc<RefSolution>, ReductionPlan)>;
+/// A grid's `k` row is contiguous in the batch and its tasks share one
+/// instance, so the worker that claims the row meets that instance task
+/// after task. The memo pays once for what the row shares:
+///
+/// * the [`instance_hash`] of the last instance the worker hashed, which
+///   is both the cache key and the chaos key;
+/// * the reference `Arc` that last passed [`cert::certify_reference`], with
+///   the instance it passed against;
+/// * the [`ReductionPlan`] (laminarize + schedule forest) of the last
+///   reference the worker reduced, keyed by that reference's `Arc`.
+///
+/// Instances are borrowed from the batch's task slice and match by address
+/// or by `==` (the content [`instance_hash`] covers); references match by
+/// `Arc::ptr_eq`, and holding the `Arc` keeps its allocation alive, so a
+/// pointer match is never a reused address. Only a passed check is stored.
+/// Without the cache every task computes its own reference, so the
+/// reference and plan slots never hit. Why this is not a cache layer: see
+/// [`crate::cache`].
+#[derive(Default)]
+pub(crate) struct RowMemo<'b> {
+    hashed: Option<(&'b JobSet, u64)>,
+    certified: Option<(&'b JobSet, Arc<RefSolution>)>,
+    plan: Option<(Arc<RefSolution>, ReductionPlan)>,
+}
+
+impl<'b> RowMemo<'b> {
+    /// `instance_hash(jobs)`, reused while the instance is the one hashed
+    /// last.
+    pub(crate) fn instance_hash(&mut self, jobs: &'b JobSet) -> u64 {
+        match self.hashed {
+            Some((seen, h)) if same_instance(seen, jobs) => h,
+            _ => {
+                obs_count!("engine.instance.hashed");
+                let h = instance_hash(jobs);
+                self.hashed = Some((jobs, h));
+                h
+            }
+        }
+    }
+
+    /// [`cert::certify_reference`], skipped when this very `Arc` already
+    /// passed against an equal instance.
+    fn certify_reference(
+        &mut self,
+        jobs: &'b JobSet,
+        reference: &Arc<RefSolution>,
+    ) -> Result<(), CertFailure> {
+        if matches!(&self.certified, Some((seen, passed))
+            if Arc::ptr_eq(passed, reference) && same_instance(seen, jobs))
+        {
+            return Ok(());
+        }
+        obs_count!("engine.cert.reference_checked");
+        cert::certify_reference(jobs, &reference.schedule, reference.value)?;
+        self.certified = Some((jobs, Arc::clone(reference)));
+        Ok(())
+    }
+
+    /// The reduction prefix of `reference`: the memo's plan when it was
+    /// built from this very reference, else a fresh plan that replaces it.
+    fn plan(
+        &mut self,
+        reference: &Arc<RefSolution>,
+        jobs: &JobSet,
+        ws: &mut SolveWorkspace,
+    ) -> &ReductionPlan {
+        if !matches!(&self.plan, Some((built_from, _)) if Arc::ptr_eq(built_from, reference)) {
+            let plan = ReductionPlan::new_ws(jobs, &reference.schedule, ws)
+                .expect("reference schedule is feasible");
+            self.plan = Some((Arc::clone(reference), plan));
+        }
+        &self.plan.as_ref().expect("memo filled above").1
+    }
+}
+
+/// Whether two instances are the same content: one allocation, or equal
+/// jobs in equal order. For the positive, finite values a `Job` admits,
+/// `==` on a value is equality of its bits, which is what
+/// [`instance_hash`] reads.
+fn same_instance(a: &JobSet, b: &JobSet) -> bool {
+    ptr::eq(a, b) || a == b
+}
 
 /// Computes the unbounded reference of `task`, consulting `cache` (the
 /// cache and the task's instance hash). The returned flag is `true` on a
@@ -109,22 +184,6 @@ fn reference(
     (sol, false)
 }
 
-/// The reduction prefix of `reference`: the memo's plan when it was built
-/// from this very reference, else a fresh plan that replaces it.
-fn plan_for<'m>(
-    memo: &'m mut PlanMemo,
-    reference: &Arc<RefSolution>,
-    jobs: &JobSet,
-    ws: &mut SolveWorkspace,
-) -> &'m ReductionPlan {
-    if !matches!(memo, Some((built_from, _)) if Arc::ptr_eq(built_from, reference)) {
-        let plan = ReductionPlan::new_ws(jobs, &reference.schedule, ws)
-            .expect("reference schedule is feasible");
-        *memo = Some((Arc::clone(reference), plan));
-    }
-    &memo.as_ref().expect("memo filled above").1
-}
-
 /// Runs the bounded stage of `task` against the reference. Returns the
 /// schedule, the effective `k` to verify against, and the combined
 /// algorithm's branch values when available.
@@ -132,7 +191,7 @@ fn bounded_stage(
     task: &SolveTask,
     ids: &[JobId],
     reference: &Arc<RefSolution>,
-    memo: &mut PlanMemo,
+    memo: &mut RowMemo<'_>,
     ws: &mut SolveWorkspace,
 ) -> (Schedule, u32, Option<(f64, f64)>) {
     let jobs = &task.instance;
@@ -174,7 +233,7 @@ fn bounded_stage(
     }
     match task.algo {
         Algo::Reduction => {
-            let plan = plan_for(memo, reference, jobs, ws);
+            let plan = memo.plan(reference, jobs, ws);
             (plan.solve_ws(jobs, k, KbasSolver::Tm, ws).schedule, k, None)
         }
         Algo::Combined => {
@@ -204,14 +263,15 @@ fn online_alg(algo: Algo) -> Option<OnlineAlg> {
 }
 
 /// Runs one task to completion and certifies the result. `cache` pairs the
-/// cache with the task's instance hash, computed once by the caller. `Err`
-/// carries the stage-boundary stop reason or the certification failure;
-/// panics unwind to the caller (the pool's `catch_unwind`).
-pub(crate) fn solve_task(
-    task: &SolveTask,
+/// cache with the task's instance hash, which the caller takes from
+/// `memo`. `Err` carries the stage-boundary stop reason or the
+/// certification failure; panics unwind to the caller (the pool's
+/// `catch_unwind`).
+pub(crate) fn solve_task<'b>(
+    task: &'b SolveTask,
     ctx: &TaskCtx,
     cache: Option<(&ResultCache, u64)>,
-    memo: &mut PlanMemo,
+    memo: &mut RowMemo<'b>,
     ws: &mut SolveWorkspace,
 ) -> Result<Solved, SolveFailure> {
     if let Some(stop) = ctx.should_stop() {
@@ -233,18 +293,18 @@ pub(crate) fn solve_task(
     }
     let (schedule, eff_k, branch_values) =
         obs_time!("engine.solve.time.bounded", bounded_stage(task, &ids, &reference, memo, ws));
-    let stats = schedule_stats(&task.instance, &schedule);
+    let totals = schedule_totals(&task.instance, &schedule);
     let output = SolveOutput {
-        alg_value: stats.value,
+        alg_value: totals.value,
         ref_value: reference.value,
-        scheduled: stats.scheduled,
-        preemptions: stats.total_preemptions,
+        scheduled: totals.scheduled,
+        preemptions: totals.preemptions,
         branch_values,
     };
     // The trust boundary: nothing leaves the wrapper uncertified — neither
     // the reference (which may come from the cache) nor the bounded side.
     obs_time!("engine.cert.time", {
-        cert::certify_reference(&task.instance, &reference.schedule, reference.value)
+        memo.certify_reference(&task.instance, &reference)
             .and_then(|()| {
                 cert::certify_solve(&task.instance, &schedule, eff_k, task.machines, &output)
             })
@@ -252,4 +312,48 @@ pub(crate) fn solve_task(
     })?;
     trace_event!("cert.ok");
     Ok(Solved { output, ref_hit })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cancel::CancelToken;
+    use crate::cert::CertStage;
+    use pobp_core::Job;
+
+    /// A memo that passed a reference for instance A is handed the same
+    /// `Arc` for a different instance B, as a 64-bit collision of their
+    /// instance hashes would hand it: B must re-check the reference, and
+    /// fail.
+    #[test]
+    fn a_reference_passed_for_one_instance_is_checked_again_for_another() {
+        let a: JobSet =
+            vec![Job::new(0, 10, 4, 3.0), Job::new(0, 20, 5, 2.0)].into_iter().collect();
+        // B: A's windows and lengths, so A's reference is feasible for B;
+        // only its value is wrong.
+        let b: JobSet =
+            vec![Job::new(0, 10, 4, 7.0), Job::new(0, 20, 5, 2.0)].into_iter().collect();
+        let (task_a, task_b) =
+            (SolveTask::new(a, 1, Algo::Reduction), SolveTask::new(b, 2, Algo::Reduction));
+        let ctx = TaskCtx { batch: CancelToken::new(), deadline: None, chaos: None };
+        let cache = ResultCache::new();
+        let mut memo = RowMemo::default();
+        let mut ws = SolveWorkspace::new();
+
+        let key = memo.instance_hash(&task_a.instance);
+        let solved = solve_task(&task_a, &ctx, Some((&cache, key)), &mut memo, &mut ws)
+            .unwrap_or_else(|_| panic!("A solves"));
+        assert!(!solved.ref_hit);
+        // The collision: B is looked up under A's key.
+        let Err(SolveFailure::Cert(failure)) =
+            solve_task(&task_b, &ctx, Some((&cache, key)), &mut memo, &mut ws)
+        else {
+            panic!("A's reference passed for B");
+        };
+        assert_eq!(failure.stage, CertStage::Reference);
+        // A's pass still serves A, and B fails again: a failure is never
+        // remembered as a pass.
+        assert!(solve_task(&task_a, &ctx, Some((&cache, key)), &mut memo, &mut ws).is_ok());
+        assert!(solve_task(&task_b, &ctx, Some((&cache, key)), &mut memo, &mut ws).is_err());
+    }
 }

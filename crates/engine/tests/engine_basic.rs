@@ -269,26 +269,34 @@ fn degradation_skips_the_test_only_panic_algo() {
 
 #[test]
 fn tampered_cache_entry_fails_certification_instead_of_leaking() {
-    // The trust boundary in action without a fault plan: poison the
-    // task's reference entry by hand (`2v + 1`, as the corrupt-ref site
-    // does) and check the engine refuses to emit a row built on it.
-    let task = grid_tasks()[0].clone();
-    let ids: Vec<JobId> = task.instance.ids().collect();
-    let schedule = pobp_sched::greedy_unbounded(&task.instance, &ids).schedule;
-    let value = schedule.value(&task.instance) * 2.0 + 1.0;
-    let engine = Engine::new(sequential());
-    engine.cache().put_ref(
-        instance_hash(&task.instance),
-        task.exact_ref,
-        RefSolution { schedule, value },
-    );
+    // The trust boundary in action without a fault plan: poison a k row's
+    // shared reference entry by hand (`2v + 1`, as the corrupt-ref site
+    // does) and check the engine refuses to emit a row built on it. A
+    // failed reference check is never remembered, so every task of the
+    // row fails on its own, on one worker or two.
+    let base = grid_tasks()[0].clone();
+    let row: Vec<SolveTask> =
+        [1, 2, 4].into_iter().map(|k| SolveTask { k, ..base.clone() }).collect();
+    let ids: Vec<JobId> = base.instance.ids().collect();
+    let schedule = pobp_sched::greedy_unbounded(&base.instance, &ids).schedule;
+    let value = schedule.value(&base.instance) * 2.0 + 1.0;
+    for threads in [1, 2] {
+        let engine = Engine::new(EngineConfig { threads, ..sequential() });
+        engine.cache().put_ref(
+            instance_hash(&base.instance),
+            base.exact_ref,
+            RefSolution { schedule: schedule.clone(), value },
+        );
 
-    let batch = engine.run_batch(std::slice::from_ref(&task));
-    let TaskResult::CertFailed { stage, reason } = &batch.reports[0].result else {
-        panic!("poisoned reference leaked: {:?}", batch.reports[0].result);
-    };
-    assert_eq!(*stage, CertStage::Reference);
-    assert!(reason.contains("reference value"), "got: {reason}");
-    assert_eq!(batch.stats.cert_failed, 1);
-    assert_eq!(batch.stats.run, 0);
+        let batch = engine.run_batch(&row);
+        for report in &batch.reports {
+            let TaskResult::CertFailed { stage, reason } = &report.result else {
+                panic!("poisoned reference leaked at {threads} threads: {report:?}");
+            };
+            assert_eq!(*stage, CertStage::Reference);
+            assert!(reason.contains("reference value"), "got: {reason}");
+        }
+        assert_eq!(batch.stats.cert_failed, 3);
+        assert_eq!(batch.stats.run, 0);
+    }
 }

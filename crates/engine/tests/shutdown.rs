@@ -1,7 +1,7 @@
-//! The two hooks a long-lived owner of many engines uses (`docs/engine.md`,
+//! The two hooks a long-lived owner of many engines can use (`docs/engine.md`,
 //! Lifecycle and embedding): `Engine::cancel_all`, which is how the
 //! `pobp serve` daemon stops a running job, and `Engine::with_shared_cache`,
-//! which gives its per-job engines one reference cache.
+//! which gives several engines one reference cache.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,7 +50,7 @@ fn cancel_all_stops_a_running_batch_at_the_next_boundary() {
 #[test]
 fn shared_cache_spans_engines() {
     // Two engines over one cache: the second reuses every reference the
-    // first computed — the serve daemon's per-job-engine pattern.
+    // first computed.
     let cache = Arc::new(ResultCache::new());
     let cfg = || EngineConfig { threads: 1, ..EngineConfig::default() };
     let a = Engine::with_shared_cache(cfg(), Arc::clone(&cache));

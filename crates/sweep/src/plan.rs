@@ -10,7 +10,7 @@
 //! are a pure function of the chunk alone.
 //!
 //! Content addressing: each chunk's [`key`](ChunkPlan::key) folds the
-//! [`task_key`] of every task it contains — the same
+//! [`task_key`](pobp_engine::task_key) of every task it contains — the same
 //! content keys the cache and the chaos layer use — and the whole spec has
 //! a canonical [`spec_string`](SweepSpec::spec_string) + digest. The
 //! checkpoint manifest records both, which is how `--resume` detects a
@@ -19,7 +19,8 @@
 
 use std::fmt::{self, Write};
 
-use pobp_engine::{splitmix64, task_key, Algo, SolveTask};
+use pobp_core::JobSet;
+use pobp_engine::{instance_hash, splitmix64, task_key_with, Algo, SolveTask};
 use pobp_instances::RandomWorkload;
 
 /// A sharded sweep specification: the grid axes plus the chunk size.
@@ -178,19 +179,28 @@ impl ChunkPlan {
     }
 
     /// The chunk's content key: a fold of every task's content key (the
-    /// same [`task_key`] the cache and chaos layers use), mixed with the
-    /// chunk's position. Recorded in the manifest; a resume recomputes it
+    /// same [`task_key`](pobp_engine::task_key) the cache and chaos layers
+    /// use), mixed with the chunk's position. Recorded in the manifest; a resume recomputes it
     /// and recomputes any chunk whose key changed.
     pub fn key(&self) -> u64 {
         self.key_of(&self.tasks())
     }
 
     /// [`key`](ChunkPlan::key) over an already-expanded task list (the
-    /// runner expands once and reuses it).
+    /// runner expands once and reuses it). A task whose instance equals
+    /// (`==`) the previous task's reuses that task's [`instance_hash`], so
+    /// each cell of a chunk is hashed once, not once per `k`. For the
+    /// positive, finite job values the hash reads, `==` is bit equality.
     pub fn key_of(&self, tasks: &[SolveTask]) -> u64 {
         let mut h = splitmix64(self.index as u64 ^ 0x6368_756e_6b30_3031);
+        let mut last: Option<(&JobSet, u64)> = None;
         for t in tasks {
-            h = splitmix64(h ^ task_key(t));
+            let inst = match last {
+                Some((seen, inst)) if *seen == t.instance => inst,
+                _ => instance_hash(&t.instance),
+            };
+            last = Some((&t.instance, inst));
+            h = splitmix64(h ^ task_key_with(inst, t));
         }
         h
     }
@@ -244,6 +254,70 @@ mod tests {
         assert_eq!(coords[0], (8, 0, 1));
         assert_eq!(coords[1], (8, 1, 1));
         assert_eq!(coords.len(), chunks[1].tasks().len());
+    }
+
+    /// Every checkpoint on disk records these keys, so a change to
+    /// `instance_hash`, `task_key` or `key_of` that moves one makes every
+    /// existing checkpoint fail `--resume` with "chunk key mismatch".
+    #[test]
+    fn chunk_keys_and_spec_digest_are_pinned() {
+        let s = spec();
+        assert_eq!(s.digest(), 0x17de_71e7_3bd1_30ac);
+        let keys: Vec<u64> = s.chunks().iter().map(ChunkPlan::key).collect();
+        assert_eq!(keys, [0x99c9_9cc8_ddba_a14b, 0xf248_b9b6_c7f5_851c]);
+    }
+
+    /// The chunk key as first written, one `task_key` (and so one instance
+    /// hash) per task: the oracle for the once-per-cell hashing of `key_of`.
+    fn key_by_task_fold(chunk: &ChunkPlan, tasks: &[SolveTask]) -> u64 {
+        let mut h = splitmix64(chunk.index as u64 ^ 0x6368_756e_6b30_3031);
+        for t in tasks {
+            h = splitmix64(h ^ pobp_engine::task_key(t));
+        }
+        h
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn key_of_matches_the_per_task_fold(
+            index in 0usize..50,
+            picks in proptest::collection::vec(
+                (0usize..3, 0u32..5, 0usize..4, 1usize..3, proptest::prelude::AnyBool),
+                0..16,
+            ),
+            seed in 0u64..1000,
+        ) {
+            // Three instances: A, B, and A with its last job's value
+            // moved, so an equality check that stops early would merge
+            // two instances that hash differently.
+            let a = RandomWorkload::standard(6).generate(seed);
+            let b = RandomWorkload::standard(6).generate(seed + 1);
+            let mut jobs: Vec<pobp_core::Job> = a.iter().map(|(_, j)| *j).collect();
+            jobs.last_mut().expect("n = 6").value += 1.0;
+            let near_a: JobSet = jobs.into_iter().collect();
+            let pool = [a, b, near_a];
+            let algos = [Algo::Reduction, Algo::Combined, Algo::LsaCs, Algo::K0];
+            let tasks: Vec<SolveTask> = picks
+                .iter()
+                .map(|&(inst, k, algo, machines, exact_ref)| SolveTask {
+                    instance: pool[inst].clone(),
+                    k,
+                    machines,
+                    algo: algos[algo],
+                    exact_ref,
+                    label: String::new(),
+                })
+                .collect();
+            let chunk = ChunkPlan {
+                index,
+                cells: Vec::new(),
+                ks: Vec::new(),
+                algo: Algo::Reduction,
+                machines: 1,
+                exact_ref: false,
+            };
+            proptest::prop_assert_eq!(chunk.key_of(&tasks), key_by_task_fold(&chunk, &tasks));
+        }
     }
 
     #[test]

@@ -169,11 +169,18 @@ pub fn run_sweep(dir: &Path, cfg: &SweepConfig) -> Result<SweepOutcome, String> 
     progress(manifest.done.len(), rows_done, 0);
 
     for chunk in &chunks {
+        let recorded = manifest.record(chunk.index);
+        if recorded.is_none() && out.chunks_completed >= cfg.max_chunks.unwrap_or(usize::MAX) {
+            // The budget for this invocation is spent; stay resumable.
+            // Records are a plan-order prefix, so no later chunk is
+            // recorded either, and none needs expanding.
+            break;
+        }
         let tasks = chunk.tasks();
         let key = chunk.key_of(&tasks);
         let path = shard_path(dir, chunk.index);
 
-        if let Some(rec) = manifest.record(chunk.index) {
+        if let Some(rec) = recorded {
             if rec.key != key {
                 return Err(format!(
                     "--resume: chunk {} key mismatch (manifest {:#x}, plan {:#x}) — \
@@ -186,10 +193,6 @@ pub fn run_sweep(dir: &Path, cfg: &SweepConfig) -> Result<SweepOutcome, String> 
             check_shard(&path, &bytes, rec)?;
             out.chunks_skipped += 1;
             continue;
-        }
-
-        if out.chunks_completed >= cfg.max_chunks.unwrap_or(usize::MAX) {
-            continue; // budget for this invocation exhausted; stay resumable
         }
 
         // Heal whatever a previous life left: a clean prefix, a torn tail,

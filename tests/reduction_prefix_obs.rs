@@ -1,4 +1,5 @@
-//! The engine's reduction-prefix memo, pinned by the `obs` counters.
+//! The engine's row memo (the reduction prefix, the instance hash and the
+//! reference check a `k` row shares), pinned by the `obs` counters.
 //!
 //! A test binary of its own: an engine batch registers the engine's event
 //! stats in the process-global registry, and
@@ -72,4 +73,43 @@ fn engine_builds_the_reduction_prefix_once_per_k_row() {
         let (alone, _) = laminarize_runs(std::slice::from_ref(task), &uncached);
         assert_eq!(report.result, alone.reports[0].result, "k = {}", task.k);
     }
+}
+
+/// A worker hashes a `k` row's instance once (the cache key and the chaos
+/// key) and certifies the row's shared reference once; interleaved
+/// instances pay again each time the instance changes. Reports do not
+/// move: they equal the uncached batch's, which shares no reference.
+#[test]
+fn engine_hashes_and_checks_a_k_row_once() {
+    let _window = obs::exclusive();
+    let counts = |tasks: &[SolveTask], cfg: &EngineConfig| {
+        obs::reset();
+        let batch = run_batch(tasks, cfg.clone());
+        let snap = obs::snapshot();
+        let counts =
+            (snap.counter("engine.instance.hashed"), snap.counter("engine.cert.reference_checked"));
+        (batch, counts)
+    };
+    let cached = EngineConfig { threads: 1, ..EngineConfig::default() };
+    let uncached = EngineConfig { use_cache: false, ..cached.clone() };
+
+    let jobs = workload(40, 21);
+    let row: Vec<SolveTask> = [1, 2, 4, 8]
+        .into_iter()
+        .map(|k| SolveTask::new(jobs.clone(), k, Algo::Reduction))
+        .collect();
+    let (with_cache, hashed_checked) = counts(&row, &cached);
+    assert_eq!(hashed_checked, (1, 1), "one hash and one reference check for the k row");
+    let (without_cache, _) = counts(&row, &uncached);
+    assert_eq!(with_cache.reports, without_cache.reports);
+
+    let interleaved = vec![
+        SolveTask::new(jobs.clone(), 1, Algo::Reduction),
+        SolveTask::new(workload(40, 22), 1, Algo::Reduction),
+        SolveTask::new(jobs, 2, Algo::Reduction),
+    ];
+    let (with_cache, hashed_checked) = counts(&interleaved, &cached);
+    assert_eq!(hashed_checked, (3, 3), "each change of instance pays again");
+    let (without_cache, _) = counts(&interleaved, &uncached);
+    assert_eq!(with_cache.reports, without_cache.reports);
 }
