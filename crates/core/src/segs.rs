@@ -57,8 +57,17 @@ impl SegmentSet {
 
     /// Builds a normalized set from arbitrary (possibly overlapping,
     /// touching, unsorted, empty) intervals.
+    ///
+    /// Input already in normal form that fills its collected vector exactly
+    /// (an exact-size `Vec` of non-empty intervals passed in whole) becomes
+    /// the set's storage as it is, with no sort and no second allocation.
+    /// Any other input is sorted and coalesced into a vector of its own, so
+    /// no set keeps the spare capacity of a growing collection.
     pub fn from_intervals<I: IntoIterator<Item = Interval>>(ivs: I) -> Self {
         let mut v: Vec<Interval> = ivs.into_iter().filter(|i| !i.is_empty()).collect();
+        if v.len() == v.capacity() && v.windows(2).all(|w| w[0].end < w[1].start) {
+            return SegmentSet { segs: v };
+        }
         v.sort_unstable_by_key(|i| (i.start, i.end));
         let mut out: Vec<Interval> = Vec::with_capacity(v.len());
         for iv in v {

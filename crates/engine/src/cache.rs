@@ -20,12 +20,12 @@
 //! counters, never in per-task output (see the determinism contract in
 //! `docs/engine.md`).
 //!
-//! The reduction's `k`-independent prefix (`ReductionPlan`: laminarize +
-//! schedule forest) is deliberately *not* cached here. The cache is never
-//! evicted, so a plan stored beside each reference would live as long as
-//! the engine; a prototype that did so, while the `pobp serve` daemon still
-//! shared one cache across its jobs, grew serve-mixed peak RSS from 31.6
-//! to about 36 MiB. Instead each worker
+//! The reduction's `k`-independent prefix (`ReductionPlan`: the
+//! reference's schedule forest) is deliberately *not* cached here. The
+//! cache is never evicted, so a plan stored beside each reference would
+//! live as long as the engine; a prototype that did so, while the
+//! `pobp serve` daemon still shared one cache across its jobs, grew
+//! serve-mixed peak RSS from 31.6 to about 36 MiB. Instead each worker
 //! keeps the plan of the last reference it reduced in its row memo
 //! (`RowMemo` in `solve.rs`), beside the last instance hash and the last
 //! certified reference: at most one of each per worker, dropped when the

@@ -19,8 +19,7 @@ use std::sync::Arc;
 use pobp_core::{obs_count, obs_time, schedule_totals, trace_event, JobId, JobSet, Schedule};
 use pobp_sched::{
     combined_from_scratch, greedy_unbounded_ws, iterative_multi_machine, k_preemption_combined,
-    lsa_cs, opt_unbounded, reduce_to_k_bounded_ws, schedule_k0, KbasSolver, ReductionPlan,
-    SolveWorkspace,
+    lsa_cs, opt_unbounded, schedule_k0, KbasSolver, ReductionPlan, SolveWorkspace,
 };
 use pobp_sim::{run_online, OnlineAlg, OnlineConfig};
 
@@ -63,7 +62,7 @@ pub(crate) struct Solved {
 ///   is both the cache key and the chaos key;
 /// * the reference `Arc` that last passed [`cert::certify_reference`], with
 ///   the instance it passed against;
-/// * the [`ReductionPlan`] (laminarize + schedule forest) of the last
+/// * the [`ReductionPlan`] (the reference's schedule forest) of the last
 ///   reference the worker reduced, keyed by that reference's `Arc`.
 ///
 /// Instances are borrowed from the batch's task slice and match by address
@@ -115,6 +114,9 @@ impl<'b> RowMemo<'b> {
 
     /// The reduction prefix of `reference`: the memo's plan when it was
     /// built from this very reference, else a fresh plan that replaces it.
+    /// Both reference kinds are unrestricted EDF runs (`corrupt-ref` moves
+    /// only the claimed value), so the plan skips laminarization
+    /// ([`ReductionPlan::from_edf_ws`]).
     fn plan(
         &mut self,
         reference: &Arc<RefSolution>,
@@ -122,8 +124,7 @@ impl<'b> RowMemo<'b> {
         ws: &mut SolveWorkspace,
     ) -> &ReductionPlan {
         if !matches!(&self.plan, Some((built_from, _)) if Arc::ptr_eq(built_from, reference)) {
-            let plan = ReductionPlan::new_ws(jobs, &reference.schedule, ws)
-                .expect("reference schedule is feasible");
+            let plan = ReductionPlan::from_edf_ws(jobs, &reference.schedule, ws);
             self.plan = Some((Arc::clone(reference), plan));
         }
         &self.plan.as_ref().expect("memo filled above").1
@@ -210,8 +211,8 @@ fn bounded_stage(
         let schedule = match task.algo {
             Algo::Reduction => iterative_multi_machine(jobs, ids, task.machines, |js, rem| {
                 let inf = greedy_unbounded_ws(js, rem, ws);
-                reduce_to_k_bounded_ws(js, &inf.schedule, k, KbasSolver::Tm, ws)
-                    .expect("greedy reference is feasible")
+                ReductionPlan::from_edf_ws(js, &inf.schedule, ws)
+                    .solve_ws(js, k, KbasSolver::Tm, ws)
                     .schedule
             }),
             Algo::Combined => iterative_multi_machine(jobs, ids, task.machines, |js, rem| {

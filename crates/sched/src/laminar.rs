@@ -13,7 +13,7 @@
 //! laminar preemption structure — exactly what the schedule-forest
 //! construction of §4.1 needs.
 
-use crate::edf::edf_core;
+use crate::edf::{edf_core, edf_schedule_reference};
 use crate::workspace::SolveWorkspace;
 use pobp_core::{obs_count, Infeasibility, JobId, JobSet, Schedule};
 
@@ -137,6 +137,26 @@ pub fn laminarize_ws(
     }
     debug_assert!(is_laminar(&out));
     Ok(out)
+}
+
+/// Whether `schedule` is feasible and [`laminarize`] would return it
+/// unchanged: the precondition of [`crate::ReductionPlan::from_edf`], which
+/// debug builds assert. It recomputes each machine's restricted EDF run with
+/// [`crate::edf_schedule_reference`], the oracle `edf_core` is tested
+/// against, which fires no `obs` counter: the check leaves the counts of
+/// the work it guards unchanged.
+pub(crate) fn is_own_laminarization(jobs: &JobSet, schedule: &Schedule) -> bool {
+    schedule.verify(jobs, None).is_ok()
+        && schedule.machines().into_iter().all(|machine| {
+            let on: Vec<JobId> = schedule
+                .iter()
+                .filter(|(_, a)| a.machine == machine)
+                .map(|(id, _)| id)
+                .collect();
+            let edf = edf_schedule_reference(jobs, &on, Some(&schedule.busy(machine)));
+            edf.is_feasible()
+                && edf.schedule.iter().all(|(id, a)| schedule.segments(id) == Some(&a.segs))
+        })
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! `k`-bounded schedule whose value is at least
 //! `val(input schedule) / log_{k+1} n`.
 
-use crate::laminar::laminarize_ws;
+use crate::laminar::{is_own_laminarization, laminarize_ws};
 use crate::sforest::{reconstruct_ws, schedule_forest_ws, ScheduleForest};
 use crate::workspace::SolveWorkspace;
 use pobp_core::{obs_count, obs_time, Infeasibility, JobSet, Schedule};
@@ -109,10 +109,11 @@ pub fn reduce_to_k_bounded_ws(
 /// The `k`-independent prefix of the reduction pipeline: the laminarized
 /// schedule and its schedule forest.
 ///
-/// Sweeps over a `k`-grid rebuild these once via [`ReductionPlan::new`] and
-/// then call [`ReductionPlan::solve`] per `k` — only the k-BAS and the
-/// left-merge reconstruction depend on `k`. `solve` output is byte-identical
-/// to [`reduce_to_k_bounded_with`] on the same inputs.
+/// Sweeps over a `k`-grid rebuild these once via [`ReductionPlan::new`] (or
+/// [`ReductionPlan::from_edf`] for an EDF output, which needs no
+/// laminarization) and then call [`ReductionPlan::solve`] per `k` — only the
+/// k-BAS and the left-merge reconstruction depend on `k`. `solve` output is
+/// byte-identical to [`reduce_to_k_bounded_with`] on the same inputs.
 #[derive(Clone, Debug)]
 pub struct ReductionPlan {
     /// The laminarized copy of the input schedule (same jobs and value).
@@ -144,6 +145,44 @@ impl ReductionPlan {
         let forest =
             obs_time!("sched.reduction.time.forest", schedule_forest_ws(jobs, &laminar, ws));
         Ok(ReductionPlan { laminar, forest })
+    }
+
+    /// The prefix of a schedule that unrestricted deterministic EDF
+    /// produced: [`crate::edf_schedule`] or [`crate::edf_schedule_ws`] with
+    /// no availability, [`crate::greedy_unbounded`] or
+    /// [`crate::greedy_unbounded_ws`], or [`crate::opt_unbounded`]. Such a
+    /// schedule is its own laminarization, so this builds the schedule
+    /// forest directly and [`ReductionPlan::laminar`] is a copy of `edf`.
+    /// [`solve`](ReductionPlan::solve) output equals that of
+    /// [`ReductionPlan::new`]'s plan on the same schedule.
+    ///
+    /// **Why.** [`crate::laminarize`] re-runs EDF on `edf`'s jobs, restricted
+    /// to `edf`'s busy time. By induction over time the restricted run
+    /// repeats `edf`'s choice at every instant. Suppose the runs agree
+    /// before `t`. Then every job pending at `t` in the restricted run is
+    /// pending in `edf` too, with the same remaining work. If `t` is busy in
+    /// `edf`, the job `edf` runs there completes, so it is one of them; it
+    /// has the least `(deadline, id)` among a superset and still meets its
+    /// deadline, so the restricted run runs it too. If `t` is not busy,
+    /// `edf` runs nothing or a job it later aborts, which the restricted run
+    /// lacks, and the restricted run may not run at all.
+    ///
+    /// The precondition is not checked in release builds, and the input is
+    /// not verified: an EDF output is feasible by construction. Debug builds
+    /// assert that laminarization would return `edf` unchanged. For any
+    /// other feasible schedule use [`ReductionPlan::new`].
+    pub fn from_edf(jobs: &JobSet, edf: &Schedule) -> ReductionPlan {
+        Self::from_edf_ws(jobs, edf, &mut SolveWorkspace::new())
+    }
+
+    /// [`ReductionPlan::from_edf`] with caller-provided scratch memory.
+    pub fn from_edf_ws(jobs: &JobSet, edf: &Schedule, ws: &mut SolveWorkspace) -> ReductionPlan {
+        debug_assert!(
+            is_own_laminarization(jobs, edf),
+            "ReductionPlan::from_edf: the schedule is not an EDF output"
+        );
+        let forest = obs_time!("sched.reduction.time.forest", schedule_forest_ws(jobs, edf, ws));
+        ReductionPlan { laminar: edf.clone(), forest }
     }
 
     /// Runs the `k`-dependent tail of the pipeline (k-BAS + reconstruction).

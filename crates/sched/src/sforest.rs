@@ -34,7 +34,7 @@
 //!   produces at most that many segments.
 
 use crate::workspace::{SfScratch, SolveWorkspace};
-use pobp_core::{Interval, JobId, JobSet, MachineId, Schedule, Timeline};
+use pobp_core::{Interval, JobId, JobSet, MachineId, Schedule, SegmentSet};
 use pobp_forest::{Forest, KeepSet, NodeId};
 
 /// A schedule forest: the preemption structure of a laminar schedule, with
@@ -45,6 +45,10 @@ pub struct ScheduleForest {
     pub forest: Forest,
     /// `node_job[node.0]` is the `(machine, job)` the node represents.
     pub node_job: Vec<(MachineId, JobId)>,
+    /// `spans[node.0]` is the node's `span`: from its job's first segment
+    /// start to its last segment end in the laminar schedule the forest was
+    /// built from, which [`reconstruct_ws`] relies on.
+    pub(crate) spans: Vec<Interval>,
 }
 
 impl ScheduleForest {
@@ -85,7 +89,8 @@ pub fn schedule_forest_ws(
     ws: &mut SolveWorkspace,
 ) -> ScheduleForest {
     let mut forest = Forest::new();
-    let mut node_job = Vec::new();
+    let mut node_job = Vec::with_capacity(schedule.len());
+    let mut spans = Vec::with_capacity(schedule.len());
     for machine in schedule.machines() {
         // Segments of this machine in time order. Per-job state lives in
         // epoch-stamped flat arrays; one epoch per machine.
@@ -127,11 +132,12 @@ pub fn schedule_forest_ws(
             };
             debug_assert_eq!(node.0, node_job.len());
             node_job.push((machine, id));
+            spans.push(Interval::new(seg.start, span_end[id.0]));
             opened[id.0] = epoch;
             stack.push((id, node));
         }
     }
-    ScheduleForest { forest, node_job }
+    ScheduleForest { forest, node_job, spans }
 }
 
 /// Rebuilds a feasible `k`-bounded schedule from a laminar schedule and a
@@ -151,6 +157,20 @@ pub fn reconstruct(
 
 /// [`reconstruct`] with caller-provided scratch memory (see
 /// [`SolveWorkspace`]). Identical output.
+///
+/// One flat pass over the kept nodes. Each node's `allowed(u)` comes from
+/// the spans stored in `sf`, and its leftmost fill is appended to one
+/// shared buffer and copied into one exact-size segment vector, so the pass
+/// costs `O(kept nodes + their children)` plus one sort of the buffer. The
+/// sort is the collision check: on each machine, consecutive placed
+/// segments must not overlap. Lemma 4.1 says they never do, so a failure is
+/// a bug and panics.
+/// `laminar` is the schedule `sf` was built from; only debug builds read it,
+/// to check that the stored spans are its spans.
+///
+/// # Panics
+/// When a kept job does not fit its allowed region, or when two placed
+/// segments share a tick on one machine.
 pub fn reconstruct_ws(
     jobs: &JobSet,
     laminar: &Schedule,
@@ -159,47 +179,48 @@ pub fn reconstruct_ws(
     ws: &mut SolveWorkspace,
 ) -> Schedule {
     let mut out = Schedule::new();
-    ws.sf.timelines.clear();
+    let booked = &mut ws.sf.booked;
+    booked.clear();
     for node in keep.ids() {
         let (machine, id) = sf.node_job[node.0];
-        let segs = laminar.segments(id).expect("forest node of unscheduled job");
-        let span = segs.span().expect("non-empty assignment");
+        let span = sf.spans[node.0];
+        debug_assert_eq!(laminar.segments(id).and_then(SegmentSet::span), Some(span));
         // allowed(u) = span(u) minus kept children's spans. Laminarity nests
         // the kept children's spans disjointly inside span(u), and node ids
         // are assigned in segment-start order per machine, so the children
-        // list is already sorted by span start: a single cursor sweep
-        // assembles the same interval list a SegmentSet subtraction would.
-        ws.sf.allowed.clear();
+        // list is already sorted by span start: a cursor sweep visits the
+        // allowed pieces left to right (the last one ends at an empty
+        // sentinel hole at span(u)'s end), and the leftmost fill takes each
+        // whole until the last piece it needs.
+        let holes = sf.forest.children(node).iter().filter(|&&c| keep.contains(c));
+        let holes = holes.map(|c| sf.spans[c.0]).chain([Interval::new(span.end, span.end)]);
+        let first = booked.len();
+        let mut need = jobs.job(id).length;
         let mut cursor = span.start;
-        for &c in sf.forest.children(node) {
-            if keep.contains(c) {
-                let cid = sf.job_of(c);
-                let cspan = laminar
-                    .segments(cid)
-                    .expect("kept child unscheduled")
-                    .span()
-                    .expect("non-empty assignment");
-                if cspan.start > cursor {
-                    ws.sf.allowed.push(Interval::new(cursor, cspan.start));
-                }
-                cursor = cursor.max(cspan.end);
+        for hole in holes {
+            if need == 0 {
+                break;
             }
-        }
-        if cursor < span.end {
-            ws.sf.allowed.push(Interval::new(cursor, span.end));
-        }
-        let need = jobs.job(id).length;
-        let timeline = match ws.sf.timelines.iter().position(|(m, _)| *m == machine) {
-            Some(i) => &mut ws.sf.timelines[i].1,
-            None => {
-                ws.sf.timelines.push((machine, Timeline::new()));
-                &mut ws.sf.timelines.last_mut().expect("just pushed").1
+            if hole.start > cursor {
+                let len = need.min(hole.start - cursor);
+                booked.push((machine, Interval::with_len(cursor, len)));
+                need -= len;
             }
-        };
-        let placed = timeline
-            .fill_leftmost(&ws.sf.allowed, need)
-            .expect("Lemma 4.1: allowed region must fit the job");
-        out.assign(id, machine, placed);
+            cursor = cursor.max(hole.end);
+        }
+        assert_eq!(need, 0, "Lemma 4.1: allowed region must fit the job");
+        // The pieces are separated by kept children's spans, so they are
+        // already in normal form: the set keeps this exact-size vector.
+        let placed = booked[first..].iter().map(|&(_, iv)| iv).collect::<Vec<_>>();
+        out.assign(id, machine, SegmentSet::from_intervals(placed));
+    }
+    booked.sort_unstable_by_key(|&(machine, iv)| (machine, iv.start));
+    for w in booked.windows(2) {
+        let ((ma, a), (mb, b)) = (w[0], w[1]);
+        assert!(
+            ma != mb || a.end <= b.start,
+            "Lemma 4.1: left-merge double-booked machine {ma} at {a:?} and {b:?}"
+        );
     }
     out
 }
@@ -208,7 +229,7 @@ pub fn reconstruct_ws(
 mod tests {
     use super::*;
     use crate::edf::edf_schedule;
-    use pobp_core::{Job, SegmentSet};
+    use pobp_core::Job;
     use pobp_forest::{is_kbas, tm};
 
     fn seg_set(pairs: &[(i64, i64)]) -> SegmentSet {
@@ -386,6 +407,52 @@ mod tests {
         rec.verify(&jobs, Some(1)).unwrap();
         assert_eq!(rec.len(), 3);
         assert_eq!(rec.value(&jobs), 10.0);
+    }
+
+    /// Two roots whose stored spans overlap on one machine, as no laminar
+    /// schedule's forest has them: the left-merge must not place both.
+    fn overlapping_roots(machines: [MachineId; 2]) -> (JobSet, Schedule, ScheduleForest) {
+        let jobs: JobSet = vec![Job::new(0, 10, 3, 1.0), Job::new(0, 10, 3, 1.0)]
+            .into_iter()
+            .collect();
+        let spans = vec![Interval::new(0, 4), Interval::new(2, 6)];
+        let mut s = Schedule::new();
+        let mut forest = Forest::new();
+        for (i, (&span, &machine)) in spans.iter().zip(&machines).enumerate() {
+            s.assign(JobId(i), machine, SegmentSet::singleton(span));
+            forest.add_root(1.0);
+        }
+        let node_job = vec![(machines[0], JobId(0)), (machines[1], JobId(1))];
+        (jobs, s, ScheduleForest { forest, node_job, spans })
+    }
+
+    #[test]
+    #[should_panic(expected = "double-booked")]
+    fn reconstruct_panics_on_a_double_booked_tick() {
+        let (jobs, s, sf) = overlapping_roots([0, 0]);
+        let _ = reconstruct(&jobs, &s, &sf, &KeepSet::from_mask(vec![true; 2]));
+    }
+
+    #[test]
+    fn reconstruct_checks_collisions_per_machine() {
+        let (jobs, s, sf) = overlapping_roots([0, 1]);
+        let rec = reconstruct(&jobs, &s, &sf, &KeepSet::from_mask(vec![true; 2]));
+        rec.verify(&jobs, Some(0)).unwrap();
+        assert_eq!(rec.segments(JobId(1)).unwrap().segments(), &[Interval::new(2, 5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must fit")]
+    fn reconstruct_panics_when_a_job_does_not_fit() {
+        // A's span [0,7) minus its kept children's spans B [1,5) and D
+        // [5,6) leaves 2 ticks; A is made to need 3.
+        let (mut jobs, s) = nested_jobs();
+        let sf = schedule_forest(&jobs, &s);
+        jobs = jobs
+            .iter()
+            .map(|(id, j)| if id == JobId(0) { Job::new(0, 10, 3, 10.0) } else { *j })
+            .collect();
+        let _ = reconstruct(&jobs, &s, &sf, &KeepSet::from_mask(vec![true; 4]));
     }
 
     #[test]

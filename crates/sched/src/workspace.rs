@@ -16,7 +16,7 @@
 //! arbitrary interleavings of calls on unrelated instances, including reuse
 //! after a panic was caught mid-call (`catch_unwind` in the engine pool).
 
-use pobp_core::{Interval, JobId, MachineId, Time, Timeline};
+use pobp_core::{Interval, JobId, MachineId, Time};
 use pobp_forest::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -121,10 +121,9 @@ pub(crate) struct SfScratch {
     pub(crate) epoch: u64,
     /// Stack of currently-open `(job, node)` pairs.
     pub(crate) stack: Vec<(JobId, NodeId)>,
-    /// Per-machine fill timelines for the left-merge reconstruction.
-    pub(crate) timelines: Vec<(MachineId, Timeline)>,
-    /// The `allowed(u)` interval list being assembled per kept node.
-    pub(crate) allowed: Vec<Interval>,
+    /// Every segment the left-merge reconstruction placed, with its
+    /// machine; sorted once at the end for the collision check.
+    pub(crate) booked: Vec<(MachineId, Interval)>,
 }
 
 impl SfScratch {
@@ -147,7 +146,7 @@ impl SfScratch {
             + self.span_stamp.capacity() * size_of::<u64>()
             + self.opened.capacity() * size_of::<u64>()
             + self.stack.capacity() * size_of::<(JobId, NodeId)>()
-            + self.allowed.capacity() * size_of::<Interval>()
+            + self.booked.capacity() * size_of::<(MachineId, Interval)>()
     }
 }
 

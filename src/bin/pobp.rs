@@ -436,8 +436,9 @@ fn cmd_choose_k(args: &[String]) -> Result<(), String> {
     let inf = greedy_unbounded(&jobs, &ids);
     println!(" k | planned value | replayed value @ δ={delta}");
     println!("---+---------------+------------------------");
-    // One laminarize + schedule-forest pass serves every k in the table.
-    let red_plan = ReductionPlan::new(&jobs, &inf.schedule).map_err(|e| e.to_string())?;
+    // One schedule-forest pass serves every k in the table; the greedy
+    // reference is an EDF output, its own laminarization.
+    let red_plan = ReductionPlan::from_edf(&jobs, &inf.schedule);
     let mut ws = SolveWorkspace::new();
     for k in 0..=k_max {
         let plan = red_plan.solve_ws(&jobs, k, KbasSolver::Tm, &mut ws).schedule;

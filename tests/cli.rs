@@ -757,24 +757,39 @@ fn sweep_isolates_panics_per_task() {
 /// Telemetry never changes results: a sharded sweep's `merged.jsonl` is the
 /// same bytes at `--threads` 1 and 4 in every build, pinned to the length
 /// and FNV-1a digest of a default release binary's merge, and only an
-/// `instrument` build writes the progress heartbeat beside it.
+/// `instrument` build writes the progress heartbeat beside it. The grids
+/// also pin the solvers' bytes: reduction at n = 12 and 16, where the
+/// left-merge places a handful of jobs; at n = 250, where it places
+/// hundreds, on one machine and on two; and combined, whose strict branch
+/// runs the left-merge too.
 #[test]
 fn sharded_sweep_bytes_do_not_depend_on_the_build() {
-    for threads in ["1", "4"] {
-        let dir = std::env::temp_dir()
-            .join(format!("pobp-cli-build-t{threads}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (_, err, ok) = run(&[
-            "sweep", "--n", "12,16", "--k", "0,1,2", "--seeds", "4", "--chunk-cells", "2",
-            "--threads", threads, "--out", dir.to_str().unwrap(),
-        ]);
-        assert!(ok, "{err}");
-        let merged = std::fs::read(dir.join("merged.jsonl")).unwrap();
-        let digest = (merged.len(), pobp::sweep::plan::fnv1a(&merged));
-        assert_eq!(digest, (3972, 0x3f01_edf4_0c2c_e45c), "--threads {threads}");
-        let heartbeat = dir.join("heartbeat.json").exists();
-        assert_eq!(heartbeat, cfg!(feature = "instrument"), "--threads {threads}");
-        std::fs::remove_dir_all(&dir).ok();
+    let reduction_250: &[&str] =
+        &["--alg", "reduction", "--n", "250", "--k", "1,2,4", "--seeds", "2"];
+    let pins: [(&[&str], (usize, u64)); 4] = [
+        (&["--n", "12,16", "--k", "0,1,2", "--seeds", "4"], (3972, 0x3f01_edf4_0c2c_e45c)),
+        (reduction_250, (1046, 0x22a6_5d3f_20da_1875)),
+        (&[reduction_250, &["--machines", "2"]].concat(), (1050, 0xc5de_6864_6eb7_210b)),
+        (
+            &["--alg", "combined", "--n", "20,40", "--k", "0,1,2,4", "--seeds", "8"],
+            (10627, 0xa420_1e2f_037b_e6a1),
+        ),
+    ];
+    for (i, (grid, pin)) in pins.iter().enumerate() {
+        for threads in ["1", "4"] {
+            let dir = std::env::temp_dir()
+                .join(format!("pobp-cli-build-{i}-t{threads}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let out = ["--chunk-cells", "2", "--threads", threads, "--out", dir.to_str().unwrap()];
+            let (_, err, ok) = run(&[&["sweep"], *grid, &out].concat());
+            assert!(ok, "{err}");
+            let merged = std::fs::read(dir.join("merged.jsonl")).unwrap();
+            let digest = (merged.len(), pobp::sweep::plan::fnv1a(&merged));
+            assert_eq!(digest, *pin, "{grid:?} --threads {threads}");
+            let heartbeat = dir.join("heartbeat.json").exists();
+            assert_eq!(heartbeat, cfg!(feature = "instrument"), "{grid:?} --threads {threads}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }
 

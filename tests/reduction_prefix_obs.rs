@@ -27,19 +27,24 @@ fn workload(n: usize, seed: u64) -> JobSet {
     .generate(seed)
 }
 
-/// The engine builds the reduction's `k`-independent prefix (laminarize +
-/// schedule forest) once per `k` row: a worker keeps the prefix of the last
-/// reference it reduced and reuses it while the cache hands it the same
-/// reference. Without the cache every task computes its own reference, so
-/// every task rebuilds the prefix.
+/// The engine builds the reduction's `k`-independent prefix (the
+/// reference's schedule forest) once per `k` row: a worker keeps the prefix
+/// of the last reference it reduced and reuses it while the cache hands it
+/// the same reference. Without the cache every task computes its own
+/// reference, so every task rebuilds the prefix. A build is one span of the
+/// `sched.reduction.time.forest` timer. The reference is an EDF output, its
+/// own laminarization, so no batch runs a restricted EDF.
 #[test]
 fn engine_builds_the_reduction_prefix_once_per_k_row() {
     // Every batch below, measured or not, stays inside the window.
     let _window = obs::exclusive();
-    let laminarize_runs = |tasks: &[SolveTask], cfg: &EngineConfig| {
+    let prefix_builds = |tasks: &[SolveTask], cfg: &EngineConfig| {
         obs::reset();
         let batch = run_batch(tasks, cfg.clone());
-        (batch, obs::snapshot().counter("sched.laminarize.runs"))
+        let snap = obs::snapshot();
+        assert_eq!(snap.counter("sched.edf.restricted_runs"), 0, "no batch laminarizes");
+        let builds = snap.timers.get("sched.reduction.time.forest").map_or(0, |t| t.spans);
+        (batch, builds)
     };
     let cached = EngineConfig { threads: 1, ..EngineConfig::default() };
     let uncached = EngineConfig { use_cache: false, ..cached.clone() };
@@ -49,9 +54,9 @@ fn engine_builds_the_reduction_prefix_once_per_k_row() {
         .into_iter()
         .map(|k| SolveTask::new(jobs.clone(), k, Algo::Reduction))
         .collect();
-    let (with_cache, runs) = laminarize_runs(&row, &cached);
+    let (with_cache, runs) = prefix_builds(&row, &cached);
     assert_eq!(runs, 1, "one prefix for the k row");
-    let (without_cache, runs) = laminarize_runs(&row, &uncached);
+    let (without_cache, runs) = prefix_builds(&row, &uncached);
     assert_eq!(runs, 4, "without the cache every task rebuilds the prefix");
     assert_eq!(with_cache.reports, without_cache.reports);
 
@@ -63,14 +68,14 @@ fn engine_builds_the_reduction_prefix_once_per_k_row() {
         SolveTask::new(other, 1, Algo::Reduction),
         SolveTask::new(jobs, 2, Algo::Reduction),
     ];
-    let (with_cache, runs) = laminarize_runs(&interleaved, &cached);
+    let (with_cache, runs) = prefix_builds(&interleaved, &cached);
     assert_eq!(runs, 3);
-    let (without_cache, _) = laminarize_runs(&interleaved, &uncached);
+    let (without_cache, _) = prefix_builds(&interleaved, &uncached);
     assert_eq!(with_cache.reports, without_cache.reports);
     // Each task alone in a batch: no memo to reuse, whatever its policy.
     for (task, report) in interleaved.iter().zip(&with_cache.reports) {
         assert!(matches!(report.result, TaskResult::Done(_)), "{report:?}");
-        let (alone, _) = laminarize_runs(std::slice::from_ref(task), &uncached);
+        let (alone, _) = prefix_builds(std::slice::from_ref(task), &uncached);
         assert_eq!(report.result, alone.reports[0].result, "k = {}", task.k);
     }
 }
