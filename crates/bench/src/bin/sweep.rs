@@ -235,8 +235,11 @@ fn sweep_choose_k() -> Table {
     }
     let ids: Vec<JobId> = jobs.ids().collect();
     let inf = pobp_sched::greedy_unbounded(&jobs, &ids);
+    // The greedy reference is an EDF output, its own laminarization.
+    let plan = pobp_sched::ReductionPlan::from_edf(&jobs, &inf.schedule);
     for delta in 0..=10i64 {
-        let choice = pobp_sim::choose_k(&jobs, &inf.schedule, delta, 4);
+        let table = pobp_sim::choose_k(&jobs, &plan, delta, 4);
+        let choice = table.chosen();
         t.push([
             num(delta as f64),
             num(choice.k as f64),

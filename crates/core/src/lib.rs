@@ -18,11 +18,13 @@
 //!
 //! The crate also exports the workspace's zero-cost instrumentation, all
 //! behind the one `instrument` cargo feature: the [`obs`] aggregate (the
-//! [`obs_count!`], [`obs_time!`], and [`obs_event!`] macros), the [`trace`]
-//! recorder ([`obs_span!`] and [`trace_event!`]) with its runtime-armed full
-//! record and `flight` ring, and the `metrics` Prometheus exposition — see
+//! [`obs_count!`], [`obs_time!`], and [`obs_event!`] macros) and the
+//! [`trace`] recorder ([`obs_span!`] and [`trace_event!`]) with its
+//! runtime-armed full record and `flight` ring — see
 //! `docs/observability.md`. Without the feature the macros compile to
-//! no-ops and `flight`/`metrics` do not exist.
+//! no-ops and `flight` does not exist. The [`metrics`] Prometheus
+//! exposition, which the daemon's live telemetry renders, is in every
+//! build.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +33,6 @@ pub mod cli;
 #[cfg(feature = "instrument")]
 pub mod flight;
 pub mod json;
-#[cfg(feature = "instrument")]
 pub mod metrics;
 pub mod obs;
 pub mod trace;

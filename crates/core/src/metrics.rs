@@ -10,9 +10,9 @@
 //! a reader derives rates over its own interval (Prometheus with `rate()`,
 //! `pobp-client top` from two consecutive reads), so no reader's view
 //! depends on how often another one reads. Everything here is wall-clock
-//! telemetry: it never feeds logical traces, job results, or durable bytes,
-//! and the module is compiled out entirely without the `instrument`
-//! feature.
+//! telemetry: it never feeds logical traces, job results, or durable bytes.
+//! Unlike the `obs` counters and the trace recorder, it is in every build:
+//! it renders on request, per scrape, never on a hot path.
 
 /// The `Content-Type` a scrape endpoint should serve for [`Prom`] output.
 pub const PROM_CONTENT_TYPE: &str = "text/plain; version=0.0.4";

@@ -42,11 +42,12 @@ COMMANDS:
     result --id N [--wait]       a finished job's result
     list [--status S] [--limit N]
     cancel --id N
-    stats                        daemon counters and queue depths
+    stats                        daemon counters, queue depths, uptime,
+                                 job latency and per-algorithm counts
     top [--interval-ms MS] [--count N]
-                                 live telemetry view (top and dump-flight
-                                 need --features instrument builds)
+                                 live view of stats, with rates
     dump-flight                  ask the daemon to write a flight dump
+                                 (needs --features instrument builds)
     shutdown [--cancel]          stop the daemon (drains by default)
     soak --seconds N --seed S [--journal DIR] [--expect-restart]
 
@@ -72,7 +73,7 @@ fn run() -> i32 {
         usage();
         return EXIT_USAGE;
     };
-    if matches!(cmd.as_str(), "top" | "dump-flight") && !pobp_core::obs::enabled() {
+    if cmd == "dump-flight" && !pobp_core::obs::enabled() {
         return usage_err(&needs_instrument(&cmd));
     }
     if let Some((values, switches)) = command_flags(&cmd) {
@@ -101,7 +102,6 @@ fn run() -> i32 {
         "list" => cmd_list(&client, &args),
         "cancel" => cmd_simple_id(&client, &args, |c, id| c.cancel(id)),
         "stats" => print_response(client.stats()),
-        #[cfg(feature = "instrument")]
         "top" => cmd_top(&client, &args),
         #[cfg(feature = "instrument")]
         "dump-flight" => print_response(client.dump_flight()),
@@ -212,19 +212,30 @@ fn exit_for_terminal(status: &str, result: Option<&Json>) -> i32 {
     }
 }
 
-/// Polls `result` until the job is terminal, then prints that response.
-fn wait_for_result(client: &Client, id: u64, timeout: Duration) -> i32 {
+/// Prints a `result` response and maps it to an exit code: a finished job's
+/// by its status, anything else a usage error.
+fn print_result(v: &Json) -> i32 {
+    println!("{v}");
+    if v.get("ok").and_then(Json::as_bool) != Some(true) {
+        return EXIT_USAGE;
+    }
+    let status = v.get("status").and_then(Json::as_str).unwrap_or("?");
+    exit_for_terminal(status, v.get("result"))
+}
+
+/// `--wait`: polls `result` until the job is terminal or `--wait-secs`
+/// (default 300) pass, then prints that response.
+fn wait_for_result(client: &Client, args: &[String], id: u64) -> i32 {
+    let timeout = match parse_num_strict(args, "--wait-secs", 300u64) {
+        Ok(s) => Duration::from_secs(s),
+        Err(e) => return usage_err(&e),
+    };
     let deadline = Instant::now() + timeout;
     loop {
         match client.result(id) {
-            Ok(v) => {
-                if v.get("ok").and_then(Json::as_bool) == Some(true) {
-                    println!("{v}");
-                    let status = v.get("status").and_then(Json::as_str).unwrap_or("?");
-                    return exit_for_terminal(status, v.get("result"));
-                }
-                // "not finished" — keep polling.
-            }
+            Ok(v) if v.get("ok").and_then(Json::as_bool) == Some(true) => return print_result(&v),
+            // "not finished" — keep polling.
+            Ok(_) => {}
             Err(e) => return usage_err(&format!("transport error: {e}")),
         }
         if Instant::now() >= deadline {
@@ -253,11 +264,7 @@ fn cmd_submit(client: &Client, args: &[String]) -> i32 {
     }
     let id = resp.get("id").and_then(Json::as_u64).unwrap_or(0);
     if has_flag(args, "--wait") {
-        let timeout = match parse_num_strict(args, "--wait-secs", 300u64) {
-            Ok(s) => Duration::from_secs(s),
-            Err(e) => return usage_err(&e),
-        };
-        wait_for_result(client, id, timeout)
+        wait_for_result(client, args, id)
     } else {
         println!("{resp}");
         EXIT_OK
@@ -271,22 +278,10 @@ fn cmd_result(client: &Client, args: &[String]) -> i32 {
         Err(e) => return usage_err(&e),
     };
     if has_flag(args, "--wait") {
-        let timeout = match parse_num_strict(args, "--wait-secs", 300u64) {
-            Ok(s) => Duration::from_secs(s),
-            Err(e) => return usage_err(&e),
-        };
-        return wait_for_result(client, id, timeout);
+        return wait_for_result(client, args, id);
     }
     match client.result(id) {
-        Ok(v) => {
-            println!("{v}");
-            if v.get("ok").and_then(Json::as_bool) == Some(true) {
-                let status = v.get("status").and_then(Json::as_str).unwrap_or("?");
-                exit_for_terminal(status, v.get("result"))
-            } else {
-                EXIT_USAGE
-            }
-        }
+        Ok(v) => print_result(&v),
         Err(e) => usage_err(&format!("transport error: {e}")),
     }
 }
@@ -318,13 +313,12 @@ fn cmd_list(client: &Client, args: &[String]) -> i32 {
     print_response(client.request(&Json::Obj(pairs)))
 }
 
-/// `top`: poll the daemon's `metrics` op and render a live dashboard, with
+/// `top`: poll the daemon's `stats` op and render a live dashboard, with
 /// rates over the interval between two consecutive polls.
 ///
 /// On a TTY the view repaints in place (ANSI clear); piped output gets one
 /// plain block per tick so a script can run `top --count 2` and grep the
 /// text. `--count 0` (the default) polls until interrupted.
-#[cfg(feature = "instrument")]
 fn cmd_top(client: &Client, args: &[String]) -> i32 {
     use std::io::{IsTerminal, Write as _};
     let interval = match parse_num_strict(args, "--interval-ms", 1000u64) {
@@ -339,16 +333,16 @@ fn cmd_top(client: &Client, args: &[String]) -> i32 {
     let mut ticks = 0u64;
     let mut prev: Option<Json> = None;
     loop {
-        let resp = match client.metrics() {
+        let resp = match client.stats() {
             Ok(v) => v,
             Err(e) => return usage_err(&format!("transport error: {e}")),
         };
         if resp.get("ok").and_then(Json::as_bool) != Some(true) {
-            eprintln!("pobp-client top: daemon refused the metrics op: {resp}");
+            eprintln!("pobp-client top: daemon refused the stats op: {resp}");
             return EXIT_USAGE;
         }
-        let Some(m) = resp.get("metrics") else {
-            eprintln!("pobp-client top: malformed metrics response: {resp}");
+        let Some(m) = resp.get("stats") else {
+            eprintln!("pobp-client top: malformed stats response: {resp}");
             return EXIT_USAGE;
         };
         if live {
@@ -365,16 +359,22 @@ fn cmd_top(client: &Client, args: &[String]) -> i32 {
     }
 }
 
-/// Formats one `metrics` payload as the `top` text block. Rates and
-/// ratios are counter deltas against `prev`, the payload of the previous
-/// poll, over the uptime between the two; each prints `-` on the first
-/// frame, and a ratio also when its denominator did not move.
-#[cfg(feature = "instrument")]
+/// A number of a `stats` payload; `finished` sums the four terminal
+/// statuses.
+fn stat(stats: &Json, key: &str) -> f64 {
+    let get = |key: &str| stats.get(key).and_then(Json::as_f64).unwrap_or(0.0);
+    match key {
+        "finished" => ["done", "degraded", "failed", "cancelled"].into_iter().map(get).sum(),
+        _ => get(key),
+    }
+}
+
+/// Formats one `stats` payload as the `top` text block. Rates and ratios
+/// are counter deltas against `prev`, the payload of the previous poll,
+/// over the uptime between the two; each prints `-` on the first frame,
+/// and a ratio also when its denominator did not move.
 fn render_top(m: &Json, prev: Option<&Json>) -> String {
-    let num = |key: &str| m.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-    let counter = |payload: &Json, key: &str| {
-        payload.get("counters").and_then(|c| c.get(key)).and_then(Json::as_f64).unwrap_or(0.0)
-    };
+    let num = |key: &str| stat(m, key);
     // The seconds since the previous poll, and the counter deltas over
     // them: none on the first poll, or across a daemon restart (uptime went
     // back).
@@ -382,7 +382,7 @@ fn render_top(m: &Json, prev: Option<&Json>) -> String {
         .and_then(|before| before.get("uptime_ms").and_then(Json::as_f64))
         .map(|before_ms| (num("uptime_ms") - before_ms) / 1000.0)
         .filter(|s| *s > 0.0);
-    let delta = |key: &str| secs.and(prev).map(|before| counter(m, key) - counter(before, key));
+    let delta = |key: &str| secs.and(prev).map(|before| stat(m, key) - stat(before, key));
     let dash = || "   -".to_string();
     let rate = |key: &str| match (delta(key), secs) {
         (Some(d), Some(s)) => format!("{:.1}/s", d / s),
@@ -421,15 +421,18 @@ fn render_top(m: &Json, prev: Option<&Json>) -> String {
         ratio("cache_hits", "accepted"),
         ratio("degraded", "finished"),
     ));
-    let lat = |q: &str| {
-        m.get("latency_ms").and_then(|l| l.get(q)).and_then(Json::as_f64).unwrap_or(0.0)
+    // Legible below a millisecond too: `192µs`, `1.5ms`.
+    let latency = m.get("latency_ms").unwrap_or(&Json::Null);
+    let ms = |q: &str| match stat(latency, q) {
+        ms if ms < 1.0 => format!("{:.0}µs", ms * 1000.0),
+        ms => format!("{ms:.1}ms"),
     };
     out.push_str(&format!(
-        "latency  p50 {:.0}ms   p90 {:.0}ms   p99 {:.0}ms   ({} jobs measured)\n",
-        lat("p50"),
-        lat("p90"),
-        lat("p99"),
-        lat("count"),
+        "latency  p50 {}   p90 {}   p99 {}   ({} jobs measured)\n",
+        ms("p50"),
+        ms("p90"),
+        ms("p99"),
+        stat(latency, "count"),
     ));
     if let Some(Json::Obj(algs)) = m.get("per_alg") {
         if !algs.is_empty() {
@@ -516,15 +519,21 @@ mod tests {
         assert!(spec_from_flags(&bad).unwrap_err().contains("--n"));
     }
 
-    #[cfg(feature = "instrument")]
     #[test]
     fn top_derives_rates_from_two_consecutive_polls() {
-        /// A `metrics` payload with only what `top`'s rates and ratios read.
+        /// A `stats` payload with only what `top`'s rates and ratios read;
+        /// `finished` splits as done plus one cancelled job, which `top`
+        /// sums back.
         fn payload(uptime_ms: u64, accepted: u64, finished: u64, cache_hits: u64) -> Json {
-            let counters =
-                [("accepted", accepted), ("finished", finished), ("cache_hits", cache_hits)]
-                    .map(|(k, v)| (k, Json::Num(v as f64)));
-            obj([("uptime_ms", Json::Num(uptime_ms as f64)), ("counters", obj(counters))])
+            let cancelled = finished.min(1);
+            obj([
+                ("uptime_ms", uptime_ms),
+                ("accepted", accepted),
+                ("cache_hits", cache_hits),
+                ("done", finished - cancelled),
+                ("cancelled", cancelled),
+            ]
+            .map(|(k, v)| (k, Json::Num(v as f64))))
         }
         let line = |frame: &str, head: &str| {
             frame.lines().find(|l| l.starts_with(head)).unwrap_or_default().to_string()
@@ -558,5 +567,15 @@ mod tests {
         assert!(frame.contains("rates over the last -"), "{frame}");
         assert_eq!(line(&frame, "rates").matches(" -").count(), 4, "{frame}");
         assert_eq!(line(&frame, "ratios").matches(" -").count(), 2, "{frame}");
+    }
+
+    #[test]
+    fn top_prints_sub_millisecond_latency_in_microseconds() {
+        let latency = obj([("count", 20.0), ("p50", 0.192), ("p90", 0.95), ("p99", 2.5)]
+            .map(|(k, v)| (k, Json::Num(v))));
+        let frame = render_top(&obj([("latency_ms", latency)]), None);
+        let line = frame.lines().find(|l| l.starts_with("latency")).unwrap_or_default();
+        assert!(line.contains("p50 192µs   p90 950µs   p99 2.5ms"), "{line}");
+        assert!(line.contains("(20 jobs measured)"), "{line}");
     }
 }

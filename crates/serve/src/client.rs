@@ -7,8 +7,8 @@
 //! `kill -9`), so the client checks before sending and replaces a closed
 //! connection with a fresh one. A connection can still break after the
 //! check; then the client reconnects and resends once, but only a
-//! read-only op (`ping`, `status`, `result`, `list`, `stats`, `metrics`),
-//! which cannot take effect twice. A `submit`, `cancel` or `shutdown` whose
+//! read-only op (`ping`, `status`, `result`, `list`, `stats`), which
+//! cannot take effect twice. A `submit`, `cancel` or `shutdown` whose
 //! connection broke after the send is a transport error: the caller cannot
 //! know whether the daemon acted on it, and acknowledgement is the only
 //! promise the daemon makes. A timed-out request is never resent. The soak
@@ -24,7 +24,7 @@ use crate::json::{obj, Json};
 
 /// Ops that change nothing in the daemon, so resending one whose
 /// connection broke cannot apply it twice.
-const READ_ONLY: [&str; 6] = ["ping", "status", "result", "list", "stats", "metrics"];
+const READ_ONLY: [&str; 5] = ["ping", "status", "result", "list", "stats"];
 
 /// A protocol client bound to one daemon address. It keeps one connection
 /// for its requests, which take turns on it; a clone opens a connection of
@@ -106,16 +106,10 @@ impl Client {
         self.request(&obj([("op", Json::Str("cancel".into())), ("id", Json::Num(id as f64))]))
     }
 
-    /// `stats`.
+    /// `stats` — the daemon's counters and levels, uptime, job latency
+    /// quantiles and per-algorithm counts.
     pub fn stats(&self) -> io::Result<Json> {
         self.request(&obj([("op", Json::Str("stats".into()))]))
-    }
-
-    /// `metrics` — the live-telemetry payload (cumulative counters, levels,
-    /// latency quantiles, per-alg breakdown).
-    #[cfg(feature = "instrument")]
-    pub fn metrics(&self) -> io::Result<Json> {
-        self.request(&obj([("op", Json::Str("metrics".into()))]))
     }
 
     /// `dump-flight` — ask the daemon to write a flight-recorder dump now.

@@ -22,9 +22,9 @@
 //! * [`server`] / [`client`] — the TCP front end and its client.
 //! * [`soak`] — the randomized invariant-checking harness
 //!   (`pobp-client soak`).
-//! * `telemetry` (`instrument` builds) — the live-telemetry glue: job
-//!   latency and per-algorithm counts, the `metrics` payload, the
-//!   Prometheus scrape listener, flight dumps (docs/observability.md).
+//! * [`telemetry`] — the live-telemetry glue: job latency and
+//!   per-algorithm counts, the Prometheus scrape listener, and (in
+//!   `instrument` builds) flight dumps (docs/observability.md).
 
 pub mod client;
 pub mod job;
@@ -35,7 +35,6 @@ pub mod registry;
 pub mod server;
 pub mod service;
 pub mod soak;
-#[cfg(feature = "instrument")]
 pub mod telemetry;
 
 pub use client::Client;
@@ -45,5 +44,4 @@ pub use registry::{Event, JobRecord, Registry};
 pub use server::run_server;
 pub use service::{CancelOutcome, Service, ServiceConfig, SubmitOutcome};
 pub use soak::{run_soak, SoakConfig, SoakReport};
-#[cfg(feature = "instrument")]
 pub use telemetry::{spawn_metrics_listener, TelemetryOptions};

@@ -56,11 +56,6 @@ pub fn handle_line<'s>(service: &'s Service, line: &str) -> (Json, Control, Wake
             (obj([("ok", Json::Bool(true)), ("stats", service.stats_json())]), Control::Continue)
         }
         #[cfg(feature = "instrument")]
-        "metrics" => (
-            obj([("ok", Json::Bool(true)), ("metrics", service.metrics_json())]),
-            Control::Continue,
-        ),
-        #[cfg(feature = "instrument")]
         "dump-flight" => (handle_dump_flight(service), Control::Continue),
         "shutdown" => {
             let drain = parsed.get("drain").and_then(Json::as_bool).unwrap_or(true);

@@ -2,9 +2,10 @@
 //! shutdown handshake.
 //!
 //! Connections speak the newline-delimited JSON protocol of
-//! [`crate::proto`]. The daemon prints exactly two startup lines to stdout
-//! (`serve: listening on ADDR`, then a recovery summary) so scripts can
-//! scrape the bound address — bind to port `0` to let the OS pick.
+//! [`crate::proto`]. The daemon prints two startup lines to stdout
+//! (`serve: listening on ADDR`, then a recovery summary, and a third only
+//! for a scrape address) so scripts can scrape the bound address — bind to
+//! port `0` to let the OS pick.
 //!
 //! A connection carries any number of requests, one at a time, and each
 //! reply goes out as one write with `TCP_NODELAY` set, so a kept
@@ -34,7 +35,7 @@ use std::time::Duration;
 
 use crate::json::{obj, Json};
 use crate::proto::{handle_line, Control};
-use crate::service::{Service, ServiceConfig};
+use crate::service::{Reading, Service, ServiceConfig};
 
 /// Longest request line the daemon reads, newline included (a job spec is
 /// about 250 bytes). A longer line is answered `line_too_long` and its
@@ -55,17 +56,19 @@ struct StopFlag {
     drain: AtomicBool,
 }
 
-/// Binds `addr`, starts the service, prints the two startup lines, and
-/// blocks until a `shutdown` op arrives. Returns after the service has
-/// fully stopped (workers joined, final snapshot written).
+/// Binds `addr` (and the scrape address, if any), starts the service,
+/// prints the startup lines, and blocks until a `shutdown` op arrives.
+/// Returns after the service has fully stopped (workers joined, final
+/// snapshot written).
+///
+/// Both addresses are bound before recovery, so a taken port stops the
+/// daemon before it prints a line or writes to its registry directory.
 pub fn run_server(addr: &str, cfg: ServiceConfig) -> io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    #[cfg(feature = "instrument")]
-    let metrics_addr = cfg.telemetry.metrics_addr.clone();
+    let scrapes = cfg.telemetry.metrics_addr.as_deref().map(TcpListener::bind).transpose()?;
     let service = Arc::new(Service::start(cfg)?);
-    let recovery = service.recovery();
-    let counters = service.counters();
+    let Reading { recovery, counters, .. } = service.reading();
     println!("serve: listening on {local}");
     println!(
         "serve: recovered snapshot_seq={} replayed={} requeued={} dropped_tail={}",
@@ -73,9 +76,8 @@ pub fn run_server(addr: &str, cfg: ServiceConfig) -> io::Result<()> {
     );
     // A third startup line appears only when a scrape listener was asked
     // for, so address-scraping scripts keyed on the first two lines hold.
-    #[cfg(feature = "instrument")]
-    if let Some(addr) = metrics_addr {
-        let bound = crate::telemetry::spawn_metrics_listener(&addr, Arc::clone(&service))?;
+    if let Some(scrapes) = scrapes {
+        let bound = crate::telemetry::spawn_metrics_listener(scrapes, Arc::clone(&service))?;
         println!("serve: metrics on {bound}");
     }
     io::stdout().flush()?;

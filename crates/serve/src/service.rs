@@ -48,8 +48,7 @@ use crate::job::{JobSpec, JobStatus};
 use crate::journal::{recovery_json, Journal, RecoveryReport, DEFAULT_COMPACT_EVERY};
 use crate::json::{obj, Json};
 use crate::registry::{Event, JobRecord, Registry};
-#[cfg(feature = "instrument")]
-use crate::telemetry::{Telemetry, TelemetryOptions};
+use crate::telemetry::{Flight, JobRuns, TelemetryOptions};
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -74,7 +73,6 @@ pub struct ServiceConfig {
     pub chaos: Option<Arc<pobp_engine::FaultPlan>>,
     /// Live-telemetry knobs: scrape address and flight-dump directory
     /// (docs/observability.md).
-    #[cfg(feature = "instrument")]
     pub telemetry: TelemetryOptions,
 }
 
@@ -87,7 +85,6 @@ impl Default for ServiceConfig {
             degrade: false,
             compact_every: DEFAULT_COMPACT_EVERY,
             chaos: None,
-            #[cfg(feature = "instrument")]
             telemetry: TelemetryOptions::default(),
         }
     }
@@ -193,8 +190,9 @@ pub struct ServeCounters {
 }
 
 /// One reading of the daemon's state, taken under the state lock: the one
-/// source the `stats` op, the `metrics` op and a Prometheus scrape render.
-/// It holds cumulative counters and levels only; a reader derives rates
+/// source the `stats` op and a Prometheus scrape render, in every build.
+/// It holds cumulative counters and levels only (the engine runs' latency
+/// histogram and per-algorithm counts among them); a reader derives rates
 /// over its own interval.
 pub(crate) struct Reading {
     /// The always-on service counters.
@@ -217,6 +215,10 @@ pub(crate) struct Reading {
     pub(crate) journal_poisoned: bool,
     /// What recovery found at startup.
     pub(crate) recovery: RecoveryReport,
+    /// Time since the daemon started.
+    pub(crate) uptime: Duration,
+    /// The engine runs of this daemon's finished jobs.
+    pub(crate) runs: JobRuns,
 }
 
 /// Priority-queue entry: max-heap on `(priority, −id)` — higher priority
@@ -253,6 +255,7 @@ struct State {
     key_index: HashMap<u64, u64>,
     counters: ServeCounters,
     recovery: RecoveryReport,
+    runs: JobRuns,
 }
 
 struct Inner {
@@ -261,20 +264,29 @@ struct Inner {
     work_ready: Condvar,
     stopping: AtomicBool,
     drain: AtomicBool,
-    #[cfg(feature = "instrument")]
-    telemetry: Telemetry,
+    /// Monotone epoch for uptime.
+    started: Instant,
+    /// The flight directory, if one is configured.
+    flight: Option<Flight>,
 }
 
 impl Inner {
     /// Appends `event` to the journal. A failed append poisons the journal,
-    /// so an `instrument` build also dumps the flight ring that led to it.
+    /// so it also dumps the flight ring that led to it.
     fn append(&self, journal: &mut Journal, event: &Event) -> io::Result<u64> {
         let appended = journal.append(event);
-        #[cfg(feature = "instrument")]
         if appended.is_err() {
-            self.telemetry.flight_on_failure("journal-poisoned");
+            self.on_failure("journal-poisoned");
         }
         appended
+    }
+
+    /// Dumps the flight ring on a failure trigger, if a flight directory is
+    /// configured.
+    fn on_failure(&self, reason: &str) {
+        if let Some(flight) = &self.flight {
+            flight.on_failure(reason);
+        }
     }
 }
 
@@ -293,10 +305,11 @@ pub struct Service {
 }
 
 impl Service {
-    /// Recovers the registry from `cfg.dir` and starts the worker pool.
+    /// Recovers the registry from `cfg.dir` and starts the worker pool. A
+    /// flight directory is opened first, so an unusable one — or any, in a
+    /// build without the `instrument` feature — stops it before recovery.
     pub fn start(cfg: ServiceConfig) -> io::Result<Service> {
-        #[cfg(feature = "instrument")]
-        let telemetry = Telemetry::start(&cfg.telemetry)?;
+        let flight = cfg.telemetry.flight_dir.as_deref().map(Flight::open).transpose()?;
         let (mut journal, mut registry, recovery) = Journal::open(&cfg.dir, cfg.compact_every)?;
         // Arm IO fault injection after recovery: recovery itself is
         // read-only, and the startup compaction must succeed so the
@@ -338,12 +351,13 @@ impl Service {
                 key_index,
                 counters,
                 recovery,
+                runs: JobRuns::new(),
             }),
             work_ready: Condvar::new(),
             stopping: AtomicBool::new(false),
             drain: AtomicBool::new(true),
-            #[cfg(feature = "instrument")]
-            telemetry,
+            started: Instant::now(),
+            flight,
         });
         let workers: Vec<JoinHandle<()>> = (0..cfg.workers)
             .map(|i| {
@@ -355,11 +369,6 @@ impl Service {
             })
             .collect();
         Ok(Service { inner, workers: Mutex::new(workers), stop_once: std::sync::Once::new() })
-    }
-
-    /// What recovery found when this daemon started.
-    pub fn recovery(&self) -> RecoveryReport {
-        self.inner.state.lock().unwrap().recovery
     }
 
     /// Admission: journal-then-acknowledge, bounded queue, serve-level
@@ -533,16 +542,23 @@ impl Service {
             journal_bytes: state.journal.bytes(),
             journal_poisoned: state.journal.is_poisoned(),
             recovery: state.recovery,
+            uptime: self.inner.started.elapsed(),
+            runs: state.runs.clone(),
         }
     }
 
     /// The `stats` op payload: counters, queue/running depth, connections
-    /// and the caps' refusals, journal position, size and health, and what
-    /// recovery found at startup.
+    /// and the caps' refusals, journal position, size and health, what
+    /// recovery found at startup, and then the live telemetry (uptime,
+    /// requeued jobs, engine-run latency, per-algorithm done counts).
     pub fn stats_json(&self) -> Json {
         let r = self.reading();
         let c = r.counters;
         let num = |v: u64| Json::Num(v as f64);
+        let quantiles = [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)]
+            .map(|(key, q)| (key, Json::Num(r.runs.latency_ms(q))));
+        let per_alg = r.runs.done_by_alg.iter();
+        let per_alg = per_alg.map(|(alg, n)| (alg.to_string(), obj([("done", num(*n))])));
         obj([
             ("jobs", num(r.jobs as u64)),
             ("queued", num(r.queued as u64)),
@@ -565,19 +581,11 @@ impl Service {
             ("journal_bytes", num(r.journal_bytes)),
             ("journal_poisoned", Json::Bool(r.journal_poisoned)),
             ("recovery", recovery_json(&r.recovery)),
+            ("uptime_ms", num(r.uptime.as_millis() as u64)),
+            ("requeued", num(c.requeued)),
+            ("latency_ms", obj([("count", num(r.runs.count()))].into_iter().chain(quantiles))),
+            ("per_alg", Json::Obj(per_alg.collect())),
         ])
-    }
-
-    /// The `metrics` op payload (docs/serve.md#live-telemetry).
-    #[cfg(feature = "instrument")]
-    pub fn metrics_json(&self) -> Json {
-        self.inner.telemetry.metrics_json(&self.reading())
-    }
-
-    /// The Prometheus text exposition body `--metrics-addr` serves.
-    #[cfg(feature = "instrument")]
-    pub fn prometheus_text(&self) -> String {
-        self.inner.telemetry.prometheus_text(&self.reading())
     }
 
     /// Writes the flight-recorder ring as Chrome-trace JSON into the
@@ -585,7 +593,7 @@ impl Service {
     /// no flight directory is configured.
     #[cfg(feature = "instrument")]
     pub fn dump_flight(&self, reason: &str) -> io::Result<Option<PathBuf>> {
-        self.inner.telemetry.dump_flight(reason)
+        self.inner.flight.as_ref().map(|flight| flight.dump(reason)).transpose()
     }
 
     /// Blocks until no job is queued or running, or `timeout` elapses.
@@ -706,12 +714,15 @@ fn worker_loop(inner: &Inner) {
         drop(state);
         trace_event!("serve.claim", id);
         let task = spec.task();
-        #[cfg(feature = "instrument")]
         let job_started = Instant::now();
         let report = obs_span!("serve.job", engine.run_batch(std::slice::from_ref(&task)));
+        let ran = job_started.elapsed();
         let task_report = report.reports.into_iter().next().expect("batch of one");
-        #[cfg(feature = "instrument")]
-        inner.telemetry.job_ran(spec.alg, &task_report.result, job_started.elapsed());
+        match task_report.result {
+            TaskResult::CertFailed { .. } => inner.on_failure("cert-failed"),
+            TaskResult::Panicked { .. } => inner.on_failure("panic"),
+            _ => {}
+        }
         let result = task_result_json(&task_report);
         let mut state = inner.state.lock().unwrap();
         state.running.remove(&id);
@@ -721,6 +732,7 @@ fn worker_loop(inner: &Inner) {
         }
         state.registry.apply(&finish);
         let status = state.registry.get(id).expect("finished job exists").status;
+        state.runs.record(spec.alg, status, ran);
         match status {
             JobStatus::Done => {
                 state.counters.done += 1;

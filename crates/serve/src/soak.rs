@@ -11,6 +11,10 @@
 //! 3. **Replay identity** — optionally (`journal_dir`), after shutting the
 //!    daemon down, replaying its journal + snapshot from disk reproduces
 //!    exactly the registry the live daemon last served.
+//! 4. **Every finish accounted** — at quiesce, `stats`' per-algorithm done
+//!    counts plus its cache hits equal its done and degraded jobs: each is
+//!    one engine run or one cache hit. Counters restart with each daemon
+//!    life, so this holds across a `kill -9` and restart too.
 //!
 //! The soak talks through one [`Client`], so one kept connection. With
 //! `expect_restart` the harness tolerates transport errors: the drill in
@@ -127,6 +131,24 @@ fn random_spec(rng: &mut StdRng) -> Json {
     Json::Obj(pairs)
 }
 
+/// Invariant 4 over one `stats` payload: Σ `per_alg.*.done` + `cache_hits`
+/// = `done` + `degraded`.
+fn check_finishes_accounted(stats: &Json) -> Result<(), String> {
+    let num = |v: &Json, key: &str| {
+        v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("no {key} in stats {stats}"))
+    };
+    let Some(Json::Obj(per_alg)) = stats.get("per_alg") else {
+        return Err(format!("no per_alg in stats {stats}"));
+    };
+    let ran = per_alg.iter().map(|(_, alg)| num(alg, "done")).sum::<Result<u64, _>>()?;
+    let hits = num(stats, "cache_hits")?;
+    let finished = num(stats, "done")? + num(stats, "degraded")?;
+    if ran + hits != finished {
+        return Err(format!("per_alg done {ran} + cache hits {hits} != done + degraded {finished}"));
+    }
+    Ok(())
+}
+
 /// Runs the soak. `Err` carries the first violated invariant (or a
 /// transport failure outside the tolerated window).
 pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
@@ -188,13 +210,11 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
                 let running = stats.get("running").and_then(Json::as_u64).unwrap_or(1);
                 if queued == 0 && running == 0 {
                     report.cache_hits = stats.get("cache_hits").and_then(Json::as_u64).unwrap_or(0);
+                    check_finishes_accounted(&stats)?;
                     break;
                 }
             }
-            Err(e) if cfg.expect_restart => {
-                report.transport_errors += 1;
-                let _ = e;
-            }
+            Err(_) if cfg.expect_restart => report.transport_errors += 1,
             Err(e) => return Err(format!("stats during quiesce failed: {e}")),
         }
         if Instant::now() >= quiesce_deadline {

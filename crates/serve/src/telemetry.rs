@@ -1,43 +1,36 @@
-//! Live telemetry for the daemon: the state only an `instrument` build
-//! keeps, everything that renders it, and the Prometheus scrape listener.
+//! Live telemetry for the daemon: the engine runs a reading carries, the
+//! Prometheus rendering of a reading and its scrape listener, and the
+//! flight-ring dumps.
 //!
-//! Only compiled under the `instrument` feature. The exposition builder
-//! lives in [`pobp_core::metrics`]; the bounded event ring lives in
-//! [`pobp_core::flight`]. This module holds the serve-specific glue:
-//!
-//! * [`TelemetryOptions`] — the `--metrics-addr` / `--flight-dir` knobs,
-//!   carried on [`ServiceConfig`](crate::service::ServiceConfig);
-//! * `Telemetry` — job latency, per-algorithm done counts and flight-dump
-//!   numbering, owned by the [`Service`], and the `metrics` payload and
-//!   Prometheus body rendered from them plus one reading of the daemon's
-//!   state;
-//! * [`spawn_metrics_listener`] — a minimal hand-rolled HTTP/1.1 responder
-//!   (request line + headers in, one `text/plain; version=0.0.4` body out)
-//!   serving [`Service::prometheus_text`] on every `GET /metrics`, `400` to
-//!   a request head over 8 KiB, and nothing to a head still incomplete
-//!   after 5 s.
+//! A worker records each job's engine run (its latency, and its algorithm
+//! when it finished done or degraded) under the state lock it takes to
+//! journal the finish, so one reading holds the runs beside the counters;
+//! the `stats` op and the scrape render that reading, in every build.
+//! [`spawn_metrics_listener`] is a minimal hand-rolled HTTP/1.1 responder
+//! built on [`pobp_core::metrics`]. Flight dumps need the trace recorder
+//! that feeds the ring, so only an `instrument` build has them.
 //!
 //! The daemon exports cumulative counters and levels, never rates: each
 //! reader derives rates over its own interval, so one reader polling fast
 //! cannot shorten another's view. Everything here is wall-clock telemetry:
-//! scrapes and dumps never touch the registry's durable bytes, job results,
-//! or logical traces (see the determinism contract in
-//! `docs/observability.md`).
+//! it never touches the registry's durable bytes, job results, or logical
+//! traces (see the determinism contract in `docs/observability.md`).
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pobp_core::metrics::{Prom, PROM_CONTENT_TYPE};
-use pobp_core::obs::LogHistogram;
-use pobp_engine::{Algo, TaskResult};
+use pobp_core::obs::{quantile_from_buckets, LogHistogram, HIST_BUCKETS};
+use pobp_engine::Algo;
 
-use crate::json::{obj, Json};
+use crate::job::JobStatus;
 use crate::service::{Reading, Service};
+
+pub(crate) use flight::Flight;
 
 /// Largest scrape request head (request line plus headers) read before
 /// answering `400`, so a client sending bytes with no newline cannot grow
@@ -54,7 +47,9 @@ const REQUEST_HEAD_DEADLINE: Duration = Duration::from_secs(5);
 #[derive(Clone, Debug, Default)]
 pub struct TelemetryOptions {
     /// Directory for flight-recorder dumps (created if missing). `None`
-    /// disables automatic dumps and the `dump-flight` op.
+    /// disables automatic dumps and the `dump-flight` op. Only an
+    /// `instrument` build has the flight ring: a default build's
+    /// [`Service::start`] refuses a directory.
     pub flight_dir: Option<PathBuf>,
     /// Address for the Prometheus scrape listener (e.g. `127.0.0.1:0`).
     /// `None` means no listener. Honoured by
@@ -63,255 +58,149 @@ pub struct TelemetryOptions {
     pub metrics_addr: Option<String>,
 }
 
-/// The daemon state only an `instrument` build keeps. It lives outside the
-/// state lock: a job's latency and algorithm are recorded after its engine
-/// returns, and a render takes its [`Reading`], releasing the state lock,
-/// before it reads this.
-pub(crate) struct Telemetry {
-    /// Monotone epoch for uptime.
-    started: Instant,
-    /// Job wall-clock latency in milliseconds (engine run only).
-    latency_ms: LogHistogram,
-    /// Jobs finished `Done`/`Degraded` per algorithm name.
-    per_alg_done: Mutex<BTreeMap<&'static str, u64>>,
-    /// Where flight dumps go, if anywhere.
-    flight_dir: Option<PathBuf>,
-    /// Number of the next flight dump.
-    flight_seq: AtomicU64,
-    /// Keeps the flight ring armed while a daemon with a flight directory
-    /// lives.
-    _ring: Option<pobp_core::trace::Armed>,
+/// The engine runs of finished jobs: their wall-clock latency, and how many
+/// finished done or degraded per algorithm. A cache hit runs no engine and
+/// is not recorded here.
+#[derive(Clone, Debug)]
+pub(crate) struct JobRuns {
+    /// Engine-run latency in microseconds, as log₂ bucket counts
+    /// ([`LogHistogram::bucket_of`]).
+    latency_us: [u64; HIST_BUCKETS],
+    /// Runs that finished `Done`/`Degraded`, per algorithm name.
+    pub(crate) done_by_alg: BTreeMap<&'static str, u64>,
 }
 
-impl Telemetry {
-    /// Opens the flight directory, if one is configured, and arms the
-    /// flight ring for it. Runs before the registry is recovered, so an
-    /// unusable directory stops the daemon before it touches the journal.
-    pub(crate) fn start(opts: &TelemetryOptions) -> io::Result<Telemetry> {
-        let flight_seq = opts.flight_dir.as_deref().map(open_flight_dir).transpose()?;
-        Ok(Telemetry {
-            started: Instant::now(),
-            latency_ms: LogHistogram::new(),
-            per_alg_done: Mutex::new(BTreeMap::new()),
-            flight_dir: opts.flight_dir.clone(),
-            flight_seq: AtomicU64::new(flight_seq.unwrap_or(0)),
-            _ring: flight_seq.map(|_| pobp_core::trace::arm(pobp_core::trace::Sink::Ring)),
-        })
+impl JobRuns {
+    /// No runs yet.
+    pub(crate) fn new() -> JobRuns {
+        JobRuns { latency_us: [0; HIST_BUCKETS], done_by_alg: BTreeMap::new() }
     }
 
-    /// Records one engine run of a job: its latency, its algorithm when it
-    /// finished `Done`/`Degraded`, and a flight dump the moment it reports
-    /// a failed certificate or a panic.
-    pub(crate) fn job_ran(&self, alg: Algo, result: &TaskResult, elapsed: Duration) {
-        self.latency_ms.record(elapsed.as_millis() as u64);
-        match result {
-            TaskResult::Done(_) | TaskResult::Degraded { .. } => {
-                let mut per_alg = self.per_alg_done.lock().expect("no holder of this lock panics");
-                *per_alg.entry(alg.name()).or_insert(0) += 1;
-            }
-            TaskResult::CertFailed { .. } => self.flight_on_failure("cert-failed"),
-            TaskResult::Panicked { .. } => self.flight_on_failure("panic"),
-            TaskResult::TimedOut | TaskResult::Cancelled => {}
+    /// Records one engine run of `alg` that took `elapsed` and finished the
+    /// job `status`.
+    pub(crate) fn record(&mut self, alg: Algo, status: JobStatus, elapsed: Duration) {
+        let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+        self.latency_us[LogHistogram::bucket_of(us)] += 1;
+        if matches!(status, JobStatus::Done | JobStatus::Degraded) {
+            *self.done_by_alg.entry(alg.name()).or_insert(0) += 1;
         }
     }
 
-    /// Automatic flight dump on a failure trigger (panicked task, failed
-    /// certificate, poisoned journal): best-effort, a note on stderr either
-    /// way, never an error to the caller.
-    pub(crate) fn flight_on_failure(&self, reason: &str) {
-        match self.dump_flight(reason) {
-            Ok(Some(path)) => {
-                eprintln!("serve: flight dump ({reason}) written to {}", path.display());
-            }
-            Ok(None) => {}
-            Err(e) => eprintln!("serve: flight dump ({reason}) failed: {e}"),
-        }
+    /// Engine runs recorded.
+    pub(crate) fn count(&self) -> u64 {
+        self.latency_us.iter().sum()
     }
 
-    /// Writes the flight ring to the flight directory as
-    /// `flight-NNNNN-<reason>.json`; `Ok(None)` when none is configured.
-    pub(crate) fn dump_flight(&self, reason: &str) -> io::Result<Option<PathBuf>> {
-        let Some(dir) = &self.flight_dir else { return Ok(None) };
-        std::fs::create_dir_all(dir)?;
-        let n = self.flight_seq.fetch_add(1, Ordering::Relaxed);
-        let path = dir.join(format!("flight-{n:05}-{reason}.json"));
-        std::fs::write(&path, pobp_core::flight::dump_json())?;
-        Ok(Some(path))
-    }
-
-    /// The `metrics` op payload: uptime, the reading's levels and
-    /// cumulative counters, latency quantiles, and the per-algorithm
-    /// breakdown.
-    pub(crate) fn metrics_json(&self, r: &Reading) -> Json {
-        let c = r.counters;
-        let h = &self.latency_ms;
-        let latency_count: u64 = h.counts().iter().sum();
-        let per_alg: Vec<(String, Json)> = self
-            .per_alg_done
-            .lock()
-            .expect("no holder of this lock panics")
-            .iter()
-            .map(|(alg, n)| ((*alg).to_string(), obj([("done", Json::Num(*n as f64))])))
-            .collect();
-        let num = |v: u64| Json::Num(v as f64);
-        obj([
-            ("uptime_ms", num(self.started.elapsed().as_millis() as u64)),
-            ("queued", num(r.queued as u64)),
-            ("running", num(r.running as u64)),
-            ("jobs", num(r.jobs as u64)),
-            ("queue_cap", num(r.queue_cap as u64)),
-            ("journal_bytes", num(r.journal_bytes)),
-            ("journal_poisoned", Json::Bool(r.journal_poisoned)),
-            (
-                "counters",
-                obj([
-                    ("accepted", num(c.accepted)),
-                    ("cache_hits", num(c.cache_hits)),
-                    ("cancelled", num(c.cancelled)),
-                    ("degraded", num(c.degraded)),
-                    ("done", num(c.done)),
-                    ("failed", num(c.failed)),
-                    ("finished", num(c.done + c.degraded + c.failed + c.cancelled)),
-                    ("journal_appends", num(r.journal_seq)),
-                    ("rejected", num(c.rejected)),
-                    ("requeued", num(c.requeued)),
-                ]),
-            ),
-            (
-                "latency_ms",
-                obj([
-                    ("count", num(latency_count)),
-                    ("p50", Json::Num(h.quantile(0.50))),
-                    ("p90", Json::Num(h.quantile(0.90))),
-                    ("p99", Json::Num(h.quantile(0.99))),
-                ]),
-            ),
-            ("per_alg", Json::Obj(per_alg)),
-        ])
-    }
-
-    /// The Prometheus text exposition body: cumulative counters and
-    /// levels from the reading, and latency quantiles. Rates and ratios
-    /// are the scraper's to derive (`rate()`), over its own interval.
-    pub(crate) fn prometheus_text(&self, r: &Reading) -> String {
-        let c = r.counters;
-        let h = &self.latency_ms;
-        let latency_count: u64 = h.counts().iter().sum();
-        let mut p = Prom::new();
-        p.header("pobp_serve_up", "gauge", "1 while the daemon answers scrapes.")
-            .sample("pobp_serve_up", &[], 1.0);
-        p.header("pobp_serve_uptime_seconds", "gauge", "Seconds since the daemon started.")
-            .sample("pobp_serve_uptime_seconds", &[], self.started.elapsed().as_secs_f64());
-        p.header("pobp_serve_jobs_accepted_total", "counter", "Admitted submissions.")
-            .sample("pobp_serve_jobs_accepted_total", &[], c.accepted as f64);
-        p.header("pobp_serve_jobs_rejected_total", "counter", "Rejected submissions.")
-            .sample("pobp_serve_jobs_rejected_total", &[], c.rejected as f64);
-        p.header(
-            "pobp_serve_cache_hits_total",
-            "counter",
-            "Submissions answered from an equal-keyed finished job.",
-        )
-        .sample("pobp_serve_cache_hits_total", &[], c.cache_hits as f64);
-        p.header(
-            "pobp_serve_jobs_finished_total",
-            "counter",
-            "Jobs reaching a terminal status, by status.",
-        );
-        let finished = [
-            ("done", c.done),
-            ("degraded", c.degraded),
-            ("failed", c.failed),
-            ("cancelled", c.cancelled),
-        ];
-        for (status, n) in finished {
-            p.sample("pobp_serve_jobs_finished_total", &[("status", status)], n as f64);
-        }
-        p.header(
-            "pobp_serve_jobs_done_by_alg_total",
-            "counter",
-            "Jobs finished done or degraded, by algorithm.",
-        );
-        for (alg, n) in self.per_alg_done.lock().expect("no holder of this lock panics").iter() {
-            p.sample("pobp_serve_jobs_done_by_alg_total", &[("alg", alg)], *n as f64);
-        }
-        p.header(
-            "pobp_serve_connections_accepted_total",
-            "counter",
-            "Connections the front end accepted and served.",
-        )
-        .sample("pobp_serve_connections_accepted_total", &[], c.connections_accepted as f64);
-        p.header("pobp_serve_connections_open", "gauge", "Connections open now.")
-            .sample("pobp_serve_connections_open", &[], c.connections_open as f64);
-        p.header(
-            "pobp_serve_connections_capped_total",
-            "counter",
-            "Connections the daemon closed at one of its caps, by cap.",
-        );
-        let capped = [
-            ("line_too_long", c.lines_too_long),
-            ("idle", c.connections_idle_closed),
-            ("overloaded", c.connections_overloaded),
-        ];
-        for (cap, n) in capped {
-            p.sample("pobp_serve_connections_capped_total", &[("cap", cap)], n as f64);
-        }
-        p.header("pobp_serve_queue_depth", "gauge", "Jobs currently queued.")
-            .sample("pobp_serve_queue_depth", &[], r.queued as f64);
-        p.header("pobp_serve_queue_cap", "gauge", "Admission bound on queued jobs.")
-            .sample("pobp_serve_queue_cap", &[], r.queue_cap as f64);
-        p.header("pobp_serve_running", "gauge", "Jobs currently running.")
-            .sample("pobp_serve_running", &[], r.running as f64);
-        p.header("pobp_serve_jobs", "gauge", "Jobs in the registry.")
-            .sample("pobp_serve_jobs", &[], r.jobs as f64);
-        p.header("pobp_serve_journal_bytes", "gauge", "Size of the journal file.")
-            .sample("pobp_serve_journal_bytes", &[], r.journal_bytes as f64);
-        p.header(
-            "pobp_serve_journal_poisoned",
-            "gauge",
-            "1 while the journal refuses appends after an IO failure.",
-        )
-        .sample("pobp_serve_journal_poisoned", &[], f64::from(u8::from(r.journal_poisoned)));
-        p.header(
-            "pobp_serve_job_latency_ms",
-            "gauge",
-            "Job wall-clock latency quantiles in milliseconds.",
-        );
-        for (label, q) in [("0.5", 0.50), ("0.9", 0.90), ("0.99", 0.99)] {
-            p.sample("pobp_serve_job_latency_ms", &[("quantile", label)], h.quantile(q));
-        }
-        p.header("pobp_serve_job_latency_count", "counter", "Jobs measured for latency.")
-            .sample("pobp_serve_job_latency_count", &[], latency_count as f64);
-        p.finish()
+    /// Estimated `q`-quantile of the engine-run latency, in milliseconds.
+    pub(crate) fn latency_ms(&self, q: f64) -> f64 {
+        quantile_from_buckets(&self.latency_us, q) / 1000.0
     }
 }
 
-/// Creates the flight directory if missing and returns the number of the
-/// next dump: one past the highest `flight-NNNNN-*` already there, so a
-/// restarted daemon numbers after its predecessors instead of overwriting
-/// their dumps.
-fn open_flight_dir(dir: &Path) -> io::Result<u64> {
-    std::fs::create_dir_all(dir)?;
-    let mut next = 0;
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let taken = name
-            .to_str()
-            .and_then(|n| n.strip_prefix("flight-")?.split('-').next()?.parse::<u64>().ok());
-        if let Some(n) = taken {
-            next = next.max(n.saturating_add(1));
-        }
+/// The Prometheus text exposition body of one reading: cumulative counters
+/// and levels, and latency quantiles. Rates and ratios are the scraper's to
+/// derive (`rate()`), over its own interval.
+pub(crate) fn prometheus_text(r: &Reading) -> String {
+    let c = r.counters;
+    let mut p = Prom::new();
+    p.header("pobp_serve_up", "gauge", "1 while the daemon answers scrapes.")
+        .sample("pobp_serve_up", &[], 1.0);
+    p.header("pobp_serve_uptime_seconds", "gauge", "Seconds since the daemon started.")
+        .sample("pobp_serve_uptime_seconds", &[], r.uptime.as_secs_f64());
+    p.header("pobp_serve_jobs_accepted_total", "counter", "Admitted submissions.")
+        .sample("pobp_serve_jobs_accepted_total", &[], c.accepted as f64);
+    p.header("pobp_serve_jobs_rejected_total", "counter", "Rejected submissions.")
+        .sample("pobp_serve_jobs_rejected_total", &[], c.rejected as f64);
+    p.header(
+        "pobp_serve_cache_hits_total",
+        "counter",
+        "Submissions answered from an equal-keyed finished job.",
+    )
+    .sample("pobp_serve_cache_hits_total", &[], c.cache_hits as f64);
+    p.header(
+        "pobp_serve_jobs_finished_total",
+        "counter",
+        "Jobs reaching a terminal status, by status.",
+    );
+    let finished = [
+        ("done", c.done),
+        ("degraded", c.degraded),
+        ("failed", c.failed),
+        ("cancelled", c.cancelled),
+    ];
+    for (status, n) in finished {
+        p.sample("pobp_serve_jobs_finished_total", &[("status", status)], n as f64);
     }
-    Ok(next)
+    p.header(
+        "pobp_serve_jobs_done_by_alg_total",
+        "counter",
+        "Jobs finished done or degraded, by algorithm.",
+    );
+    for (alg, n) in &r.runs.done_by_alg {
+        p.sample("pobp_serve_jobs_done_by_alg_total", &[("alg", alg)], *n as f64);
+    }
+    p.header(
+        "pobp_serve_connections_accepted_total",
+        "counter",
+        "Connections the front end accepted and served.",
+    )
+    .sample("pobp_serve_connections_accepted_total", &[], c.connections_accepted as f64);
+    p.header("pobp_serve_connections_open", "gauge", "Connections open now.")
+        .sample("pobp_serve_connections_open", &[], c.connections_open as f64);
+    p.header(
+        "pobp_serve_connections_capped_total",
+        "counter",
+        "Connections the daemon closed at one of its caps, by cap.",
+    );
+    let capped = [
+        ("line_too_long", c.lines_too_long),
+        ("idle", c.connections_idle_closed),
+        ("overloaded", c.connections_overloaded),
+    ];
+    for (cap, n) in capped {
+        p.sample("pobp_serve_connections_capped_total", &[("cap", cap)], n as f64);
+    }
+    p.header("pobp_serve_queue_depth", "gauge", "Jobs currently queued.")
+        .sample("pobp_serve_queue_depth", &[], r.queued as f64);
+    p.header("pobp_serve_queue_cap", "gauge", "Admission bound on queued jobs.")
+        .sample("pobp_serve_queue_cap", &[], r.queue_cap as f64);
+    p.header("pobp_serve_running", "gauge", "Jobs currently running.")
+        .sample("pobp_serve_running", &[], r.running as f64);
+    p.header("pobp_serve_jobs", "gauge", "Jobs in the registry.")
+        .sample("pobp_serve_jobs", &[], r.jobs as f64);
+    p.header("pobp_serve_journal_bytes", "gauge", "Size of the journal file.")
+        .sample("pobp_serve_journal_bytes", &[], r.journal_bytes as f64);
+    p.header(
+        "pobp_serve_journal_poisoned",
+        "gauge",
+        "1 while the journal refuses appends after an IO failure.",
+    )
+    .sample("pobp_serve_journal_poisoned", &[], f64::from(u8::from(r.journal_poisoned)));
+    p.header(
+        "pobp_serve_job_latency_ms",
+        "gauge",
+        "Job wall-clock latency quantiles in milliseconds.",
+    );
+    for (label, q) in [("0.5", 0.50), ("0.9", 0.90), ("0.99", 0.99)] {
+        p.sample("pobp_serve_job_latency_ms", &[("quantile", label)], r.runs.latency_ms(q));
+    }
+    p.header("pobp_serve_job_latency_count", "counter", "Jobs measured for latency.")
+        .sample("pobp_serve_job_latency_count", &[], r.runs.count() as f64);
+    p.finish()
 }
 
-/// Binds `addr` and serves Prometheus text exposition from a background
-/// thread, returning the bound address (bind port `0` to let the OS pick).
+/// Serves Prometheus text exposition of `service` on `listener` from a
+/// background thread, returning the listener's address: one
+/// `text/plain; version=0.0.4` body per `GET /metrics`, `400` to a request
+/// head over 8 KiB, and nothing to a head still incomplete after 5 s.
 ///
 /// The accept loop is serial — scrapes are small, periodic, and cheap to
 /// build — and the thread runs for the life of the process; it never
 /// touches daemon state beyond read-only snapshots.
-pub fn spawn_metrics_listener(addr: &str, service: Arc<Service>) -> io::Result<SocketAddr> {
-    let listener = TcpListener::bind(addr)?;
+pub fn spawn_metrics_listener(
+    listener: TcpListener,
+    service: Arc<Service>,
+) -> io::Result<SocketAddr> {
     let local = listener.local_addr()?;
     std::thread::Builder::new().name("pobp-serve-metrics".into()).spawn(move || {
         for stream in listener.incoming() {
@@ -350,7 +239,7 @@ fn handle_scrape(stream: TcpStream, service: &Service) -> io::Result<()> {
     let (status, body) = if reader.get_ref().limit() == 0 {
         ("400 Bad Request", "request head too long\n".to_string())
     } else if path == "/" || path == "/metrics" {
-        ("200 OK", service.prometheus_text())
+        ("200 OK", prometheus_text(&service.reading()))
     } else {
         ("404 Not Found", "not found\n".to_string())
     };
@@ -377,5 +266,121 @@ impl Read for DeadlineReader {
         }
         self.stream.set_read_timeout(Some(left))?;
         self.stream.read(buf)
+    }
+}
+
+/// Flight-ring dumps into a directory, in a build with the trace recorder.
+#[cfg(feature = "instrument")]
+mod flight {
+    use std::io;
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A flight directory: dumps of the flight ring, which stays armed
+    /// while this lives.
+    pub(crate) struct Flight {
+        /// Where dumps go.
+        dir: PathBuf,
+        /// Number of the next dump.
+        next: AtomicU64,
+        /// Keeps the flight ring armed.
+        _ring: pobp_core::trace::Armed,
+    }
+
+    impl Flight {
+        /// Creates `dir` if missing and arms the flight ring. Numbering
+        /// starts one past the highest `flight-NNNNN-*` already there, so a
+        /// restarted daemon numbers after its predecessors instead of
+        /// overwriting their dumps.
+        pub(crate) fn open(dir: &Path) -> io::Result<Flight> {
+            std::fs::create_dir_all(dir)?;
+            let mut next = 0;
+            for entry in std::fs::read_dir(dir)? {
+                let name = entry?.file_name();
+                let taken = name.to_str().and_then(|n| {
+                    n.strip_prefix("flight-")?.split('-').next()?.parse::<u64>().ok()
+                });
+                if let Some(n) = taken {
+                    next = next.max(n.saturating_add(1));
+                }
+            }
+            Ok(Flight {
+                dir: dir.to_path_buf(),
+                next: AtomicU64::new(next),
+                _ring: pobp_core::trace::arm(pobp_core::trace::Sink::Ring),
+            })
+        }
+
+        /// Automatic dump on a failure trigger (panicked task, failed
+        /// certificate, poisoned journal): best-effort, a note on stderr
+        /// either way, never an error to the caller.
+        pub(crate) fn on_failure(&self, reason: &str) {
+            match self.dump(reason) {
+                Ok(path) => {
+                    eprintln!("serve: flight dump ({reason}) written to {}", path.display());
+                }
+                Err(e) => eprintln!("serve: flight dump ({reason}) failed: {e}"),
+            }
+        }
+
+        /// Writes the flight ring as `flight-NNNNN-<reason>.json`.
+        pub(crate) fn dump(&self, reason: &str) -> io::Result<PathBuf> {
+            std::fs::create_dir_all(&self.dir)?;
+            let n = self.next.fetch_add(1, Ordering::Relaxed);
+            let path = self.dir.join(format!("flight-{n:05}-{reason}.json"));
+            std::fs::write(&path, pobp_core::flight::dump_json())?;
+            Ok(path)
+        }
+    }
+}
+
+/// A build without the trace recorder has no flight ring: its `Flight` is
+/// uninhabited, and opening a directory is refused.
+#[cfg(not(feature = "instrument"))]
+mod flight {
+    pub(crate) enum Flight {}
+
+    impl Flight {
+        pub(crate) fn open(_dir: &std::path::Path) -> std::io::Result<Flight> {
+            let refusal = pobp_core::cli::needs_instrument("a flight directory");
+            Err(std::io::Error::new(std::io::ErrorKind::Unsupported, refusal))
+        }
+
+        pub(crate) fn on_failure(&self, _reason: &str) {
+            match *self {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Jobs well under a millisecond read as such: latency is recorded in
+    /// microseconds, so 250 µs runs are not rounded into the first
+    /// millisecond bucket (which reads p50 1.0 ms whatever the jobs took).
+    #[test]
+    fn sub_millisecond_runs_keep_their_latency() {
+        let mut runs = JobRuns::new();
+        for _ in 0..100 {
+            runs.record(Algo::Reduction, JobStatus::Done, Duration::from_micros(250));
+        }
+        assert_eq!(runs.count(), 100);
+        let p50 = runs.latency_ms(0.50);
+        assert!(p50 > 0.125 && p50 < 0.5, "p50 {p50} ms");
+        assert!(runs.latency_ms(0.99) <= 0.256, "p99 {} ms", runs.latency_ms(0.99));
+        assert_eq!(runs.done_by_alg.into_iter().collect::<Vec<_>>(), [("reduction", 100)]);
+    }
+
+    /// Only done or degraded runs count per algorithm; every run is timed.
+    #[test]
+    fn failed_and_cancelled_runs_are_timed_but_not_counted_done() {
+        let mut runs = JobRuns::new();
+        let ms = Duration::from_millis(3);
+        runs.record(Algo::LsaCs, JobStatus::Degraded, ms);
+        runs.record(Algo::LsaCs, JobStatus::Failed, ms);
+        runs.record(Algo::K0, JobStatus::Cancelled, ms);
+        assert_eq!(runs.count(), 3);
+        assert_eq!(runs.done_by_alg.into_iter().collect::<Vec<_>>(), [("lsa", 1)]);
     }
 }

@@ -9,6 +9,7 @@
 //! while it runs.
 
 use std::fs;
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -290,7 +291,9 @@ fn num(v: &Json, key: &str) -> f64 {
 
 /// Field-by-field contract for the `stats` payload after a scripted
 /// submit/reject/cancel sequence on a worker-less service: every depth and
-/// counter is exact because nothing ever runs.
+/// counter is exact because nothing ever runs. It is one reading of the
+/// daemon's state, and carries no rates (a reader derives those over its
+/// own interval).
 #[test]
 fn stats_json_fields_are_exact_after_scripted_traffic() {
     let dir = tmpdir("statsjson");
@@ -300,6 +303,39 @@ fn stats_json_fields_are_exact_after_scripted_traffic() {
     assert!(matches!(service.submit(spec(9, 0)).unwrap(), SubmitOutcome::Rejected { .. }));
     assert_eq!(service.cancel(second), CancelOutcome::CancelledQueued);
     let stats = service.stats_json();
+    let Json::Obj(fields) = &stats else { panic!("stats must be an object: {stats}") };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "jobs",
+            "queued",
+            "running",
+            "queue_cap",
+            "accepted",
+            "rejected",
+            "cache_hits",
+            "done",
+            "degraded",
+            "failed",
+            "cancelled",
+            "connections_accepted",
+            "connections_open",
+            "connections_overloaded",
+            "connections_idle_closed",
+            "lines_too_long",
+            "journal_seq",
+            "compactions",
+            "journal_bytes",
+            "journal_poisoned",
+            "recovery",
+            "uptime_ms",
+            "requeued",
+            "latency_ms",
+            "per_alg",
+        ],
+        "earlier keys keep their places; the telemetry keys come after them"
+    );
     for (key, want) in [
         ("jobs", 2.0),
         ("queued", 1.0),
@@ -316,6 +352,7 @@ fn stats_json_fields_are_exact_after_scripted_traffic() {
         // never journalled.
         ("journal_seq", 3.0),
         ("compactions", 0.0),
+        ("requeued", 0.0),
     ] {
         assert_eq!(num(&stats, key), want, "stats field {key:?}");
     }
@@ -324,68 +361,20 @@ fn stats_json_fields_are_exact_after_scripted_traffic() {
     let recovery = stats.get("recovery").expect("stats must embed the recovery report");
     assert_eq!(num(recovery, "replayed"), 0.0, "fresh directory replays nothing");
     assert_eq!(recovery.get("dropped_tail").and_then(Json::as_bool), Some(false));
-    service.stop(false);
-    fs::remove_dir_all(&dir).ok();
-}
-
-/// The `metrics` payload over the same scripted worker-less traffic: one
-/// reading of the daemon's state, so every level and cumulative counter is
-/// exact, and it carries no rates (a reader derives those over its own
-/// interval).
-#[cfg(feature = "instrument")]
-#[test]
-fn metrics_json_fields_are_exact_after_scripted_traffic() {
-    let dir = tmpdir("metricsjson");
-    let service = Service::start(cfg(&dir, 0, 2)).unwrap();
-    accepted_id(service.submit(spec(0, 0)).unwrap());
-    let second = accepted_id(service.submit(spec(1, 0)).unwrap());
-    assert!(matches!(service.submit(spec(9, 0)).unwrap(), SubmitOutcome::Rejected { .. }));
-    assert_eq!(service.cancel(second), CancelOutcome::CancelledQueued);
-    let m = service.metrics_json();
-    for (key, want) in [("queued", 1.0), ("running", 0.0), ("jobs", 2.0), ("queue_cap", 2.0)] {
-        assert_eq!(num(&m, key), want, "metrics field {key:?}");
-    }
-    assert_eq!(m.get("journal_poisoned").and_then(Json::as_bool), Some(false));
-    assert_eq!(num(&m, "journal_bytes"), num(&service.stats_json(), "journal_bytes"));
-    assert!(num(&m, "journal_bytes") > 0.0, "three journalled records have bytes");
-    let Some(Json::Obj(counters)) = m.get("counters") else {
-        panic!("metrics must embed the counters object")
-    };
-    let counters: Vec<(&str, f64)> =
-        counters.iter().map(|(k, v)| (k.as_str(), v.as_f64().unwrap_or(f64::NAN))).collect();
-    assert_eq!(
-        counters,
-        [
-            ("accepted", 2.0),
-            ("cache_hits", 0.0),
-            ("cancelled", 1.0),
-            ("degraded", 0.0),
-            ("done", 0.0),
-            ("failed", 0.0),
-            ("finished", 1.0), // cancelled counts as finished in the rollup
-            ("journal_appends", 3.0),
-            ("rejected", 1.0),
-            ("requeued", 0.0),
-        ],
-    );
-    for key in ["window_secs", "samples", "sample_ms", "rates", "cache_hit_ratio", "degrade_ratio"]
-    {
-        assert!(m.get(key).is_none(), "metrics must not carry {key:?}");
-    }
+    assert!(num(&stats, "uptime_ms") >= 0.0, "stats must carry uptime_ms");
     // Nothing ran: no latency observations, no per-alg rows.
-    assert_eq!(num(m.get("latency_ms").unwrap(), "count"), 0.0);
-    assert!(matches!(m.get("per_alg"), Some(Json::Obj(algs)) if algs.is_empty()));
+    assert_eq!(num(stats.get("latency_ms").unwrap(), "count"), 0.0);
+    assert!(matches!(stats.get("per_alg"), Some(Json::Obj(algs)) if algs.is_empty()));
     service.stop(false);
     fs::remove_dir_all(&dir).ok();
 }
 
-/// After a worker actually finishes jobs, the `metrics` payload carries
-/// the latency histogram, the per-algorithm breakdown, and a cache-hit
-/// counter consistent with `stats`.
-#[cfg(feature = "instrument")]
+/// After a worker actually finishes jobs, the `stats` payload carries the
+/// latency histogram, the per-algorithm breakdown, and a cache-hit counter:
+/// the engine run counts once, the cache hit not at all.
 #[test]
-fn metrics_json_tracks_finished_jobs_and_cache_hits() {
-    let dir = tmpdir("metricsdone");
+fn stats_json_tracks_finished_jobs_and_cache_hits() {
+    let dir = tmpdir("statsdone");
     let service = Service::start(cfg(&dir, 1, 8)).unwrap();
     accepted_id(service.submit(spec(5, 0)).unwrap());
     assert!(service.quiesce(Duration::from_secs(60)));
@@ -395,19 +384,34 @@ fn metrics_json_tracks_finished_jobs_and_cache_hits() {
         service.submit(dup).unwrap(),
         SubmitOutcome::Accepted { cached: true, .. }
     ));
-    let m = service.metrics_json();
-    let counters = m.get("counters").unwrap();
+    let stats = service.stats_json();
     // The cached acceptance reaches `Done` too, so the counter says 2 —
     // but only the real engine run shows up in latency and per-alg below.
-    assert_eq!(num(counters, "done"), 2.0);
-    assert_eq!(num(counters, "cache_hits"), 1.0);
-    assert_eq!(num(m.get("latency_ms").unwrap(), "count"), 1.0, "one engine run was timed");
-    let Some(Json::Obj(algs)) = m.get("per_alg") else { panic!("per_alg must be an object") };
+    assert_eq!(num(&stats, "done"), 2.0);
+    assert_eq!(num(&stats, "cache_hits"), 1.0);
+    let latency = stats.get("latency_ms").unwrap();
+    assert_eq!(num(latency, "count"), 1.0, "one engine run was timed");
+    assert!(num(latency, "p50") > 0.0 && num(latency, "p50") <= num(latency, "p99"));
+    let Some(Json::Obj(algs)) = stats.get("per_alg") else { panic!("per_alg must be an object") };
     assert_eq!(algs.len(), 1, "exactly one algorithm finished jobs");
     assert_eq!(algs[0].0, "reduction");
     assert_eq!(num(&algs[0].1, "done"), 1.0, "the cache hit must not double-count");
     service.stop(true);
     fs::remove_dir_all(&dir).ok();
+}
+
+/// A build without the trace recorder has no flight ring: `Service::start`
+/// refuses a flight directory set in code, as the CLI refuses
+/// `--flight-dir`, before it creates the registry directory.
+#[cfg(not(feature = "instrument"))]
+#[test]
+fn default_build_refuses_a_flight_directory() {
+    let dir = tmpdir("noflight");
+    let mut c = cfg(&dir.join("registry"), 0, 4);
+    c.telemetry.flight_dir = Some(dir.join("flights"));
+    let Err(e) = Service::start(c) else { panic!("a default build opened a flight directory") };
+    assert!(e.to_string().contains("needs a binary built with --features instrument"), "{e}");
+    assert!(!dir.exists(), "nothing may be created under {}", dir.display());
 }
 
 /// A restarted daemon numbers its flight dumps after the ones already in
@@ -432,13 +436,13 @@ fn restarted_daemon_keeps_earlier_flight_dumps() {
 /// A scrape request head is capped: 64 KiB with no newline is answered (or
 /// closed) at once, well inside the daemon's 5 s read timeout that an
 /// uncapped reader would wait out, and the next scrape is served normally.
-#[cfg(feature = "instrument")]
 #[test]
 fn oversized_scrape_head_is_cut_off_and_scrapes_continue() {
     use std::io::{ErrorKind, Read, Write};
     let dir = tmpdir("scrapecap");
     let service = std::sync::Arc::new(Service::start(cfg(&dir, 0, 4)).unwrap());
-    let addr = pobp_serve::spawn_metrics_listener("127.0.0.1:0", service.clone()).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = pobp_serve::spawn_metrics_listener(listener, service.clone()).unwrap();
     let mut flood = std::net::TcpStream::connect(addr).unwrap();
     flood.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
     let _ = flood.write_all(&[b'a'; 64 * 1024]); // the daemon may close mid-write
@@ -460,13 +464,13 @@ fn oversized_scrape_head_is_cut_off_and_scrapes_continue() {
 /// byte every 100 ms with no newline (never idle long enough for a per-read
 /// timeout) is cut off within the daemon's 5 s head deadline plus slack,
 /// and the serial listener then answers the next scrape.
-#[cfg(feature = "instrument")]
 #[test]
 fn trickling_scrape_head_is_cut_off_at_the_deadline_and_scrapes_continue() {
     use std::io::{Read, Write};
     let dir = tmpdir("scrapetrickle");
     let service = std::sync::Arc::new(Service::start(cfg(&dir, 0, 4)).unwrap());
-    let addr = pobp_serve::spawn_metrics_listener("127.0.0.1:0", service.clone()).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = pobp_serve::spawn_metrics_listener(listener, service.clone()).unwrap();
     let began = Instant::now();
     let mut trickle = std::net::TcpStream::connect(addr).unwrap();
     let mut writer = trickle.try_clone().unwrap();

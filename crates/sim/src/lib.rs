@@ -43,7 +43,7 @@ pub use online::{
     SimOutcome, ONLINE_ALGS,
 };
 pub use partitioned::{execute_partitioned, PartitionRule, PartitionedOutcome};
-pub use replay::{choose_k, replay_with_overhead, PlanChoice};
+pub use replay::{choose_k, replay_with_overhead, KChoice, PlanChoice};
 pub use overhead::{
     efficiency, is_robust, max_robust_delta, switch_count, switch_points, SwitchPoint,
 };

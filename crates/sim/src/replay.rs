@@ -13,13 +13,16 @@
 //! which pulls later work earlier again.
 //!
 //! [`choose_k`] then answers: *given my switch cost, how many preemptions
-//! per job should I allow?* It sweeps `k`, builds the Theorem 4.2 reduction
-//! for each, replays it under `δ`, and returns the best plan. As `δ` grows
-//! the winning `k` falls — experiment E12's crossover, packaged as an API.
+//! per job should I allow?* It sweeps `k`, solves the Theorem 4.2
+//! reduction for each from one k-independent [`ReductionPlan`], replays it
+//! under `δ`, and returns every row with the best plan marked. As `δ`
+//! grows the winning `k` falls — experiment E12's crossover, packaged as
+//! an API.
 
 use crate::online::SimOutcome;
 use crate::trace::{ExecEvent, ExecTrace};
 use pobp_core::{Interval, JobId, JobSet, Schedule, SegmentSet, Time};
+use pobp_sched::{KbasSolver, ReductionPlan, SolveWorkspace};
 
 /// Replays `plan` (a feasible offline schedule, machine 0 only) on a
 /// machine with switch cost `delta`.
@@ -122,10 +125,10 @@ pub fn replay_with_overhead(jobs: &JobSet, plan: &Schedule, delta: Time) -> SimO
     SimOutcome { trace, schedule, dropped }
 }
 
-/// A plan choice produced by [`choose_k`].
+/// One row of [`choose_k`]'s table: the plan at one budget.
 #[derive(Clone, Debug)]
 pub struct PlanChoice {
-    /// The chosen preemption budget.
+    /// The preemption budget.
     pub k: u32,
     /// The offline plan (Theorem 4.2 reduction at `k`).
     pub plan: Schedule,
@@ -135,15 +138,37 @@ pub struct PlanChoice {
     pub planned_value: f64,
 }
 
-/// Sweeps `k ∈ 0..=k_max`, builds the Theorem 4.2 reduction of
-/// `schedule_inf` at each `k`, replays it at switch cost `delta`, and
-/// returns the best-performing plan.
+/// Every row [`choose_k`] computed, and its pick.
+#[derive(Clone, Debug)]
+pub struct KChoice {
+    /// One row per budget: `rows[k]` is the plan at `k`, for
+    /// `k ∈ 0..=k_max`.
+    pub rows: Vec<PlanChoice>,
+    /// Index into `rows` of the chosen plan: the smallest `k` with the
+    /// highest replayed value.
+    pub pick: usize,
+}
+
+impl KChoice {
+    /// The chosen row.
+    pub fn chosen(&self) -> &PlanChoice {
+        &self.rows[self.pick]
+    }
+}
+
+/// Sweeps `k ∈ 0..=k_max`, solves `plan` — the k-independent prefix of
+/// the Theorem 4.2 reduction of a feasible `∞`-preemptive single-machine
+/// schedule — at each `k`, replays the result at switch cost `delta`, and
+/// returns every row with the best-performing one picked.
 ///
-/// `schedule_inf` must be a feasible `∞`-preemptive single-machine
-/// schedule (e.g. from `pobp_sched::greedy_unbounded`).
+/// Build `plan` with [`ReductionPlan::from_edf`] when the schedule is an
+/// EDF output (`pobp_sched::greedy_unbounded`, or `pobp_sched::edf_schedule`
+/// without an availability restriction), which is its own laminarization,
+/// and with [`ReductionPlan::new`] otherwise.
 ///
 /// ```
 /// use pobp_core::{Job, JobId, JobSet};
+/// use pobp_sched::ReductionPlan;
 /// use pobp_sim::choose_k;
 ///
 /// let jobs: JobSet = vec![
@@ -152,41 +177,29 @@ pub struct PlanChoice {
 /// ].into_iter().collect();
 /// let ids = [JobId(0), JobId(1)];
 /// let inf = pobp_sched::edf_schedule(&jobs, &ids, None);
+/// let plan = ReductionPlan::from_edf(&jobs, &inf.schedule);
 /// // Free switches: the largest budget wins (keeps everything).
-/// let choice = choose_k(&jobs, &inf.schedule, 0, 2);
-/// assert_eq!(choice.replayed_value, jobs.total_value());
+/// let choice = choose_k(&jobs, &plan, 0, 2);
+/// assert_eq!(choice.rows.len(), 3);
+/// assert_eq!(choice.chosen().replayed_value, jobs.total_value());
 /// ```
-pub fn choose_k(
-    jobs: &JobSet,
-    schedule_inf: &Schedule,
-    delta: Time,
-    k_max: u32,
-) -> PlanChoice {
-    // The laminarize → schedule-forest prefix of the reduction is
-    // k-independent: build it once and re-run only the k-BAS DP +
-    // reconstruction per candidate budget.
-    let plan = pobp_sched::ReductionPlan::new(jobs, schedule_inf)
-        .expect("feasible input schedule");
-    let mut ws = pobp_sched::SolveWorkspace::new();
-    let mut best: Option<PlanChoice> = None;
-    for k in 0..=k_max {
-        let red = plan.solve_ws(jobs, k, pobp_sched::KbasSolver::Tm, &mut ws);
-        let replay = replay_with_overhead(jobs, &red.schedule, delta);
-        let choice = PlanChoice {
-            k,
-            planned_value: red.schedule.value(jobs),
-            replayed_value: replay.value(jobs),
-            plan: red.schedule,
-        };
-        let better = match &best {
-            None => true,
-            Some(b) => choice.replayed_value > b.replayed_value,
-        };
-        if better {
-            best = Some(choice);
-        }
-    }
-    best.expect("k_max ≥ 0 yields at least one plan")
+pub fn choose_k(jobs: &JobSet, plan: &ReductionPlan, delta: Time, k_max: u32) -> KChoice {
+    let mut ws = SolveWorkspace::new();
+    let rows: Vec<PlanChoice> = (0..=k_max)
+        .map(|k| {
+            let red = plan.solve_ws(jobs, k, KbasSolver::Tm, &mut ws);
+            let replay = replay_with_overhead(jobs, &red.schedule, delta);
+            PlanChoice {
+                k,
+                planned_value: red.schedule.value(jobs),
+                replayed_value: replay.value(jobs),
+                plan: red.schedule,
+            }
+        })
+        .collect();
+    let better = |best: usize, k: usize| rows[k].replayed_value > rows[best].replayed_value;
+    let pick = (0..rows.len()).fold(0, |best, k| if better(best, k) { k } else { best });
+    KChoice { rows, pick }
 }
 
 #[cfg(test)]
@@ -306,9 +319,14 @@ mod tests {
         .collect();
         let ids: Vec<JobId> = jobs.ids().collect();
         let inf = pobp_sched::edf_schedule(&jobs, &ids, None);
-        let choice = choose_k(&jobs, &inf.schedule, 0, 3);
-        assert_eq!(choice.replayed_value, choice.planned_value);
-        assert_eq!(choice.replayed_value, jobs.total_value());
+        let choice = choose_k(&jobs, &ReductionPlan::from_edf(&jobs, &inf.schedule), 0, 3);
+        let chosen = choice.chosen();
+        assert_eq!(chosen.replayed_value, chosen.planned_value);
+        assert_eq!(chosen.replayed_value, jobs.total_value());
+        // Every row is there, in budget order, each at δ = 0 replaying its
+        // own plan's value.
+        assert_eq!(choice.rows.iter().map(|r| r.k).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert!(choice.rows.iter().all(|r| r.replayed_value == r.planned_value));
     }
 
     #[test]
@@ -323,8 +341,10 @@ mod tests {
         }
         let ids: Vec<JobId> = jobs.ids().collect();
         let inf = pobp_sched::greedy_unbounded(&jobs, &ids);
-        let cheap = choose_k(&jobs, &inf.schedule, 0, 4);
-        let pricey = choose_k(&jobs, &inf.schedule, 6, 4);
+        let plan = ReductionPlan::from_edf(&jobs, &inf.schedule);
+        let cheap = choose_k(&jobs, &plan, 0, 4);
+        let pricey = choose_k(&jobs, &plan, 6, 4);
+        let (cheap, pricey) = (cheap.chosen(), pricey.chosen());
         assert!(
             pricey.k <= cheap.k,
             "expected smaller k at high cost: {} vs {}",

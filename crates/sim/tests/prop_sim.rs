@@ -154,13 +154,21 @@ proptest! {
     fn choose_k_returns_best_of_sweep(jobs in arb_jobs(10), delta in 0i64..6) {
         let ids = all_ids(&jobs);
         let inf = pobp_sched::edf_schedule(&jobs, &ids, None);
-        let choice = pobp_sim::choose_k(&jobs, &inf.schedule, delta, 3);
-        // The choice is at least as good as every sweep member.
+        let plan = pobp_sched::ReductionPlan::from_edf(&jobs, &inf.schedule);
+        let table = pobp_sim::choose_k(&jobs, &plan, delta, 3);
+        let choice = table.chosen();
+        prop_assert_eq!(table.rows.len(), 4);
+        // Every row is the laminarizing reduction at its k, replayed, and
+        // the choice is at least as good as every sweep member.
         for k in 0..=3u32 {
             let plan = pobp_sched::reduce_to_k_bounded(&jobs, &inf.schedule, k)
                 .unwrap()
                 .schedule;
             let v = pobp_sim::replay_with_overhead(&jobs, &plan, delta).value(&jobs);
+            let row = &table.rows[k as usize];
+            prop_assert_eq!(row.k, k);
+            prop_assert_eq!(&row.plan, &plan);
+            prop_assert_eq!(row.replayed_value, v);
             prop_assert!(choice.replayed_value >= v - 1e-9, "beaten by k={k}");
         }
         prop_assert!(choice.replayed_value <= choice.planned_value + 1e-9);

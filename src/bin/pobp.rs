@@ -192,13 +192,14 @@ serve starts the persistent scheduling daemon (docs/serve.md): named solve
 jobs over newline-delimited JSON on TCP, a bounded priority queue with
 structured rejections, per-job cancel, content-keyed result reuse, and a
 durable journal in --dir that survives kill -9 (acknowledged jobs and
-finished results are recovered on restart). Drive it with pobp-client.
-With `--features instrument` the daemon also serves live telemetry
-(docs/observability.md): --metrics-addr exposes a Prometheus scrape
-endpoint of cumulative counters and levels, and --flight-dir collects
-bounded flight-recorder dumps (Chrome trace JSON) on panics,
-cert failures, journal poisoning, or an explicit dump-flight op; watch it
-live with `pobp-client top`.
+finished results are recovered on restart). Drive it with pobp-client,
+and watch it live with `pobp-client top`, which polls the stats op
+(counters, levels, uptime, job latency and per-algorithm counts).
+--metrics-addr exposes the same reading as a Prometheus scrape endpoint
+of cumulative counters and levels (docs/observability.md). With
+`--features instrument`, --flight-dir also collects bounded
+flight-recorder dumps (Chrome trace JSON) on panics, cert failures,
+journal poisoning, or an explicit dump-flight op.
 
 online runs the online-arrival competitive-ratio lab (docs/online.md): jobs
 are revealed at release, commitments are irrevocable, and each job carries
@@ -434,22 +435,15 @@ fn cmd_choose_k(args: &[String]) -> Result<(), String> {
     let jobs = read_stdin_jobs()?;
     let ids: Vec<JobId> = jobs.ids().collect();
     let inf = greedy_unbounded(&jobs, &ids);
-    println!(" k | planned value | replayed value @ δ={delta}");
-    println!("---+---------------+------------------------");
     // One schedule-forest pass serves every k in the table; the greedy
     // reference is an EDF output, its own laminarization.
-    let red_plan = ReductionPlan::from_edf(&jobs, &inf.schedule);
-    let mut ws = SolveWorkspace::new();
-    for k in 0..=k_max {
-        let plan = red_plan.solve_ws(&jobs, k, KbasSolver::Tm, &mut ws).schedule;
-        let replayed = replay_with_overhead(&jobs, &plan, delta);
-        println!(
-            " {k} | {:13} | {}",
-            plan.value(&jobs),
-            replayed.value(&jobs)
-        );
+    let table = choose_k(&jobs, &ReductionPlan::from_edf(&jobs, &inf.schedule), delta, k_max);
+    println!(" k | planned value | replayed value @ δ={delta}");
+    println!("---+---------------+------------------------");
+    for row in &table.rows {
+        println!(" {} | {:13} | {}", row.k, row.planned_value, row.replayed_value);
     }
-    let choice = choose_k(&jobs, &inf.schedule, delta, k_max);
+    let choice = table.chosen();
     println!(
         "\nrecommendation: k = {} (replayed value {}, vs {} planned)",
         choice.k, choice.replayed_value, choice.planned_value
@@ -761,10 +755,10 @@ fn chaos_plan(args: &[String]) -> Result<Option<std::sync::Arc<FaultPlan>>, Stri
 }
 
 /// `pobp serve`: the persistent scheduling daemon (docs/serve.md). Binds
-/// the address, recovers the registry from `--dir`, prints the two startup
-/// lines (`listening on` / `recovered`), and blocks until a client sends
-/// the `shutdown` op. `--addr` with port `0` lets the OS pick (scripts
-/// scrape the printed address).
+/// the address (and `--metrics-addr`, if given), recovers the registry from
+/// `--dir`, prints the two startup lines (`listening on` / `recovered`),
+/// and blocks until a client sends the `shutdown` op. `--addr` with port
+/// `0` lets the OS pick (scripts scrape the printed address).
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     known_flags(
         args,
@@ -782,9 +776,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if has_flag(args, "--trace") || has_flag(args, "--trace-logical") {
         return Err("serve records no --trace/--trace-logical; use --flight-dir".into());
     }
-    // A default build refuses these here, so there their values go unused.
-    #[cfg_attr(not(feature = "instrument"), allow(unused_variables))]
-    let [metrics_addr, flight_dir] = instrument_flags(args, ["--metrics-addr", "--flight-dir"])?;
+    let metrics_addr = flag_value(args, "--metrics-addr")?;
+    // The flight ring needs the trace recorder, which only `instrument` has.
+    let [flight_dir] = instrument_flags(args, ["--flight-dir"])?;
     let cfg = pobp::serve::ServiceConfig {
         dir: dir.into(),
         workers: parse_num_strict(args, "--workers", 2usize)?.max(1),
@@ -792,7 +786,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         degrade: has_flag(args, "--degrade"),
         compact_every: parse_num_strict(args, "--compact-every", 256u64)?,
         chaos,
-        #[cfg(feature = "instrument")]
         telemetry: pobp::serve::TelemetryOptions {
             flight_dir: flight_dir.map(std::path::PathBuf::from),
             metrics_addr,

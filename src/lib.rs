@@ -114,7 +114,7 @@ pub mod prelude {
         choose_k, djn_ratio_bound, efficiency, execute_online, execute_partitioned, is_robust,
         max_robust_delta, replay_with_overhead, run_online, switch_count, switch_points, ExecEvent,
         ExecTrace, OnlineAlg, OnlineConfig, PartitionRule, PartitionedOutcome,
-        PlanChoice, Policy, SimConfig, SimOutcome, SwitchPoint, ONLINE_ALGS,
+        KChoice, PlanChoice, Policy, SimConfig, SimOutcome, SwitchPoint, ONLINE_ALGS,
     };
     pub use pobp_engine::{
         run_batch, Algo, BatchReport, CancelToken, CertFailure, CertStage, DegradeCause, Engine,

@@ -219,7 +219,6 @@ fn serve_flag_errors_are_loud() {
 
 /// With `--metrics-addr` the daemon prints a third startup line, after the
 /// two that scripts key on, and the address it names serves the scrape.
-#[cfg(feature = "instrument")]
 #[test]
 fn metrics_addr_adds_a_third_startup_line_that_serves_scrapes() {
     use std::io::{Read, Write};
@@ -249,4 +248,44 @@ fn metrics_addr_adds_a_third_startup_line_that_serves_scrapes() {
     let _ = Client::new(&addr, Duration::from_secs(10)).shutdown(true);
     assert!(child.wait().expect("reap daemon").success());
     fs::remove_dir_all(&dir).ok();
+}
+
+/// A scrape address that is taken stops the daemon before recovery: exit
+/// 1 with the error named, no `serve:` line on stdout (a script keyed on
+/// the first line never talks to a daemon that is already exiting), and
+/// no registry directory written.
+#[test]
+fn taken_metrics_addr_stops_the_daemon_before_it_touches_the_registry() {
+    let dir = std::env::temp_dir().join(format!("pobp-serve-e2e-taken-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let held = std::net::TcpListener::bind("127.0.0.1:0").expect("hold a port");
+    let taken = held.local_addr().unwrap().to_string();
+    let mut child = Command::new(POBP)
+        .args(["serve", "--addr", "127.0.0.1:0", "--metrics-addr", &taken, "--dir"])
+        .arg(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn pobp serve");
+    // A daemon that bound the port anyway would serve forever.
+    let started = std::time::Instant::now();
+    while child.try_wait().expect("poll pobp serve").is_none() {
+        if started.elapsed() > Duration::from_secs(30) {
+            let _ = child.kill();
+            let _ = child.wait();
+            let _ = fs::remove_dir_all(&dir);
+            panic!("pobp serve kept running with its scrape port taken");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect pobp serve output");
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(1), "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stderr.contains("serve: ") && stderr.contains("in use"), "{stderr}");
+    assert!(!stdout.contains("serve:"), "no startup line may be printed: {stdout}");
+    let created = dir.exists();
+    let _ = fs::remove_dir_all(&dir);
+    assert!(!created, "the registry directory was created: {}", dir.display());
+    drop(held);
 }
