@@ -17,16 +17,16 @@
 //! pool size (default: hardware parallelism). Results are deterministic —
 //! identical tables — for every thread count (`docs/engine.md`).
 //!
-//! `--trace FILE` (needs a `--features instrument` build) arms the full
-//! trace record and writes the Chrome trace-event JSON of everything the
-//! harness ran; see `docs/observability.md`.
+//! `--trace FILE` arms the full trace record and writes the Chrome
+//! trace-event JSON of everything the harness ran; see
+//! `docs/observability.md`.
 //!
 //! `--help` prints the usage and the experiment list; an unknown selector
 //! or flag is an error that names it, and runs nothing.
 
 use std::collections::BTreeMap;
 
-use pobp::cli::{flag_value, has_flag, instrument_flags, parse_num_strict, positionals};
+use pobp::cli::{flag_value, has_flag, parse_num_strict, positionals};
 use pobp_bench::{geo_mean, lax_workload, log_base_k1, mixed_workload, small_workload};
 use pobp_core::{JobId, JobSet};
 use pobp_engine::{Algo, Engine, EngineConfig, GridSpec, OnlineLab, SolveTask, TaskResult};
@@ -98,10 +98,7 @@ fn main() {
         Ok(None) => None,
         Err(e) => die(e),
     };
-    // A default build refuses `--trace` here, so there the value goes unused.
-    #[cfg_attr(not(feature = "instrument"), allow(unused_variables))]
-    let [trace_out] = instrument_flags(&args, ["--trace"]).unwrap_or_else(|e| die(e));
-    #[cfg(feature = "instrument")]
+    let trace_out = flag_value(&args, "--trace").unwrap_or_else(|e| die(e));
     let _armed = trace_out.is_some().then(|| pobp_core::trace::arm(pobp_core::trace::Sink::Record));
     let threads: usize = parse_num_strict(&args, "--threads", 0usize).unwrap_or_else(|e| die(e));
     // The ladder is armed so a misbehaving solver degrades a table row to
@@ -119,7 +116,6 @@ fn main() {
             f(&engine);
         }
     }
-    #[cfg(feature = "instrument")]
     if let Some(path) = trace_out {
         let events = pobp_core::trace::drain();
         if let Err(e) = std::fs::write(&path, pobp_core::trace::chrome_json(&events)) {

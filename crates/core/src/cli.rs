@@ -113,36 +113,6 @@ where
     }
 }
 
-/// Reads a command's instrumentation flags `names` before it does any work.
-/// A flag that is present must carry a value (the [`flag_value`]
-/// contract), and a binary built without the `instrument` feature refuses
-/// every one of them with the [`needs_instrument`] message.
-pub fn instrument_flags<const N: usize>(
-    args: &[String],
-    names: [&str; N],
-) -> Result<[Option<String>; N], String> {
-    let mut values: [Option<String>; N] = std::array::from_fn(|_| None);
-    let mut given = Vec::new();
-    for (name, value) in names.into_iter().zip(&mut values) {
-        *value = flag_value(args, name)?;
-        if value.is_some() {
-            given.push(name);
-        }
-    }
-    if given.is_empty() || crate::obs::enabled() {
-        Ok(values)
-    } else {
-        Err(needs_instrument(&given.join("/")))
-    }
-}
-
-/// The one refusal every front end gives when asked for instrumentation
-/// (`what` names the flags or command) in a binary built without the
-/// `instrument` feature.
-pub fn needs_instrument(what: &str) -> String {
-    format!("{what} needs a binary built with --features instrument")
-}
-
 /// The single place a raw flag value is parsed — every error produced by
 /// this module names the flag and echoes the exact text it choked on.
 fn parse_as<T: std::str::FromStr>(raw: &str, name: &str) -> Result<T, String>

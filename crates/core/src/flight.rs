@@ -16,8 +16,8 @@
 //! same exporter as `--trace`, loadable in Perfetto), oldest event first.
 //!
 //! Everything here is wall-clock-class telemetry: the ring never feeds the
-//! logical trace, job results, or any durable bytes, and the whole module
-//! is compiled out (strings and all) without the `instrument` feature.
+//! logical trace, job results, or any durable bytes. It is in every build
+//! and holds nothing until the ring is armed.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, PoisonError};

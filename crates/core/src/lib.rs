@@ -16,21 +16,20 @@
 //! Everything is exact integer arithmetic; feasibility is a decidable
 //! predicate with no epsilons ([`Schedule::verify`]).
 //!
-//! The crate also exports the workspace's zero-cost instrumentation, all
-//! behind the one `instrument` cargo feature: the [`obs`] aggregate (the
-//! [`obs_count!`], [`obs_time!`], and [`obs_event!`] macros) and the
-//! [`trace`] recorder ([`obs_span!`] and [`trace_event!`]) with its
-//! runtime-armed full record and `flight` ring — see
-//! `docs/observability.md`. Without the feature the macros compile to
-//! no-ops and `flight` does not exist. The [`metrics`] Prometheus
-//! exposition, which the daemon's live telemetry renders, is in every
-//! build.
+//! The crate also exports the workspace's instrumentation (see
+//! `docs/observability.md`). The [`trace`] recorder ([`obs_span!`] and
+//! [`trace_event!`]), with its runtime-armed full record and [`flight`]
+//! ring, is in every build and costs one relaxed load per event while no
+//! sink is armed. The [`obs`] aggregate (the [`obs_count!`], [`obs_time!`],
+//! and [`obs_event!`] macros) sits behind the one `instrument` cargo
+//! feature; without it the counters compile to no-ops and `obs_time!`
+//! keeps only its trace span. The [`metrics`] Prometheus exposition, which
+//! the daemon's live telemetry renders, is in every build.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
-#[cfg(feature = "instrument")]
 pub mod flight;
 pub mod json;
 pub mod metrics;

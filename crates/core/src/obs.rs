@@ -5,10 +5,11 @@
 //! exported from this crate — [`obs_count!`](crate::obs_count),
 //! [`obs_time!`](crate::obs_time), and [`obs_event!`](crate::obs_event).
 //! When the `instrument` cargo feature is **off** (the default) the
-//! macros expand to nothing: `obs_count!`/`obs_event!` become `()` without
-//! evaluating their arguments, and `obs_time!` becomes its body expression
-//! unchanged. No atomics, no branches, no registry — release code is
-//! byte-for-byte free of instrumentation.
+//! aggregate compiles to nothing: `obs_count!`/`obs_event!` become `()`
+//! without evaluating their arguments, and `obs_time!` keeps only the
+//! trace span it opens in every build (one relaxed load at each end while
+//! no [`trace`](crate::trace) sink is armed). No counter atomics, no
+//! registry, and no counter or distribution name in the binary.
 //!
 //! When the feature is **on**, each macro call site materialises a `static`
 //! [`Counter`], [`Timer`], or [`EventStat`] that registers itself in a global
@@ -256,8 +257,8 @@ fn registry() -> &'static Registry {
     &REGISTRY
 }
 
-/// Whether instrumentation is compiled in (the `instrument` cargo
-/// feature): the obs macros, the trace recorder, and the live metrics.
+/// Whether the obs aggregate is compiled in (the `instrument` cargo
+/// feature): the counters, timers and distributions of the obs macros.
 pub const fn enabled() -> bool {
     cfg!(feature = "instrument")
 }
@@ -495,11 +496,10 @@ macro_rules! obs_count {
 }
 
 /// Times a span: `obs_time!("name", { body })` evaluates to the body's
-/// value, accumulating its wall-clock time whether or not a trace sink is
-/// armed, and additionally records a timing-class trace span under the same
-/// name (via [`obs_span!`](crate::obs_span)) while one is. With the
-/// `instrument` feature off this expands to the body expression unchanged —
-/// the body always runs.
+/// value and records a timing-class trace span under the same name (via
+/// [`obs_span!`](crate::obs_span)) while a trace sink is armed, in every
+/// build. With the `instrument` feature on it also accumulates the body's
+/// wall-clock time in the aggregate, whether or not a sink is armed.
 #[cfg(feature = "instrument")]
 #[macro_export]
 macro_rules! obs_time {
@@ -515,16 +515,15 @@ macro_rules! obs_time {
 }
 
 /// Times a span: `obs_time!("name", { body })` evaluates to the body's
-/// value, accumulating its wall-clock time whether or not a trace sink is
-/// armed, and additionally records a timing-class trace span under the same
-/// name (via [`obs_span!`](crate::obs_span)) while one is. With the
-/// `instrument` feature off this expands to the body expression unchanged —
-/// the body always runs.
+/// value and records a timing-class trace span under the same name (via
+/// [`obs_span!`](crate::obs_span)) while a trace sink is armed, in every
+/// build. With the `instrument` feature on it also accumulates the body's
+/// wall-clock time in the aggregate, whether or not a sink is armed.
 #[cfg(not(feature = "instrument"))]
 #[macro_export]
 macro_rules! obs_time {
     ($name:literal, $body:expr) => {
-        $body
+        $crate::obs_span!(timing $name, $body)
     };
 }
 
@@ -641,6 +640,23 @@ mod tests {
         assert!(j.contains("\"p99\":"));
     }
 
+    /// `obs_time!` opens a timing-class trace span in every build, so a
+    /// trace holds the same events with or without the aggregate.
+    #[test]
+    fn obs_time_opens_a_trace_span_in_every_build() {
+        use crate::trace::{TraceClass, TraceKind};
+        let (out, events) = crate::trace::capture(|| crate::obs_time!("core.test.span", 42));
+        assert_eq!(out, 42);
+        let spans: Vec<_> = events.iter().map(|e| (e.phase, e.kind, e.class)).collect();
+        assert_eq!(
+            spans,
+            vec![
+                ("core.test.span", TraceKind::Begin, TraceClass::Timing),
+                ("core.test.span", TraceKind::End, TraceClass::Timing),
+            ]
+        );
+    }
+
     #[cfg(not(feature = "instrument"))]
     #[test]
     fn macros_are_inert_when_disabled() {
@@ -651,11 +667,11 @@ mod tests {
             crate::obs_event!("core.test.never", panic!("evaluated"));
         }
         not_evaluated();
-        // ...while obs_time! must still evaluate its body.
-        let out = crate::obs_time!("core.test.span", { 40 + 2 });
+        // ...while obs_time! must still evaluate its body. It opens a trace
+        // span, so it runs inside the window a concurrent capture respects.
+        let (out, snap) = measure(|| crate::obs_time!("core.test.span", 40 + 2));
         assert_eq!(out, 42);
         assert!(!enabled());
-        let ((), snap) = measure(|| ());
-        assert!(snap.counters.is_empty());
+        assert!(snap.counters.is_empty() && snap.timers.is_empty());
     }
 }

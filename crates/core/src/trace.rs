@@ -1,5 +1,5 @@
-//! Zero-cost structured tracing: typed lifecycle events, one recorder, and
-//! two sinks armed at runtime.
+//! Structured tracing: typed lifecycle events, one recorder, and two sinks
+//! armed at runtime.
 //!
 //! Where [`obs`](crate::obs) aggregates (counters, span totals,
 //! distributions), `trace` records *individual* events — `(seq, ts, worker,
@@ -22,23 +22,23 @@
 //! * `Sink::Ring`, the `flight` ring: only the newest events, at a fixed
 //!   memory cost. `pobp serve --flight-dir` arms it for the daemon's life.
 //!
-//! With neither sink armed, `record` returns after one relaxed load, so a
-//! long-running process that never asked for a trace holds no events.
-//!
-//! Like `obs`, the layer is **zero-cost when off**: the `instrument` cargo
-//! feature (default: off) gates the macro expansions. With the feature off,
-//! [`trace_event!`](crate::trace_event) expands to `()` without evaluating
-//! its arguments, [`obs_span!`](crate::obs_span) expands to its body
-//! unchanged, and [`task_scope`]/[`task_context`] become empty inline stubs,
-//! so call sites need no `cfg` of their own. The recorder, its sinks and
-//! its exporters (`record`, `arm`, `drain`, `capture`, `chrome_json`,
-//! `logical_text`, the `flight` module) exist only in an `instrument` build.
+//! The recorder is compiled into every build and costs nothing it is not
+//! asked for: with neither sink armed, `record` returns after one relaxed
+//! load, so a long-running process that never asked for a trace holds no
+//! events, and a payload is never copied. The `instrument` cargo feature
+//! gates only the [`obs`](crate::obs) aggregate, so a trace times the same
+//! code with or without it (docs/observability.md).
 //!
 //! Full-record events are buffered in per-thread `Vec`s (no locks on the
 //! hot path except a global relaxed fetch-add for the sequence number) and
 //! flushed into a global sink when a buffer fills, when its thread exits,
 //! or on `drain`. Tests must serialise their recording windows with
 //! `capture`, which mirrors `obs::measure`.
+
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
 /// Task id carried by events recorded outside any task scope.
 pub const NO_TASK: u64 = u64::MAX;
@@ -91,268 +91,226 @@ pub struct TraceEvent {
 }
 
 // ---------------------------------------------------------------------------
-// Recording (feature on)
+// Recording
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "instrument")]
-mod imp {
-    use std::cell::RefCell;
-    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-    use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-    use std::time::Instant;
+/// Per-thread buffer flushed into the global sink at this size.
+const FLUSH_AT: usize = 4096;
 
-    use super::*;
+/// Live [`arm`] guards per sink, packed so that [`record`] reads both
+/// with one load: full-record arms in the low 16 bits, ring arms above.
+/// Relaxed throughout: the count only gates recording and publishes no
+/// other data.
+static ARMED: AtomicU32 = AtomicU32::new(0);
+const RECORD_ARMS: u32 = Sink::Ring as u32 - 1;
+static SEQ: AtomicU64 = AtomicU64::new(0);
+static WORKER_IDS: AtomicU32 = AtomicU32::new(0);
+static SINK: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
+static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-    /// Per-thread buffer flushed into the global sink at this size.
-    const FLUSH_AT: usize = 4096;
+/// A destination of [`record`], armed at runtime by [`arm`]; the value
+/// is what one arm adds to the packed count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Sink {
+    /// Every event, kept until [`drain`] takes it.
+    Record = 1,
+    /// Only the newest events, in the bounded [`flight`](crate::flight)
+    /// ring.
+    Ring = 1 << 16,
+}
 
-    /// Live [`arm`] guards per sink, packed so that [`record`] reads both
-    /// with one load: full-record arms in the low 16 bits, ring arms above.
-    /// Relaxed throughout: the count only gates recording and publishes no
-    /// other data.
-    static ARMED: AtomicU32 = AtomicU32::new(0);
-    const RECORD_ARMS: u32 = Sink::Ring as u32 - 1;
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    static WORKER_IDS: AtomicU32 = AtomicU32::new(0);
-    static SINK: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
+/// Keeps a sink armed until it drops; see [`arm`].
+#[must_use = "the sink disarms when the guard drops"]
+#[derive(Debug)]
+pub struct Armed(Sink);
 
-    /// A destination of [`record`], armed at runtime by [`arm`]; the value
-    /// is what one arm adds to the packed count.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum Sink {
-        /// Every event, kept until [`drain`] takes it.
-        Record = 1,
-        /// Only the newest events, in the bounded [`flight`](crate::flight)
-        /// ring.
-        Ring = 1 << 16,
+impl Drop for Armed {
+    fn drop(&mut self) {
+        ARMED.fetch_sub(self.0 as u32, Ordering::Relaxed);
     }
+}
 
-    /// Keeps a sink armed until it drops; see [`arm`].
-    #[must_use = "the sink disarms when the guard drops"]
-    #[derive(Debug)]
-    pub struct Armed(Sink);
+/// Arms `sink` until the returned guard drops. Arms nest: a sink stays
+/// armed while any of its guards lives, so two daemons in one process
+/// (or a test window inside an armed command) do not disarm each other.
+pub fn arm(sink: Sink) -> Armed {
+    ARMED.fetch_add(sink as u32, Ordering::Relaxed);
+    Armed(sink)
+}
 
-    impl Drop for Armed {
-        fn drop(&mut self) {
-            ARMED.fetch_sub(self.0 as u32, Ordering::Relaxed);
+struct Local {
+    worker: u32,
+    task: u64,
+    buf: Vec<TraceEvent>,
+}
+
+impl Local {
+    fn new() -> Self {
+        Local {
+            worker: WORKER_IDS.fetch_add(1, Ordering::Relaxed),
+            task: NO_TASK,
+            buf: Vec::new(),
         }
     }
+}
 
-    /// Arms `sink` until the returned guard drops. Arms nest: a sink stays
-    /// armed while any of its guards lives, so two daemons in one process
-    /// (or a test window inside an armed command) do not disarm each other.
-    pub fn arm(sink: Sink) -> Armed {
-        ARMED.fetch_add(sink as u32, Ordering::Relaxed);
-        Armed(sink)
+impl Drop for Local {
+    fn drop(&mut self) {
+        flush(&mut self.buf);
     }
+}
 
-    struct Local {
-        worker: u32,
-        task: u64,
-        buf: Vec<TraceEvent>,
+thread_local! {
+    static LOCAL: RefCell<Local> = RefCell::new(Local::new());
+}
+
+fn sink_lock() -> MutexGuard<'static, Vec<TraceEvent>> {
+    SINK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn flush(buf: &mut Vec<TraceEvent>) {
+    if !buf.is_empty() {
+        sink_lock().append(buf);
     }
+}
 
-    impl Local {
-        fn new() -> Self {
-            Local {
-                worker: WORKER_IDS.fetch_add(1, Ordering::Relaxed),
-                task: NO_TASK,
-                buf: Vec::new(),
-            }
-        }
+fn ts_ns() -> u64 {
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
+/// Records one event on the current thread into every armed sink, and
+/// does nothing else when none is armed. Drops the event silently if
+/// the thread's state is already being destroyed (thread teardown).
+pub fn record(
+    phase: &'static str,
+    kind: TraceKind,
+    class: TraceClass,
+    value: u64,
+    text: Option<&str>,
+) {
+    let armed = ARMED.load(Ordering::Relaxed);
+    if armed == 0 {
+        return;
     }
-
-    impl Drop for Local {
-        fn drop(&mut self) {
-            flush(&mut self.buf);
-        }
-    }
-
-    thread_local! {
-        static LOCAL: RefCell<Local> = RefCell::new(Local::new());
-    }
-
-    fn sink_lock() -> MutexGuard<'static, Vec<TraceEvent>> {
-        SINK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn flush(buf: &mut Vec<TraceEvent>) {
-        if !buf.is_empty() {
-            sink_lock().append(buf);
-        }
-    }
-
-    fn ts_ns() -> u64 {
-        EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-    }
-
-    /// Records one event on the current thread into every armed sink, and
-    /// does nothing else when none is armed. Drops the event silently if
-    /// the thread's state is already being destroyed (thread teardown).
-    pub fn record(
-        phase: &'static str,
-        kind: TraceKind,
-        class: TraceClass,
-        value: u64,
-        text: Option<&str>,
-    ) {
-        let armed = ARMED.load(Ordering::Relaxed);
-        if armed == 0 {
+    let ts_ns = ts_ns();
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let _ = LOCAL.try_with(|cell| {
+        let mut l = cell.borrow_mut();
+        let ev = TraceEvent {
+            seq,
+            ts_ns,
+            worker: l.worker,
+            task: l.task,
+            phase,
+            kind,
+            class,
+            value,
+            text: text.map(Box::from),
+        };
+        if armed & RECORD_ARMS == 0 {
+            crate::flight::push(ev);
             return;
         }
-        let ts_ns = ts_ns();
-        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-        let _ = LOCAL.try_with(|cell| {
+        if armed > RECORD_ARMS {
+            crate::flight::push(ev.clone());
+        }
+        l.buf.push(ev);
+        if l.buf.len() >= FLUSH_AT {
+            flush(&mut l.buf);
+        }
+    });
+}
+
+fn set_task(task: u64) -> u64 {
+    LOCAL
+        .try_with(|cell| {
             let mut l = cell.borrow_mut();
-            let ev = TraceEvent {
-                seq,
-                ts_ns,
-                worker: l.worker,
-                task: l.task,
-                phase,
-                kind,
-                class,
-                value,
-                text: text.map(Box::from),
-            };
-            if armed & RECORD_ARMS == 0 {
-                crate::flight::push(ev);
-                return;
-            }
-            if armed > RECORD_ARMS {
-                crate::flight::push(ev.clone());
-            }
-            l.buf.push(ev);
-            if l.buf.len() >= FLUSH_AT {
-                flush(&mut l.buf);
-            }
-        });
-    }
+            std::mem::replace(&mut l.task, task)
+        })
+        .unwrap_or(NO_TASK)
+}
 
-    fn set_task(task: u64) -> u64 {
-        LOCAL
-            .try_with(|cell| {
-                let mut l = cell.borrow_mut();
-                std::mem::replace(&mut l.task, task)
-            })
-            .unwrap_or(NO_TASK)
-    }
+/// Guard restoring the previous task context (and closing the task span
+/// if one was opened) on drop. See [`task_scope`] / [`task_context`].
+#[must_use = "the task context ends when the guard drops"]
+pub struct TaskScope {
+    prev: u64,
+    span: bool,
+}
 
-    /// Guard restoring the previous task context (and closing the task span
-    /// if one was opened) on drop. See [`task_scope`] / [`task_context`].
-    #[must_use = "the task context ends when the guard drops"]
-    pub struct TaskScope {
-        prev: u64,
-        span: bool,
-    }
-
-    impl Drop for TaskScope {
-        fn drop(&mut self) {
-            if self.span {
-                record("task", TraceKind::End, TraceClass::Logical, 0, None);
-            }
-            set_task(self.prev);
+impl Drop for TaskScope {
+    fn drop(&mut self) {
+        if self.span {
+            record("task", TraceKind::End, TraceClass::Logical, 0, None);
         }
-    }
-
-    /// Opens a logical `"task"` span for `task` (with `label` as text
-    /// payload) and tags every event recorded on this thread with `task`
-    /// until the guard drops.
-    pub fn task_scope(task: u64, label: &str) -> TaskScope {
-        let prev = set_task(task);
-        record("task", TraceKind::Begin, TraceClass::Logical, 0, Some(label));
-        TaskScope { prev, span: true }
-    }
-
-    /// Tags events with `task` without opening a span (e.g. enqueue marks
-    /// recorded from the submitting thread).
-    pub fn task_context(task: u64) -> TaskScope {
-        let prev = set_task(task);
-        TaskScope { prev, span: false }
-    }
-
-    /// Guard emitting the span's [`End`](TraceKind::End) event on drop
-    /// (including during panic unwinding). Created by
-    /// [`obs_span!`](crate::obs_span) — prefer the macro.
-    #[must_use = "the span ends when the guard drops"]
-    pub struct SpanGuard {
-        phase: &'static str,
-        class: TraceClass,
-    }
-
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            record(self.phase, TraceKind::End, self.class, 0, None);
-        }
-    }
-
-    /// Opens a span: emits the [`Begin`](TraceKind::Begin) event now and the
-    /// matching end when the returned guard drops.
-    pub fn span(phase: &'static str, class: TraceClass) -> SpanGuard {
-        record(phase, TraceKind::Begin, class, 0, None);
-        SpanGuard { phase, class }
-    }
-
-    /// Flushes the current thread's buffer and takes every event the full
-    /// record holds, in arbitrary cross-thread order (sort by `seq` for a
-    /// global order). Buffers of *live* other threads that have not reached
-    /// their flush threshold are not visible — drain after joining workers.
-    pub fn drain() -> Vec<TraceEvent> {
-        let _ = LOCAL.try_with(|cell| flush(&mut cell.borrow_mut().buf));
-        std::mem::take(&mut *sink_lock())
-    }
-
-    /// Runs `f` in an exclusive, freshly-drained window with the full
-    /// record armed and returns its output together with the events it
-    /// recorded. The only sound way to assert on traces from tests (the
-    /// sink is process-global and the test harness is multi-threaded). The
-    /// window is [`obs::exclusive`](crate::obs::exclusive)'s, so do not
-    /// nest `capture` and `obs::measure`.
-    pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<TraceEvent>) {
-        let _window = crate::obs::exclusive();
-        let _armed = arm(Sink::Record);
-        drop(drain());
-        let out = f();
-        let events = drain();
-        (out, events)
+        set_task(self.prev);
     }
 }
 
-#[cfg(feature = "instrument")]
-pub use imp::{
-    arm, capture, drain, record, span, task_context, task_scope, Armed, Sink, SpanGuard, TaskScope,
-};
+/// Opens a logical `"task"` span for `task` (with `label` as text
+/// payload) and tags every event recorded on this thread with `task`
+/// until the guard drops.
+pub fn task_scope(task: u64, label: &str) -> TaskScope {
+    let prev = set_task(task);
+    record("task", TraceKind::Begin, TraceClass::Logical, 0, Some(label));
+    TaskScope { prev, span: true }
+}
 
-// ---------------------------------------------------------------------------
-// Stubs (feature off) — same signatures for the items engine code calls
-// directly, so call sites need no cfg.
-// ---------------------------------------------------------------------------
+/// Tags events with `task` without opening a span (e.g. enqueue marks
+/// recorded from the submitting thread).
+pub fn task_context(task: u64) -> TaskScope {
+    let prev = set_task(task);
+    TaskScope { prev, span: false }
+}
 
-#[cfg(not(feature = "instrument"))]
-mod imp {
-    /// Inert stand-in for the tracing task guard (feature off).
-    #[must_use = "the task context ends when the guard drops"]
-    pub struct TaskScope;
+/// Guard emitting the span's [`End`](TraceKind::End) event on drop
+/// (including during panic unwinding). Created by
+/// [`obs_span!`](crate::obs_span) — prefer the macro.
+#[must_use = "the span ends when the guard drops"]
+pub struct SpanGuard {
+    phase: &'static str,
+    class: TraceClass,
+}
 
-    /// No-op: tracing is compiled out.
-    #[inline(always)]
-    pub fn task_scope(_task: u64, _label: &str) -> TaskScope {
-        TaskScope
-    }
-
-    /// No-op: tracing is compiled out.
-    #[inline(always)]
-    pub fn task_context(_task: u64) -> TaskScope {
-        TaskScope
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        record(self.phase, TraceKind::End, self.class, 0, None);
     }
 }
 
-#[cfg(not(feature = "instrument"))]
-pub use imp::{task_context, task_scope, TaskScope};
+/// Opens a span: emits the [`Begin`](TraceKind::Begin) event now and the
+/// matching end when the returned guard drops.
+pub fn span(phase: &'static str, class: TraceClass) -> SpanGuard {
+    record(phase, TraceKind::Begin, class, 0, None);
+    SpanGuard { phase, class }
+}
+
+/// Flushes the current thread's buffer and takes every event the full
+/// record holds, in arbitrary cross-thread order (sort by `seq` for a
+/// global order). Buffers of *live* other threads that have not reached
+/// their flush threshold are not visible — drain after joining workers.
+pub fn drain() -> Vec<TraceEvent> {
+    let _ = LOCAL.try_with(|cell| flush(&mut cell.borrow_mut().buf));
+    std::mem::take(&mut *sink_lock())
+}
+
+/// Runs `f` in an exclusive, freshly-drained window with the full
+/// record armed and returns its output together with the events it
+/// recorded. The only sound way to assert on traces from tests (the
+/// sink is process-global and the test harness is multi-threaded). The
+/// window is [`obs::exclusive`](crate::obs::exclusive)'s, so do not
+/// nest `capture` and `obs::measure`.
+pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<TraceEvent>) {
+    let _window = crate::obs::exclusive();
+    let _armed = arm(Sink::Record);
+    drop(drain());
+    let out = f();
+    let events = drain();
+    (out, events)
+}
 
 // ---------------------------------------------------------------------------
-// Exporters (feature on; exporters are meaningless without recorded events)
+// Exporters
 // ---------------------------------------------------------------------------
 
 /// Renders events in the Chrome trace-event format (a JSON object with a
@@ -363,7 +321,6 @@ pub use imp::{task_context, task_scope, TaskScope};
 /// are microseconds (fractional) from the process trace epoch. The task
 /// key, numeric value, and text payload are carried in `args`. Renders
 /// full-record exports (`--trace`) and flight-ring dumps alike.
-#[cfg(feature = "instrument")]
 pub fn chrome_json(events: &[TraceEvent]) -> String {
     use crate::json::Json;
 
@@ -431,7 +388,6 @@ pub fn chrome_json(events: &[TraceEvent]) -> String {
 /// pure function of the batch for deterministic configurations, regardless
 /// of thread count. See `docs/observability.md` for the contract and its
 /// exclusions (real deadlines, mid-batch cancellation).
-#[cfg(feature = "instrument")]
 pub fn logical_text(events: &[TraceEvent]) -> String {
     let mut logical: Vec<&TraceEvent> = events
         .iter()
@@ -480,9 +436,8 @@ pub fn logical_text(events: &[TraceEvent]) -> String {
 /// `trace_event!("phase", value)`, or `trace_event!("phase", text: expr)`
 /// record a [`TraceClass::Logical`] instant; prefix the phase with `timing`
 /// (e.g. `trace_event!(timing "cache.ref_hit")`) for a
-/// [`TraceClass::Timing`] one. With the `instrument` feature off this
-/// expands to `()` and the payload expressions are **not evaluated**.
-#[cfg(feature = "instrument")]
+/// [`TraceClass::Timing`] one. The payload expressions are evaluated
+/// whether or not a sink is armed, so keep them cheap.
 #[macro_export]
 macro_rules! trace_event {
     (timing $phase:literal) => {
@@ -511,27 +466,11 @@ macro_rules! trace_event {
     };
 }
 
-/// Records a point trace event: `trace_event!("phase")`,
-/// `trace_event!("phase", value)`, or `trace_event!("phase", text: expr)`
-/// record a [`TraceClass::Logical`] instant; prefix the phase with `timing`
-/// (e.g. `trace_event!(timing "cache.ref_hit")`) for a
-/// [`TraceClass::Timing`] one. With the `instrument` feature off this
-/// expands to `()` and the payload expressions are **not evaluated**.
-#[cfg(not(feature = "instrument"))]
-#[macro_export]
-macro_rules! trace_event {
-    ($($args:tt)*) => {
-        ()
-    };
-}
-
 /// Wraps an expression in a trace span: `obs_span!("phase", { body })`
 /// evaluates to the body's value, emitting begin/end events around it (the
 /// end fires even on early return or panic, via a drop guard). The span is
 /// [`TraceClass::Logical`]; use `obs_span!(timing "phase", { body })` for a
-/// [`TraceClass::Timing`] span. With the `instrument` feature off this
-/// expands to the body expression unchanged — the body always runs.
-#[cfg(feature = "instrument")]
+/// [`TraceClass::Timing`] span.
 #[macro_export]
 macro_rules! obs_span {
     (timing $phase:literal, $body:expr) => {{
@@ -544,25 +483,7 @@ macro_rules! obs_span {
     }};
 }
 
-/// Wraps an expression in a trace span: `obs_span!("phase", { body })`
-/// evaluates to the body's value, emitting begin/end events around it (the
-/// end fires even on early return or panic, via a drop guard). The span is
-/// [`TraceClass::Logical`]; use `obs_span!(timing "phase", { body })` for a
-/// [`TraceClass::Timing`] span. With the `instrument` feature off this
-/// expands to the body expression unchanged — the body always runs.
-#[cfg(not(feature = "instrument"))]
-#[macro_export]
-macro_rules! obs_span {
-    (timing $phase:literal, $body:expr) => {
-        $body
-    };
-    ($phase:literal, $body:expr) => {
-        $body
-    };
-}
-
 #[cfg(test)]
-#[cfg(feature = "instrument")]
 mod tests {
     use super::*;
 
@@ -697,28 +618,5 @@ mod tests {
         });
         assert!(drain().is_empty());
         assert!(crate::flight::snapshot().is_empty());
-    }
-}
-
-#[cfg(test)]
-#[cfg(not(feature = "instrument"))]
-mod tests {
-    #[test]
-    fn macros_are_inert_when_disabled() {
-        // trace_event! must not evaluate its arguments...
-        #[allow(unreachable_code, clippy::diverging_sub_expression)]
-        fn not_evaluated() {
-            crate::trace_event!("core.test.never", panic!("evaluated"));
-            crate::trace_event!(timing "core.test.never", panic!("evaluated"));
-        }
-        not_evaluated();
-        // ...while obs_span! must still evaluate its body.
-        let out = crate::obs_span!("core.test.span", { 40 + 2 });
-        assert_eq!(out, 42);
-        let out = crate::obs_span!(timing "core.test.span", { out + 1 });
-        assert_eq!(out, 43);
-        // Stub guards compile and drop without effect.
-        let _scope = super::task_scope(0, "x");
-        let _ctx = super::task_context(1);
     }
 }

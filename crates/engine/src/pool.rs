@@ -292,7 +292,6 @@ impl Engine {
                         &mut ws,
                     );
                     if let Some(r) = &report {
-                        let _ = r; // only the instrument feature reads it
                         trace_event!("emit", text: r.result.status());
                     }
                     report

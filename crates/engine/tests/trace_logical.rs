@@ -4,11 +4,8 @@
 //! the Chrome spans are well-formed (balanced, properly nested) with the
 //! task span dominated by its instrumented children.
 //!
-//! Only compiled with `--features instrument`. Every test here records
-//! inside `trace::capture`, so no batch of another test can land in its
-//! window.
-
-#![cfg(feature = "instrument")]
+//! Runs in every build. Every test here records inside `trace::capture`,
+//! so no batch of another test can land in its window.
 
 use pobp_core::trace::{self, TraceEvent, TraceKind};
 use pobp_engine::{run_batch, Algo, EngineConfig, GridSpec, SolveTask};

@@ -17,7 +17,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use pobp_core::cli::{flag_value, has_flag, needs_instrument, only_flags, parse_num_strict};
+use pobp_core::cli::{flag_value, has_flag, only_flags, parse_num_strict};
 use pobp_serve::json::{obj, Json};
 use pobp_serve::soak::{run_soak, SoakConfig};
 use pobp_serve::Client;
@@ -47,7 +47,7 @@ COMMANDS:
     top [--interval-ms MS] [--count N]
                                  live view of stats, with rates
     dump-flight                  ask the daemon to write a flight dump
-                                 (needs --features instrument builds)
+                                 (needs a daemon run with --flight-dir)
     shutdown [--cancel]          stop the daemon (drains by default)
     soak --seconds N --seed S [--journal DIR] [--expect-restart]
 
@@ -73,9 +73,6 @@ fn run() -> i32 {
         usage();
         return EXIT_USAGE;
     };
-    if cmd == "dump-flight" && !pobp_core::obs::enabled() {
-        return usage_err(&needs_instrument(&cmd));
-    }
     if let Some((values, switches)) = command_flags(&cmd) {
         if let Err(e) = only_flags(&args[1..], &[values, &["--addr"]].concat(), switches) {
             return usage_err(&e);
@@ -103,7 +100,6 @@ fn run() -> i32 {
         "cancel" => cmd_simple_id(&client, &args, |c, id| c.cancel(id)),
         "stats" => print_response(client.stats()),
         "top" => cmd_top(&client, &args),
-        #[cfg(feature = "instrument")]
         "dump-flight" => print_response(client.dump_flight()),
         "shutdown" => print_response(client.shutdown(!has_flag(&args, "--cancel"))),
         "soak" => cmd_soak(&addr, &args),

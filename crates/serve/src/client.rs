@@ -113,7 +113,6 @@ impl Client {
     }
 
     /// `dump-flight` — ask the daemon to write a flight-recorder dump now.
-    #[cfg(feature = "instrument")]
     pub fn dump_flight(&self) -> io::Result<Json> {
         self.request(&obj([("op", Json::Str("dump-flight".into()))]))
     }

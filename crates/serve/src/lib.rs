@@ -23,8 +23,8 @@
 //! * [`soak`] — the randomized invariant-checking harness
 //!   (`pobp-client soak`).
 //! * [`telemetry`] — the live-telemetry glue: job latency and
-//!   per-algorithm counts, the Prometheus scrape listener, and (in
-//!   `instrument` builds) flight dumps (docs/observability.md).
+//!   per-algorithm counts, the Prometheus scrape listener, and flight
+//!   dumps (docs/observability.md).
 
 pub mod client;
 pub mod job;

@@ -55,7 +55,6 @@ pub fn handle_line<'s>(service: &'s Service, line: &str) -> (Json, Control, Wake
         "stats" => {
             (obj([("ok", Json::Bool(true)), ("stats", service.stats_json())]), Control::Continue)
         }
-        #[cfg(feature = "instrument")]
         "dump-flight" => (handle_dump_flight(service), Control::Continue),
         "shutdown" => {
             let drain = parsed.get("drain").and_then(Json::as_bool).unwrap_or(true);
@@ -69,7 +68,6 @@ pub fn handle_line<'s>(service: &'s Service, line: &str) -> (Json, Control, Wake
     (response, control, Wake::none())
 }
 
-#[cfg(feature = "instrument")]
 fn handle_dump_flight(service: &Service) -> Json {
     match service.dump_flight("manual") {
         Ok(Some(path)) => obj([

@@ -306,8 +306,8 @@ pub struct Service {
 
 impl Service {
     /// Recovers the registry from `cfg.dir` and starts the worker pool. A
-    /// flight directory is opened first, so an unusable one — or any, in a
-    /// build without the `instrument` feature — stops it before recovery.
+    /// flight directory is opened first, so an unusable one stops it before
+    /// recovery.
     pub fn start(cfg: ServiceConfig) -> io::Result<Service> {
         let flight = cfg.telemetry.flight_dir.as_deref().map(Flight::open).transpose()?;
         let (mut journal, mut registry, recovery) = Journal::open(&cfg.dir, cfg.compact_every)?;
@@ -591,7 +591,6 @@ impl Service {
     /// Writes the flight-recorder ring as Chrome-trace JSON into the
     /// configured `--flight-dir` and returns the path, or `Ok(None)` when
     /// no flight directory is configured.
-    #[cfg(feature = "instrument")]
     pub fn dump_flight(&self, reason: &str) -> io::Result<Option<PathBuf>> {
         self.inner.flight.as_ref().map(|flight| flight.dump(reason)).transpose()
     }

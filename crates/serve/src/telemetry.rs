@@ -7,8 +7,8 @@
 //! journal the finish, so one reading holds the runs beside the counters;
 //! the `stats` op and the scrape render that reading, in every build.
 //! [`spawn_metrics_listener`] is a minimal hand-rolled HTTP/1.1 responder
-//! built on [`pobp_core::metrics`]. Flight dumps need the trace recorder
-//! that feeds the ring, so only an `instrument` build has them.
+//! built on [`pobp_core::metrics`]. A flight directory keeps the trace
+//! recorder's ring armed and receives its dumps.
 //!
 //! The daemon exports cumulative counters and levels, never rates: each
 //! reader derives rates over its own interval, so one reader polling fast
@@ -19,7 +19,8 @@
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,8 +30,6 @@ use pobp_engine::Algo;
 
 use crate::job::JobStatus;
 use crate::service::{Reading, Service};
-
-pub(crate) use flight::Flight;
 
 /// Largest scrape request head (request line plus headers) read before
 /// answering `400`, so a client sending bytes with no newline cannot grow
@@ -47,9 +46,7 @@ const REQUEST_HEAD_DEADLINE: Duration = Duration::from_secs(5);
 #[derive(Clone, Debug, Default)]
 pub struct TelemetryOptions {
     /// Directory for flight-recorder dumps (created if missing). `None`
-    /// disables automatic dumps and the `dump-flight` op. Only an
-    /// `instrument` build has the flight ring: a default build's
-    /// [`Service::start`] refuses a directory.
+    /// disables automatic dumps and the `dump-flight` op.
     pub flight_dir: Option<PathBuf>,
     /// Address for the Prometheus scrape listener (e.g. `127.0.0.1:0`).
     /// `None` means no listener. Honoured by
@@ -269,86 +266,60 @@ impl Read for DeadlineReader {
     }
 }
 
-/// Flight-ring dumps into a directory, in a build with the trace recorder.
-#[cfg(feature = "instrument")]
-mod flight {
-    use std::io;
-    use std::path::{Path, PathBuf};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// A flight directory: dumps of the flight ring, which stays armed
-    /// while this lives.
-    pub(crate) struct Flight {
-        /// Where dumps go.
-        dir: PathBuf,
-        /// Number of the next dump.
-        next: AtomicU64,
-        /// Keeps the flight ring armed.
-        _ring: pobp_core::trace::Armed,
-    }
-
-    impl Flight {
-        /// Creates `dir` if missing and arms the flight ring. Numbering
-        /// starts one past the highest `flight-NNNNN-*` already there, so a
-        /// restarted daemon numbers after its predecessors instead of
-        /// overwriting their dumps.
-        pub(crate) fn open(dir: &Path) -> io::Result<Flight> {
-            std::fs::create_dir_all(dir)?;
-            let mut next = 0;
-            for entry in std::fs::read_dir(dir)? {
-                let name = entry?.file_name();
-                let taken = name.to_str().and_then(|n| {
-                    n.strip_prefix("flight-")?.split('-').next()?.parse::<u64>().ok()
-                });
-                if let Some(n) = taken {
-                    next = next.max(n.saturating_add(1));
-                }
-            }
-            Ok(Flight {
-                dir: dir.to_path_buf(),
-                next: AtomicU64::new(next),
-                _ring: pobp_core::trace::arm(pobp_core::trace::Sink::Ring),
-            })
-        }
-
-        /// Automatic dump on a failure trigger (panicked task, failed
-        /// certificate, poisoned journal): best-effort, a note on stderr
-        /// either way, never an error to the caller.
-        pub(crate) fn on_failure(&self, reason: &str) {
-            match self.dump(reason) {
-                Ok(path) => {
-                    eprintln!("serve: flight dump ({reason}) written to {}", path.display());
-                }
-                Err(e) => eprintln!("serve: flight dump ({reason}) failed: {e}"),
-            }
-        }
-
-        /// Writes the flight ring as `flight-NNNNN-<reason>.json`.
-        pub(crate) fn dump(&self, reason: &str) -> io::Result<PathBuf> {
-            std::fs::create_dir_all(&self.dir)?;
-            let n = self.next.fetch_add(1, Ordering::Relaxed);
-            let path = self.dir.join(format!("flight-{n:05}-{reason}.json"));
-            std::fs::write(&path, pobp_core::flight::dump_json())?;
-            Ok(path)
-        }
-    }
+/// A flight directory: dumps of the flight ring, which stays armed
+/// while this lives.
+pub(crate) struct Flight {
+    /// Where dumps go.
+    dir: PathBuf,
+    /// Number of the next dump.
+    next: AtomicU64,
+    /// Keeps the flight ring armed.
+    _ring: pobp_core::trace::Armed,
 }
 
-/// A build without the trace recorder has no flight ring: its `Flight` is
-/// uninhabited, and opening a directory is refused.
-#[cfg(not(feature = "instrument"))]
-mod flight {
-    pub(crate) enum Flight {}
-
-    impl Flight {
-        pub(crate) fn open(_dir: &std::path::Path) -> std::io::Result<Flight> {
-            let refusal = pobp_core::cli::needs_instrument("a flight directory");
-            Err(std::io::Error::new(std::io::ErrorKind::Unsupported, refusal))
+impl Flight {
+    /// Creates `dir` if missing and arms the flight ring. Numbering
+    /// starts one past the highest `flight-NNNNN-*` already there, so a
+    /// restarted daemon numbers after its predecessors instead of
+    /// overwriting their dumps.
+    pub(crate) fn open(dir: &Path) -> io::Result<Flight> {
+        std::fs::create_dir_all(dir)?;
+        let mut next = 0;
+        for entry in std::fs::read_dir(dir)? {
+            let name = entry?.file_name();
+            let taken = name.to_str().and_then(|n| {
+                n.strip_prefix("flight-")?.split('-').next()?.parse::<u64>().ok()
+            });
+            if let Some(n) = taken {
+                next = next.max(n.saturating_add(1));
+            }
         }
+        Ok(Flight {
+            dir: dir.to_path_buf(),
+            next: AtomicU64::new(next),
+            _ring: pobp_core::trace::arm(pobp_core::trace::Sink::Ring),
+        })
+    }
 
-        pub(crate) fn on_failure(&self, _reason: &str) {
-            match *self {}
+    /// Automatic dump on a failure trigger (panicked task, failed
+    /// certificate, poisoned journal): best-effort, a note on stderr
+    /// either way, never an error to the caller.
+    pub(crate) fn on_failure(&self, reason: &str) {
+        match self.dump(reason) {
+            Ok(path) => {
+                eprintln!("serve: flight dump ({reason}) written to {}", path.display());
+            }
+            Err(e) => eprintln!("serve: flight dump ({reason}) failed: {e}"),
         }
+    }
+
+    /// Writes the flight ring as `flight-NNNNN-<reason>.json`.
+    pub(crate) fn dump(&self, reason: &str) -> io::Result<PathBuf> {
+        std::fs::create_dir_all(&self.dir)?;
+        let n = self.next.fetch_add(1, Ordering::Relaxed);
+        let path = self.dir.join(format!("flight-{n:05}-{reason}.json"));
+        std::fs::write(&path, pobp_core::flight::dump_json())?;
+        Ok(path)
     }
 }
 

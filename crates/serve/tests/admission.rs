@@ -400,23 +400,8 @@ fn stats_json_tracks_finished_jobs_and_cache_hits() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// A build without the trace recorder has no flight ring: `Service::start`
-/// refuses a flight directory set in code, as the CLI refuses
-/// `--flight-dir`, before it creates the registry directory.
-#[cfg(not(feature = "instrument"))]
-#[test]
-fn default_build_refuses_a_flight_directory() {
-    let dir = tmpdir("noflight");
-    let mut c = cfg(&dir.join("registry"), 0, 4);
-    c.telemetry.flight_dir = Some(dir.join("flights"));
-    let Err(e) = Service::start(c) else { panic!("a default build opened a flight directory") };
-    assert!(e.to_string().contains("needs a binary built with --features instrument"), "{e}");
-    assert!(!dir.exists(), "nothing may be created under {}", dir.display());
-}
-
 /// A restarted daemon numbers its flight dumps after the ones already in
 /// the directory instead of overwriting them.
-#[cfg(feature = "instrument")]
 #[test]
 fn restarted_daemon_keeps_earlier_flight_dumps() {
     let dir = tmpdir("flightrestart");

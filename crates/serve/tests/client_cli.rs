@@ -254,25 +254,6 @@ fn saturation_rejection_exits_3_and_cancel_resolves_queued_jobs() {
     );
 }
 
-/// A build without `instrument` carries no trace recorder (no trace
-/// exporter, no engine event name), and `dump-flight`, which dumps the
-/// recorder's ring, refuses to run rather than ask a daemon that has none.
-#[cfg(not(feature = "instrument"))]
-#[test]
-fn default_client_carries_no_trace_recorder_and_refuses_dump_flight() {
-    // Decoded lossily, every ASCII run survives intact: `contains` finds
-    // an ASCII marker wherever `strings` piped into `grep` would.
-    let bytes = fs::read(BIN).expect("read the pobp-client binary");
-    let binary = String::from_utf8_lossy(&bytes);
-    for marker in ["traceEvents", "task.enqueue"] {
-        assert!(!binary.contains(marker), "the binary carries {marker:?}");
-    }
-    let out = Command::new(BIN).arg("dump-flight").output().unwrap();
-    assert_eq!(code(&out), 1);
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("needs a binary built with --features instrument"), "{err}");
-}
-
 /// The Prometheus families a scrape serves: cumulative counters and levels
 /// only, no rate or ratio gauges.
 const FAMILIES: [&str; 18] = [
@@ -365,7 +346,6 @@ fn scrape_and_top_read_the_daemon_after_scripted_jobs() {
 /// A chaos plan that corrupts every reference forces a `cert_failed` job
 /// (exit 5) through the daemon; it and an explicit `dump-flight` each leave
 /// a flight dump of Chrome trace events.
-#[cfg(feature = "instrument")]
 #[test]
 fn chaos_cert_failure_leaves_loadable_flight_dumps() {
     let flights =

@@ -28,8 +28,9 @@
 //!
 //! With the `instrument` feature the runner emits the `sweep.*` counters
 //! (`sweep.rows_written`, `sweep.chunks_completed`) alongside the
-//! `chaos.io.*` injection counters, and keeps a `heartbeat.json` progress
-//! file in the output directory; see `docs/observability.md`.
+//! `chaos.io.*` injection counters; see `docs/observability.md`. A watcher
+//! follows a running sweep through `--progress`, or by counting
+//! `manifest.json`'s record lines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -245,8 +245,6 @@ pub fn run_sweep(dir: &Path, cfg: &SweepConfig) -> Result<SweepOutcome, String> 
         rows_done += done.rows;
         progress(manifest.done.len(), rows_done, out.rows_written);
         pobp_core::obs_count!("sweep.chunks_completed");
-        #[cfg(feature = "instrument")]
-        write_heartbeat(dir, started, manifest.done.len(), chunks.len(), &out);
     }
 
     if cfg.engine.progress {
@@ -256,40 +254,6 @@ pub fn run_sweep(dir: &Path, cfg: &SweepConfig) -> Result<SweepOutcome, String> 
         out.merged = Some(merge(dir, &manifest, &m_guard)?);
     }
     Ok(out)
-}
-
-/// Overwrites `heartbeat.json` in the sweep directory with one progress
-/// line: elapsed, chunks done/total, rows written this invocation, rows/s,
-/// and a chunk-based ETA. Pure telemetry: written outside the IoGuard, not
-/// digest-verified, ignored by resume/merge — crash-safety and the
-/// byte-identity of shards/manifest/`merged.jsonl` do not depend on it,
-/// and write failures are deliberately swallowed.
-#[cfg(feature = "instrument")]
-fn write_heartbeat(
-    dir: &Path,
-    started: std::time::Instant,
-    chunks_done: usize,
-    chunks_total: usize,
-    out: &SweepOutcome,
-) {
-    use pobp_core::json::{obj, Json};
-    let elapsed = started.elapsed().as_secs_f64();
-    let rows_per_s = if elapsed > 0.0 { out.rows_written as f64 / elapsed } else { 0.0 };
-    let remaining = chunks_total.saturating_sub(chunks_done);
-    let eta_s = if out.chunks_completed > 0 {
-        Json::Num(elapsed / out.chunks_completed as f64 * remaining as f64)
-    } else {
-        Json::Null
-    };
-    let line = obj([
-        ("elapsed_ms", Json::Num((elapsed * 1000.0).round())),
-        ("chunks_done", Json::Num(chunks_done as f64)),
-        ("chunks_total", Json::Num(chunks_total as f64)),
-        ("rows_written", Json::Num(out.rows_written as f64)),
-        ("rows_per_s", Json::Num(rows_per_s)),
-        ("eta_s", eta_s),
-    ]);
-    let _ = std::fs::write(dir.join("heartbeat.json"), format!("{line}\n"));
 }
 
 /// Checks a recorded chunk's shard bytes against its manifest record — the

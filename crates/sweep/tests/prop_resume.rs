@@ -207,10 +207,6 @@ mod chaos {
                                     fs::read(e.path()).unwrap(),
                                 )
                             })
-                            // heartbeat.json is wall-clock telemetry
-                            // (instrument builds), explicitly outside the
-                            // byte-identity contract.
-                            .filter(|(name, _)| name != "heartbeat.json")
                             .collect()
                     })
                     .unwrap_or_default();

@@ -13,9 +13,7 @@
 //! The instance format is the one of `pobp::prelude::{write_jobs, parse_jobs}`:
 //! one `release deadline length value` line per job.
 
-use pobp::cli::{
-    flag_value, has_flag, instrument_flags, only_flags, parse_num_list_strict, parse_num_strict,
-};
+use pobp::cli::{flag_value, has_flag, only_flags, parse_num_list_strict, parse_num_strict};
 use pobp::instances::{check_zoo_cell, fig4_size, CellSizeError};
 use pobp::serve::job::MAX_JOB_N;
 use pobp::prelude::*;
@@ -86,15 +84,14 @@ fn flag_error(e: CellSizeError) -> String {
 struct TraceFiles {
     chrome: Option<String>,
     logical: Option<String>,
-    #[cfg(feature = "instrument")]
     _armed: Option<pobp::trace::Armed>,
 }
 
 impl TraceFiles {
     fn arm(args: &[String]) -> Result<TraceFiles, String> {
-        let [chrome, logical] = instrument_flags(args, ["--trace", "--trace-logical"])?;
+        let chrome = flag_value(args, "--trace")?;
+        let logical = flag_value(args, "--trace-logical")?;
         Ok(TraceFiles {
-            #[cfg(feature = "instrument")]
             _armed: (chrome.is_some() || logical.is_some())
                 .then(|| pobp::trace::arm(pobp::trace::Sink::Record)),
             chrome,
@@ -108,19 +105,16 @@ impl TraceFiles {
         if self.chrome.is_none() && self.logical.is_none() {
             return Ok(());
         }
-        #[cfg(feature = "instrument")]
-        {
-            let events = pobp::trace::drain();
-            if let Some(path) = &self.chrome {
-                std::fs::write(path, pobp::trace::chrome_json(&events))
-                    .map_err(|e| format!("writing {path}: {e}"))?;
-                eprintln!("wrote Chrome trace to {path} ({} events)", events.len());
-            }
-            if let Some(path) = &self.logical {
-                std::fs::write(path, pobp::trace::logical_text(&events))
-                    .map_err(|e| format!("writing {path}: {e}"))?;
-                eprintln!("wrote logical trace to {path}");
-            }
+        let events = pobp::trace::drain();
+        if let Some(path) = &self.chrome {
+            std::fs::write(path, pobp::trace::chrome_json(&events))
+                .map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!("wrote Chrome trace to {path} ({} events)", events.len());
+        }
+        if let Some(path) = &self.logical {
+            std::fs::write(path, pobp::trace::logical_text(&events))
+                .map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!("wrote logical trace to {path}");
         }
         Ok(())
     }
@@ -163,10 +157,10 @@ value are errors.
 solve, sweep and online accept --trace FILE (Chrome trace-event JSON — open
 in Perfetto / chrome://tracing) and --trace-logical FILE (the deterministic
 logical trace: ordering and phase transitions, timestamps stripped,
-byte-identical across --threads). Both need a binary built with
-`--features instrument`. sweep --progress draws a live stderr meter (rows
-done/total, throughput, running p50 task latency, degrade/cert-fail
-counts); with --out, one line of the whole sweep's chunks and rows done.
+byte-identical across --threads). sweep --progress draws a live stderr
+meter (rows done/total, throughput, running p50 task latency,
+degrade/cert-fail counts); with --out, one line of the whole sweep's
+chunks and rows done.
 
 sweep runs the (n, k, seed) grid through the parallel batch engine
 (docs/engine.md): one JSON line per task on stdout, in deterministic grid
@@ -196,10 +190,9 @@ finished results are recovered on restart). Drive it with pobp-client,
 and watch it live with `pobp-client top`, which polls the stats op
 (counters, levels, uptime, job latency and per-algorithm counts).
 --metrics-addr exposes the same reading as a Prometheus scrape endpoint
-of cumulative counters and levels (docs/observability.md). With
-`--features instrument`, --flight-dir also collects bounded
-flight-recorder dumps (Chrome trace JSON) on panics, cert failures,
-journal poisoning, or an explicit dump-flight op.
+of cumulative counters and levels (docs/observability.md). --flight-dir
+collects bounded flight-recorder dumps (Chrome trace JSON) on panics,
+cert failures, journal poisoning, or an explicit dump-flight op.
 
 online runs the online-arrival competitive-ratio lab (docs/online.md): jobs
 are revealed at release, commitments are irrevocable, and each job carries
@@ -299,7 +292,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
 
     let schedule = {
         // Tag the whole solve as one task span so `--trace` output groups
-        // the algorithm-stage timers under it (no-op without the feature).
+        // the algorithm-stage timers under it.
         let _task = pobp::trace::task_scope(0, &alg);
         match alg.as_str() {
             "reduction" => {
@@ -777,8 +770,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Err("serve records no --trace/--trace-logical; use --flight-dir".into());
     }
     let metrics_addr = flag_value(args, "--metrics-addr")?;
-    // The flight ring needs the trace recorder, which only `instrument` has.
-    let [flight_dir] = instrument_flags(args, ["--flight-dir"])?;
+    let flight_dir = flag_value(args, "--flight-dir")?;
     let cfg = pobp::serve::ServiceConfig {
         dir: dir.into(),
         workers: parse_num_strict(args, "--workers", 2usize)?.max(1),

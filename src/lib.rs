@@ -31,10 +31,11 @@
 //!   a line-protocol daemon with admission control, per-job cancel, and a
 //!   durable job registry that survives `kill -9` (`docs/serve.md`).
 //!
-//! Building with `--features instrument` compiles in the algorithm-level
-//! counter/timer layer ([`obs`]) and the structured tracing recorder
-//! ([`trace`]) behind `pobp sweep --trace FILE`. Without the feature every
-//! instrumentation macro is a no-op. See `docs/observability.md`.
+//! The structured tracing recorder ([`trace`]) behind `pobp sweep --trace
+//! FILE` is in every build and idle until a flag arms it. Building with
+//! `--features instrument` adds the algorithm-level counter/timer layer
+//! ([`obs`]); without it the counter macros are no-ops. See
+//! `docs/observability.md`.
 //!
 //! ## Quickstart
 //!

@@ -68,44 +68,26 @@ fn serve_flag_errors_are_loud_and_never_bind() {
     }
 }
 
-/// Default (instrument-less) builds refuse the flight-ring flag loudly
-/// instead of silently ignoring it: the ring is fed by the trace recorder,
-/// which only an `instrument` build has. (`--metrics-addr` is in every
-/// build.)
-#[cfg(not(feature = "instrument"))]
-#[test]
-fn telemetry_flags_require_the_instrument_feature() {
-    let args = ["serve", "--flight-dir", "flights", "--addr", "127.0.0.1:0"];
-    let (out, err, ok) = run(&args);
-    assert!(!ok, "{args:?} must fail in a default build");
-    assert!(
-        err.contains("needs a binary built with --features instrument"),
-        "error must say how to enable: {err}"
-    );
-    assert!(!out.contains("serve: listening"), "{args:?} must not bind: {out}");
-}
-
 /// The bytes of the `pobp` binary under test, decoded lossily: every ASCII
 /// run survives intact, so `contains` finds an ASCII marker wherever
 /// `strings` piped into `grep` would.
-#[cfg(not(feature = "instrument"))]
 fn pobp_binary_text() -> String {
     let bytes = std::fs::read(env!("CARGO_BIN_EXE_pobp")).expect("read the pobp binary");
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
-/// A build without `instrument` carries no trace recorder: no trace
-/// exporter and no engine event name. (Its flags are refused by
-/// `telemetry_flags_require_the_instrument_feature` and
-/// `sweep_trace_flags_respect_the_feature_gate`.) The daemon's Prometheus
-/// exposition is in every build, so its markers are not checked here.
-#[cfg(not(feature = "instrument"))]
+/// Every build carries the trace recorder: its exporter (`traceEvents`) and
+/// the engine's event names (`task.enqueue`). A name that only `obs_count!`
+/// spells (`sched.edf.heap_push`) is in the binary if and only if the obs
+/// aggregate is compiled in (`instrument`).
 #[test]
-fn default_build_carries_no_instrumentation() {
+fn binary_carries_the_recorder_and_counter_names_only_with_instrument() {
     let binary = pobp_binary_text();
     for marker in ["traceEvents", "task.enqueue"] {
-        assert!(!binary.contains(marker), "the binary carries {marker:?}");
+        assert!(binary.contains(marker), "the binary lacks {marker:?}");
     }
+    let counter = binary.contains("sched.edf.heap_push");
+    assert_eq!(counter, pobp::obs::enabled(), "counter name present: {counter}");
 }
 
 /// Every command refuses a flag it does not read, before any work: exit 1,
@@ -413,11 +395,10 @@ fn obs_out_unwritable_path_errors() {
     assert!(err.contains("writing"), "{err}");
 }
 
-/// `sweep --trace` / `--trace-logical`: with an `instrument` build the
-/// files are written (Chrome JSON + logical text); without, the flags are a
-/// loud feature-gate error — never a silent no-op.
+/// `sweep --trace` and `--trace-logical` in one run write both files:
+/// Chrome JSON and the logical text.
 #[test]
-fn sweep_trace_flags_respect_the_feature_gate() {
+fn sweep_trace_flags_write_both_files() {
     let dir = std::env::temp_dir().join(format!("pobp-trace-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let chrome = dir.join("trace.json");
@@ -438,24 +419,18 @@ fn sweep_trace_flags_respect_the_feature_gate() {
         logical.to_str().unwrap(),
     ];
     let (_, err, ok) = run(&args);
-    if pobp::obs::enabled() {
-        assert!(ok, "{err}");
-        let json = std::fs::read_to_string(&chrome).unwrap();
-        assert!(json.starts_with("{\"traceEvents\":["), "{json}");
-        let text = std::fs::read_to_string(&logical).unwrap();
-        assert!(text.starts_with("# pobp logical trace v1"), "{text}");
-        assert!(text.contains("begin task"), "{text}");
-    } else {
-        assert!(!ok);
-        assert!(err.contains("needs a binary built with --features instrument"), "{err}");
-    }
+    assert!(ok, "{err}");
+    let json = std::fs::read_to_string(&chrome).unwrap();
+    assert!(json.starts_with("{\"traceEvents\":["), "{json}");
+    let text = std::fs::read_to_string(&logical).unwrap();
+    assert!(text.starts_with("# pobp logical trace v1"), "{text}");
+    assert!(text.contains("begin task"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `sweep --trace` writes Chrome trace-event JSON: a non-empty
 /// `traceEvents` array whose every event is a `B`, `E` or `i` phase, with
 /// `task` spans among them.
-#[cfg(feature = "instrument")]
 #[test]
 fn sweep_trace_is_chrome_trace_event_json() {
     use pobp::core::json::Json;
@@ -479,7 +454,6 @@ fn sweep_trace_is_chrome_trace_event_json() {
 }
 
 /// Runs `pobp ARGS --trace-logical FILE` and returns the logical trace.
-#[cfg(feature = "instrument")]
 fn logical_trace(tag: &str, args: &[&str]) -> String {
     let path = std::env::temp_dir().join(format!("pobp-logical-{tag}-{}.txt", std::process::id()));
     let (_, err, ok) = run(&[args, &["--trace-logical", path.to_str().unwrap()]].concat());
@@ -489,8 +463,14 @@ fn logical_trace(tag: &str, args: &[&str]) -> String {
     text
 }
 
-/// A sweep's logical trace is the same bytes at `--threads 1` and `4`.
-#[cfg(feature = "instrument")]
+/// The `(length, FNV-1a)` of a logical trace, the form its pins take.
+fn trace_digest(text: &str) -> (usize, u64) {
+    (text.len(), pobp::sweep::plan::fnv1a(text.as_bytes()))
+}
+
+/// A sweep's logical trace is the same bytes at `--threads 1` and `4`, in
+/// every build: pinned to the length and FNV-1a digest that an `instrument`
+/// release binary wrote before the recorder was compiled into every build.
 #[test]
 fn sweep_logical_trace_is_thread_count_invariant() {
     let grid = ["sweep", "--n", "12,16", "--k", "0,1,2", "--seeds", "4"];
@@ -498,12 +478,12 @@ fn sweep_logical_trace_is_thread_count_invariant() {
     let par = logical_trace("sweep-t4", &[&grid[..], &["--threads", "4"]].concat());
     assert!(seq.contains("begin task"), "{seq}");
     assert_eq!(seq, par, "logical traces differ across thread counts");
+    assert_eq!(trace_digest(&seq), (3578, 0x26e6_a145_2126_6796), "{seq}");
 }
 
 /// ...and so it is under injected panics, flaky attempts and forced
 /// deadlines with the degradation ladder armed, whose `chaos.` events the
-/// trace records.
-#[cfg(feature = "instrument")]
+/// trace records; pinned the same way.
 #[test]
 fn chaos_sweep_logical_trace_is_thread_count_invariant() {
     let grid = [
@@ -514,10 +494,10 @@ fn chaos_sweep_logical_trace_is_thread_count_invariant() {
     let par = logical_trace("chaos-t4", &[&grid[..], &["--threads", "4"]].concat());
     assert!(par.contains("chaos."), "no chaos events traced:\n{par}");
     assert_eq!(seq, par, "chaotic logical traces differ across thread counts");
+    assert_eq!(trace_digest(&seq), (7063, 0x9b83_b6c6_d2f6_a4d5), "{seq}");
 }
 
-/// `solve --trace` is checked before any work: a default build refuses it
-/// without writing `--out`; an `instrument` build writes both files.
+/// `solve --trace` writes its Chrome trace beside the solve's `--out`.
 #[test]
 fn solve_trace_flag_is_checked_before_any_output() {
     let dir = std::env::temp_dir().join(format!("pobp-solve-trace-{}", std::process::id()));
@@ -526,15 +506,16 @@ fn solve_trace_flag_is_checked_before_any_output() {
     let (instance, _, _) = run(&["gen", "--kind", "fig2", "--n", "4"]);
     let args = ["solve", "--trace", chrome.to_str().unwrap(), "--out", plan.to_str().unwrap()];
     let (_, err, ok) = run_with_stdin(&args, &instance);
-    if pobp::obs::enabled() {
-        assert!(ok, "{err}");
-        assert!(std::fs::read_to_string(&chrome).unwrap().contains("\"name\":\"task\""));
-        assert!(plan.exists());
-    } else {
-        assert!(!ok);
-        assert!(err.contains("--trace needs a binary built with --features instrument"), "{err}");
-        assert!(!plan.exists(), "a refused solve must not write --out");
-    }
+    assert!(ok, "{err}");
+    assert!(std::fs::read_to_string(&chrome).unwrap().contains("\"name\":\"task\""));
+    assert!(plan.exists());
+    // A `--trace` without its value is refused before `--out` is written.
+    std::fs::remove_file(&plan).unwrap();
+    let args = ["solve", "--out", plan.to_str().unwrap(), "--trace"];
+    let (_, err, ok) = run_with_stdin(&args, &instance);
+    assert!(!ok);
+    assert!(err.contains("--trace needs a value"), "{err}");
+    assert!(!plan.exists(), "a refused solve must not write --out");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -624,7 +605,6 @@ fn online_ratios_stay_under_the_recorded_bound() {
 /// `pobp online --trace-logical` is byte-identical at `--threads 1` and `4`
 /// with the cache on, although fig2/fig4 repeat their cells across seeds:
 /// every task makes its own attempt, so every online row traces its run.
-#[cfg(feature = "instrument")]
 #[test]
 fn online_logical_trace_is_thread_count_invariant() {
     let dir = std::env::temp_dir().join(format!("pobp-online-logical-{}", std::process::id()));
@@ -649,8 +629,10 @@ fn online_logical_trace_is_thread_count_invariant() {
     assert_eq!(seq.lines().filter(|l| l.ends_with(" begin attempt")).count(), 360);
 }
 
+/// `online --trace-logical` records the online executors' `online.*`
+/// instants.
 #[test]
-fn online_trace_flags_respect_the_feature_gate() {
+fn online_trace_logical_records_online_events() {
     let dir = std::env::temp_dir().join(format!("pobp-online-trace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let logical = dir.join("online.txt");
@@ -668,14 +650,9 @@ fn online_trace_flags_respect_the_feature_gate() {
         logical.to_str().unwrap(),
     ];
     let (_, err, ok) = run(&args);
-    if pobp::obs::enabled() {
-        assert!(ok, "{err}");
-        let text = std::fs::read_to_string(&logical).unwrap();
-        assert!(text.contains("online."), "expected online.* instants:\n{text}");
-    } else {
-        assert!(!ok);
-        assert!(err.contains("--features instrument"), "{err}");
-    }
+    assert!(ok, "{err}");
+    let text = std::fs::read_to_string(&logical).unwrap();
+    assert!(text.contains("online."), "expected online.* instants:\n{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -776,8 +753,8 @@ fn sweep_isolates_panics_per_task() {
 
 /// Telemetry never changes results: a sharded sweep's `merged.jsonl` is the
 /// same bytes at `--threads` 1 and 4 in every build, pinned to the length
-/// and FNV-1a digest of a default release binary's merge, and only an
-/// `instrument` build writes the progress heartbeat beside it. The grids
+/// and FNV-1a digest of a default release binary's merge, with no file
+/// beside it that a build adds (there is no `heartbeat.json`). The grids
 /// also pin the solvers' bytes: reduction at n = 12 and 16, where the
 /// left-merge places a handful of jobs; at n = 250, where it places
 /// hundreds, on one machine and on two; and combined, whose strict branch
@@ -806,8 +783,7 @@ fn sharded_sweep_bytes_do_not_depend_on_the_build() {
             let merged = std::fs::read(dir.join("merged.jsonl")).unwrap();
             let digest = (merged.len(), pobp::sweep::plan::fnv1a(&merged));
             assert_eq!(digest, *pin, "{grid:?} --threads {threads}");
-            let heartbeat = dir.join("heartbeat.json").exists();
-            assert_eq!(heartbeat, cfg!(feature = "instrument"), "{grid:?} --threads {threads}");
+            assert!(!dir.join("heartbeat.json").exists(), "{grid:?} --threads {threads}");
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -997,8 +973,7 @@ fn every_io_fault_site_kills_a_sharded_sweep_and_a_disarmed_rerun_converges() {
 }
 
 /// A faulty sweep dies at the same deterministic point on any thread
-/// count: the directories it leaves are byte-identical, file by file
-/// (`heartbeat.json`, wall-clock telemetry in instrument builds, aside).
+/// count: the directories it leaves are byte-identical, file by file.
 #[test]
 fn faulty_sweeps_die_at_the_same_point_on_any_thread_count() {
     let leave = |threads: &str| {
@@ -1014,7 +989,6 @@ fn faulty_sweeps_die_at_the_same_point_on_any_thread_count() {
             .unwrap()
             .map(|e| e.unwrap())
             .map(|e| (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).unwrap()))
-            .filter(|(name, _)| name != "heartbeat.json")
             .collect();
         files.sort();
         std::fs::remove_dir_all(&dir).ok();

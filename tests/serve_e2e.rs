@@ -72,6 +72,17 @@ impl Daemon {
     }
 }
 
+/// A test that panics before `kill9`, `shutdown` or `exits_cleanly` still
+/// kills and reaps its daemon, so no `pobp serve` outlives the test binary.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
 /// A soak with replay identity over `dir`: it shuts the daemon down at the
 /// end and replays the directory.
 fn soak(addr: &str, dir: &Path, seconds: u64, expect_restart: bool) -> SoakConfig {
@@ -288,4 +299,28 @@ fn taken_metrics_addr_stops_the_daemon_before_it_touches_the_registry() {
     let _ = fs::remove_dir_all(&dir);
     assert!(!created, "the registry directory was created: {}", dir.display());
     drop(held);
+}
+
+/// `serve --flight-dir` runs in every build: the daemon keeps the flight
+/// ring armed for its life, and the `dump-flight` op writes the ring, which
+/// holds the job it just ran, as Chrome trace-event JSON.
+#[test]
+fn flight_dir_dumps_the_ring_on_request() {
+    let dir = std::env::temp_dir().join(format!("pobp-serve-e2e-flight-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let flights = dir.join("flights");
+    let daemon =
+        Daemon::spawn(&dir.join("registry"), &["--flight-dir", flights.to_str().unwrap()]);
+    let client = daemon.client();
+    submit_and_wait(&client, "reduction", 12, 1);
+    let reply = client.dump_flight().expect("dump-flight");
+    let path = reply.get("path").and_then(Json::as_str).unwrap_or_else(|| panic!("{reply}"));
+    assert!(Path::new(path).starts_with(&flights), "{path}");
+    let dump = Json::parse(&fs::read_to_string(path).unwrap()).expect("the dump is JSON");
+    let events = dump.get("traceEvents").and_then(Json::as_arr).expect("a traceEvents array");
+    let named =
+        |name: &str| events.iter().any(|e| e.get("name").and_then(Json::as_str) == Some(name));
+    assert!(named("serve.job") && named("task.enqueue"), "{dump}");
+    daemon.shutdown();
+    fs::remove_dir_all(&dir).ok();
 }
