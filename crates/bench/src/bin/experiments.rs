@@ -7,9 +7,9 @@
 //! cargo run --release -p pobp-bench --bin experiments -- e5 e8   # subset
 //! ```
 //!
-//! With `--obs` (and a `--features instrument` build) the harness additionally
-//! prints the aggregated counter tables and writes the JSON counter report
-//! to `obs-report.json` (override with `--obs-out FILE`); see
+//! `--obs` arms the counter aggregate: the harness additionally prints the
+//! aggregated counter tables and writes the JSON counter report to
+//! `obs-report.json` (override with `--obs-out FILE`); see
 //! `docs/observability.md`.
 //!
 //! The seed-sweep experiments (E4, E6, E7, E9) dispatch their per-seed
@@ -107,9 +107,7 @@ fn main() {
     let engine = Engine::new(EngineConfig { threads, degrade: true, ..EngineConfig::default() });
     let run =
         |name: &str| selectors.is_empty() || selectors.iter().any(|a| *a == name || *a == "all");
-    if obs_out.is_some() {
-        pobp_core::obs::reset();
-    }
+    let _obs = obs_out.is_some().then(pobp_core::obs::arm);
     for (name, title, f) in experiments {
         if run(name) {
             println!("\n################ {name}: {title} ################\n");
@@ -132,9 +130,6 @@ fn main() {
             std::process::exit(1);
         }
         println!("\nwrote JSON counter report to {path}");
-        if !pobp_core::obs::enabled() {
-            println!("(note: built without --features instrument — all counters are empty)");
-        }
     }
 }
 

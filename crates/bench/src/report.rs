@@ -113,8 +113,8 @@ impl Table {
 
 /// Renders an observability [`Snapshot`](pobp_core::obs::Snapshot) as three
 /// aligned-text tables (counters, timers, events), in name order. Empty
-/// sections are omitted; an entirely empty snapshot renders a hint that the
-/// `instrument` feature is off.
+/// sections are omitted; an entirely empty snapshot renders one line that
+/// says so.
 pub fn obs_tables(snap: &pobp_core::obs::Snapshot) -> String {
     let mut out = String::new();
     if !snap.counters.is_empty() {
@@ -158,11 +158,7 @@ pub fn obs_tables(snap: &pobp_core::obs::Snapshot) -> String {
         out.push_str(&t.to_text());
     }
     if out.is_empty() {
-        out.push_str(if pobp_core::obs::enabled() {
-            "(no obs data recorded)\n"
-        } else {
-            "(obs disabled; rebuild with --features instrument)\n"
-        });
+        out.push_str("(no obs data recorded)\n");
     }
     out
 }

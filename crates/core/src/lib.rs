@@ -17,14 +17,15 @@
 //! predicate with no epsilons ([`Schedule::verify`]).
 //!
 //! The crate also exports the workspace's instrumentation (see
-//! `docs/observability.md`). The [`trace`] recorder ([`obs_span!`] and
-//! [`trace_event!`]), with its runtime-armed full record and [`flight`]
-//! ring, is in every build and costs one relaxed load per event while no
-//! sink is armed. The [`obs`] aggregate (the [`obs_count!`], [`obs_time!`],
-//! and [`obs_event!`] macros) sits behind the one `instrument` cargo
-//! feature; without it the counters compile to no-ops and `obs_time!`
-//! keeps only its trace span. The [`metrics`] Prometheus exposition, which
-//! the daemon's live telemetry renders, is in every build.
+//! `docs/observability.md`), all of it in every build and armed at run
+//! time. The [`trace`] recorder ([`obs_span!`] and [`trace_event!`]), with
+//! its full record and [`flight`] ring, costs one relaxed load per event
+//! while no sink is armed. The [`obs`] aggregate (the [`obs_count!`],
+//! [`obs_time!`], and [`obs_event!`] macros) costs one relaxed load per
+//! site while no [`obs::arm`] guard lives (`--obs` holds one); then the
+//! counters evaluate nothing and `obs_time!` keeps only its trace span.
+//! The [`metrics`] Prometheus exposition, which the daemon's live
+//! telemetry renders, needs no arming.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

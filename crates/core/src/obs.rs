@@ -1,17 +1,19 @@
-//! Zero-cost algorithm-level observability: counters, span timers, and a
-//! structured event sink.
+//! Algorithm-level observability: counters, span timers, and a structured
+//! event sink, compiled into every build and armed at run time.
 //!
 //! Every hot path in the workspace is instrumented with the three macros
 //! exported from this crate — [`obs_count!`](crate::obs_count),
 //! [`obs_time!`](crate::obs_time), and [`obs_event!`](crate::obs_event).
-//! When the `instrument` cargo feature is **off** (the default) the
-//! aggregate compiles to nothing: `obs_count!`/`obs_event!` become `()`
-//! without evaluating their arguments, and `obs_time!` keeps only the
-//! trace span it opens in every build (one relaxed load at each end while
-//! no [`trace`](crate::trace) sink is armed). No counter atomics, no
-//! registry, and no counter or distribution name in the binary.
+//! The aggregate records only while it is armed: [`arm`] returns a guard,
+//! `--obs`/`--obs-out` hold one for a whole command, and the test window
+//! [`exclusive`] (so [`measure`]) holds one for its life. While it is
+//! disarmed a call site does one relaxed load and nothing else:
+//! `obs_count!`/`obs_event!` evaluate no argument, and `obs_time!` runs its
+//! body inside the trace span it opens in any case (one relaxed load at
+//! each end while no [`trace`](crate::trace) sink is armed) and reads no
+//! clock of its own. No atomic add and no registration.
 //!
-//! When the feature is **on**, each macro call site materialises a `static`
+//! While it is armed, each macro call site materialises a `static`
 //! [`Counter`], [`Timer`], or [`EventStat`] that registers itself in a global
 //! registry on first touch and is updated with relaxed atomics thereafter.
 //! [`snapshot`] merges call sites that share a name, so the same logical
@@ -21,17 +23,12 @@
 //! `docs/observability.md` — e.g. `forest.tm.nodes_visited` or
 //! `sched.reduction.time.laminarize`.
 //!
-//! The registry types below are compiled unconditionally (they are tiny) so
-//! binaries can call [`snapshot`] / [`report_json`] whether or not the
-//! feature is on; with the feature off the registry is simply empty and
-//! [`enabled`] reports `false`.
-//!
 //! Tests that assert on counters must serialise access to the global
-//! registry; use [`measure`], which takes a lock, resets, runs the closure,
-//! and returns the resulting [`Snapshot`].
+//! registry; use [`measure`], which takes a lock, arms, resets, runs the
+//! closure, and returns the resulting [`Snapshot`].
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -40,7 +37,9 @@ use std::time::Duration;
 /// * **1** — counters / timers / events with count, sum, min, max.
 /// * **2** — adds the `schema` key itself plus `p50` / `p90` / `p99`
 ///   quantile estimates per event (log₂-bucket histogram).
-pub const SCHEMA_VERSION: u32 = 2;
+/// * **3** — drops the `obs_enabled` key: the aggregate is in every build,
+///   and a report comes from a run that armed it.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Number of log₂ buckets in a [`LogHistogram`] (covers all of `u64`).
 pub const HIST_BUCKETS: usize = 64;
@@ -257,10 +256,34 @@ fn registry() -> &'static Registry {
     &REGISTRY
 }
 
-/// Whether the obs aggregate is compiled in (the `instrument` cargo
-/// feature): the counters, timers and distributions of the obs macros.
-pub const fn enabled() -> bool {
-    cfg!(feature = "instrument")
+/// Live [`arm`] guards. Relaxed throughout: the count only gates recording
+/// and publishes no other data.
+static ARMS: AtomicU32 = AtomicU32::new(0);
+
+/// Keeps the aggregate armed until it drops; see [`arm`].
+#[must_use = "the aggregate disarms when the guard drops"]
+#[derive(Debug)]
+pub struct Armed(());
+
+impl Drop for Armed {
+    fn drop(&mut self) {
+        ARMS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Arms the aggregate until the returned guard drops. Arms nest: it
+/// records while any guard lives, so a test window inside an armed command
+/// does not disarm it.
+pub fn arm() -> Armed {
+    ARMS.fetch_add(1, Ordering::Relaxed);
+    Armed(())
+}
+
+/// Whether the aggregate records: some [`arm`] guard is alive. The one
+/// relaxed load each obs macro site does while it is disarmed.
+#[inline]
+pub fn armed() -> bool {
+    ARMS.load(Ordering::Relaxed) != 0
 }
 
 /// Aggregated state of one timer name in a [`Snapshot`].
@@ -323,8 +346,7 @@ impl Snapshot {
     ///
     /// ```json
     /// {
-    ///   "schema": 2,
-    ///   "obs_enabled": true,
+    ///   "schema": 3,
     ///   "counters": { "sched.edf.heap_push": 40 },
     ///   "timers": { "sched.reduction.time.laminarize": { "total_ns": 1200, "spans": 1 } },
     ///   "events": { "sched.lsa_cs.class_size": { "count": 3, "sum": 17, "min": 2, "max": 9,
@@ -333,11 +355,11 @@ impl Snapshot {
     /// ```
     ///
     /// `p50`/`p90`/`p99` are histogram estimates ([`quantile_from_buckets`]);
-    /// the bump to `"schema": 2` marks their introduction.
+    /// the bump to `"schema": 2` marks their introduction, and the bump to
+    /// 3 the removal of the `obs_enabled` key.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"schema\": {SCHEMA_VERSION},\n"));
-        out.push_str(&format!("  \"obs_enabled\": {},\n", enabled()));
         out.push_str("  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             if i > 0 {
@@ -441,17 +463,34 @@ pub fn reset() {
     }
 }
 
-/// Takes the global measurement lock without resetting; pair with manual
-/// [`reset`]/[`snapshot`] calls when [`measure`]'s closure shape is awkward.
-/// [`trace::capture`](crate::trace) holds the same lock, so one window
-/// serialises every test that asserts on instrumentation.
-pub fn exclusive() -> MutexGuard<'static, ()> {
+/// A test window: the global measurement lock and an [`arm`] of the
+/// aggregate, both held until it drops; see [`exclusive`].
+#[must_use = "the window closes when the guard drops"]
+#[derive(Debug)]
+pub struct Window {
+    _armed: Armed,
+    _lock: MutexGuard<'static, ()>,
+}
+
+/// The global measurement lock alone, unarmed.
+fn lock_window() -> MutexGuard<'static, ()> {
     // A panicking test inside `measure` must not wedge every later test.
     registry().window.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runs `f` in an exclusive, freshly-reset measurement window and returns
-/// `f`'s output together with the snapshot of everything it recorded.
+/// Takes the global measurement lock and arms the aggregate, without
+/// resetting; pair with manual [`reset`]/[`snapshot`] calls when
+/// [`measure`]'s closure shape is awkward.
+/// [`trace::capture`](crate::trace) holds the same lock, so one window
+/// serialises every test that asserts on instrumentation.
+pub fn exclusive() -> Window {
+    let lock = lock_window();
+    Window { _armed: arm(), _lock: lock }
+}
+
+/// Runs `f` in an exclusive, armed, freshly-reset measurement window and
+/// returns `f`'s output together with the snapshot of everything it
+/// recorded.
 ///
 /// This is the only sound way to assert on counter values from tests: the
 /// cargo test harness runs tests on parallel threads and the registry is
@@ -470,86 +509,55 @@ pub fn report_json() -> String {
 }
 
 /// Counts occurrences: `obs_count!("name")` adds 1, `obs_count!("name", n)`
-/// adds `n`. With the `instrument` feature off this expands to `()` and
-/// the argument expressions are **not evaluated**.
-#[cfg(feature = "instrument")]
+/// adds `n`. While the aggregate is disarmed ([`arm`](crate::obs::arm))
+/// the site does one relaxed load and the argument expressions are **not
+/// evaluated**.
 #[macro_export]
 macro_rules! obs_count {
     ($name:literal) => {
         $crate::obs_count!($name, 1u64)
     };
     ($name:literal, $n:expr) => {{
-        static __OBS_COUNTER: $crate::obs::Counter = $crate::obs::Counter::new($name);
-        __OBS_COUNTER.add(($n) as u64);
+        if $crate::obs::armed() {
+            static __OBS_COUNTER: $crate::obs::Counter = $crate::obs::Counter::new($name);
+            __OBS_COUNTER.add(($n) as u64);
+        }
     }};
-}
-
-/// Counts occurrences: `obs_count!("name")` adds 1, `obs_count!("name", n)`
-/// adds `n`. With the `instrument` feature off this expands to `()` and
-/// the argument expressions are **not evaluated**.
-#[cfg(not(feature = "instrument"))]
-#[macro_export]
-macro_rules! obs_count {
-    ($($args:tt)*) => {
-        ()
-    };
 }
 
 /// Times a span: `obs_time!("name", { body })` evaluates to the body's
 /// value and records a timing-class trace span under the same name (via
-/// [`obs_span!`](crate::obs_span)) while a trace sink is armed, in every
-/// build. With the `instrument` feature on it also accumulates the body's
-/// wall-clock time in the aggregate, whether or not a sink is armed.
-#[cfg(feature = "instrument")]
+/// [`obs_span!`](crate::obs_span)) while a trace sink is armed. While the
+/// aggregate is armed ([`arm`](crate::obs::arm)) at the span's start it
+/// also accumulates the body's wall-clock time; while it is disarmed the
+/// site does one relaxed load and reads no clock.
 #[macro_export]
 macro_rules! obs_time {
     ($name:literal, $body:expr) => {
         $crate::obs_span!(timing $name, {
             static __OBS_TIMER: $crate::obs::Timer = $crate::obs::Timer::new($name);
-            let __obs_start = ::std::time::Instant::now();
+            let __obs_start = $crate::obs::armed().then(::std::time::Instant::now);
             let __obs_out = $body;
-            __OBS_TIMER.record(__obs_start.elapsed());
+            if let ::core::option::Option::Some(__obs_start) = __obs_start {
+                __OBS_TIMER.record(__obs_start.elapsed());
+            }
             __obs_out
         })
     };
 }
 
-/// Times a span: `obs_time!("name", { body })` evaluates to the body's
-/// value and records a timing-class trace span under the same name (via
-/// [`obs_span!`](crate::obs_span)) while a trace sink is armed, in every
-/// build. With the `instrument` feature on it also accumulates the body's
-/// wall-clock time in the aggregate, whether or not a sink is armed.
-#[cfg(not(feature = "instrument"))]
-#[macro_export]
-macro_rules! obs_time {
-    ($name:literal, $body:expr) => {
-        $crate::obs_span!(timing $name, $body)
-    };
-}
-
 /// Records one observation of a value into a named distribution
-/// (count/sum/min/max): `obs_event!("name", value)`. With the `instrument`
-/// feature off this expands to `()` and the value expression is **not
-/// evaluated**.
-#[cfg(feature = "instrument")]
+/// (count/sum/min/max): `obs_event!("name", value)`. While the aggregate
+/// is disarmed ([`arm`](crate::obs::arm)) the site does one relaxed load
+/// and the value expression is **not evaluated**.
 #[macro_export]
 macro_rules! obs_event {
     ($name:literal, $value:expr) => {{
-        static __OBS_EVENT: $crate::obs::EventStat = $crate::obs::EventStat::new($name);
-        __OBS_EVENT.observe(($value) as u64);
+        if $crate::obs::armed() {
+            static __OBS_EVENT: $crate::obs::EventStat = $crate::obs::EventStat::new($name);
+            __OBS_EVENT.observe(($value) as u64);
+        }
     }};
-}
-
-/// Records one observation of a value into a named distribution
-/// (count/sum/min/max): `obs_event!("name", value)`. With the `instrument`
-/// feature off this expands to `()` and the value expression is **not
-/// evaluated**.
-#[cfg(not(feature = "instrument"))]
-#[macro_export]
-macro_rules! obs_event {
-    ($($args:tt)*) => {
-        ()
-    };
 }
 
 #[cfg(test)]
@@ -612,7 +620,6 @@ mod tests {
 
     /// The aggregate records with no trace sink armed, while the trace
     /// recorder keeps nothing.
-    #[cfg(feature = "instrument")]
     #[test]
     fn macros_record_and_merge() {
         fn workload() {
@@ -657,21 +664,53 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "instrument"))]
+    /// While disarmed a site evaluates no argument and records nothing:
+    /// outside any window, the snapshot holds none of its names.
     #[test]
-    fn macros_are_inert_when_disabled() {
+    fn macros_are_inert_while_disarmed() {
         // obs_count!/obs_event! must not evaluate their arguments...
         #[allow(unreachable_code, clippy::diverging_sub_expression)]
         fn not_evaluated() {
             crate::obs_count!("core.test.never", panic!("evaluated"));
             crate::obs_event!("core.test.never", panic!("evaluated"));
         }
+        // The bare lock keeps every armed window of this binary out, and
+        // arms nothing itself.
+        let _lock = lock_window();
+        assert!(!armed());
         not_evaluated();
-        // ...while obs_time! must still evaluate its body. It opens a trace
-        // span, so it runs inside the window a concurrent capture respects.
-        let (out, snap) = measure(|| crate::obs_time!("core.test.span", 40 + 2));
-        assert_eq!(out, 42);
-        assert!(!enabled());
-        assert!(snap.counters.is_empty() && snap.timers.is_empty());
+        // ...while obs_time! must still evaluate its body.
+        assert_eq!(crate::obs_time!("core.test.inert_span", 40 + 2), 42);
+        let snap = snapshot();
+        assert!(!snap.counters.contains_key("core.test.never"));
+        assert!(!snap.events.contains_key("core.test.never"));
+        assert!(!snap.timers.contains_key("core.test.inert_span"));
+    }
+
+    /// Arms nest: with two guards alive, dropping one keeps the aggregate
+    /// recording, and dropping both stops it.
+    #[test]
+    fn arms_nest() {
+        // One counter, one event and one timer site.
+        let touch = || {
+            crate::obs_count!("core.test.arms");
+            crate::obs_event!("core.test.arms_size", 3);
+            assert_eq!(crate::obs_time!("core.test.arms_span", 40 + 2), 42);
+        };
+        let _lock = lock_window();
+        reset();
+        let outer = arm();
+        let inner = arm();
+        touch();
+        drop(inner);
+        assert!(armed());
+        touch();
+        drop(outer);
+        assert!(!armed());
+        touch();
+        let snap = snapshot();
+        assert_eq!(snap.counter("core.test.arms"), 2);
+        assert_eq!(snap.events["core.test.arms_size"].count, 2);
+        assert_eq!(snap.timers["core.test.arms_span"].spans, 2);
     }
 }

@@ -25,9 +25,9 @@
 //! The recorder is compiled into every build and costs nothing it is not
 //! asked for: with neither sink armed, `record` returns after one relaxed
 //! load, so a long-running process that never asked for a trace holds no
-//! events, and a payload is never copied. The `instrument` cargo feature
-//! gates only the [`obs`](crate::obs) aggregate, so a trace times the same
-//! code with or without it (docs/observability.md).
+//! events, and a payload is never copied. The [`obs`](crate::obs)
+//! aggregate is armed on its own (`--obs`), so a trace of a run without it
+//! times the code that runs without it (docs/observability.md).
 //!
 //! Full-record events are buffered in per-thread `Vec`s (no locks on the
 //! hot path except a global relaxed fetch-add for the sequence number) and

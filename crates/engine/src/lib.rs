@@ -41,7 +41,7 @@
 //!   injection code is in every build; with no plan armed each site is one
 //!   `Option` test and no output changes.
 //!
-//! With the `instrument` cargo feature the engine emits the `engine.*`
+//! While `--obs` arms the obs aggregate the engine emits the `engine.*`
 //! counter families (tasks run/panicked/timed-out/retried, certification
 //! verdicts, chaos injections, degradations, injector/local queue depth,
 //! steal attempts and hits, per-worker busy time); see

@@ -263,7 +263,7 @@ impl Engine {
             let mut dispatched = 0u64;
             // Per-task clock reads feed only telemetry; skip them when
             // nothing consumes the numbers.
-            let timed = pobp_core::obs::enabled() || progress.is_some();
+            let timed = pobp_core::obs::armed() || progress.is_some();
             while !fabric.is_done() {
                 let (unit, steals) = fabric.next_unit(w, &mut rng);
                 if steals.attempts > 0 {

@@ -2,14 +2,12 @@
 //! counters are process-global, so a batch run by any concurrently running
 //! test would land in the measured window.
 
-#![cfg(feature = "instrument")]
-
 use std::time::Duration;
 
 use pobp_core::obs;
 use pobp_engine::{run_batch, Algo, EngineConfig, GridSpec, SolveTask};
 
-/// With the feature on, the engine's terminal counters sum to the grid size.
+/// In an armed window, the engine's terminal counters sum to the grid size.
 #[test]
 fn obs_counters_partition_the_batch() {
     let mut tasks = GridSpec::new(vec![6, 10], vec![0, 1, 2], vec![0, 1], Algo::Reduction).tasks();

@@ -107,10 +107,13 @@ pub fn levelled_contraction_ws(forest: &Forest, k: u32, ws: &mut Workspace) -> C
 
     while alive_count > 0 {
         obs_count!("forest.contraction.levels");
-        // MaxContract: mark contractibility bottom-up over live nodes.
+        // MaxContract: mark contractibility bottom-up over live nodes. The
+        // scans are counted into a local and added once per level, so the
+        // loop carries no obs site.
+        let mut scans = 0u64;
         for i in (0..n).rev() {
             let u = ws.order[i];
-            obs_count!("forest.contraction.node_scans");
+            scans += 1;
             if !ws.alive[u.0] {
                 continue;
             }
@@ -126,6 +129,7 @@ pub fn levelled_contraction_ws(forest: &Forest, k: u32, ws: &mut Workspace) -> C
             }
             ws.mark[u.0] = lc <= k && lcc == lc;
         }
+        obs_count!("forest.contraction.node_scans", scans);
         // The level's roots: contractible nodes that are maximal — their
         // parent is dead, absent, or not contractible. These are exactly
         // the leaves of the tree after MaxContract.
@@ -154,7 +158,6 @@ pub fn levelled_contraction_ws(forest: &Forest, k: u32, ws: &mut Workspace) -> C
         ws.stack.extend_from_slice(&roots);
         while let Some(u) = ws.stack.pop() {
             debug_assert!(ws.alive[u.0]);
-            obs_count!("forest.contraction.contracted_nodes");
             ws.alive[u.0] = false;
             alive_count -= 1;
             members.push(u);
@@ -165,6 +168,7 @@ pub fn levelled_contraction_ws(forest: &Forest, k: u32, ws: &mut Workspace) -> C
                 }
             }
         }
+        obs_count!("forest.contraction.contracted_nodes", members.len());
         levels.push(Level { roots, members, value });
     }
 

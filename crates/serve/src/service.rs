@@ -152,9 +152,9 @@ pub enum CancelOutcome {
     SignalledRunning,
 }
 
-/// Always-on service counters (plain fields under the state lock, so CI
-/// can assert on them without an `instrument` build; the `serve.*` obs family
-/// mirrors them when compiled in).
+/// Always-on service counters (plain fields under the state lock, so tests
+/// can assert on them without arming the obs aggregate; the `serve.*` obs
+/// family mirrors them while `--obs` arms it).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeCounters {
     /// Admitted submissions (including cache-served ones).

@@ -45,10 +45,28 @@ impl Daemon {
 }
 
 impl Drop for Daemon {
+    /// Shuts the daemon down and joins its accept loop. Connections a test
+    /// has just dropped may still hold their places, so a shutdown refused
+    /// `overloaded` is retried until a deadline. The loop is joined only
+    /// after a shutdown was accepted: a refused one leaves it running, and
+    /// joining it would hang, so the refusal is logged and the loop left to
+    /// end with the test binary.
     fn drop(&mut self) {
-        let _ = self.client().shutdown(false);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let reply = loop {
+            let reply = self.client().shutdown(false);
+            let overloaded = matches!(&reply, Ok(r)
+                if r.get("reason").and_then(Json::as_str) == Some("overloaded"));
+            if !overloaded || Instant::now() >= deadline {
+                break reply;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        match (&reply, self.handle.take()) {
+            (Ok(r), Some(handle)) if ok(r) => {
+                let _ = handle.join();
+            }
+            _ => eprintln!("the daemon refused shutdown: {reply:?}"),
         }
         let _ = fs::remove_dir_all(&self.dir);
     }

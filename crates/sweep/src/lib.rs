@@ -26,8 +26,8 @@
 //! the property tests in `tests/` drive kill-at-every-point → resume →
 //! byte-identical-merge, across engine thread counts.
 //!
-//! With the `instrument` feature the runner emits the `sweep.*` counters
-//! (`sweep.rows_written`, `sweep.chunks_completed`) alongside the
+//! While `--obs` arms the obs aggregate the runner emits the `sweep.*`
+//! counters (`sweep.rows_written`, `sweep.chunks_completed`) alongside the
 //! `chaos.io.*` injection counters; see `docs/observability.md`. A watcher
 //! follows a running sweep through `--progress`, or by counting
 //! `manifest.json`'s record lines.

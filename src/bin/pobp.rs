@@ -23,6 +23,9 @@ use std::io::Read;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // `--obs`/`--obs-out` arm the counter aggregate for the whole command,
+    // which reports after it (`emit_obs_report`).
+    let _obs = (has_flag(&args, "--obs") || has_flag(&args, "--obs-out")).then(pobp::obs::arm);
     let code = match args.first().map(String::as_str) {
         Some("gen") => cmd_gen(&args[1..]),
         Some("solve") => cmd_solve(&args[1..]),
@@ -51,10 +54,9 @@ fn main() {
 }
 
 /// Handles the global `--obs` / `--obs-out FILE` flags after a successful
-/// command: dump the JSON counter report (docs/observability.md) to stderr,
-/// or to FILE. With the `instrument` feature off the report is emitted all
-/// the same, carrying `"obs_enabled": false` and empty sections.
-/// `--obs-out` without a value is an error, not a silent no-op.
+/// command: dump the JSON counter report (docs/observability.md) of
+/// everything the command counted to stderr, or to FILE. `--obs-out`
+/// without a value is an error, not a silent no-op.
 fn emit_obs_report(args: &[String]) -> Result<(), String> {
     if let Some(path) = flag_value(args, "--obs-out")? {
         std::fs::write(&path, pobp::obs::report_json())
@@ -149,10 +151,9 @@ USAGE:
                                                  (scheduling daemon, docs/serve.md)
 
 Any command also accepts --obs (print the JSON counter report to stderr) or
---obs-out FILE (write it to FILE). Counters require building with
-`--features instrument`; see docs/observability.md. A flag the command does
-not know, a repeated flag, and any other argument that is not a flag's
-value are errors.
+--obs-out FILE (write it to FILE); see docs/observability.md. A flag the
+command does not know, a repeated flag, and any other argument that is not
+a flag's value are errors.
 
 solve, sweep and online accept --trace FILE (Chrome trace-event JSON — open
 in Perfetto / chrome://tracing) and --trace-logical FILE (the deterministic

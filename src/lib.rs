@@ -32,9 +32,9 @@
 //!   durable job registry that survives `kill -9` (`docs/serve.md`).
 //!
 //! The structured tracing recorder ([`trace`]) behind `pobp sweep --trace
-//! FILE` is in every build and idle until a flag arms it. Building with
-//! `--features instrument` adds the algorithm-level counter/timer layer
-//! ([`obs`]); without it the counter macros are no-ops. See
+//! FILE` is in every build and idle until a flag arms it, and so is the
+//! algorithm-level counter/timer layer ([`obs`]), which `--obs` arms;
+//! disarmed, each counter site is one relaxed load. See
 //! `docs/observability.md`.
 //!
 //! ## Quickstart

@@ -76,18 +76,14 @@ fn pobp_binary_text() -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
-/// Every build carries the trace recorder: its exporter (`traceEvents`) and
-/// the engine's event names (`task.enqueue`). A name that only `obs_count!`
-/// spells (`sched.edf.heap_push`) is in the binary if and only if the obs
-/// aggregate is compiled in (`instrument`).
+/// The binary carries the trace recorder: its exporter (`traceEvents`) and
+/// the engine's event names (`task.enqueue`).
 #[test]
-fn binary_carries_the_recorder_and_counter_names_only_with_instrument() {
+fn binary_carries_the_trace_recorder() {
     let binary = pobp_binary_text();
     for marker in ["traceEvents", "task.enqueue"] {
         assert!(binary.contains(marker), "the binary lacks {marker:?}");
     }
-    let counter = binary.contains("sched.edf.heap_push");
-    assert_eq!(counter, pobp::obs::enabled(), "counter name present: {counter}");
 }
 
 /// Every command refuses a flag it does not read, before any work: exit 1,
@@ -328,7 +324,6 @@ fn choose_k_recommends() {
 /// `pobp choose-k` computes its table once: one reduction per row of the
 /// table it prints, each from the greedy reference's own schedule forest,
 /// with no laminarize.
-#[cfg(feature = "instrument")]
 #[test]
 fn choose_k_solves_each_row_once() {
     use pobp::core::json::Json;
@@ -468,17 +463,27 @@ fn trace_digest(text: &str) -> (usize, u64) {
     (text.len(), pobp::sweep::plan::fnv1a(text.as_bytes()))
 }
 
-/// A sweep's logical trace is the same bytes at `--threads 1` and `4`, in
-/// every build: pinned to the length and FNV-1a digest that an `instrument`
-/// release binary wrote before the recorder was compiled into every build.
+/// The sweep whose logical trace is pinned, and the `(length, FNV-1a)` of
+/// that trace.
+const TRACED_SWEEP: [&str; 7] = ["sweep", "--n", "12,16", "--k", "0,1,2", "--seeds", "4"];
+const TRACED_SWEEP_PIN: (usize, u64) = (3578, 0x26e6_a145_2126_6796);
+
+/// Checks that `TRACED_SWEEP` plus `extra` writes the pinned logical trace
+/// at `--threads 1` and `4`.
+fn check_traced_sweep(tag: &str, extra: &[&str]) {
+    let grid = [&TRACED_SWEEP[..], extra].concat();
+    let seq = logical_trace(&format!("{tag}-t1"), &[&grid[..], &["--threads", "1"]].concat());
+    let par = logical_trace(&format!("{tag}-t4"), &[&grid[..], &["--threads", "4"]].concat());
+    assert!(seq.contains("begin task"), "{seq}");
+    assert_eq!(seq, par, "{extra:?}: logical traces differ across thread counts");
+    assert_eq!(trace_digest(&seq), TRACED_SWEEP_PIN, "{extra:?}: {seq}");
+}
+
+/// A sweep's logical trace is the same bytes at `--threads 1` and `4`,
+/// pinned.
 #[test]
 fn sweep_logical_trace_is_thread_count_invariant() {
-    let grid = ["sweep", "--n", "12,16", "--k", "0,1,2", "--seeds", "4"];
-    let seq = logical_trace("sweep-t1", &[&grid[..], &["--threads", "1"]].concat());
-    let par = logical_trace("sweep-t4", &[&grid[..], &["--threads", "4"]].concat());
-    assert!(seq.contains("begin task"), "{seq}");
-    assert_eq!(seq, par, "logical traces differ across thread counts");
-    assert_eq!(trace_digest(&seq), (3578, 0x26e6_a145_2126_6796), "{seq}");
+    check_traced_sweep("sweep", &[]);
 }
 
 /// ...and so it is under injected panics, flaky attempts and forced
@@ -751,41 +756,81 @@ fn sweep_isolates_panics_per_task() {
     assert_eq!(panicked, 3, "{out}");
 }
 
-/// Telemetry never changes results: a sharded sweep's `merged.jsonl` is the
-/// same bytes at `--threads` 1 and 4 in every build, pinned to the length
-/// and FNV-1a digest of a default release binary's merge, with no file
-/// beside it that a build adds (there is no `heartbeat.json`). The grids
-/// also pin the solvers' bytes: reduction at n = 12 and 16, where the
-/// left-merge places a handful of jobs; at n = 250, where it places
+/// The sharded sweep grids whose merges are pinned, each with the length
+/// and FNV-1a digest of a default release binary's `merged.jsonl`. The
+/// grids also pin the solvers' bytes: reduction at n = 12 and 16, where
+/// the left-merge places a handful of jobs; at n = 250, where it places
 /// hundreds, on one machine and on two; and combined, whose strict branch
 /// runs the left-merge too.
-#[test]
-fn sharded_sweep_bytes_do_not_depend_on_the_build() {
-    let reduction_250: &[&str] =
-        &["--alg", "reduction", "--n", "250", "--k", "1,2,4", "--seeds", "2"];
-    let pins: [(&[&str], (usize, u64)); 4] = [
-        (&["--n", "12,16", "--k", "0,1,2", "--seeds", "4"], (3972, 0x3f01_edf4_0c2c_e45c)),
-        (reduction_250, (1046, 0x22a6_5d3f_20da_1875)),
-        (&[reduction_250, &["--machines", "2"]].concat(), (1050, 0xc5de_6864_6eb7_210b)),
+fn sharded_sweep_pins() -> [(Vec<&'static str>, (usize, u64)); 4] {
+    let reduction_250 = ["--alg", "reduction", "--n", "250", "--k", "1,2,4", "--seeds", "2"];
+    [
+        (vec!["--n", "12,16", "--k", "0,1,2", "--seeds", "4"], (3972, 0x3f01_edf4_0c2c_e45c)),
+        (reduction_250.to_vec(), (1046, 0x22a6_5d3f_20da_1875)),
+        ([&reduction_250[..], &["--machines", "2"]].concat(), (1050, 0xc5de_6864_6eb7_210b)),
         (
-            &["--alg", "combined", "--n", "20,40", "--k", "0,1,2,4", "--seeds", "8"],
+            vec!["--alg", "combined", "--n", "20,40", "--k", "0,1,2,4", "--seeds", "8"],
             (10627, 0xa420_1e2f_037b_e6a1),
         ),
-    ];
-    for (i, (grid, pin)) in pins.iter().enumerate() {
+    ]
+}
+
+/// Runs every pinned sharded sweep plus `extra` at `--threads` 1 and 4,
+/// checks each `merged.jsonl` against its pin with no file beside it that
+/// a build adds (there is no `heartbeat.json`), and returns each run's
+/// stderr.
+fn check_sharded_sweeps(tag: &str, extra: &[&str]) -> Vec<String> {
+    let mut stderrs = Vec::new();
+    for (i, (grid, pin)) in sharded_sweep_pins().iter().enumerate() {
         for threads in ["1", "4"] {
             let dir = std::env::temp_dir()
-                .join(format!("pobp-cli-build-{i}-t{threads}-{}", std::process::id()));
+                .join(format!("pobp-cli-{tag}-{i}-t{threads}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let out = ["--chunk-cells", "2", "--threads", threads, "--out", dir.to_str().unwrap()];
-            let (_, err, ok) = run(&[&["sweep"], *grid, &out].concat());
+            let (_, err, ok) = run(&[&["sweep"], &grid[..], &out, extra].concat());
             assert!(ok, "{err}");
             let merged = std::fs::read(dir.join("merged.jsonl")).unwrap();
             let digest = (merged.len(), pobp::sweep::plan::fnv1a(&merged));
-            assert_eq!(digest, *pin, "{grid:?} --threads {threads}");
+            assert_eq!(digest, *pin, "{grid:?} {extra:?} --threads {threads}");
             assert!(!dir.join("heartbeat.json").exists(), "{grid:?} --threads {threads}");
             std::fs::remove_dir_all(&dir).ok();
+            stderrs.push(err);
         }
+    }
+    stderrs
+}
+
+/// Telemetry never changes results: a sharded sweep's `merged.jsonl` is the
+/// same bytes at `--threads` 1 and 4, pinned.
+#[test]
+fn sharded_sweep_bytes_do_not_depend_on_the_build() {
+    check_sharded_sweeps("build", &[]);
+}
+
+/// `--obs` arms the counter aggregate and changes no output byte: the
+/// pinned sharded merges and logical trace stay the same bytes, and a
+/// `solve` and an `online` print the same stdout, while each run's report
+/// carries counters.
+#[test]
+fn obs_changes_no_output_byte() {
+    let counted = |err: &str, name: &str| err.contains(&format!("\"{name}\": "));
+    for err in check_sharded_sweeps("obs", &["--obs"]) {
+        assert!(counted(&err, "engine.tasks.run"), "no counter report: {err}");
+    }
+    check_traced_sweep("obs", &["--obs"]);
+    let (instance, _, _) = run(&["gen", "--kind", "random", "--n", "40", "--seed", "3"]);
+    let solve = ["solve", "--k", "1", "--alg", "reduction", "--gantt"];
+    let online = ["online", "--n", "5,8", "--k", "0,1", "--seeds", "2", "--threads", "2"];
+    for (args, stdin, counter) in
+        [(&solve[..], &instance, "sched.reduction.runs"), (&online[..], &String::new(), "online.runs")]
+    {
+        let (plain, err, ok) = run_with_stdin(args, stdin);
+        assert!(ok, "{err}");
+        assert!(!plain.is_empty(), "{args:?} printed nothing");
+        let (observed, err, ok) = run_with_stdin(&[args, &["--obs"]].concat(), stdin);
+        assert!(ok, "{err}");
+        assert_eq!(plain, observed, "{args:?}: --obs changed stdout");
+        assert!(counted(&err, counter), "{args:?}: no {counter} in the report: {err}");
     }
 }
 

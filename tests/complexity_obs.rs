@@ -2,16 +2,12 @@
 //!
 //! Each test pins an operation-count claim from `docs/algorithms.md` to the
 //! counters emitted by the instrumented hot paths, across several instance
-//! sizes. They compile (and run) only with `--features instrument`:
+//! sizes.
 //!
-//! ```text
-//! cargo test --features instrument --test complexity_obs
-//! ```
-//!
-//! All counter reads go through [`pobp::obs::measure`], which serialises
-//! access to the global registry — the test binary runs tests on parallel
-//! threads, and counters are process-global.
-#![cfg(feature = "instrument")]
+//! All counter reads go through [`pobp::obs::measure`] or
+//! [`pobp::obs::exclusive`], which arm the aggregate and serialise access to
+//! the global registry — the test binary runs tests on parallel threads,
+//! and counters are process-global.
 
 use pobp::obs;
 use pobp::prelude::*;
@@ -155,8 +151,8 @@ fn laminarize_runs_one_restricted_edf_per_machine() {
     }
 }
 
-/// Schema 2 of the JSON report (docs/observability.md): the report is
-/// version-stamped and every event stat carries `p50`/`p90`/`p99`
+/// The JSON report (docs/observability.md) is version-stamped (schema 3)
+/// and, since schema 2, every event stat carries `p50`/`p90`/`p99`
 /// histogram quantiles alongside count/sum/min/max.
 #[test]
 fn report_json_carries_schema_2_quantiles() {
@@ -180,7 +176,8 @@ fn report_json_carries_schema_2_quantiles() {
     // The serialized snapshot is version-stamped and carries the fields.
     let json = snap.to_json();
     assert!(json.contains(&format!("\"schema\": {}", obs::SCHEMA_VERSION)));
-    assert_eq!(obs::SCHEMA_VERSION, 2);
+    assert_eq!(obs::SCHEMA_VERSION, 3);
+    assert!(!json.contains("obs_enabled"), "schema 3 has no obs_enabled key: {json}");
     for key in ["\"p50\":", "\"p90\":", "\"p99\":"] {
         assert!(json.contains(key), "report missing {key}: {json}");
     }

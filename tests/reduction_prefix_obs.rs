@@ -4,13 +4,7 @@
 //! A test binary of its own: an engine batch registers the engine's event
 //! stats in the process-global registry, and
 //! `complexity_obs.rs::report_json_carries_schema_2_quantiles` reads the
-//! first registered event. Compiles (and runs) only with
-//! `--features instrument`:
-//!
-//! ```text
-//! cargo test --features instrument --test reduction_prefix_obs
-//! ```
-#![cfg(feature = "instrument")]
+//! first registered event.
 
 use pobp::obs;
 use pobp::prelude::*;
